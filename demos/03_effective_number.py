@@ -19,14 +19,12 @@ print(f"sigma_r / l_R = {cloud.sigma_r / beam.rayleigh_length:.3f}   "
       f"w0 / sigma_r = {beam.w0 / cloud.sigma_r:.3f}")
 print()
 print(f"{'t [ms]':>7} {'general':>12} {'small waist':>12} {'long Rayleigh':>13} {'high temp':>12}")
-for t in np.linspace(0.0, 3.0 * ts.tau_r, 7):
-    row = (
-        cc.sigma_general(inp, float(t)),
-        cc.sigma_small_waist(inp, float(t)),
-        cc.sigma_long_rayleigh(inp, float(t)),
-        cc.sigma_high_temperature(inp, float(t)),
-    )
-    print(f"{t * 1e3:7.1f} " + " ".join(f"{v:12.4e}" for v in row))
+# every sigma variant takes the whole time grid at once
+t = np.linspace(0.0, 3.0 * ts.tau_r, 7)
+curves = [f(inp, t) for f in (cc.sigma_general, cc.sigma_small_waist,
+                              cc.sigma_long_rayleigh, cc.sigma_high_temperature)]
+for i, ti in enumerate(t):
+    print(f"{ti * 1e3:7.1f} " + " ".join(f"{c[i]:12.4e}" for c in curves))
 
 t_probe = ts.tau_r
 print()

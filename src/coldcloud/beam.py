@@ -40,6 +40,9 @@ class BeamParams:
     wavelength: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.w0 > 0:
             raise ValueError(f"w0 must be positive, got {self.w0}")
         if not self.wavelength > 0:

@@ -33,10 +33,6 @@ __all__ = [
 # evaluable since the limit is a regime statement, not a domain constraint
 _DISPERSIVE_DELTA = 3.0
 
-# relative slack for the internal consistency check between the two
-# algebraically identical assemblies of the detuning spectrum
-_IDENTITY_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -114,10 +110,9 @@ def detuning_spectrum(
 
     Assembled as (3*lambda^2/(4*pi*S))^2 * S_NN(T, omega)/(delta*tau_c)^2
     with the number spectrum built from the variance at T and the
-    normalized spectral shape.  The equivalent cooperativity form
-    kappa*(C(T)/delta^2)*(3*lambda^2/(4*pi*S))*normalized/tau_c is computed
-    alongside and must agree to rounding; a disagreement means an internal
-    inconsistency and raises.
+    normalized spectral shape.  Equivalently
+    kappa*(C(T)/delta^2)*(3*lambda^2/(4*pi*S))*normalized/tau_c in terms of
+    the cooperativity at T.
     """
     _check_dispersive(opt)
     ts = time_scales(inp.cloud, inp.beam)
@@ -127,18 +122,8 @@ def detuning_spectrum(
     n_mean = mean_number(inp, T)
 
     s_nn = 0.5 * n_mean * shape
-    direct = coupling**2 * s_nn / (opt.delta * cav.tau_c) ** 2
-
-    c_of_t = cooperativity(cav, b, n_mean)
-    via_cooperativity = (
-        cav.kappa * c_of_t / opt.delta**2 * coupling * shape / cav.tau_c
-    )
-    if not np.allclose(direct, via_cooperativity, rtol=_IDENTITY_RTOL, atol=0.0):
-        raise RuntimeError(
-            "detuning spectrum assemblies disagree; cooperativity and "
-            "spectrum normalizations are inconsistent"
-        )
-    return direct if np.ndim(omega) else float(np.atleast_1d(direct)[0])
+    out = coupling**2 * s_nn / (opt.delta * cav.tau_c) ** 2
+    return out if np.ndim(omega) else float(np.atleast_1d(out)[0])
 
 
 def is_linear_regime(

@@ -24,6 +24,10 @@ Config layout (keys follow the parameter bundles of the library)::
 
 Grid entries accept either an explicit list or a start/stop/num range;
 missing grids fall back to defaults derived from the cloud time scales.
+Every number must be finite: the NaN and Infinity literals are rejected,
+and so are unknown tolerance keys.  Curves over the t grid come from one
+array-valued library call each (``sigma_general`` included); only the
+saturated sigma is evaluated time by time.
 Exit codes: 0 success (all validation checks pass), 1 physics/validation
 failure, 2 malformed config or usage.
 """
@@ -68,18 +72,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-SUBCOMMANDS = (
-    "mean",
-    "sigma",
-    "saturated",
-    "variance",
-    "covariance",
-    "spectrum",
-    "detuning-spectrum",
-    "mc",
-    "validate",
-)
-
 _OUT_DIR_ENV = "COLDCLOUD_OUT_DIR"
 
 
@@ -95,30 +87,71 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _require(section: dict, section_name: str, key: str):
-    if key not in section:
+def _require(section: dict, section_name: str, key: str, default=None):
+    """section[key]; a missing key is an error unless a default is given."""
+    if key in section:
+        return section[key]
+    if default is None:
         raise ConfigError(f"{section_name}.{key}", "missing required field")
-    return section[key]
+    return default
 
 
-def _number(section: dict, section_name: str, key: str) -> float:
-    value = _require(section, section_name, key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{section_name}.{key}", f"expected a number, got {value!r}")
+def _number(section: dict, section_name: str, key: str, default: float | None = None) -> float:
+    value = _require(section, section_name, key, default)
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also fails for inf and for integers beyond the float range
+    if not (is_number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{section_name}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(section: dict, section_name: str, key: str, minimum: int,
+             default: int | None = None) -> int:
+    value = _require(section, section_name, key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{section_name}.{key}",
+                          f"expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _section(raw: dict, name: str, required: bool = False) -> dict:
+    """A config object; an absent optional section reads as empty."""
+    value = raw.get(name)
+    if value is None and not required:
+        return {}
+    if value is None:
+        raise ConfigError(name, "missing required section")
+    if not isinstance(value, dict):
+        raise ConfigError(name, "expected an object")
+    return value
+
+
+def _params(section: str, build, **fields):
+    """build(**fields) with its ValueError reported against the section."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(section, str(exc)) from exc
+
+
+def _reject_constant(name: str):
+    raise ConfigError("<file>", f"non-finite number {name} is not allowed")
 
 
 def _parse_grid(entry, name: str) -> np.ndarray:
     if isinstance(entry, list):
         if not entry:
             raise ConfigError(f"grids.{name}", "grid list is empty")
-        return np.asarray(entry, dtype=float)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry):
+            raise ConfigError(f"grids.{name}", "grid list must hold numbers only")
+        grid = np.asarray(entry, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError(f"grids.{name}", "grid values must be finite")
+        return grid
     if isinstance(entry, dict):
         start = _number(entry, f"grids.{name}", "start")
         stop = _number(entry, f"grids.{name}", "stop")
-        num = _require(entry, f"grids.{name}", "num")
-        if not isinstance(num, int) or num < 1:
-            raise ConfigError(f"grids.{name}.num", f"expected a positive integer, got {num!r}")
+        num = _integer(entry, f"grids.{name}", "num", 1)
         spacing = entry.get("spacing", "linear")
         if spacing == "linear":
             return np.linspace(start, stop, num)
@@ -151,7 +184,7 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -159,120 +192,74 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<file>", "top level must be a JSON object")
 
-    cloud_cfg = raw.get("cloud")
-    if not isinstance(cloud_cfg, dict):
-        raise ConfigError("cloud", "missing required section")
-    beam_cfg = raw.get("beam")
-    if not isinstance(beam_cfg, dict):
-        raise ConfigError("beam", "missing required section")
-
+    cloud_cfg = _section(raw, "cloud", required=True)
+    beam_cfg = _section(raw, "beam", required=True)
     has_sigma_v = "sigma_v" in cloud_cfg
     has_thermal = "temperature" in cloud_cfg or "mass" in cloud_cfg
     if has_sigma_v and has_thermal:
         raise ConfigError("cloud.sigma_v", "give either sigma_v or (temperature, mass), not both")
     if not has_sigma_v and not has_thermal:
         raise ConfigError("cloud.sigma_v", "one of sigma_v or (temperature, mass) is required")
-    try:
-        if has_sigma_v:
-            cloud = CloudParams(
-                n_total=_number(cloud_cfg, "cloud", "n_total"),
-                sigma_r=_number(cloud_cfg, "cloud", "sigma_r"),
-                sigma_v=_number(cloud_cfg, "cloud", "sigma_v"),
-                g=float(cloud_cfg.get("g", 0.0)),
-            )
-        else:
-            cloud = CloudParams.from_temperature(
-                n_total=_number(cloud_cfg, "cloud", "n_total"),
-                sigma_r=_number(cloud_cfg, "cloud", "sigma_r"),
-                temperature=_number(cloud_cfg, "cloud", "temperature"),
-                mass=_number(cloud_cfg, "cloud", "mass"),
-                g=float(cloud_cfg.get("g", 0.0)),
-            )
-    except ValueError as exc:
-        raise ConfigError("cloud", str(exc)) from exc
-
-    try:
-        beam = BeamParams(
-            w0=_number(beam_cfg, "beam", "w0"),
-            wavelength=_number(beam_cfg, "beam", "lambda"),
-        )
-    except ValueError as exc:
-        raise ConfigError("beam", str(exc)) from exc
-
-    optical_cfg = raw.get("optical", {})
-    if not isinstance(optical_cfg, dict):
-        raise ConfigError("optical", "expected an object")
-    try:
-        optical = OpticalParams(
-            delta=float(optical_cfg.get("delta", 10.0)),
-            s_m0=float(optical_cfg.get("s_m0", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("optical", str(exc)) from exc
-
-    cavity_cfg = raw.get("cavity")
+    cloud_fields = {
+        "n_total": _number(cloud_cfg, "cloud", "n_total"),
+        "sigma_r": _number(cloud_cfg, "cloud", "sigma_r"),
+        "g": _number(cloud_cfg, "cloud", "g", 0.0),
+    }
+    if has_sigma_v:
+        cloud = _params("cloud", CloudParams, sigma_v=_number(cloud_cfg, "cloud", "sigma_v"),
+                        **cloud_fields)
+    else:
+        cloud = _params("cloud", CloudParams.from_temperature,
+                        temperature=_number(cloud_cfg, "cloud", "temperature"),
+                        mass=_number(cloud_cfg, "cloud", "mass"), **cloud_fields)
+    beam = _params("beam", BeamParams, w0=_number(beam_cfg, "beam", "w0"),
+                   wavelength=_number(beam_cfg, "beam", "lambda"))
+    optical_cfg = _section(raw, "optical")
+    optical = _params("optical", OpticalParams,
+                      delta=_number(optical_cfg, "optical", "delta", 10.0),
+                      s_m0=_number(optical_cfg, "optical", "s_m0", 0.0))
     cavity = None
-    if cavity_cfg is not None:
-        if not isinstance(cavity_cfg, dict):
-            raise ConfigError("cavity", "expected an object")
-        try:
-            cavity = CavityParams(
-                kappa=_number(cavity_cfg, "cavity", "kappa"),
-                tau_c=_number(cavity_cfg, "cavity", "tau_c"),
-            )
-        except ValueError as exc:
-            raise ConfigError("cavity", str(exc)) from exc
+    if raw.get("cavity") is not None:
+        cavity_cfg = _section(raw, "cavity")
+        cavity = _params("cavity", CavityParams, kappa=_number(cavity_cfg, "cavity", "kappa"),
+                         tau_c=_number(cavity_cfg, "cavity", "tau_c"))
 
     ts = time_scales(cloud, beam)
-    grids = raw.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigError("grids", "expected an object")
-    t_grid = (
-        _parse_grid(grids["t"], "t") if "t" in grids
-        else np.linspace(0.0, 3.0 * ts.tau_r, 61)
-    )
-    big_t_grid = (
-        _parse_grid(grids["T"], "T") if "T" in grids
-        else np.array([0.5, 1.0, 2.0]) * ts.tau_r
-    )
-    tau_grid = (
-        _parse_grid(grids["tau"], "tau") if "tau" in grids
-        else np.linspace(-8.0 * ts.tau_w, 8.0 * ts.tau_w, 161)
-    )
-    omega_grid = (
-        _parse_grid(grids["omega"], "omega") if "omega" in grids
-        else np.linspace(0.0, 8.0 / ts.tau_w, 161)
-    )
-    if np.any(t_grid < 0) or np.any(big_t_grid < 0):
+    grids = {
+        "t": np.linspace(0.0, 3.0 * ts.tau_r, 61),
+        "T": np.array([0.5, 1.0, 2.0]) * ts.tau_r,
+        "tau": np.linspace(-8.0 * ts.tau_w, 8.0 * ts.tau_w, 161),
+        "omega": np.linspace(0.0, 8.0 / ts.tau_w, 161),
+    }
+    grids_cfg = _section(raw, "grids")
+    for name in grids:
+        if name in grids_cfg:
+            grids[name] = _parse_grid(grids_cfg[name], name)
+    if np.any(grids["t"] < 0) or np.any(grids["T"] < 0):
         raise ConfigError("grids", "time grids must be nonnegative")
 
-    mc_cfg = raw.get("mc", {})
-    if not isinstance(mc_cfg, dict):
-        raise ConfigError("mc", "expected an object")
-    realizations = mc_cfg.get("realizations", 10000)
-    if not isinstance(realizations, int) or realizations < 2:
-        raise ConfigError("mc.realizations", f"expected an integer >= 2, got {realizations!r}")
-    seed = mc_cfg.get("seed", 20250801)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("mc.seed", f"expected a nonnegative integer, got {seed!r}")
-
-    tolerances = {"mc_sigma": 3.0, "fail_sigma": 5.0, "fail_points": 2}
-    tol_cfg = raw.get("tolerances", {})
-    if not isinstance(tol_cfg, dict):
-        raise ConfigError("tolerances", "expected an object")
-    tolerances.update(tol_cfg)
+    mc_cfg = _section(raw, "mc")
+    tol_cfg = _section(raw, "tolerances")
+    for key in tol_cfg:
+        if key not in ("mc_sigma", "fail_sigma", "fail_points"):
+            raise ConfigError(f"tolerances.{key}", "unknown tolerance")
+    tolerances = {
+        "mc_sigma": _number(tol_cfg, "tolerances", "mc_sigma", 3.0),
+        "fail_sigma": _number(tol_cfg, "tolerances", "fail_sigma", 5.0),
+        "fail_points": _integer(tol_cfg, "tolerances", "fail_points", 1, 2),
+    }
 
     return RunConfig(
         cloud=cloud,
         beam=beam,
         optical=optical,
         cavity=cavity,
-        t_grid=t_grid,
-        big_t_grid=big_t_grid,
-        tau_grid=tau_grid,
-        omega_grid=omega_grid,
-        mc_realizations=realizations,
-        mc_seed=seed,
+        t_grid=grids["t"],
+        big_t_grid=grids["T"],
+        tau_grid=grids["tau"],
+        omega_grid=grids["omega"],
+        mc_realizations=_integer(mc_cfg, "mc", "realizations", 2, 10000),
+        mc_seed=_integer(mc_cfg, "mc", "seed", 0, 20250801),
         tolerances=tolerances,
         raw=raw,
     )
@@ -338,156 +325,118 @@ def write_manifest(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (cfg, seed, threads) -> ({file name: content}, extra manifest
+# keys).  A .csv file's content is {column: values}; a .json file's content
+# is the document itself.
 # ---------------------------------------------------------------------------
 
-def _cmd_mean(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    inp = EffNumInputs(cfg.cloud, cfg.beam)
-    t = cfg.t_grid
-    write_csv(
-        os.path.join(out_dir, "mean.csv"),
-        ["t_s", "mean_number"],
-        [t, np.asarray(mean_number(inp, t))],
-    )
-    write_manifest(out_dir, "mean", cfg, seed, threads, ["mean.csv"])
-    return EXIT_OK
-
-
-def _cmd_sigma(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    inp = EffNumInputs(cfg.cloud, cfg.beam)
-    t = cfg.t_grid
-    general = np.array([sigma_general(inp, ti) for ti in t])
-    write_csv(
-        os.path.join(out_dir, "sigma.csv"),
-        ["t_s", "sigma_general", "sigma_small_waist", "sigma_long_rayleigh",
-         "sigma_high_temperature"],
-        [t, general,
-         np.asarray(sigma_small_waist(inp, t)),
-         np.asarray(sigma_long_rayleigh(inp, t)),
-         np.asarray(sigma_high_temperature(inp, t))],
-    )
-    write_manifest(out_dir, "sigma", cfg, seed, threads, ["sigma.csv"])
-    return EXIT_OK
-
-
-def _cmd_saturated(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    inp = EffNumInputs(cfg.cloud, cfg.beam)
-    t = cfg.t_grid
-    closed = np.asarray(sigma_saturated_closed(inp, cfg.optical, t))
-    general = np.array([sigma_saturated_general(inp, cfg.optical, ti) for ti in t])
-    write_csv(
-        os.path.join(out_dir, "saturated.csv"),
-        ["t_s", "sigma_saturated_closed", "sigma_saturated_general"],
-        [t, closed, general],
-    )
-    write_manifest(
-        out_dir, "saturated", cfg, seed, threads, ["saturated.csv"],
-        extra={"s_m0": cfg.optical.s_m0},
-    )
-    return EXIT_OK
-
-
-def _cmd_variance(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    inp = EffNumInputs(cfg.cloud, cfg.beam)
-    t = cfg.t_grid
-    mean = np.asarray(mean_number(inp, t))
-    var = np.asarray(variance(inp, t))
-    write_csv(
-        os.path.join(out_dir, "variance.csv"),
-        ["t_s", "mean_number", "variance", "variance_over_mean"],
-        [t, mean, var, var / mean],
-    )
-    write_manifest(out_dir, "variance", cfg, seed, threads, ["variance.csv"])
-    return EXIT_OK
-
-
-def _cmd_covariance(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    inp = EffNumInputs(cfg.cloud, cfg.beam)
-    ts = time_scales(cfg.cloud, cfg.beam)
-    p = scaled_fluct_params(inp)
-    rows_t, rows_tau, rows_exact, rows_qs, rows_gap = [], [], [], [], []
+def _per_fall_time(cfg: RunConfig, block) -> dict:
+    """block(T) -> {column: values} for every fall time T, stacked in T order
+    behind a T_s column; block returns None to skip T."""
+    blocks = []
     for big_t in cfg.big_t_grid:
+        columns = block(big_t)
+        if columns is not None:
+            rows = len(next(iter(columns.values())))
+            blocks.append({"T_s": np.full(rows, big_t), **columns})
+    if not blocks:
+        return {}
+    return {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+
+
+def _mean(cfg: RunConfig, seed: int, threads: int):
+    inp, t = EffNumInputs(cfg.cloud, cfg.beam), cfg.t_grid
+    return {"mean.csv": {"t_s": t, "mean_number": mean_number(inp, t)}}, {}
+
+
+def _sigma(cfg: RunConfig, seed: int, threads: int):
+    inp, t = EffNumInputs(cfg.cloud, cfg.beam), cfg.t_grid
+    return {"sigma.csv": {
+        "t_s": t,
+        "sigma_general": sigma_general(inp, t),
+        "sigma_small_waist": sigma_small_waist(inp, t),
+        "sigma_long_rayleigh": sigma_long_rayleigh(inp, t),
+        "sigma_high_temperature": sigma_high_temperature(inp, t),
+    }}, {}
+
+
+def _saturated(cfg: RunConfig, seed: int, threads: int):
+    inp, t = EffNumInputs(cfg.cloud, cfg.beam), cfg.t_grid
+    return {"saturated.csv": {
+        "t_s": t,
+        "sigma_saturated_closed": sigma_saturated_closed(inp, cfg.optical, t),
+        "sigma_saturated_general": np.array(
+            [sigma_saturated_general(inp, cfg.optical, ti) for ti in t]
+        ),
+    }}, {"s_m0": cfg.optical.s_m0}
+
+
+def _variance(cfg: RunConfig, seed: int, threads: int):
+    inp, t = EffNumInputs(cfg.cloud, cfg.beam), cfg.t_grid
+    mean, var = mean_number(inp, t), variance(inp, t)
+    return {"variance.csv": {
+        "t_s": t, "mean_number": mean, "variance": var, "variance_over_mean": var / mean,
+    }}, {}
+
+
+def _covariance(cfg: RunConfig, seed: int, threads: int):
+    inp = EffNumInputs(cfg.cloud, cfg.beam)
+    tau_w = time_scales(cfg.cloud, cfg.beam).tau_w
+    p = scaled_fluct_params(inp)
+
+    def block(big_t):
         # keep both sampling times nonnegative
-        valid = np.abs(cfg.tau_grid) <= 2.0 * big_t
-        tau = cfg.tau_grid[valid]
+        tau = cfg.tau_grid[np.abs(cfg.tau_grid) <= 2.0 * big_t]
         if tau.size == 0:
-            continue
-        exact = np.asarray(covariance_exact(inp, big_t, tau))
-        quasi = np.asarray(covariance_quasistationary(p, ts.tau_w, big_t, tau))
-        rows_t.append(np.full(tau.size, big_t))
-        rows_tau.append(tau)
-        rows_exact.append(exact)
-        rows_qs.append(quasi)
-        rows_gap.append(np.abs(quasi - exact) / np.abs(exact))
-    if not rows_t:
+            return None
+        exact = covariance_exact(inp, big_t, tau)
+        quasi = covariance_quasistationary(p, tau_w, big_t, tau)
+        return {"tau_s": tau, "covariance_exact": exact, "covariance_quasistationary": quasi,
+                "relative_gap": np.abs(quasi - exact) / np.abs(exact)}
+
+    columns = _per_fall_time(cfg, block)
+    if not columns:
         raise ValueError("no valid (T, tau) pairs: tau grid exceeds 2*T everywhere")
-    write_csv(
-        os.path.join(out_dir, "covariance.csv"),
-        ["T_s", "tau_s", "covariance_exact", "covariance_quasistationary",
-         "relative_gap"],
-        [np.concatenate(c) for c in (rows_t, rows_tau, rows_exact, rows_qs, rows_gap)],
-    )
-    write_manifest(out_dir, "covariance", cfg, seed, threads, ["covariance.csv"])
-    return EXIT_OK
+    return {"covariance.csv": columns}, {}
 
 
-def _cmd_spectrum(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    inp = EffNumInputs(cfg.cloud, cfg.beam)
-    ts = time_scales(cfg.cloud, cfg.beam)
-    p = scaled_fluct_params(inp)
+def _spectrum(cfg: RunConfig, seed: int, threads: int):
+    tau_w = time_scales(cfg.cloud, cfg.beam).tau_w
+    p = scaled_fluct_params(EffNumInputs(cfg.cloud, cfg.beam))
     omega = cfg.omega_grid
-    cols = {name: [] for name in ("T", "omega", "series", "exponential", "normalized")}
-    for big_t in cfg.big_t_grid:
-        cols["T"].append(np.full(omega.size, big_t))
-        cols["omega"].append(omega)
-        cols["series"].append(np.asarray(spectrum_series(p, ts.tau_w, big_t, omega)))
-        cols["exponential"].append(np.asarray(spectrum_exponential(p, ts.tau_w, big_t, omega)))
-        cols["normalized"].append(np.asarray(normalized_spectrum(p, ts.tau_w, big_t, omega)))
-    omega_all = np.concatenate(cols["omega"])
-    write_csv(
-        os.path.join(out_dir, "spectrum.csv"),
-        ["T_s", "omega_rad_s", "omega_hz", "spectrum_series_s",
-         "spectrum_exponential_s", "normalized_spectrum_s"],
-        [np.concatenate(cols["T"]), omega_all, omega_all / (2.0 * math.pi),
-         np.concatenate(cols["series"]), np.concatenate(cols["exponential"]),
-         np.concatenate(cols["normalized"])],
-    )
-    write_manifest(out_dir, "spectrum", cfg, seed, threads, ["spectrum.csv"])
-    return EXIT_OK
+
+    def block(big_t):
+        return {
+            "omega_rad_s": omega,
+            "omega_hz": omega / (2.0 * math.pi),
+            "spectrum_series_s": spectrum_series(p, tau_w, big_t, omega),
+            "spectrum_exponential_s": spectrum_exponential(p, tau_w, big_t, omega),
+            "normalized_spectrum_s": normalized_spectrum(p, tau_w, big_t, omega),
+        }
+
+    return {"spectrum.csv": _per_fall_time(cfg, block)}, {}
 
 
-def _cmd_detuning_spectrum(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    if cfg.cavity is None:
+def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
+    cav = cfg.cavity
+    if cav is None:
         raise ConfigError("cavity", "required for the detuning-spectrum subcommand")
     inp = EffNumInputs(cfg.cloud, cfg.beam)
     omega = cfg.omega_grid
-    cols_t, cols_omega, cols_s = [], [], []
     regime = {}
-    for big_t in cfg.big_t_grid:
-        noise = np.asarray(
-            detuning_spectrum(cfg.cavity, cfg.beam, cfg.optical, inp, big_t, omega)
-        )
-        cols_t.append(np.full(omega.size, big_t))
-        cols_omega.append(omega)
-        cols_s.append(noise)
+
+    def block(big_t):
+        noise = detuning_spectrum(cav, cfg.beam, cfg.optical, inp, big_t, omega)
         n_mean = mean_number(inp, big_t)
         regime[_fmt(big_t)] = {
-            "cooperativity": cooperativity(cfg.cavity, cfg.beam, n_mean),
-            "detuning_shift_rad_s": detuning_shift(cfg.cavity, cfg.beam, cfg.optical, n_mean),
-            "linear_regime": is_linear_regime(cfg.cavity, cfg.beam, cfg.optical, inp, big_t),
+            "cooperativity": cooperativity(cav, cfg.beam, n_mean),
+            "detuning_shift_rad_s": detuning_shift(cav, cfg.beam, cfg.optical, n_mean),
+            "linear_regime": is_linear_regime(cav, cfg.beam, cfg.optical, inp, big_t),
         }
-    omega_all = np.concatenate(cols_omega)
-    write_csv(
-        os.path.join(out_dir, "detuning_spectrum.csv"),
-        ["T_s", "omega_rad_s", "omega_hz", "detuning_noise_rad_s"],
-        [np.concatenate(cols_t), omega_all, omega_all / (2.0 * math.pi),
-         np.concatenate(cols_s)],
-    )
-    write_manifest(
-        out_dir, "detuning-spectrum", cfg, seed, threads,
-        ["detuning_spectrum.csv"], extra={"per_fall_time": regime},
-    )
-    return EXIT_OK
+        return {"omega_rad_s": omega, "omega_hz": omega / (2.0 * math.pi),
+                "detuning_noise_rad_s": noise}
+
+    return {"detuning_spectrum.csv": _per_fall_time(cfg, block)}, {"per_fall_time": regime}
 
 
 def _mc_times(cfg: RunConfig) -> np.ndarray:
@@ -499,27 +448,20 @@ def _mc_times(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, 2.0 * ts.tau_r, 5)
 
 
-def _cmd_mc(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    times = _mc_times(cfg)
-    stats = ensemble_stats(cfg.cloud, cfg.beam, times, cfg.mc_realizations, seed, threads)
-    write_csv(
-        os.path.join(out_dir, "mc_stats.csv"),
-        ["t_s", "mc_mean", "mc_se_mean", "mc_variance", "mc_se_variance"],
-        [stats.times, stats.mean, stats.se_mean, stats.variance, stats.se_variance],
-    )
-    m = times.size
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    write_csv(
-        os.path.join(out_dir, "mc_covariance.csv"),
-        ["t_s", "t_prime_s", "mc_covariance", "mc_se_covariance"],
-        [stats.times[ii.ravel()], stats.times[jj.ravel()],
-         stats.covariance.ravel(), stats.se_covariance.ravel()],
-    )
-    write_manifest(
-        out_dir, "mc", cfg, seed, threads, ["mc_stats.csv", "mc_covariance.csv"],
-        extra={"realizations": stats.realization_count},
-    )
-    return EXIT_OK
+def _mc(cfg: RunConfig, seed: int, threads: int):
+    stats = ensemble_stats(cfg.cloud, cfg.beam, _mc_times(cfg), cfg.mc_realizations, seed, threads)
+    m = stats.times.size
+    return {
+        "mc_stats.csv": {
+            "t_s": stats.times, "mc_mean": stats.mean, "mc_se_mean": stats.se_mean,
+            "mc_variance": stats.variance, "mc_se_variance": stats.se_variance,
+        },
+        "mc_covariance.csv": {
+            "t_s": np.repeat(stats.times, m), "t_prime_s": np.tile(stats.times, m),
+            "mc_covariance": stats.covariance.ravel(),
+            "mc_se_covariance": stats.se_covariance.ravel(),
+        },
+    }, {"realizations": stats.realization_count}
 
 
 def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed: int, threads: int):
@@ -552,65 +494,69 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
     return checks
 
 
-def _cmd_validate(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
+def _validate(cfg: RunConfig, seed: int, threads: int):
     times = _mc_times(cfg)
     checks = _validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)
     if cfg.cloud.has_gravity:
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
         checks += _validate_branch(cfg, free, "free", times, seed + 1000, threads)
 
-    tol = float(cfg.tolerances["mc_sigma"])
-    fail_sigma = float(cfg.tolerances["fail_sigma"])
-    fail_points = int(cfg.tolerances["fail_points"])
-    names = [c[0] for c in checks]
+    tol = cfg.tolerances["mc_sigma"]
     z = np.array([c[3] for c in checks])
     ok = np.abs(z) <= tol
-    hard = np.abs(z) > fail_sigma
-
-    write_csv(
-        os.path.join(out_dir, "validate.csv"),
-        ["z_score", "estimate", "reference", "pass"],
-        [z, np.array([c[1] for c in checks]), np.array([c[2] for c in checks]),
-         ok.astype(float)],
-    )
+    hard = np.abs(z) > cfg.tolerances["fail_sigma"]
     report = {
         "checks": [
-            {"name": n, "estimate": c[1], "reference": c[2], "z": c[3],
+            {"name": c[0], "estimate": c[1], "reference": c[2], "z": c[3],
              "pass": bool(abs(c[3]) <= tol)}
-            for n, c in zip(names, checks)
+            for c in checks
         ],
         "tolerance_sigma": tol,
         "n_checks": len(checks),
         "n_failures": int(np.count_nonzero(~ok)),
-        "hard_failure": bool(np.count_nonzero(hard) >= fail_points),
+        "hard_failure": bool(np.count_nonzero(hard) >= cfg.tolerances["fail_points"]),
         "all_pass": bool(np.all(ok)),
     }
-    with open(os.path.join(out_dir, "validate_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    write_manifest(
-        out_dir, "validate", cfg, seed, threads,
-        ["validate.csv", "validate_report.json"],
-        extra={"all_pass": report["all_pass"]},
-    )
     for entry in report["checks"]:
         status = "pass" if entry["pass"] else "FAIL"
         print(f"[{status}] {entry['name']}: z = {entry['z']:+.2f}")
     print(f"validate: {report['n_checks'] - report['n_failures']}/{report['n_checks']} checks passed")
-    return EXIT_OK if report["all_pass"] else EXIT_FAIL
+    return {
+        "validate.csv": {
+            "z_score": z, "estimate": np.array([c[1] for c in checks]),
+            "reference": np.array([c[2] for c in checks]), "pass": ok.astype(float),
+        },
+        "validate_report.json": report,
+    }, {"all_pass": report["all_pass"]}
 
 
-_DISPATCH = {
-    "mean": _cmd_mean,
-    "sigma": _cmd_sigma,
-    "saturated": _cmd_saturated,
-    "variance": _cmd_variance,
-    "covariance": _cmd_covariance,
-    "spectrum": _cmd_spectrum,
-    "detuning-spectrum": _cmd_detuning_spectrum,
-    "mc": _cmd_mc,
-    "validate": _cmd_validate,
+SUBCOMMANDS = {
+    "mean": _mean,
+    "sigma": _sigma,
+    "saturated": _saturated,
+    "variance": _variance,
+    "covariance": _covariance,
+    "spectrum": _spectrum,
+    "detuning-spectrum": _detuning_spectrum,
+    "mc": _mc,
+    "validate": _validate,
 }
+
+
+def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
+    """Compute one subcommand, write its files and manifest, return the exit
+    code: failure exactly when the manifest says all_pass is false."""
+    outputs, extra = SUBCOMMANDS[subcommand](cfg, seed, threads)
+    for name, content in outputs.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".json"):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(content, handle, indent=2)
+                handle.write("\n")
+        else:
+            write_csv(path, list(content), list(content.values()))
+    write_manifest(out_dir, subcommand, cfg, seed, threads, list(outputs), extra)
+    return EXIT_OK if extra.get("all_pass", True) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective-atom-number curves, noise spectra and Monte Carlo validation "
                     "for a probe beam in a falling cold-atom cloud.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=list(SUBCOMMANDS))
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${_OUT_DIR_ENV} or '.')")
@@ -648,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     threads = max(1, args.threads)
 
     try:
-        return _DISPATCH[args.subcommand](cfg, out_dir, seed, threads)
+        return _run(args.subcommand, cfg, out_dir, seed, threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -51,6 +51,9 @@ class CloudParams:
     g: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_total < 0:
             raise ValueError(f"n_total must be nonnegative, got {self.n_total}")
         if not self.sigma_r > 0:
@@ -136,9 +139,7 @@ def phase_space_density(c: CloudParams, r, v, t: float):
     (r - v*t + g*t^2/2, v - g*t) with the gravity vector (0, 0, -g).
     Units: atoms / (m^3 (m/s)^3).
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative (t = 0 is the release instant)")
+    t = float(_check_time(t))
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)
 

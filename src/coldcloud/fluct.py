@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .cloud import time_scales
+from .cloud import _check_time, time_scales
 from .effnum import EffNumInputs
 from .exceptions import SeriesConvergenceError
 
@@ -63,13 +63,6 @@ _PK_EXACT_MAX_K = 15
 # mean and variance
 # ---------------------------------------------------------------------------
 
-def _check_times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative (t = 0 is the release instant)")
-    return t
-
-
 def _mean_formula(n_total, tau_r_sq, tau_w_sq, inv_tau_g_sq, t):
     """N * tau_w^2/(tau_r^2+tau_w^2+t^2) with the gravity decay factor.
 
@@ -94,7 +87,7 @@ def mean_number(inp: EffNumInputs, t):
 
     Equals sigma_long_rayleigh(t) times the waist section pi*w0^2/2.
     """
-    t = _check_times(t)
+    t = _check_time(t)
     tau_r, tau_w, inv_tau_g_sq = _scales(inp)
     out = _mean_formula(inp.cloud.n_total, tau_r**2, tau_w**2, inv_tau_g_sq, t)
     return out if np.ndim(out) else float(out)
@@ -107,7 +100,7 @@ def variance(inp: EffNumInputs, t):
     so this is the mean formula at tau_w^2/2.  In the small-waist limit it
     tends to half the mean.
     """
-    t = _check_times(t)
+    t = _check_time(t)
     tau_r, tau_w, inv_tau_g_sq = _scales(inp)
     out = _mean_formula(inp.cloud.n_total, tau_r**2, 0.5 * tau_w**2, inv_tau_g_sq, t)
     return out if np.ndim(out) else float(out)

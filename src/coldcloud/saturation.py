@@ -18,9 +18,9 @@ import numpy as np
 from scipy.integrate import dblquad, quad
 
 from .beam import beam_section, beam_size
+from .cloud import _check_time
 from .effnum import (
     EffNumInputs,
-    _check_scalar_time,
     _layer_density_weighted,
     _spread_sq,
     sigma_small_waist,
@@ -151,7 +151,7 @@ def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t, *, rel_tol
     direct 2D transverse quadrature beyond, where the expansion no longer
     converges.
     """
-    t = _check_scalar_time(t)
+    t = float(_check_time(t))
     beam = inp.beam
     half_width = 10.0 * math.sqrt(_spread_sq(inp.cloud, t))
     # the transverse fallback only needs to track the outer tolerance

@@ -159,3 +159,22 @@ def gaussian_density_reference(n_total, sigma_r, sigma_v, g, r, t):
     center = np.array([0.0, 0.0, -0.5 * g * t**2])
     d2 = float(np.sum((np.asarray(r, dtype=float) - center) ** 2))
     return n_total / (2.0 * math.pi * var) ** 1.5 * math.exp(-d2 / (2.0 * var))
+
+
+def sigma_general_quad(inp, t, rel_tol=1e-9):
+    """sigma(t) by adaptive quadrature of layer density / beam section.
+
+    The package's original algorithm, kept as the reference for its fixed
+    Gauss-Hermite rule: scalar t, the x-integral truncated at 10
+    instantaneous cloud spreads, where the Gaussian tail is below 1e-21.
+    """
+    from coldcloud.beam import beam_section
+    from coldcloud.effnum import _layer_density_weighted, _spread_sq
+
+    half_width = 10.0 * math.sqrt(_spread_sq(inp.cloud, t))
+
+    def integrand(x):
+        return _layer_density_weighted(inp, x, t) / beam_section(inp.beam, x)
+
+    value, _ = quad(integrand, -half_width, half_width, epsabs=0.0, epsrel=rel_tol, limit=200)
+    return value

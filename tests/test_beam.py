@@ -16,6 +16,12 @@ def test_rejects_nonpositive_parameters():
         BeamParams(w0=1e-4, wavelength=-1.0)
 
 
+@pytest.mark.parametrize("w0, wavelength", [(math.inf, 852e-9), (1e-4, math.inf)])
+def test_rejects_infinite_parameters(w0, wavelength):
+    with pytest.raises(ValueError, match="finite"):
+        BeamParams(w0=w0, wavelength=wavelength)
+
+
 def test_rayleigh_length(beam):
     assert beam.rayleigh_length == pytest.approx(math.pi * (1e-4) ** 2 / 852e-9)
 

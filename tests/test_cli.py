@@ -67,6 +67,27 @@ class TestConfigParsing:
         assert main(["mean", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "grids.t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        text = json.dumps(base_config()).replace('"n_total": 1000000.0', f'"n_total": {literal}')
+        assert literal in text
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["mean", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "mean.csv").exists()
+
+    def test_tolerance_of_wrong_type_rejected_at_load(self, tmp_path, capsys):
+        cfg = base_config(tolerances={"mc_sigma": "abc"})
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "tolerances.mc_sigma" in capsys.readouterr().err
+
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys):
+        cfg = base_config(tolerances={"mc_sigmas": 3.0})
+        path = write_config(tmp_path, cfg)
+        assert main(["mean", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "tolerances.mc_sigmas" in capsys.readouterr().err
+
     def test_negative_sigma_r_reported_with_section(self, tmp_path, capsys):
         cfg = base_config()
         cfg["cloud"]["sigma_r"] = -1.0

@@ -26,6 +26,13 @@ class TestCloudParams:
         with pytest.raises(ValueError):
             CloudParams(n_total=1e6, sigma_r=1e-3, sigma_v=0.1, g=-9.81)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["n_total", "sigma_r", "sigma_v", "g"])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = {"n_total": 1e6, "sigma_r": 1e-3, "sigma_v": 0.1, "g": 9.81, field: value}
+        with pytest.raises(ValueError, match=field):
+            CloudParams(**fields)
+
     def test_from_temperature(self):
         # sigma_v = sqrt(k_B T / m); cesium at 10 uK
         m_cs = 2.2069e-25

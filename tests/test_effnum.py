@@ -23,7 +23,7 @@ from coldcloud import (
     time_scales,
 )
 
-from oracles import gaussian_product_window, transverse_quad
+from oracles import gaussian_product_window, sigma_general_quad, transverse_quad
 
 
 def make_inputs(sigma_r=1e-3, sigma_v=0.1, g=9.81, w0=1e-4, wavelength=852e-9, n=1e6):
@@ -229,6 +229,23 @@ class TestSigmaGeneral:
     def test_rejects_negative_time(self, inputs):
         with pytest.raises(ValueError):
             sigma_general(inputs, -0.01)
+
+    # l_R/sigma_r from 0.013 to 3e12, every beam paraxial (w0 >= lambda)
+    @pytest.mark.parametrize("g", [0.0, 9.81])
+    @pytest.mark.parametrize("w0, wavelength", [
+        (4e-6, 4e-6), (1e-5, 852e-9), (1e-4, 852e-9), (1e-3, 852e-9),
+        (1e-2, 852e-9), (1e-3, 1e-15),
+    ])
+    def test_matches_adaptive_quadrature(self, w0, wavelength, g):
+        inp = make_inputs(g=g, w0=w0, wavelength=wavelength)
+        t = np.array([0.0, 1e-3, 0.01, 0.03, 0.1])
+        expected = [sigma_general_quad(inp, ti) for ti in t]
+        np.testing.assert_allclose(sigma_general(inp, t), expected, rtol=1e-13, atol=0.0)
+
+    def test_scalar_time_gives_float(self, inputs):
+        value = sigma_general(inputs, 0.01)
+        assert type(value) is float
+        assert value == sigma_general(inputs, np.array([0.01]))[0]
 
 
 class TestLinearFieldShift:

@@ -53,6 +53,14 @@ class TestPolarizability:
             OpticalParams(delta=0.0, s_m0=-1.0)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["delta", "s_m0"])
+    def test_rejects_non_finite_parameters(self, field, value):
+        fields = {"delta": 10.0, "s_m0": 0.3, field: value}
+        with pytest.raises(ValueError, match=field):
+            OpticalParams(**fields)
+
+
 class TestSaturationOnAxis:
     def test_waist_value(self, beam):
         opt = OpticalParams(delta=2.0, s_m0=0.4)
