@@ -46,6 +46,7 @@ from .fluct import (
     normalized_spectrum,
     pk_polynomial,
     scaled_fluct_params,
+    spectra,
     spectrum_exponential,
     spectrum_numeric,
     spectrum_series,
@@ -91,7 +92,7 @@ __all__ = [
     "ScaledFluctParams", "scaled_fluct_params", "mean_number", "variance",
     "covariance_exact", "covariance_quasistationary", "covariance_series",
     "pk_polynomial", "spectrum_exponential", "spectrum_series",
-    "normalized_spectrum", "cosine_transform", "spectrum_numeric",
+    "normalized_spectrum", "spectra", "cosine_transform", "spectrum_numeric",
     # cavity
     "CavityParams", "cooperativity", "detuning_shift", "detuning_spectrum",
     "is_linear_regime",

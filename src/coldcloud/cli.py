@@ -29,7 +29,8 @@ and so are unknown tolerance keys.  Curves over the t grid come from one
 array-valued library call each (``sigma_general`` included); only the
 saturated sigma is evaluated time by time.
 Exit codes: 0 success (all validation checks pass), 1 physics/validation
-failure, 2 malformed config or usage.
+failure (including a finite config whose results leave the float range:
+no CSV column is ever written non-finite), 2 malformed config or usage.
 """
 
 from __future__ import annotations
@@ -58,10 +59,9 @@ from .fluct import (
     covariance_exact,
     covariance_quasistationary,
     mean_number,
-    normalized_spectrum,
     scaled_fluct_params,
+    spectra,
     spectrum_exponential,
-    spectrum_series,
     variance,
 )
 from .mc_oracle import binary_count_check, ensemble_stats
@@ -406,12 +406,13 @@ def _spectrum(cfg: RunConfig, seed: int, threads: int):
     omega = cfg.omega_grid
 
     def block(big_t):
+        series, normalized = spectra(p, tau_w, big_t, omega)
         return {
             "omega_rad_s": omega,
             "omega_hz": omega / (2.0 * math.pi),
-            "spectrum_series_s": spectrum_series(p, tau_w, big_t, omega),
+            "spectrum_series_s": series,
             "spectrum_exponential_s": spectrum_exponential(p, tau_w, big_t, omega),
-            "normalized_spectrum_s": normalized_spectrum(p, tau_w, big_t, omega),
+            "normalized_spectrum_s": normalized,
         }
 
     return {"spectrum.csv": _per_fall_time(cfg, block)}, {}
@@ -545,8 +546,14 @@ SUBCOMMANDS = {
 
 def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
     """Compute one subcommand, write its files and manifest, return the exit
-    code: failure exactly when the manifest says all_pass is false."""
+    code: failure exactly when the manifest says all_pass is false.  A
+    non-finite CSV column raises ValueError before any file is written."""
     outputs, extra = SUBCOMMANDS[subcommand](cfg, seed, threads)
+    for name, content in outputs.items():
+        if name.endswith(".csv"):
+            for column, values in content.items():
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"{name}: column {column} is not finite")
     for name, content in outputs.items():
         path = os.path.join(out_dir, name)
         if name.endswith(".json"):
@@ -584,22 +591,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = args.out or os.environ.get(_OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.mc_seed
-    threads = max(1, args.threads)
-
-    try:
-        return _run(args.subcommand, cfg, out_dir, seed, threads)
+        out_dir = args.out or os.environ.get(_OUT_DIR_ENV) or "."
+        os.makedirs(out_dir, exist_ok=True)
+        seed = args.seed if args.seed is not None else cfg.mc_seed
+        return _run(args.subcommand, cfg, out_dir, seed, max(1, args.threads))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError) as exc:
         print(f"error in {args.subcommand}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ArithmeticError as exc:
+        print(f"error in {args.subcommand}: results leave the float range "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_FAIL
 
 

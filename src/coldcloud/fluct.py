@@ -49,6 +49,7 @@ __all__ = [
     "spectrum_exponential",
     "spectrum_series",
     "normalized_spectrum",
+    "spectra",
     "cosine_transform",
     "spectrum_numeric",
 ]
@@ -110,20 +111,21 @@ def variance(inp: EffNumInputs, t):
 # exact two-time covariance
 # ---------------------------------------------------------------------------
 
-def _cov_shape(tau_r_sq, tau_w_sq, T, tau):
-    """Dimensionless Lorentzian-like factor L(T, tau) of the covariance."""
+def _cov_factors(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau):
+    """Lorentzian-like shape L(T, tau) and gravity exponent M(T, tau) of the
+    covariance over their common denominator; M is zero without gravity."""
     denom = 2.0 * tau_w_sq * T**2 + (tau_r_sq + 0.5 * tau_w_sq) * (tau**2 + 2.0 * tau_w_sq)
-    return tau_w_sq * (tau_r_sq + tau_w_sq) / denom
-
-
-def _cov_gravity_exponent(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau):
-    """Gravity exponent M(T, tau) of the covariance; zero without gravity."""
+    shape = tau_w_sq * (tau_r_sq + tau_w_sq) / denom
     if not inv_tau_g_sq:
-        return 0.0
-    denom = 2.0 * tau_w_sq * T**2 + (tau_r_sq + 0.5 * tau_w_sq) * (tau**2 + 2.0 * tau_w_sq)
+        return shape, 0.0
     num = (T**2 + 0.25 * tau**2) ** 2 * (tau**2 + 2.0 * tau_w_sq) \
         + 4.0 * (tau_r_sq + 0.5 * tau_w_sq) * T**2 * tau**2
-    return num * inv_tau_g_sq / denom
+    return shape, num * inv_tau_g_sq / denom
+
+
+def _cov_shape(tau_r_sq, tau_w_sq, T, tau):
+    """Dimensionless Lorentzian-like factor L(T, tau) of the covariance."""
+    return _cov_factors(tau_r_sq, tau_w_sq, 0.0, T, tau)[0]
 
 
 def covariance_exact(inp: EffNumInputs, T, tau):
@@ -140,8 +142,7 @@ def covariance_exact(inp: EffNumInputs, T, tau):
     tau_r, tau_w, inv_tau_g_sq = _scales(inp)
     tau_r_sq, tau_w_sq = tau_r**2, tau_w**2
     n0 = inp.cloud.n_total * tau_w_sq / (tau_r_sq + tau_w_sq)
-    shape = _cov_shape(tau_r_sq, tau_w_sq, T, tau)
-    expo = _cov_gravity_exponent(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau)
+    shape, expo = _cov_factors(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau)
     out = n0 * shape * np.exp(-expo)
     return out if np.ndim(out) else float(out)
 
@@ -230,26 +231,23 @@ def covariance_series(p: ScaledFluctParams, tau_w: float, T, tau, kmax: int | No
     partial sum, cap 200 terms); an explicit kmax sums orders 0 through
     kmax with no convergence check.
     """
+    if kmax is not None and kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     lor = _lorentzian(p, tau_w, T, tau)
     growth = p.zeta * p.b_t(T) * lor
     term = np.asarray(p.n0 * lor * np.exp(-p.zeta * p.a_t(T)), dtype=float)
     total = np.array(term, copy=True)
-    if kmax is not None:
-        if kmax < 0:
-            raise ValueError(f"kmax must be nonnegative, got {kmax}")
-        for k in range(1, kmax + 1):
-            term = term * growth / k
-            total += term
-        return total if total.ndim else float(total)
-    for k in range(1, _SERIES_CAP + 1):
+    for k in range(1, (_SERIES_CAP if kmax is None else kmax) + 1):
         term = term * growth / k
         total += term
-        if np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
+        if kmax is None and np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
             return total if total.ndim else float(total)
-    raise SeriesConvergenceError(
-        f"covariance series did not converge within {_SERIES_CAP} terms "
-        f"(max growth parameter {np.max(growth):.3g})"
-    )
+    if kmax is None:
+        raise SeriesConvergenceError(
+            f"covariance series did not converge within {_SERIES_CAP} terms "
+            f"(max growth parameter {np.max(growth):.3g})"
+        )
+    return total if total.ndim else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +312,10 @@ def _enveloped_pk_series(c: float, x: np.ndarray, kmax: int | None) -> np.ndarra
     exp(-x) their frequency envelope; folding both into the terms bounds
     every partial sum by 1 and lets far-tail terms underflow harmlessly,
     so the evaluation neither overflows nor stalls at large x.  Terms are
-    computed in log space; the worst case needs about 4c+8*sqrt(c) terms.
+    computed and compared in log space, so terms that underflow (all of
+    the early ones once exp(-4c) leaves the float range) never end the
+    sum.  The terms peak near order m = 4c + 2*sqrt(2*c*x) with a spread of
+    about sqrt(m); the cap allows ten spreads beyond the peak.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if kmax is not None and kmax < 0:
@@ -322,23 +323,44 @@ def _enveloped_pk_series(c: float, x: np.ndarray, kmax: int | None) -> np.ndarra
     if c == 0.0:
         return np.exp(-x)
     log_c = math.log(c)
+    log_rtol = math.log(_SERIES_RTOL)
     total = np.zeros_like(x)
-    prev = np.full_like(x, np.inf)
-    cap = _SERIES_CAP if kmax is None else kmax
+    log_total = np.full_like(x, -np.inf)
+    prev = np.full_like(x, -np.inf)
+    peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x.max(initial=0.0))
+    cap = int(peak + 10.0 * math.sqrt(peak)) + 20 if kmax is None else kmax
     for k in range(cap + 1):
         log_term = k * log_c - 2.0 * gammaln(k + 1) + _log_pk(k, x) - 4.0 * c - x
-        term = np.exp(log_term)
-        total += term
+        total += np.exp(log_term)
         if kmax is None:
-            done = np.all(term <= _SERIES_RTOL * total) and np.all(term <= prev)
-            if done:
+            log_total = np.logaddexp(log_total, log_term)
+            if np.all(log_term <= log_rtol + log_total) and np.all(log_term <= prev):
                 return total
-            prev = term
+            prev = log_term
     if kmax is None:
         raise SeriesConvergenceError(
-            f"spectrum series did not converge within {_SERIES_CAP} terms (c={c:.3g})"
+            f"spectrum series did not converge within {cap} terms (c={c:.3g})"
         )
     return total
+
+
+def spectra(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = None):
+    """spectrum_series and normalized_spectrum together, from one evaluation
+    of the gravity series they share (its cost dominates both)."""
+    T = float(T)
+    alpha_sq = p.alpha_t_sq(T)
+    alpha = math.sqrt(alpha_sq)
+    x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
+    c = p.zeta * p.b_t(T) / (4.0 * alpha_sq)
+    enveloped = _enveloped_pk_series(c, x, kmax)
+    # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
+    # second factor is the damping folded into the series
+    drift = math.exp(-p.zeta * (p.a_t(T) - p.b_t(T) / alpha_sq))
+    spectrum = p.n0 * math.pi * tau_w / alpha * drift * enveloped
+    normalized = math.pi * alpha * tau_w * enveloped
+    if np.ndim(omega):
+        return spectrum, normalized
+    return float(spectrum[0]), float(normalized[0])
 
 
 def spectrum_series(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = None):
@@ -349,17 +371,7 @@ def spectrum_series(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | No
     the exact transform, order by order, of the covariance series.  Reduces
     to spectrum_exponential when zeta = 0.
     """
-    T = float(T)
-    alpha_sq = p.alpha_t_sq(T)
-    alpha = math.sqrt(alpha_sq)
-    x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
-    c = p.zeta * p.b_t(T) / (4.0 * alpha_sq)
-    # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
-    # second factor is the damping folded into the series
-    drift = math.exp(-p.zeta * (p.a_t(T) - p.b_t(T) / alpha_sq))
-    enveloped = _enveloped_pk_series(c, np.atleast_1d(x), kmax)
-    out = p.n0 * math.pi * tau_w / alpha * drift * enveloped
-    return out if np.ndim(omega) else float(out[0])
+    return spectra(p, tau_w, T, omega, kmax)[0]
 
 
 def normalized_spectrum(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = None):
@@ -368,14 +380,7 @@ def normalized_spectrum(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int 
     pi*alpha_T*tau_w * exp(-alpha_T*|omega|*tau_w) times the damped gravity
     series; integrates to 1 over d(omega)/(2*pi) for every zeta and T.
     """
-    T = float(T)
-    alpha_sq = p.alpha_t_sq(T)
-    alpha = math.sqrt(alpha_sq)
-    x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
-    c = p.zeta * p.b_t(T) / (4.0 * alpha_sq)
-    enveloped = _enveloped_pk_series(c, np.atleast_1d(x), kmax)
-    out = math.pi * alpha * tau_w * enveloped
-    return out if np.ndim(omega) else float(out[0])
+    return spectra(p, tau_w, T, omega, kmax)[1]
 
 
 # ---------------------------------------------------------------------------

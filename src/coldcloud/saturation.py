@@ -4,9 +4,10 @@ When the probe drives the atoms hard, the polarizability of an atom at
 local saturation s is reduced by 1/(1+2s), so bright on-axis atoms count
 less than atoms in the wings.  The general evaluation expands the response
 in powers of the on-axis saturation, each term being the unsaturated layer
-density at a beam size shrunk by the term order; strong saturation falls
-back to direct transverse quadrature.  In the joint limit of a small waist
-and a long Rayleigh length the whole sum collapses to a logarithm.
+density at a beam size shrunk by the term order; strong saturation uses a
+radial integral over the layer, the angle about the beam axis being done
+in closed form.  In the joint limit of a small waist and a long Rayleigh
+length the whole sum collapses to a logarithm.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
+from scipy.special import i0e
 
 from .beam import beam_section, beam_size
 from .cloud import _check_time
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 # the alternating saturation series converges geometrically below this
-# value of 2*s_m; beyond it the transverse integral is done by quadrature
+# value of 2*s_m; beyond it each layer is a radial integral
 _SERIES_THRESHOLD = 0.8
 _SERIES_RTOL = 1e-12
 _SERIES_CAP = 200
@@ -95,66 +97,51 @@ def _saturated_layer_series(inp: EffNumInputs, s_m: float, x: float, t: float) -
     )
 
 
-def _product_window(width_a: float, width_b: float, center_b: float = 0.0):
-    """Integration window for the product of two Gaussians of the given
-    standard widths, one centered at zero and one at center_b.
-
-    Ten product widths around the product center; the discarded tail is
-    below 1e-21 of the integral.
-    """
-    inv_a = 1.0 / width_a**2
-    inv_b = 1.0 / width_b**2
-    width = 1.0 / math.sqrt(inv_a + inv_b)
-    center = center_b * inv_b / (inv_a + inv_b)
-    return center - 10.0 * width, center + 10.0 * width
-
-
 def _saturated_layer_quadrature(
     inp: EffNumInputs, s_m: float, x: float, t: float, epsrel: float = 1e-10
 ) -> float:
-    """Transverse quadrature of f/(1+2*s_m*f) * density for one layer.
+    """Radial integral of f/(1+2*s_m*f) * density over one transverse layer.
 
-    The integrand is confined to the overlap of the weight (standard width
-    w/2) and the cloud (instantaneous spread, fallen by g*t^2/2 along z);
-    windows hug that overlap so the adaptive rule stays cheap.
+    The weight is symmetric about the beam axis and the cloud Gaussian sits
+    a distance d = g*t^2/2 off it, so the angle integrates in closed form
+    to 2*pi*exp(-(r-d)^2/(2*var))*I0(r*d/var) (Abramowitz & Stegun 9.6)
+    and one integral over r remains.  It stops ten product widths beyond
+    the peak of the weight (standard width w/2) times the cloud.
     """
     c = inp.cloud
     w = beam_size(inp.beam, x)
     var = _spread_sq(c, t)
-    spread = math.sqrt(var)
-    z_c = -0.5 * c.g * t**2
-    y_lo, y_hi = _product_window(0.5 * w, spread)
-    z_lo, z_hi = _product_window(0.5 * w, spread, center_b=z_c)
-
-    # inline the Gaussian density with the x slice folded into the norm;
-    # the quadrature makes tens of thousands of scalar calls
-    norm = c.n_total / (2.0 * math.pi * var) ** 1.5 * math.exp(-x * x / (2.0 * var))
+    d = 0.5 * c.g * t**2
     inv_w_sq = 2.0 / (w * w)
-    inv_var = 0.5 / var
+    inv_var = 1.0 / var
+    # weight (variance w^2/4) times cloud (variance var, centred at d) is a
+    # Gaussian of precision prec peaking at d/(var*prec)
+    prec = 2.0 * inv_w_sq + inv_var
+    r_hi = (d * inv_var + 10.0 * math.sqrt(prec)) / prec
+    # the x slice of the density folded into the norm
+    norm = c.n_total / (2.0 * math.pi * var) ** 1.5 * math.exp(-x * x / (2.0 * var))
     two_s = 2.0 * s_m
 
-    def integrand(z: float, y: float) -> float:
-        f = math.exp(-(y * y + z * z) * inv_w_sq)
-        dz = z - z_c
-        rho = norm * math.exp(-(y * y + dz * dz) * inv_var)
-        return f / (1.0 + two_s * f) * rho
+    def integrand(r: float) -> float:
+        f = math.exp(-r * r * inv_w_sq)
+        ring = r * math.exp(-0.5 * (r - d) ** 2 * inv_var) * i0e(r * d * inv_var)
+        return f / (1.0 + two_s * f) * ring
 
-    value, _ = dblquad(integrand, y_lo, y_hi, z_lo, z_hi, epsabs=0.0, epsrel=epsrel)
-    return value
+    value, _ = quad(integrand, 0.0, r_hi, epsabs=0.0, epsrel=epsrel)
+    return 2.0 * math.pi * norm * value
 
 
 def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t, *, rel_tol: float = 1e-9) -> float:
     """Saturated sigma by longitudinal quadrature of the saturated layers.
 
     Each layer uses the power series in -2*s_m(x) while 2*s_m(x) is below
-    0.8 (the series alternates and converges geometrically there) and
-    direct 2D transverse quadrature beyond, where the expansion no longer
-    converges.
+    0.8 (the series alternates and converges geometrically there) and a
+    radial integral beyond, where the expansion no longer converges.
     """
     t = float(_check_time(t))
     beam = inp.beam
     half_width = 10.0 * math.sqrt(_spread_sq(inp.cloud, t))
-    # the transverse fallback only needs to track the outer tolerance
+    # the radial integral only needs to track the outer tolerance
     inner_epsrel = max(1e-13, min(1e-10, 0.01 * rel_tol))
 
     def integrand(x: float) -> float:

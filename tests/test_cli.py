@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coldcloud.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, load_config, main
 
@@ -148,6 +154,17 @@ class TestCurveSubcommands:
         for entry in per_t.values():
             assert set(entry) == {"cooperativity", "detuning_shift_rad_s", "linear_regime"}
 
+    def test_spectrum_where_the_series_damping_underflows(self, tmp_path):
+        # at T = 90 ms the spectrum series has c = 205 and exp(-4c) is below
+        # the float range; the spectrum must still come out positive
+        cfg = base_config()
+        cfg["grids"]["T"] = [0.09]
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["spectrum", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        data = np.genfromtxt(tmp_path / "spectrum.csv", delimiter=",", names=True)
+        assert np.all(data["spectrum_series_s"] > 0.0)
+        assert np.all(data["normalized_spectrum_s"] > 0.0)
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("COLDCLOUD_OUT_DIR", str(target))
@@ -199,3 +216,43 @@ class TestMonteCarloSubcommands:
         cfg["tolerances"] = {"mc_sigma": 0.0001, "fail_sigma": 0.001, "fail_points": 1}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["validate", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_FAIL
+
+
+FUZZED_FIELDS = [
+    ("cloud", "n_total"), ("cloud", "sigma_r"), ("cloud", "sigma_v"), ("cloud", "g"),
+    ("beam", "w0"), ("beam", "lambda"), ("optical", "delta"), ("optical", "s_m0"),
+    ("cavity", "kappa"), ("cavity", "tau_c"),
+]
+# any finite float, with the extremes of the float range drawn often
+finite_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-300, 1e-30, 1e30, 1e300, 1e308]),
+)
+
+
+class TestFuzzedScalarFields:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150)
+    @given(overrides=st.fixed_dictionaries(
+        {}, optional={field: finite_values for field in FUZZED_FIELDS}))
+    def test_finite_csv_or_one_line_error(self, overrides):
+        # grids and Monte Carlo sizes stay fixed: only the physics varies
+        cfg = base_config()
+        for (section, key), value in overrides.items():
+            cfg[section][key] = value
+        with tempfile.TemporaryDirectory() as out:
+            cfg_path = os.path.join(out, "config.json")
+            with open(cfg_path, "w", encoding="utf-8") as handle:
+                json.dump(cfg, handle)
+            for sub in ("mean", "variance", "sigma"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([sub, "--config", cfg_path, "--out", out])
+                if code == EXIT_OK:
+                    values = np.loadtxt(os.path.join(out, f"{sub}.csv"), delimiter=",",
+                                        skiprows=1, ndmin=2)
+                    assert np.all(np.isfinite(values)), sub
+                else:
+                    assert code in (EXIT_FAIL, EXIT_CONFIG)
+                    lines = err.getvalue().strip().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error"), lines

@@ -364,6 +364,22 @@ class TestSpectra:
                 oracle, rel=1e-6
             )
 
+    @pytest.mark.parametrize("big_t,c_expected", [(0.055, 30.3), (0.09, 204.65)])
+    def test_series_matches_oracle_at_large_c(self, inputs, big_t, c_expected):
+        # c = 30.3 needs 205 orders at omega = 0; at c = 204.65 the damping
+        # exp(-4c) underflows, so every early term of the series is zero
+        ts = time_scales(inputs.cloud, inputs.beam)
+        p = scaled_fluct_params(inputs)
+        alpha_sq = p.alpha_t_sq(big_t)
+        assert p.zeta * p.b_t(big_t) / (4.0 * alpha_sq) == pytest.approx(c_expected, rel=1e-3)
+        for omega in (0.0, 0.3 / ts.tau_w, 3.0 / ts.tau_w):
+            oracle = quasistationary_fourier_oracle(
+                p.n0, p.zeta, alpha_sq, p.a_t(big_t), p.b_t(big_t), ts.tau_w, omega,
+            )
+            assert spectrum_series(p, ts.tau_w, big_t, omega) == pytest.approx(
+                oracle, rel=1e-10
+            )
+
     def test_kmax_zero_transform_pair(self):
         # at zeroth order the covariance is a damped plain Lorentzian whose
         # transform is the exponential times exp(-zeta*a_T)

@@ -21,8 +21,10 @@ from coldcloud import (
     sigma_saturated_general,
     sigma_small_waist,
 )
-from coldcloud.effnum import _layer_density_weighted
+from coldcloud.effnum import _layer_density_weighted, _spread_sq
 from coldcloud.saturation import _saturated_layer_quadrature
+
+from oracles import gaussian_product_window, transverse_quad
 
 
 def joint_limit_inputs(g=9.81):
@@ -183,6 +185,20 @@ class TestSaturatedGeneral:
         assert got == pytest.approx(sigma_saturated_closed(inp, opt, 0.0), rel=1e-3)
 
 
+# (sigma_r, w0, g, t, x, s_m): waists below, at and above the cloud size,
+# the cloud on the axis and fallen far off it, weak to strong saturation
+RADIAL_REGIMES = [
+    (1e-3, 1e-4, 9.81, 0.01, 0.0, 1.0),
+    (1e-3, 1e-5, 9.81, 0.05, 1e-3, 0.1),
+    (1e-4, 3e-3, 0.0, 0.0, 0.0, 5.0),
+    (1e-5, 1e-5, 9.81, 0.1, 2e-3, 2.0),
+    (1e-3, 3e-3, 9.81, 0.02, 5e-4, 0.5),
+    (1e-4, 1e-4, 9.81, 0.003, 1e-4, 3.0),
+    (1e-5, 3e-3, 9.81, 0.001, 0.0, 0.4),
+    (1e-3, 1e-5, 0.0, 0.1, 2e-3, 5.0),
+]
+
+
 class TestTransverseSaturationIntegral:
     def test_uniform_density_reduces_to_log(self):
         # across a beam much narrower than the cloud the density is flat
@@ -212,6 +228,29 @@ class TestTransverseSaturationIntegral:
         series = _saturated_layer_series(inp, s_m, x, t)
         quadr = _saturated_layer_quadrature(inp, s_m, x, t)
         assert quadr == pytest.approx(series, rel=1e-9)
+
+    @pytest.mark.parametrize("sigma_r,w0,g,t,x,s_m", RADIAL_REGIMES)
+    def test_radial_layer_matches_plane_quadrature(self, sigma_r, w0, g, t, x, s_m):
+        # the radial integral against a 2D adaptive integral over (y, z) of the
+        # saturated weight times the cloud Gaussian written out in full
+        inp = EffNumInputs(CloudParams(1e6, sigma_r, 0.1, g), BeamParams(w0, 1e-9))
+        w = beam_size(inp.beam, x)
+        var = _spread_sq(inp.cloud, t)
+        z_c = -0.5 * g * t**2
+        norm = 1e6 / (2.0 * math.pi * var) ** 1.5 * math.exp(-x * x / (2.0 * var))
+
+        def integrand(z, y):
+            f = math.exp(-2.0 * (y * y + z * z) / w**2)
+            rho = norm * math.exp(-(y * y + (z - z_c) ** 2) / (2.0 * var))
+            return f / (1.0 + 2.0 * s_m * f) * rho
+
+        spread = math.sqrt(var)
+        expected = transverse_quad(
+            integrand,
+            gaussian_product_window(0.5 * w, spread),
+            gaussian_product_window(0.5 * w, spread, center_b=z_c),
+        )
+        assert _saturated_layer_quadrature(inp, s_m, x, t) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNonlinearFieldShift:
