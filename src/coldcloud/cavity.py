@@ -9,15 +9,14 @@ cavity-detuning noise spectrum.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamParams
+from .beam import BeamParams, beam_section
 from .cloud import time_scales
-from .effnum import EffNumInputs
+from .effnum import EffNumInputs, _coupling_area
 from .fluct import mean_number, normalized_spectrum, scaled_fluct_params
 from .optical import OpticalParams
 
@@ -59,8 +58,7 @@ class CavityParams:
 
 def _coupling_per_atom(b: BeamParams) -> float:
     """Geometric single-pass coupling 3*lambda^2/(4*pi*S) at the waist."""
-    section = 0.5 * math.pi * b.w0**2
-    return 3.0 * b.wavelength**2 / (4.0 * math.pi * section)
+    return _coupling_area(b) / beam_section(b, 0.0)
 
 
 def cooperativity(cav: CavityParams, b: BeamParams, n: float) -> float:
@@ -104,7 +102,6 @@ def detuning_spectrum(
     inp: EffNumInputs,
     T: float,
     omega,
-    kmax: int | None = None,
 ):
     """Noise spectrum of the cavity detuning at fall time T (rad/s).
 
@@ -118,7 +115,7 @@ def detuning_spectrum(
     ts = time_scales(inp.cloud, inp.beam)
     coupling = _coupling_per_atom(b)
     p = scaled_fluct_params(inp)
-    shape = np.asarray(normalized_spectrum(p, ts.tau_w, T, omega, kmax))
+    shape = np.asarray(normalized_spectrum(p, ts.tau_w, T, omega))
     n_mean = mean_number(inp, T)
 
     s_nn = 0.5 * n_mean * shape

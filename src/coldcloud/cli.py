@@ -26,8 +26,7 @@ Grid entries accept either an explicit list or a start/stop/num range;
 missing grids fall back to defaults derived from the cloud time scales.
 Every number must be finite: the NaN and Infinity literals are rejected,
 and so are unknown tolerance keys.  Curves over the t grid come from one
-array-valued library call each (``sigma_general`` included); only the
-saturated sigma is evaluated time by time.
+array-valued library call each.
 Exit codes: 0 success (all validation checks pass), 1 physics/validation
 failure (including a finite config whose results leave the float range:
 no CSV column is ever written non-finite), 2 malformed config or usage.
@@ -284,12 +283,11 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
 
 def _derived_scales(cfg: RunConfig) -> dict:
     ts = time_scales(cfg.cloud, cfg.beam)
-    zeta = 0.0 if math.isinf(ts.tau_g) else (ts.tau_r / ts.tau_g) ** 2
     return {
         "tau_r_s": ts.tau_r,
         "tau_g_s": None if math.isinf(ts.tau_g) else ts.tau_g,
         "tau_w0_s": ts.tau_w,
-        "zeta": zeta,
+        "zeta": ts.zeta,
         "rayleigh_length_m": cfg.beam.rayleigh_length,
         "waist_section_m2": beam_section(cfg.beam, 0.0),
     }
@@ -365,9 +363,7 @@ def _saturated(cfg: RunConfig, seed: int, threads: int):
     return {"saturated.csv": {
         "t_s": t,
         "sigma_saturated_closed": sigma_saturated_closed(inp, cfg.optical, t),
-        "sigma_saturated_general": np.array(
-            [sigma_saturated_general(inp, cfg.optical, ti) for ti in t]
-        ),
+        "sigma_saturated_general": sigma_saturated_general(inp, cfg.optical, t),
     }}, {"s_m0": cfg.optical.s_m0}
 
 
@@ -570,6 +566,16 @@ def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int)
 # entry point
 # ---------------------------------------------------------------------------
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum, as the config requires."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coldcloud",
@@ -580,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${_OUT_DIR_ENV} or '.')")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="override the Monte Carlo seed from the config")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="worker threads for Monte Carlo realizations")
     return parser
 
@@ -594,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or os.environ.get(_OUT_DIR_ENV) or "."
         os.makedirs(out_dir, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.mc_seed
-        return _run(args.subcommand, cfg, out_dir, seed, max(1, args.threads))
+        return _run(args.subcommand, cfg, out_dir, seed, args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

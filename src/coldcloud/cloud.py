@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.constants import k as _BOLTZMANN
 
-from .beam import BeamParams, beam_size
+from .beam import BeamParams
 
 __all__ = [
     "CloudParams",
@@ -98,30 +97,25 @@ class TimeScales:
     tau_g : fall time, 2*sqrt(2)*sigma_v/g; gravity dominates the on-axis
         density decay past tau_g.  ``math.inf`` when g = 0, so gravity
         exponents evaluate to exactly zero downstream.
-    tau_w_at : transit time through the probe beam at position x,
-        w(x)/(2*sigma_v), as a callable of x.
+    tau_w : transit time through the probe beam at the waist, w0/(2*sigma_v).
     """
 
     tau_r: float
     tau_g: float
-    tau_w_at: Callable[[float], float]
+    tau_w: float
 
     @property
-    def tau_w(self) -> float:
-        """Transit time at the waist, tau_w_at(0)."""
-        return self.tau_w_at(0.0)
+    def zeta(self) -> float:
+        """Gravity strength (tau_r/tau_g)^2; exactly 0 without gravity."""
+        return self.tau_r**2 * (1.0 / self.tau_g**2)
 
 
 def time_scales(c: CloudParams, b: BeamParams) -> TimeScales:
     """Derive the expansion, fall and beam-transit time scales."""
-    tau_r = c.sigma_r / c.sigma_v
     tau_g = 2.0 * math.sqrt(2.0) * c.sigma_v / c.g if c.has_gravity else math.inf
-    sigma_v = c.sigma_v
-
-    def tau_w_at(x: float) -> float:
-        return beam_size(b, x) / (2.0 * sigma_v)
-
-    return TimeScales(tau_r=tau_r, tau_g=tau_g, tau_w_at=tau_w_at)
+    return TimeScales(
+        tau_r=c.sigma_r / c.sigma_v, tau_g=tau_g, tau_w=b.w0 / (2.0 * c.sigma_v)
+    )
 
 
 def _check_time(t) -> np.ndarray:
@@ -129,6 +123,27 @@ def _check_time(t) -> np.ndarray:
     if np.any(t < 0):
         raise ValueError("t must be nonnegative (t = 0 is the release instant)")
     return t
+
+
+def _spread_sq(c: CloudParams, t) -> np.ndarray:
+    """Instantaneous squared cloud spread per axis, sigma_r^2 + sigma_v^2 t^2."""
+    return c.sigma_r**2 + (c.sigma_v * np.asarray(t, dtype=float)) ** 2
+
+
+def _ballistic_decay(scale, offset_sq, t, tau_g: float):
+    """scale/(offset_sq + t^2) times exp[-t^4/(tau_g^2 (offset_sq + t^2))].
+
+    The on-axis law every closed form shares.  The squared spread grows as
+    sigma_v^2 (tau_r^2 + t^2), so a count along the axis decays as a
+    Lorentzian in t (offset_sq is tau_r^2, widened by the squared transit
+    time of a wide beam), while the centre falling by g t^2/2 gives the
+    fall factor, which is exactly 1 when tau_g is infinite (no gravity).
+    """
+    denom = offset_sq + t**2
+    out = scale / denom
+    if not math.isinf(tau_g):
+        out = out * np.exp(-(t**4) * (1.0 / tau_g**2) / denom)
+    return out
 
 
 def phase_space_density(c: CloudParams, r, v, t: float):
@@ -166,7 +181,7 @@ def density(c: CloudParams, r, t):
     """
     t = _check_time(t)
     r = np.asarray(r, dtype=float)
-    var = c.sigma_r**2 + (c.sigma_v * t) ** 2
+    var = _spread_sq(c, t)
     dz = r[..., 2] + 0.5 * c.g * t**2
     dist2 = r[..., 0] ** 2 + r[..., 1] ** 2 + dz**2
     out = c.n_total / (2.0 * math.pi * var) ** 1.5 * np.exp(-dist2 / (2.0 * var))
@@ -180,14 +195,4 @@ def center_density(c: CloudParams, t):
     times a gravity factor exp[-t^4/(tau_g^2 (tau_r^2+t^2))] because the
     cloud center drops away from the origin.
     """
-    t = _check_time(t)
-    tau_r = c.sigma_r / c.sigma_v
-    peak = c.n_total / (2.0 * math.pi * c.sigma_r**2) ** 1.5
-    lorentz = (tau_r**2 / (tau_r**2 + t**2)) ** 1.5
-    if c.has_gravity:
-        tau_g = 2.0 * math.sqrt(2.0) * c.sigma_v / c.g
-        fall = np.exp(-(t**4) / (tau_g**2 * (tau_r**2 + t**2)))
-    else:
-        fall = 1.0
-    out = peak * lorentz * fall
-    return out if out.ndim else float(out)
+    return density(c, (0.0, 0.0, 0.0), t)

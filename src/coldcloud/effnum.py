@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .beam import BeamParams, beam_section, beam_size
-from .cloud import CloudParams, _check_time, time_scales
+from .cloud import CloudParams, _ballistic_decay, _check_time, _spread_sq, time_scales
 from .optical import OpticalParams
 
 __all__ = [
@@ -44,11 +44,6 @@ class EffNumInputs:
 
     cloud: CloudParams
     beam: BeamParams
-
-
-def _spread_sq(c: CloudParams, t) -> np.ndarray:
-    """Instantaneous squared cloud spread per axis, sigma_r^2 + sigma_v^2 t^2."""
-    return c.sigma_r**2 + (c.sigma_v * np.asarray(t, dtype=float)) ** 2
 
 
 def column_number_density(inp: EffNumInputs, x, t):
@@ -112,6 +107,11 @@ def sigma_general(inp: EffNumInputs, t):
     return out if out.ndim else float(out)
 
 
+def _lorentzian_sigma(c: CloudParams, offset_sq: float, t, tau_g: float) -> np.ndarray:
+    """N/(2*pi*sigma_v^2) times the ballistic decay: the closed forms' shape."""
+    return _ballistic_decay(c.n_total / (2.0 * math.pi * c.sigma_v**2), offset_sq, t, tau_g)
+
+
 def sigma_small_waist(inp: EffNumInputs, t):
     """Closed form for a waist much smaller than the cloud radius.
 
@@ -119,12 +119,8 @@ def sigma_small_waist(inp: EffNumInputs, t):
     exp[-t^4/(tau_g^2*(tau_r^2+t^2))].  The beam size drops out entirely.
     """
     t = _check_time(t)
-    c = inp.cloud
-    ts = time_scales(c, inp.beam)
-    denom = ts.tau_r**2 + t**2
-    out = c.n_total / (2.0 * math.pi * c.sigma_v**2 * denom)
-    if c.has_gravity:
-        out = out * np.exp(-(t**4) / (ts.tau_g**2 * denom))
+    ts = time_scales(inp.cloud, inp.beam)
+    out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, ts.tau_g)
     return out if np.ndim(out) else float(out)
 
 
@@ -137,12 +133,8 @@ def sigma_long_rayleigh(inp: EffNumInputs, t):
     tau_w -> 0.
     """
     t = _check_time(t)
-    c = inp.cloud
-    ts = time_scales(c, inp.beam)
-    denom = ts.tau_r**2 + ts.tau_w**2 + t**2
-    out = c.n_total / (2.0 * math.pi * c.sigma_v**2 * denom)
-    if c.has_gravity:
-        out = out * np.exp(-(t**4) / (ts.tau_g**2 * denom))
+    ts = time_scales(inp.cloud, inp.beam)
+    out = _lorentzian_sigma(inp.cloud, ts.tau_r**2 + ts.tau_w**2, t, ts.tau_g)
     return out if np.ndim(out) else float(out)
 
 
@@ -154,12 +146,22 @@ def sigma_high_temperature(inp: EffNumInputs, t):
     approximates it to first order in tau_r^2/tau_g^2 otherwise.
     """
     t = _check_time(t)
-    c = inp.cloud
-    ts = time_scales(c, inp.beam)
-    out = c.n_total / (2.0 * math.pi * c.sigma_v**2 * (ts.tau_r**2 + t**2))
-    if c.has_gravity:
+    ts = time_scales(inp.cloud, inp.beam)
+    out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, math.inf)
+    if inp.cloud.has_gravity:
         out = out * np.exp(-(t**2) / ts.tau_g**2)
     return out if np.ndim(out) else float(out)
+
+
+def _coupling_area(b: BeamParams) -> float:
+    """Dispersive single-atom coupling 3*lambda^2/(4*pi), half the resonant
+    cross section (m^2)."""
+    return 3.0 * b.wavelength**2 / (4.0 * math.pi)
+
+
+def _field_shift(b: BeamParams, opt: OpticalParams, sigma):
+    """-(3*lambda^2/(4*pi)) * sigma / (1 + i*delta) for atoms per section sigma."""
+    return -_coupling_area(b) * sigma / (1.0 + 1j * opt.delta)
 
 
 def linear_field_shift(inp: EffNumInputs, opt: OpticalParams, t) -> complex:
@@ -170,6 +172,4 @@ def linear_field_shift(inp: EffNumInputs, opt: OpticalParams, t) -> complex:
     twice the real part is the fractional intensity change, reproducing the
     resonant cross section 3*lambda^2/(2*pi) divided by 1+delta^2.
     """
-    sigma = sigma_general(inp, t)
-    lam = inp.beam.wavelength
-    return -(3.0 * lam**2 / (4.0 * math.pi)) * sigma / (1.0 + 1j * opt.delta)
+    return _field_shift(inp.beam, opt, sigma_general(inp, t))

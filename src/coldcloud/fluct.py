@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .cloud import _check_time, time_scales
+from .cloud import _ballistic_decay, _check_time, time_scales
 from .effnum import EffNumInputs
 from .exceptions import SeriesConvergenceError
 
@@ -56,41 +56,22 @@ __all__ = [
 
 _SERIES_RTOL = 1e-12
 _SERIES_CAP = 200
-# exact integer factorials below this order, log-space evaluation above
-_PK_EXACT_MAX_K = 15
 
 
 # ---------------------------------------------------------------------------
 # mean and variance
 # ---------------------------------------------------------------------------
 
-def _mean_formula(n_total, tau_r_sq, tau_w_sq, inv_tau_g_sq, t):
-    """N * tau_w^2/(tau_r^2+tau_w^2+t^2) with the gravity decay factor.
-
-    The variance is this same expression with tau_w^2 halved, which is how
-    squaring a Gaussian weight shrinks the effective beam size.
-    """
-    denom = tau_r_sq + tau_w_sq + t**2
-    out = n_total * tau_w_sq / denom
-    if inv_tau_g_sq:
-        out = out * np.exp(-(t**4) * inv_tau_g_sq / denom)
-    return out
-
-
-def _scales(inp: EffNumInputs):
-    ts = time_scales(inp.cloud, inp.beam)
-    inv_tau_g_sq = 0.0 if math.isinf(ts.tau_g) else 1.0 / ts.tau_g**2
-    return ts.tau_r, ts.tau_w, inv_tau_g_sq
-
-
 def mean_number(inp: EffNumInputs, t):
     """Mean weighted atom number <N(t)> in the long-Rayleigh regime.
 
-    Equals sigma_long_rayleigh(t) times the waist section pi*w0^2/2.
+    N * tau_w^2/(tau_r^2+tau_w^2+t^2) with the gravity decay factor; equals
+    sigma_long_rayleigh(t) times the waist section pi*w0^2/2.
     """
     t = _check_time(t)
-    tau_r, tau_w, inv_tau_g_sq = _scales(inp)
-    out = _mean_formula(inp.cloud.n_total, tau_r**2, tau_w**2, inv_tau_g_sq, t)
+    ts = time_scales(inp.cloud, inp.beam)
+    tau_w_sq = ts.tau_w**2
+    out = _ballistic_decay(inp.cloud.n_total * tau_w_sq, ts.tau_r**2 + tau_w_sq, t, ts.tau_g)
     return out if np.ndim(out) else float(out)
 
 
@@ -102,8 +83,9 @@ def variance(inp: EffNumInputs, t):
     tends to half the mean.
     """
     t = _check_time(t)
-    tau_r, tau_w, inv_tau_g_sq = _scales(inp)
-    out = _mean_formula(inp.cloud.n_total, tau_r**2, 0.5 * tau_w**2, inv_tau_g_sq, t)
+    ts = time_scales(inp.cloud, inp.beam)
+    tau_w_sq = 0.5 * ts.tau_w**2
+    out = _ballistic_decay(inp.cloud.n_total * tau_w_sq, ts.tau_r**2 + tau_w_sq, t, ts.tau_g)
     return out if np.ndim(out) else float(out)
 
 
@@ -123,11 +105,6 @@ def _cov_factors(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau):
     return shape, num * inv_tau_g_sq / denom
 
 
-def _cov_shape(tau_r_sq, tau_w_sq, T, tau):
-    """Dimensionless Lorentzian-like factor L(T, tau) of the covariance."""
-    return _cov_factors(tau_r_sq, tau_w_sq, 0.0, T, tau)[0]
-
-
 def covariance_exact(inp: EffNumInputs, T, tau):
     """Covariance <N(t),N(t')> at mean time T = (t+t')/2 and delay tau = t-t'.
 
@@ -139,10 +116,10 @@ def covariance_exact(inp: EffNumInputs, T, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(T - 0.5 * np.abs(tau) < 0):
         raise ValueError("both sampling times T +/- tau/2 must be nonnegative")
-    tau_r, tau_w, inv_tau_g_sq = _scales(inp)
-    tau_r_sq, tau_w_sq = tau_r**2, tau_w**2
+    ts = time_scales(inp.cloud, inp.beam)
+    tau_r_sq, tau_w_sq = ts.tau_r**2, ts.tau_w**2
     n0 = inp.cloud.n_total * tau_w_sq / (tau_r_sq + tau_w_sq)
-    shape, expo = _cov_factors(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau)
+    shape, expo = _cov_factors(tau_r_sq, tau_w_sq, 1.0 / ts.tau_g**2, T, tau)
     out = n0 * shape * np.exp(-expo)
     return out if np.ndim(out) else float(out)
 
@@ -191,20 +168,16 @@ class ScaledFluctParams:
         return 2.0 * u * (2.0 + u) ** 2
 
 
-def scaled_fluct_params(inp: EffNumInputs, *, exact_n0: bool = False) -> ScaledFluctParams:
+def scaled_fluct_params(inp: EffNumInputs) -> ScaledFluctParams:
     """Bundle the scaled parameters for the quasistationary family.
 
-    ``exact_n0`` keeps the tau_w^2 correction in the zero-time count;
-    the default drops it, consistent with the small-waist regime the
-    quasistationary expressions live in.
+    The zero-time count n0 = N*tau_w^2/tau_r^2 drops the tau_w^2
+    correction of the exact count, consistent with the small-waist regime
+    the quasistationary expressions live in.
     """
-    tau_r, tau_w, inv_tau_g_sq = _scales(inp)
-    zeta = tau_r**2 * inv_tau_g_sq
-    if exact_n0:
-        n0 = inp.cloud.n_total * tau_w**2 / (tau_r**2 + tau_w**2)
-    else:
-        n0 = inp.cloud.n_total * tau_w**2 / tau_r**2
-    return ScaledFluctParams(n0=n0, zeta=zeta, tau_r=tau_r)
+    ts = time_scales(inp.cloud, inp.beam)
+    n0 = inp.cloud.n_total * ts.tau_w**2 / ts.tau_r**2
+    return ScaledFluctParams(n0=n0, zeta=ts.zeta, tau_r=ts.tau_r)
 
 
 def _lorentzian(p: ScaledFluctParams, tau_w: float, T, tau):
@@ -259,23 +232,15 @@ def pk_polynomial(k: int, x):
 
     These carry the frequency dependence of the k-th gravity order of the
     noise spectrum: the transform of a Lorentzian power is exponential
-    times p_k.  Exact integer factorials are used through k = 15,
-    log-space evaluation beyond (relative error below 1e-12 for k <= 60).
+    times p_k.  Evaluated in log space, the path the spectrum series uses
+    (relative error below 1e-12 for k <= 60).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    if k <= _PK_EXACT_MAX_K:
-        coeffs = [
-            math.factorial(2 * k - j) // (math.factorial(j) * math.factorial(k - j))
-            for j in range(k + 1)
-        ]
-        out = sum(c * (2.0 * x) ** j for j, c in enumerate(coeffs))
-        out = np.asarray(out, dtype=float)
-    else:
-        out = np.exp(_log_pk(k, x))
+    out = np.exp(_log_pk(k, x)).reshape(x.shape)
     return out if out.ndim else float(out)
 
 

@@ -20,13 +20,8 @@ from scipy.integrate import quad
 from scipy.special import i0e
 
 from .beam import beam_section, beam_size
-from .cloud import _check_time
-from .effnum import (
-    EffNumInputs,
-    _layer_density_weighted,
-    _spread_sq,
-    sigma_small_waist,
-)
+from .cloud import _check_time, _spread_sq, density
+from .effnum import EffNumInputs, _field_shift, _layer_density_weighted, sigma_small_waist
 from .exceptions import QuadratureError
 from .optical import OpticalParams, polarizability
 
@@ -44,6 +39,9 @@ __all__ = [
 _SERIES_THRESHOLD = 0.8
 _SERIES_RTOL = 1e-12
 _SERIES_CAP = 200
+# relative tolerances of the longitudinal integral and of each radial layer
+_RTOL = 1e-9
+_LAYER_RTOL = 1e-11
 
 
 def saturation_on_axis(opt: OpticalParams, b, x):
@@ -97,9 +95,7 @@ def _saturated_layer_series(inp: EffNumInputs, s_m: float, x: float, t: float) -
     )
 
 
-def _saturated_layer_quadrature(
-    inp: EffNumInputs, s_m: float, x: float, t: float, epsrel: float = 1e-10
-) -> float:
+def _saturated_layer_quadrature(inp: EffNumInputs, s_m: float, x: float, t: float) -> float:
     """Radial integral of f/(1+2*s_m*f) * density over one transverse layer.
 
     The weight is symmetric about the beam axis and the cloud Gaussian sits
@@ -118,8 +114,8 @@ def _saturated_layer_quadrature(
     # Gaussian of precision prec peaking at d/(var*prec)
     prec = 2.0 * inv_w_sq + inv_var
     r_hi = (d * inv_var + 10.0 * math.sqrt(prec)) / prec
-    # the x slice of the density folded into the norm
-    norm = c.n_total / (2.0 * math.pi * var) ** 1.5 * math.exp(-x * x / (2.0 * var))
+    # the density on the fallen cloud's axis at this x
+    norm = density(c, (x, 0.0, -d), t)
     two_s = 2.0 * s_m
 
     def integrand(r: float) -> float:
@@ -127,44 +123,50 @@ def _saturated_layer_quadrature(
         ring = r * math.exp(-0.5 * (r - d) ** 2 * inv_var) * i0e(r * d * inv_var)
         return f / (1.0 + two_s * f) * ring
 
-    value, _ = quad(integrand, 0.0, r_hi, epsabs=0.0, epsrel=epsrel)
+    value, _ = quad(integrand, 0.0, r_hi, epsabs=0.0, epsrel=_LAYER_RTOL)
     return 2.0 * math.pi * norm * value
 
 
-def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t, *, rel_tol: float = 1e-9) -> float:
-    """Saturated sigma by longitudinal quadrature of the saturated layers.
-
-    Each layer uses the power series in -2*s_m(x) while 2*s_m(x) is below
-    0.8 (the series alternates and converges geometrically there) and a
-    radial integral beyond, where the expansion no longer converges.
-    """
-    t = float(_check_time(t))
+def _sigma_saturated_at(inp: EffNumInputs, opt: OpticalParams, t: float) -> float:
+    """Longitudinal quadrature of the saturated layers over beam section at one t."""
     beam = inp.beam
     half_width = 10.0 * math.sqrt(_spread_sq(inp.cloud, t))
-    # the radial integral only needs to track the outer tolerance
-    inner_epsrel = max(1e-13, min(1e-10, 0.01 * rel_tol))
 
     def integrand(x: float) -> float:
         s_m = saturation_on_axis(opt, beam, x)
         if 2.0 * s_m < _SERIES_THRESHOLD:
             layer = _saturated_layer_series(inp, s_m, x, t)
         else:
-            layer = _saturated_layer_quadrature(inp, s_m, x, t, inner_epsrel)
+            layer = _saturated_layer_quadrature(inp, s_m, x, t)
         return layer / beam_section(beam, x)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value, abserr, info, *tail = quad(
             integrand, -half_width, half_width,
-            epsabs=0.0, epsrel=rel_tol, limit=200, full_output=1,
+            epsabs=0.0, epsrel=_RTOL, limit=200, full_output=1,
         )
     achieved = abserr / abs(value) if value != 0 else math.inf
-    if tail or achieved > 10.0 * rel_tol:
+    if tail or achieved > 10.0 * _RTOL:
         raise QuadratureError(
-            f"saturated sigma quadrature did not converge to rel_tol={rel_tol:g} at t={t:g}",
+            f"saturated sigma quadrature did not converge to {_RTOL:g} relative at t={t:g}",
             achieved,
         )
     return value
+
+
+def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t):
+    """Saturated sigma by longitudinal quadrature of the saturated layers.
+
+    Each layer uses the power series in -2*s_m(x) while 2*s_m(x) is below
+    0.8 (the series alternates and converges geometrically there) and a
+    radial integral beyond, where the expansion no longer converges.
+    Accepts scalar or array t; each time is its own adaptive quadrature.
+    """
+    t = _check_time(t)
+    out = np.array([_sigma_saturated_at(inp, opt, ti) for ti in t.ravel().tolist()])
+    out = out.reshape(t.shape)
+    return out if out.ndim else float(out)
 
 
 def nonlinear_field_shift(inp: EffNumInputs, opt: OpticalParams, t) -> complex:
@@ -174,6 +176,4 @@ def nonlinear_field_shift(inp: EffNumInputs, opt: OpticalParams, t) -> complex:
     saturated sigma.  At s_m0 = 0 this equals the linear field shift, and
     its magnitude never exceeds the linear one.
     """
-    sigma_s = sigma_saturated_general(inp, opt, t)
-    lam = inp.beam.wavelength
-    return -(3.0 * lam**2 / (4.0 * math.pi)) * sigma_s / (1.0 + 1j * opt.delta)
+    return _field_shift(inp.beam, opt, sigma_saturated_general(inp, opt, t))

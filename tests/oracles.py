@@ -169,9 +169,9 @@ def sigma_general_quad(inp, t, rel_tol=1e-9):
     instantaneous cloud spreads, where the Gaussian tail is below 1e-21.
     """
     from coldcloud.beam import beam_section
-    from coldcloud.effnum import _layer_density_weighted, _spread_sq
+    from coldcloud.effnum import _layer_density_weighted
 
-    half_width = 10.0 * math.sqrt(_spread_sq(inp.cloud, t))
+    half_width = 10.0 * math.sqrt(inp.cloud.sigma_r**2 + (inp.cloud.sigma_v * t) ** 2)
 
     def integrand(x):
         return _layer_density_weighted(inp, x, t) / beam_section(inp.beam, x)

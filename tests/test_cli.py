@@ -172,6 +172,28 @@ class TestCurveSubcommands:
         assert (target / "mean.csv").exists()
 
 
+class TestFlags:
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--threads", "0"),
+                                            ("--threads", "-5")])
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # the same bounds as the config's mc.seed; no threads are started
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--config", cfg_path, "--out", str(out), flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lowest_accepted_values(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
+        argv = ["mean", "--config", cfg_path, "--out", str(tmp_path), "--seed", "0",
+                "--threads", "1"]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "mean_manifest.json").read_text())
+        assert (manifest["seed"], manifest["threads"]) == (0, 1)
+
+
 class TestMonteCarloSubcommands:
     def mc_config(self):
         return {

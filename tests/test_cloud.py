@@ -51,13 +51,6 @@ class TestTimeScales:
     def test_transit_time_at_waist(self, cloud, beam):
         ts = time_scales(cloud, beam)
         assert ts.tau_w == pytest.approx(0.5e-3, rel=1e-12)
-        assert ts.tau_w_at(0.0) == ts.tau_w
-
-    def test_transit_time_grows_off_focus(self, cloud, beam):
-        ts = time_scales(cloud, beam)
-        assert ts.tau_w_at(beam.rayleigh_length) == pytest.approx(
-            0.5e-3 * math.sqrt(2.0), rel=1e-12
-        )
 
     def test_no_gravity_sentinel(self, cloud_free, beam):
         assert math.isinf(time_scales(cloud_free, beam).tau_g)

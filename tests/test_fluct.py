@@ -27,7 +27,7 @@ from coldcloud import (
     time_scales,
     variance,
 )
-from coldcloud.fluct import _cov_shape
+from coldcloud.fluct import _cov_factors
 
 from oracles import peak_series_reference, pk_reference, quasistationary_fourier_oracle
 
@@ -141,7 +141,7 @@ class TestCovarianceExact:
         expected = tau_w_sq * (tau_r_sq + tau_w_sq) / (
             (tau_r_sq + 0.5 * tau_w_sq) * (tau**2 + 2.0 * tau_w_sq)
         )
-        assert _cov_shape(tau_r_sq, tau_w_sq, 0.0, tau) == pytest.approx(expected, rel=1e-14)
+        assert _cov_factors(tau_r_sq, tau_w_sq, 0.0, 0.0, tau)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_decays_with_delay(self, inputs):
         big_t = 0.02
@@ -186,13 +186,6 @@ class TestCovarianceQuasistationary:
             exact = np.asarray(covariance_exact(inp, big_t, taus))
             quasi = np.asarray(covariance_quasistationary(p, ts.tau_w, big_t, taus))
             np.testing.assert_allclose(quasi, exact, rtol=0.01)
-
-    def test_exact_n0_option(self):
-        inp = small_waist_inputs(tau_w_over_tau_r=0.1)
-        ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp, exact_n0=True)
-        expected = inp.cloud.n_total * ts.tau_w**2 / (ts.tau_r**2 + ts.tau_w**2)
-        assert p.n0 == pytest.approx(expected, rel=1e-14)
 
     def test_invariants_of_scaled_params(self):
         p = ScaledFluctParams(n0=1.0, zeta=0.3, tau_r=0.01)

@@ -21,7 +21,7 @@ from coldcloud import (
     sigma_saturated_general,
     sigma_small_waist,
 )
-from coldcloud.effnum import _layer_density_weighted, _spread_sq
+from coldcloud.effnum import _layer_density_weighted
 from coldcloud.saturation import _saturated_layer_quadrature
 
 from oracles import gaussian_product_window, transverse_quad
@@ -177,12 +177,28 @@ class TestSaturatedGeneral:
 
     def test_strong_saturation_quadrature_fallback(self):
         # 2*s_m = 2 near the axis: the expansion cannot converge there and
-        # the transverse quadrature takes over; the log form still holds in
-        # the joint limit
+        # each layer is a radial integral; the log form still holds in the
+        # joint limit
         inp = joint_limit_inputs(g=0.0)
         opt = OpticalParams(delta=0.0, s_m0=1.0)
-        got = sigma_saturated_general(inp, opt, 0.0, rel_tol=1e-6)
+        got = sigma_saturated_general(inp, opt, 0.0)
         assert got == pytest.approx(sigma_saturated_closed(inp, opt, 0.0), rel=1e-3)
+
+    def test_array_of_times_equals_scalar_calls(self):
+        # 2*s_m0 = 1: radial layers near the waist, series layers in the wings
+        inp = joint_limit_inputs()
+        opt = OpticalParams(delta=2.0, s_m0=0.5)
+        t = np.array([0.0, 0.004, 0.01])
+        got = sigma_saturated_general(inp, opt, t)
+        assert got.shape == t.shape
+        scalar = [sigma_saturated_general(inp, opt, float(ti)) for ti in t]
+        assert all(isinstance(value, float) for value in scalar)
+        np.testing.assert_array_equal(got, scalar)
+        # numpy and Python divide complex numbers with different roundings
+        np.testing.assert_allclose(
+            nonlinear_field_shift(inp, opt, t),
+            [nonlinear_field_shift(inp, opt, float(ti)) for ti in t], rtol=1e-15,
+        )
 
 
 # (sigma_r, w0, g, t, x, s_m): waists below, at and above the cloud size,
@@ -235,7 +251,7 @@ class TestTransverseSaturationIntegral:
         # saturated weight times the cloud Gaussian written out in full
         inp = EffNumInputs(CloudParams(1e6, sigma_r, 0.1, g), BeamParams(w0, 1e-9))
         w = beam_size(inp.beam, x)
-        var = _spread_sq(inp.cloud, t)
+        var = inp.cloud.sigma_r**2 + (inp.cloud.sigma_v * t) ** 2
         z_c = -0.5 * g * t**2
         norm = 1e6 / (2.0 * math.pi * var) ** 1.5 * math.exp(-x * x / (2.0 * var))
 
