@@ -25,7 +25,7 @@ for big_t in np.linspace(0.0, 2.0 * ts.tau_r, 5):
     n_mean = cc.mean_number(inp, big_t)
     coop = cc.cooperativity(cavity, beam, n_mean)
     shift = cc.detuning_shift(cavity, beam, opt, n_mean)
-    linear = cc.is_linear_regime(cavity, beam, opt, inp, big_t)
+    linear = cc.is_linear_regime(cavity, opt, inp, big_t)
     print(f"{big_t * 1e3:7.1f} {n_mean:10.1f} {coop:11.3f} {shift:14.3e} {str(linear):>8}")
 
 print()
@@ -33,10 +33,10 @@ big_t = ts.tau_r
 print(f"detuning noise spectrum at T = tau_r (kappa = {cavity.kappa:.1e} rad/s):")
 print(f"{'omega [rad/s]':>14} {'omega/2pi [Hz]':>15} {'S_PhiPhi [rad/s]':>17}")
 for omega in (0.0, 1000.0, 4000.0, 12000.0):
-    s = cc.detuning_spectrum(cavity, beam, opt, inp, big_t, omega)
+    s = cc.detuning_spectrum(cavity, opt, inp, big_t, omega)
     print(f"{omega:14.0f} {omega / (2 * np.pi):15.1f} {s:17.3e}")
 
-peak = cc.detuning_spectrum(cavity, beam, opt, inp, big_t, 0.0)
+peak = cc.detuning_spectrum(cavity, opt, inp, big_t, 0.0)
 print()
 print(f"peak detuning noise / kappa = {peak / cavity.kappa:.3e}"
       f" -> {'linear regime' if peak < cavity.kappa else 'needs nonlinear treatment'}")

@@ -95,25 +95,19 @@ def detuning_shift(cav: CavityParams, b: BeamParams, opt: OpticalParams, n: floa
     return 2.0 * cav.kappa * cooperativity(cav, b, n) / opt.delta
 
 
-def detuning_spectrum(
-    cav: CavityParams,
-    b: BeamParams,
-    opt: OpticalParams,
-    inp: EffNumInputs,
-    T: float,
-    omega,
-):
+def detuning_spectrum(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T: float, omega):
     """Noise spectrum of the cavity detuning at fall time T (rad/s).
 
     Assembled as (3*lambda^2/(4*pi*S))^2 * S_NN(T, omega)/(delta*tau_c)^2
     with the number spectrum built from the variance at T and the
     normalized spectral shape.  Equivalently
     kappa*(C(T)/delta^2)*(3*lambda^2/(4*pi*S))*normalized/tau_c in terms of
-    the cooperativity at T.
+    the cooperativity at T.  The coupling and the spectrum both belong to
+    the probe beam of ``inp``.
     """
     _check_dispersive(opt)
     ts = time_scales(inp.cloud, inp.beam)
-    coupling = _coupling_per_atom(b)
+    coupling = _coupling_per_atom(inp.beam)
     p = scaled_fluct_params(inp)
     shape = np.asarray(normalized_spectrum(p, ts.tau_w, T, omega))
     n_mean = mean_number(inp, T)
@@ -123,18 +117,12 @@ def detuning_spectrum(
     return out if np.ndim(omega) else float(np.atleast_1d(out)[0])
 
 
-def is_linear_regime(
-    cav: CavityParams,
-    b: BeamParams,
-    opt: OpticalParams,
-    inp: EffNumInputs,
-    T: float,
-) -> bool:
+def is_linear_regime(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T: float) -> bool:
     """Whether the detuning noise stays below the cavity rate kappa.
 
     The spectrum is even in omega and peaks at zero frequency, so the
     comparison max_omega S_phiphi < kappa reduces to the zero-frequency
     value.  True means detuning fluctuations act linearly on the cavity.
     """
-    peak = detuning_spectrum(cav, b, opt, inp, T, 0.0)
+    peak = detuning_spectrum(cav, opt, inp, T, 0.0)
     return bool(peak < cav.kappa)

@@ -423,12 +423,12 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     regime = {}
 
     def block(big_t):
-        noise = detuning_spectrum(cav, cfg.beam, cfg.optical, inp, big_t, omega)
+        noise = detuning_spectrum(cav, cfg.optical, inp, big_t, omega)
         n_mean = mean_number(inp, big_t)
         regime[_fmt(big_t)] = {
             "cooperativity": cooperativity(cav, cfg.beam, n_mean),
             "detuning_shift_rad_s": detuning_shift(cav, cfg.beam, cfg.optical, n_mean),
-            "linear_regime": is_linear_regime(cav, cfg.beam, cfg.optical, inp, big_t),
+            "linear_regime": is_linear_regime(cav, cfg.optical, inp, big_t),
         }
         return {"omega_rad_s": omega, "omega_hz": omega / (2.0 * math.pi),
                 "detuning_noise_rad_s": noise}

@@ -22,6 +22,9 @@ Conventions fixed here:
   in c = zeta*b_T/(4*alpha_T^2).  This keeps the spectrum the exact
   transform of the covariance series at every order (checked in the tests
   against direct numerical transforms).
+* Both gravity series go through one log-space summer, fed a per-order
+  log-term and the order where the terms peak; the term cap follows from
+  that peak, so it grows with the gravity parameter.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
 
 from .cloud import _ballistic_decay, _check_time, time_scales
 from .effnum import EffNumInputs
@@ -55,7 +58,6 @@ __all__ = [
 ]
 
 _SERIES_RTOL = 1e-12
-_SERIES_CAP = 200
 
 
 # ---------------------------------------------------------------------------
@@ -196,31 +198,44 @@ def covariance_quasistationary(p: ScaledFluctParams, tau_w: float, T, tau):
     return out if np.ndim(out) else float(out)
 
 
-def covariance_series(p: ScaledFluctParams, tau_w: float, T, tau, kmax: int | None = None):
+def _log_series(log_term, peak: float, name: str, detail: str):
+    """sum_k exp(log_term(k)) over k = 0, 1, ..., elementwise.
+
+    Terms are compared in log space, so terms that underflow (all of the
+    early ones when the envelope leaves the float range) never end the
+    sum; it ends once every term is below 1e-12 of its partial sum and
+    falling.  The terms peak near order ``peak`` with a spread of about
+    sqrt(peak); the cap allows ten spreads beyond the peak.
+    """
+    log_rtol = math.log(_SERIES_RTOL)
+    total, log_total, prev = 0.0, -np.inf, -np.inf
+    cap = int(peak + 10.0 * math.sqrt(peak)) + 20
+    for k in range(cap + 1):
+        term = log_term(k)
+        total = total + np.exp(term)
+        log_total = np.logaddexp(log_total, term)
+        if np.all(term <= log_rtol + log_total) and np.all(term <= prev):
+            return total
+        prev = term
+    raise SeriesConvergenceError(f"{name} series did not converge within {cap} terms ({detail})")
+
+
+def covariance_series(p: ScaledFluctParams, tau_w: float, T, tau):
     """Gravity expansion of the quasistationary covariance in powers of L.
 
-    n0 * exp(-zeta*a_T) * sum_k (zeta*b_T)^k L^(1+k) / k!.  With
-    ``kmax=None`` the sum is truncated adaptively (term below 1e-12 of the
-    partial sum, cap 200 terms); an explicit kmax sums orders 0 through
-    kmax with no convergence check.
+    n0 * exp(-zeta*a_T) * sum_k (zeta*b_T)^k L^(1+k) / k!, summed like the
+    spectrum series: the drift n0*L*exp(-zeta*(a_T - b_T*L)) times the
+    Poisson envelope exp(k*ln g - ln k! - g), g = zeta*b_T*L, whose terms
+    peak near order g, so the term cap follows from the largest g.
     """
-    if kmax is not None and kmax < 0:
-        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     lor = _lorentzian(p, tau_w, T, tau)
+    drift = p.n0 * lor * np.exp(-p.zeta * (p.a_t(T) - p.b_t(T) * lor))
     growth = p.zeta * p.b_t(T) * lor
-    term = np.asarray(p.n0 * lor * np.exp(-p.zeta * p.a_t(T)), dtype=float)
-    total = np.array(term, copy=True)
-    for k in range(1, (_SERIES_CAP if kmax is None else kmax) + 1):
-        term = term * growth / k
-        total += term
-        if kmax is None and np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)):
-            return total if total.ndim else float(total)
-    if kmax is None:
-        raise SeriesConvergenceError(
-            f"covariance series did not converge within {_SERIES_CAP} terms "
-            f"(max growth parameter {np.max(growth):.3g})"
-        )
-    return total if total.ndim else float(total)
+    if np.any(growth):
+        g_max = float(np.max(growth))
+        drift = drift * _log_series(lambda k: xlogy(k, growth) - gammaln(k + 1) - growth,
+                                    g_max, "covariance", f"g={g_max:.3g}")
+    return drift if np.ndim(drift) else float(drift)
 
 
 # ---------------------------------------------------------------------------
@@ -270,46 +285,28 @@ def spectrum_exponential(p: ScaledFluctParams, tau_w: float, T, omega):
     return out if np.ndim(out) else float(out)
 
 
-def _enveloped_pk_series(c: float, x: np.ndarray, kmax: int | None) -> np.ndarray:
+def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     """exp(-x-4c) * sum_k c^k p_k(x)/(k!)^2, elementwise in x.
 
     exp(-4c) is exactly the normalization prefactor of the spectra and
     exp(-x) their frequency envelope; folding both into the terms bounds
     every partial sum by 1 and lets far-tail terms underflow harmlessly,
-    so the evaluation neither overflows nor stalls at large x.  Terms are
-    computed and compared in log space, so terms that underflow (all of
-    the early ones once exp(-4c) leaves the float range) never end the
-    sum.  The terms peak near order m = 4c + 2*sqrt(2*c*x) with a spread of
-    about sqrt(m); the cap allows ten spreads beyond the peak.
+    so the evaluation neither overflows nor stalls at large x.  The terms
+    peak near order m = 4c + 2*sqrt(2*c*x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if kmax is not None and kmax < 0:
-        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     if c == 0.0:
         return np.exp(-x)
     log_c = math.log(c)
-    log_rtol = math.log(_SERIES_RTOL)
-    total = np.zeros_like(x)
-    log_total = np.full_like(x, -np.inf)
-    prev = np.full_like(x, -np.inf)
+
+    def log_term(k: int) -> np.ndarray:
+        return k * log_c - 2.0 * gammaln(k + 1) + _log_pk(k, x) - 4.0 * c - x
+
     peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x.max(initial=0.0))
-    cap = int(peak + 10.0 * math.sqrt(peak)) + 20 if kmax is None else kmax
-    for k in range(cap + 1):
-        log_term = k * log_c - 2.0 * gammaln(k + 1) + _log_pk(k, x) - 4.0 * c - x
-        total += np.exp(log_term)
-        if kmax is None:
-            log_total = np.logaddexp(log_total, log_term)
-            if np.all(log_term <= log_rtol + log_total) and np.all(log_term <= prev):
-                return total
-            prev = log_term
-    if kmax is None:
-        raise SeriesConvergenceError(
-            f"spectrum series did not converge within {cap} terms (c={c:.3g})"
-        )
-    return total
+    return _log_series(log_term, peak, "spectrum", f"c={c:.3g}")
 
 
-def spectra(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = None):
+def spectra(p: ScaledFluctParams, tau_w: float, T, omega):
     """spectrum_series and normalized_spectrum together, from one evaluation
     of the gravity series they share (its cost dominates both)."""
     T = float(T)
@@ -317,7 +314,7 @@ def spectra(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = Non
     alpha = math.sqrt(alpha_sq)
     x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
     c = p.zeta * p.b_t(T) / (4.0 * alpha_sq)
-    enveloped = _enveloped_pk_series(c, x, kmax)
+    enveloped = _enveloped_pk_series(c, x)
     # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
     # second factor is the damping folded into the series
     drift = math.exp(-p.zeta * (p.a_t(T) - p.b_t(T) / alpha_sq))
@@ -328,7 +325,7 @@ def spectra(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = Non
     return float(spectrum[0]), float(normalized[0])
 
 
-def spectrum_series(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = None):
+def spectrum_series(p: ScaledFluctParams, tau_w: float, T, omega):
     """Noise spectrum of N at fall time T, delay-transformed over tau.
 
     Exponential envelope times the gravity series in
@@ -336,16 +333,16 @@ def spectrum_series(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | No
     the exact transform, order by order, of the covariance series.  Reduces
     to spectrum_exponential when zeta = 0.
     """
-    return spectra(p, tau_w, T, omega, kmax)[0]
+    return spectra(p, tau_w, T, omega)[0]
 
 
-def normalized_spectrum(p: ScaledFluctParams, tau_w: float, T, omega, kmax: int | None = None):
+def normalized_spectrum(p: ScaledFluctParams, tau_w: float, T, omega):
     """Unit-area spectral shape: spectrum_series divided by the variance at T.
 
     pi*alpha_T*tau_w * exp(-alpha_T*|omega|*tau_w) times the damped gravity
     series; integrates to 1 over d(omega)/(2*pi) for every zeta and T.
     """
-    return spectra(p, tau_w, T, omega, kmax)[1]
+    return spectra(p, tau_w, T, omega)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -139,51 +139,49 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
     return float(np.sum(weight(b, pos)))
 
 
-def _weighted_counts_one(c, b, times, seed_i):
-    real = sample_cloud(c, seed_i)
-    return [effective_count(b, real, c.g, t) for t in times]
+def _realization_rows(c: CloudParams, row, times: np.ndarray, n_realizations: int,
+                      seed: int, threads: int) -> np.ndarray:
+    """(realization, time) array whose row i is row(realization i).
 
-
-def _fill_rows(fill_one, n_realizations: int, out: np.ndarray, threads: int) -> None:
-    """Populate out[i] = fill_one(i), optionally with a thread pool.
-
-    Rows are indexed by realization, so scheduling order cannot change the
-    result.
+    Realization i is drawn from substream_seed(seed, i), so scheduling
+    order cannot change the result.  One thread runs on the calling thread;
+    more split the realizations into contiguous chunks over a thread pool.
     """
+    out = np.empty((n_realizations, times.size))
+
+    def fill(indices) -> None:
+        for i in indices:
+            out[i] = row(sample_cloud(c, substream_seed(seed, i)))
+
     if threads <= 1:
-        for i in range(n_realizations):
-            out[i] = fill_one(i)
-        return
-
-    def run_chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = fill_one(i)
-
+        fill(range(n_realizations))
+        return out
     chunk = -(-n_realizations // threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(run_chunk, lo, min(lo + chunk, n_realizations))
-            for lo in range(0, n_realizations, chunk)
-        ]
-        for f in futures:
-            f.result()
+        list(pool.map(fill, [range(lo, min(lo + chunk, n_realizations))
+                             for lo in range(0, n_realizations, chunk)]))
+    return out
 
 
-def _jackknife_covariance_se(x: np.ndarray) -> np.ndarray:
-    """Jackknife SE of every entry of the sample covariance matrix.
+def _leave_one_out_covariances(x: np.ndarray) -> np.ndarray:
+    """Sample covariance matrices with each realization left out in turn.
 
-    x is centered data of shape (n, m).  Leave-one-out covariances are
-    formed from downdated cross sums, O(n*m^2) total.
+    x is centered data of shape (n, m); the (n, m, m) result comes from
+    downdated cross sums, O(n*m^2) total.
     """
-    n, m = x.shape
+    n = x.shape[0]
     cross = x.T @ x                                   # (m, m)
     colsum = x.sum(axis=0)                            # (m,), ~0 for centered data
     outer = x[:, :, None] * x[:, None, :]             # (n, m, m)
     rest_sum = colsum[None, :] - x                    # (n, m)
     rest_outer = rest_sum[:, :, None] * rest_sum[:, None, :]
-    loo = (cross[None, :, :] - outer - rest_outer / (n - 1)) / (n - 2)
-    loo_mean = loo.mean(axis=0)
-    return np.sqrt((n - 1) / n * np.sum((loo - loo_mean[None, :, :]) ** 2, axis=0))
+    return (cross[None, :, :] - outer - rest_outer / (n - 1)) / (n - 2)
+
+
+def _jackknife_se(loo: np.ndarray) -> np.ndarray:
+    """Jackknife standard error from the leave-one-out estimates loo[i]."""
+    n = loo.shape[0]
+    return np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
 
 
 def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> EnsembleStats:
@@ -193,7 +191,7 @@ def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> E
     cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)  # enforce exact symmetry of the BLAS product
     var = np.diag(cov).copy()
-    se_cov = _jackknife_covariance_se(centered)
+    se_cov = _jackknife_se(_leave_one_out_covariances(centered))
     se_cov = 0.5 * (se_cov + se_cov.T)
     return EnsembleStats(
         times=np.array(times, dtype=float),
@@ -223,13 +221,10 @@ def weighted_counts(
     ensemble_stats reports (ratio estimators, bootstrap, ...).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    values = np.empty((n_realizations, times.size))
-
-    def fill_one(i: int):
-        return _weighted_counts_one(c, b, times, substream_seed(seed, i))
-
-    _fill_rows(fill_one, n_realizations, values, threads)
-    return values
+    return _realization_rows(
+        c, lambda real: [effective_count(b, real, c.g, t) for t in times],
+        times, n_realizations, seed, threads,
+    )
 
 
 def ensemble_stats(
@@ -276,34 +271,20 @@ def binary_count_check(
     if np.any(lo >= hi):
         raise ValueError("box lower bounds must be below upper bounds")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    counts = np.empty((n_realizations, times.size))
 
-    def fill_one(i: int):
-        real = sample_cloud(c, substream_seed(seed, i))
-        row = np.empty(times.size)
-        for j, t in enumerate(times):
-            pos = propagate(real.positions, real.velocities, c.g, t)
-            inside = np.all((pos >= lo) & (pos <= hi), axis=-1)
-            row[j] = float(np.count_nonzero(inside))
-        return row
+    def box_counts(real: Realization):
+        positions = (propagate(real.positions, real.velocities, c.g, t) for t in times)
+        return [np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1)) for pos in positions]
 
-    _fill_rows(fill_one, n_realizations, counts, threads)
-
+    counts = _realization_rows(c, box_counts, times, n_realizations, seed, threads)
     n = n_realizations
     mean = counts.mean(axis=0)
     centered = counts - mean
     var = np.sum(centered**2, axis=0) / (n - 1)
     ratio = var / mean
-
-    # leave-one-out variance/mean ratios from downdated sums
-    colsum = centered.sum(axis=0)
-    sq = np.sum(centered**2, axis=0)
-    rest_sum = colsum[None, :] - centered
-    loo_var = (sq[None, :] - centered**2 - rest_sum**2 / (n - 1)) / (n - 2)
-    loo_mean = mean[None, :] - centered / (n - 1)
-    loo_ratio = loo_var / loo_mean
-    loo_ratio_mean = loo_ratio.mean(axis=0)
-    ratio_se = np.sqrt((n - 1) / n * np.sum((loo_ratio - loo_ratio_mean[None, :]) ** 2, axis=0))
+    # leave-one-out variances over leave-one-out means
+    loo_var = np.diagonal(_leave_one_out_covariances(centered), axis1=1, axis2=2)
+    ratio_se = _jackknife_se(loo_var / (mean - centered / (n - 1)))
 
     consistent = np.abs(ratio - 1.0) <= 3.0 * ratio_se
     return BinaryCountReport(

@@ -38,7 +38,11 @@ __all__ = [
 # value of 2*s_m; beyond it each layer is a radial integral
 _SERIES_THRESHOLD = 0.8
 _SERIES_RTOL = 1e-12
-_SERIES_CAP = 200
+# below the threshold its terms shrink by a factor 2*s_m < 0.8 or more per
+# order and the alternating sum is at least (1 - 0.8) of its first term, so
+# this many orders always reach _SERIES_RTOL
+_SERIES_ORDERS = math.ceil(math.log(_SERIES_RTOL * (1.0 - _SERIES_THRESHOLD))
+                           / math.log(_SERIES_THRESHOLD))
 # relative tolerances of the longitudinal integral and of each radial layer
 _RTOL = 1e-9
 _LAYER_RTOL = 1e-11
@@ -83,7 +87,7 @@ def _saturated_layer_series(inp: EffNumInputs, s_m: float, x: float, t: float) -
     factor = -2.0 * s_m
     coeff = 1.0
     total = 0.0
-    for k in range(_SERIES_CAP + 1):
+    for k in range(_SERIES_ORDERS + 1):
         term = coeff * _layer_density_weighted(inp, x, t, float(k + 1))
         total += term
         if abs(term) <= _SERIES_RTOL * abs(total):

@@ -346,7 +346,7 @@ def test_12_cavity_identities():
 
         shape = cc.normalized_spectrum(cc.scaled_fluct_params(inp), ts.tau_w, big_t, omega)
         n_mean = cc.mean_number(inp, big_t)
-        spec_a = cc.detuning_spectrum(cav, beam, opt, inp, big_t, omega)
+        spec_a = cc.detuning_spectrum(cav, opt, inp, big_t, omega)
         spec_b = (
             cav.kappa * cc.cooperativity(cav, beam, n_mean) / delta**2
             * coupling * shape / cav.tau_c

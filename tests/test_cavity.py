@@ -98,15 +98,15 @@ class TestDetuningSpectrum:
     def test_scales_inverse_square_of_detuning(self, cavity, inputs):
         ts = time_scales(inputs.cloud, inputs.beam)
         big_t = ts.tau_r
-        s10 = detuning_spectrum(cavity, inputs.beam, OpticalParams(delta=10.0), inputs, big_t, 0.0)
-        s20 = detuning_spectrum(cavity, inputs.beam, OpticalParams(delta=20.0), inputs, big_t, 0.0)
+        s10 = detuning_spectrum(cavity, OpticalParams(delta=10.0), inputs, big_t, 0.0)
+        s20 = detuning_spectrum(cavity, OpticalParams(delta=20.0), inputs, big_t, 0.0)
         assert s10 == pytest.approx(4.0 * s20, rel=1e-12)
 
     def test_zero_where_number_spectrum_is_zero(self, cavity, inputs):
         ts = time_scales(inputs.cloud, inputs.beam)
         # far past the spectral cutoff everything underflows to exactly 0
         omega = 1e4 / ts.tau_w
-        val = detuning_spectrum(cavity, inputs.beam, OpticalParams(delta=10.0), inputs, ts.tau_r, omega)
+        val = detuning_spectrum(cavity, OpticalParams(delta=10.0), inputs, ts.tau_r, omega)
         assert val == 0.0
 
     def test_two_assemblies_agree_at_random_parameters(self, rng):
@@ -134,7 +134,7 @@ class TestDetuningSpectrum:
                 cav.kappa * cooperativity(cav, beam, n_mean) / opt.delta**2
                 * coupling(beam) * shape / cav.tau_c
             )
-            got = detuning_spectrum(cav, beam, opt, inp, big_t, omega)
+            got = detuning_spectrum(cav, opt, inp, big_t, omega)
             assert got == pytest.approx(form_direct, rel=1e-12)
             assert form_direct == pytest.approx(form_coop, rel=1e-12)
 
@@ -144,7 +144,7 @@ class TestDetuningSpectrum:
         big_t = ts.tau_r
         omega = np.linspace(0.0, 4.0 / ts.tau_w, 9)
         noise = np.asarray(
-            detuning_spectrum(cavity, inputs.beam, OpticalParams(delta=10.0), inputs, big_t, omega)
+            detuning_spectrum(cavity, OpticalParams(delta=10.0), inputs, big_t, omega)
         )
         shape = np.asarray(normalized_spectrum(p, ts.tau_w, big_t, omega))
         np.testing.assert_allclose(
@@ -156,16 +156,16 @@ class TestLinearRegimeFlag:
     def test_flag_flips_with_atom_number(self, cavity, beam):
         opt = OpticalParams(delta=10.0)
         small = EffNumInputs(CloudParams(1e4, 1e-3, 0.1, 9.81), beam)
-        assert is_linear_regime(cavity, beam, opt, small, 0.005)
+        assert is_linear_regime(cavity, opt, small, 0.005)
         huge = EffNumInputs(CloudParams(1e13, 1e-3, 0.1, 9.81), beam)
-        assert not is_linear_regime(cavity, beam, opt, huge, 0.005)
+        assert not is_linear_regime(cavity, opt, huge, 0.005)
 
     def test_peak_sits_at_zero_frequency(self, cavity, inputs):
         ts = time_scales(inputs.cloud, inputs.beam)
         opt = OpticalParams(delta=10.0)
-        peak = detuning_spectrum(cavity, inputs.beam, opt, inputs, ts.tau_r, 0.0)
+        peak = detuning_spectrum(cavity, opt, inputs, ts.tau_r, 0.0)
         omega = np.linspace(0.05, 6.0, 25) / ts.tau_w
         rest = np.asarray(
-            detuning_spectrum(cavity, inputs.beam, opt, inputs, ts.tau_r, omega)
+            detuning_spectrum(cavity, opt, inputs, ts.tau_r, omega)
         )
         assert np.all(rest < peak)

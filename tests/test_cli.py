@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldcloud.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, load_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config(**overrides):
@@ -99,6 +102,18 @@ class TestConfigParsing:
         cfg["cloud"]["sigma_r"] = -1.0
         assert main(["mean", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "cloud" in capsys.readouterr().err
+
+
+class TestShippedConfigs:
+    def test_every_config_loads_with_validate_tolerances(self):
+        # perfbench/checks.py reads mc_sigma and fail_sigma, and the bench's
+        # desk config sets fail_points: each key must stay accepted
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        paths += sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+        assert len(paths) >= 4
+        for path in paths:
+            tolerances = load_config(str(path)).tolerances
+            assert {"mc_sigma", "fail_sigma"} <= set(tolerances), path
 
 
 class TestCurveSubcommands:

@@ -195,6 +195,14 @@ class TestBinaryCountCheck:
         report = binary_count_check(CLOUD, box, [ts.tau_g], 2000, seed=10)
         assert report.all_consistent
 
+    def test_thread_invariant(self):
+        half = 0.5 * CLOUD.sigma_r
+        box = ((-half, -half, -half), (half, half, half))
+        a = binary_count_check(CLOUD, box, [0.0, 0.005], 300, seed=12)
+        b = binary_count_check(CLOUD, box, [0.0, 0.005], 300, seed=12, threads=2)
+        for field in ("mean", "variance", "ratio", "ratio_se"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
     def test_rejects_bad_boxes(self):
         with pytest.raises(ValueError):
             binary_count_check(CLOUD, ((0, 0, 0), (0, 0, 0)), [0.0], 10, seed=1)
