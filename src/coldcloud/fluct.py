@@ -226,15 +226,15 @@ def covariance_series(p: ScaledFluctParams, tau_w: float, T, tau):
     n0 * exp(-zeta*a_T) * sum_k (zeta*b_T)^k L^(1+k) / k!, summed like the
     spectrum series: the drift n0*L*exp(-zeta*(a_T - b_T*L)) times the
     Poisson envelope exp(k*ln g - ln k! - g), g = zeta*b_T*L, whose terms
-    peak near order g, so the term cap follows from the largest g.
+    peak near order g, so the term cap follows from the largest g.  At
+    g = 0 the sum ends after its first term, which is 1.
     """
     lor = _lorentzian(p, tau_w, T, tau)
     drift = p.n0 * lor * np.exp(-p.zeta * (p.a_t(T) - p.b_t(T) * lor))
     growth = p.zeta * p.b_t(T) * lor
-    if np.any(growth):
-        g_max = float(np.max(growth))
-        drift = drift * _log_series(lambda k: xlogy(k, growth) - gammaln(k + 1) - growth,
-                                    g_max, "covariance", f"g={g_max:.3g}")
+    g_max = float(np.max(growth, initial=0.0))
+    drift = drift * _log_series(lambda k: xlogy(k, growth) - gammaln(k + 1) - growth,
+                                g_max, "covariance", f"g={g_max:.3g}")
     return drift if np.ndim(drift) else float(drift)
 
 

@@ -163,19 +163,19 @@ def _realization_rows(c: CloudParams, row, times: np.ndarray, n_realizations: in
     return out
 
 
-def _leave_one_out_covariances(x: np.ndarray) -> np.ndarray:
-    """Sample covariance matrices with each realization left out in turn.
+def _leave_one_out_covariances(cross: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sample covariances with each realization left out in turn.
 
-    x is centered data of shape (n, m); the (n, m, m) result comes from
-    downdated cross sums, O(n*m^2) total.
+    a and b are centered data with realizations along axis 0; they
+    broadcast against each other to the shape of the full cross sum
+    ``cross`` = sum_i a_i * b_i.  The result, one estimate per left-out
+    realization, comes from downdating that sum, so its cost is that of
+    a * b: O(n*m) for matched columns, O(n*m^2) for a full (m, m) matrix.
     """
-    n = x.shape[0]
-    cross = x.T @ x                                   # (m, m)
-    colsum = x.sum(axis=0)                            # (m,), ~0 for centered data
-    outer = x[:, :, None] * x[:, None, :]             # (n, m, m)
-    rest_sum = colsum[None, :] - x                    # (n, m)
-    rest_outer = rest_sum[:, :, None] * rest_sum[:, None, :]
-    return (cross[None, :, :] - outer - rest_outer / (n - 1)) / (n - 2)
+    n = a.shape[0]
+    rest_a = a.sum(axis=0) - a                       # ~ -a for centered data
+    rest_b = b.sum(axis=0) - b
+    return (cross - a * b - rest_a * rest_b / (n - 1)) / (n - 2)
 
 
 def _jackknife_se(loo: np.ndarray) -> np.ndarray:
@@ -188,10 +188,12 @@ def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> E
     n = values.shape[0]
     mean = values.mean(axis=0)
     centered = values - mean
-    cov = centered.T @ centered / (n - 1)
+    cross = centered.T @ centered
+    cov = cross / (n - 1)
     cov = 0.5 * (cov + cov.T)  # enforce exact symmetry of the BLAS product
     var = np.diag(cov).copy()
-    se_cov = _jackknife_se(_leave_one_out_covariances(centered))
+    se_cov = _jackknife_se(_leave_one_out_covariances(
+        cross, centered[:, :, None], centered[:, None, :]))
     se_cov = 0.5 * (se_cov + se_cov.T)
     return EnsembleStats(
         times=np.array(times, dtype=float),
@@ -280,10 +282,11 @@ def binary_count_check(
     n = n_realizations
     mean = counts.mean(axis=0)
     centered = counts - mean
-    var = np.sum(centered**2, axis=0) / (n - 1)
+    sq_sum = np.sum(centered**2, axis=0)
+    var = sq_sum / (n - 1)
     ratio = var / mean
     # leave-one-out variances over leave-one-out means
-    loo_var = np.diagonal(_leave_one_out_covariances(centered), axis1=1, axis2=2)
+    loo_var = _leave_one_out_covariances(sq_sum, centered, centered)
     ratio_se = _jackknife_se(loo_var / (mean - centered / (n - 1)))
 
     consistent = np.abs(ratio - 1.0) <= 3.0 * ratio_se
