@@ -35,7 +35,7 @@ from .effnum import (
     sigma_long_rayleigh,
     sigma_small_waist,
 )
-from .exceptions import QuadratureError, SeriesConvergenceError
+from .exceptions import SeriesConvergenceError
 from .fluct import (
     ScaledFluctParams,
     cosine_transform,
@@ -101,5 +101,5 @@ __all__ = [
     "sample_cloud", "propagate", "effective_count", "weighted_counts",
     "ensemble_stats", "binary_count_check",
     # errors
-    "QuadratureError", "SeriesConvergenceError",
+    "SeriesConvergenceError",
 ]

@@ -3,9 +3,10 @@
 sigma(t) is the column of atoms seen by the probe, weighted transversally
 by the beam profile and normalized by the local beam section.  It is what
 a phase-shift measurement of the probe actually counts.  Besides the
-general quadrature there are three closed forms, valid when the waist is
-small against the cloud, when the Rayleigh length is long against the
-cloud, and when the transit, expansion and fall times are well ordered.
+general quadrature, a fixed longitudinal rule shared with the saturated
+sigma, there are three closed forms, valid when the waist is small against
+the cloud, when the Rayleigh length is long against the cloud, and when
+the transit, expansion and fall times are well ordered.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 
 from .beam import BeamParams, beam_section, beam_size
 from .cloud import CloudParams, _ballistic_decay, _check_time, _spread_sq, time_scales
@@ -31,11 +32,8 @@ __all__ = [
     "linear_field_shift",
 ]
 
-# probabilists' Gauss-Hermite rule in units of the instantaneous cloud
-# spread, with the weights turned into plain dx weights: the rule then
-# applies directly to integrands that carry the cloud Gaussian in x
-_HERMITE_NODES, _HERMITE_WEIGHTS = hermegauss(32)
-_HERMITE_WEIGHTS = _HERMITE_WEIGHTS * np.exp(0.5 * _HERMITE_NODES**2)
+# Gauss-Legendre rule in v for x = l_R*sinh(v), on |v| <= asinh(10*spread/l_R)
+_LONGITUDINAL_NODES, _LONGITUDINAL_WEIGHTS = leggauss(96)
 
 
 @dataclass(frozen=True)
@@ -91,19 +89,33 @@ def layer_number_density(inp: EffNumInputs, x, t):
     return _layer_density_weighted(inp, x, t, 1.0)
 
 
-def sigma_general(inp: EffNumInputs, t):
-    """sigma(t) by Gauss-Hermite quadrature of layer density / beam section.
+def _longitudinal_rule(inp: EffNumInputs, t):
+    """Nodes x and dx weights over the cloud, shape t.shape + (96,).
 
-    The layer density is the cloud Gaussian in x times a factor that, for a
-    paraxial beam (w0 >= lambda), varies over at least 2*pi cloud spreads,
-    so a fixed 32-node rule reaches rounding error for any waist-to-cloud
-    and cloud-to-Rayleigh ratio.  Accepts scalar or array t.
+    The integrands carry the cloud Gaussian in x, cut at ten instantaneous
+    spreads, and the beam's 1/(1 + (x/l_R)^2), whose poles at x = +-i*l_R
+    set the scale of anything driven by the local intensity.  Substituting
+    x = l_R*sinh(v) keeps those poles a fixed distance from the v axis
+    (the sinh transformation of Johnston & Elliott, IJNME 62, 2005), so one
+    Gauss-Legendre rule in v serves any ratio of Rayleigh length to cloud.
+    """
+    l_r = inp.beam.rayleigh_length
+    half = np.arcsinh(10.0 * np.sqrt(_spread_sq(inp.cloud, t)) / l_r)[..., None]
+    v = half * _LONGITUDINAL_NODES
+    return l_r * np.sinh(v), half * _LONGITUDINAL_WEIGHTS * l_r * np.cosh(v)
+
+
+def sigma_general(inp: EffNumInputs, t):
+    """sigma(t) by the longitudinal rule over layer density / beam section.
+
+    For a paraxial beam (w0 >= lambda) the rule reaches rounding error for
+    any waist-to-cloud and cloud-to-Rayleigh ratio.  Accepts scalar or
+    array t.
     """
     t = _check_time(t)
-    spread = np.sqrt(_spread_sq(inp.cloud, t))[..., None]
-    x = spread * _HERMITE_NODES
+    x, dx = _longitudinal_rule(inp, t)
     integrand = _layer_density_weighted(inp, x, t[..., None]) / beam_section(inp.beam, x)
-    out = spread[..., 0] * (integrand @ _HERMITE_WEIGHTS)
+    out = np.sum(integrand * dx, axis=-1)
     return out if out.ndim else float(out)
 
 

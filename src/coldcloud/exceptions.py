@@ -2,19 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["QuadratureError", "SeriesConvergenceError"]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the achieved relative error so callers can decide whether the
-    partial result is still usable.
-    """
-
-    def __init__(self, message: str, achieved_rel_error: float):
-        super().__init__(f"{message} (achieved relative error {achieved_rel_error:.3e})")
-        self.achieved_rel_error = achieved_rel_error
+__all__ = ["SeriesConvergenceError"]
 
 
 class SeriesConvergenceError(RuntimeError):

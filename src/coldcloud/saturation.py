@@ -2,27 +2,32 @@
 
 When the probe drives the atoms hard, the polarizability of an atom at
 local saturation s is reduced by 1/(1+2s), so bright on-axis atoms count
-less than atoms in the wings.  The general evaluation expands the response
-in powers of the on-axis saturation, each term being the unsaturated layer
-density at a beam size shrunk by the term order; strong saturation uses a
-radial integral over the layer, the angle about the beam axis being done
-in closed form.  In the joint limit of a small waist and a long Rayleigh
-length the whole sum collapses to a logarithm.
+less than atoms in the wings.  The general evaluation is the longitudinal
+rule of the linear sigma over saturated layers.  A weakly saturated layer
+expands the response in powers of the on-axis saturation, each term being
+the unsaturated layer density at a beam size shrunk by the term order; a
+strongly saturated one is a fixed radial rule, the angle about the beam
+axis being done in closed form.  In the joint limit of a small waist and a
+long Rayleigh length the whole sum collapses to a logarithm.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 from scipy.special import i0e
 
 from .beam import beam_section, beam_size
 from .cloud import _check_time, _spread_sq, density
-from .effnum import EffNumInputs, _field_shift, _layer_density_weighted, sigma_small_waist
-from .exceptions import QuadratureError
+from .effnum import (
+    EffNumInputs,
+    _field_shift,
+    _layer_density_weighted,
+    _longitudinal_rule,
+    sigma_small_waist,
+)
 from .optical import OpticalParams, polarizability
 
 __all__ = [
@@ -43,9 +48,8 @@ _SERIES_RTOL = 1e-12
 # this many orders always reach _SERIES_RTOL
 _SERIES_ORDERS = math.ceil(math.log(_SERIES_RTOL * (1.0 - _SERIES_THRESHOLD))
                            / math.log(_SERIES_THRESHOLD))
-# relative tolerances of the longitudinal integral and of each radial layer
-_RTOL = 1e-9
-_LAYER_RTOL = 1e-11
+# Gauss-Legendre rule of the radial layer integral, on [-1, 1]
+_RADIAL_NODES, _RADIAL_WEIGHTS = leggauss(64)
 
 
 def saturation_on_axis(opt: OpticalParams, b, x):
@@ -77,39 +81,41 @@ def sigma_saturated_closed(inp: EffNumInputs, opt: OpticalParams, t):
     return out if out.ndim else float(out)
 
 
-def _saturated_layer_series(inp: EffNumInputs, s_m: float, x: float, t: float) -> float:
-    """Saturation expansion of the weighted layer density at one x.
+def _saturated_layer_series(inp: EffNumInputs, s_m, x, t):
+    """Saturation expansion of the weighted layer density at nodes x.
 
     Alternating series with terms (-2*s_m)^k times the layer density for
     weight power k+1; term magnitudes decrease, so the truncation error is
-    bounded by the first dropped term.
+    bounded by the first dropped term.  Each node keeps its partial sum
+    from its first term within _SERIES_RTOL of that sum on.
     """
-    factor = -2.0 * s_m
-    coeff = 1.0
-    total = 0.0
+    factor = -2.0 * np.asarray(s_m, dtype=float)
+    coeff = np.ones_like(factor)
+    total = np.zeros_like(factor)
+    running = np.ones(factor.shape, dtype=bool)
     for k in range(_SERIES_ORDERS + 1):
         term = coeff * _layer_density_weighted(inp, x, t, float(k + 1))
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return total
-        coeff *= factor
-    raise QuadratureError(
-        f"saturation series did not converge at x={x:g} (2*s_m={2 * s_m:g})",
-        abs(term) / abs(total) if total else math.inf,
-    )
+        total = np.where(running, total + term, total)
+        running &= np.abs(term) > _SERIES_RTOL * np.abs(total)
+        if not running.any():
+            break
+        coeff = coeff * factor
+    return total if total.ndim else float(total)
 
 
-def _saturated_layer_quadrature(inp: EffNumInputs, s_m: float, x: float, t: float) -> float:
-    """Radial integral of f/(1+2*s_m*f) * density over one transverse layer.
+def _saturated_layer_quadrature(inp: EffNumInputs, s_m, x, t):
+    """Radial integral of f/(1+2*s_m*f) * density over transverse layers.
 
     The weight is symmetric about the beam axis and the cloud Gaussian sits
     a distance d = g*t^2/2 off it, so the angle integrates in closed form
     to 2*pi*exp(-(r-d)^2/(2*var))*I0(r*d/var) (Abramowitz & Stegun 9.6)
-    and one integral over r remains.  It stops ten product widths beyond
-    the peak of the weight (standard width w/2) times the cloud.
+    and one integral over r remains, taken by a 64-node Gauss-Legendre
+    rule.  It stops ten product widths beyond the peak of the weight
+    (standard width w/2) times the cloud.  Elementwise over nodes x.
     """
     c = inp.cloud
-    w = beam_size(inp.beam, x)
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    w = np.asarray(beam_size(inp.beam, x))
     var = _spread_sq(c, t)
     d = 0.5 * c.g * t**2
     inv_w_sq = 2.0 / (w * w)
@@ -117,59 +123,37 @@ def _saturated_layer_quadrature(inp: EffNumInputs, s_m: float, x: float, t: floa
     # weight (variance w^2/4) times cloud (variance var, centred at d) is a
     # Gaussian of precision prec peaking at d/(var*prec)
     prec = 2.0 * inv_w_sq + inv_var
-    r_hi = (d * inv_var + 10.0 * math.sqrt(prec)) / prec
+    r_hi = (d * inv_var + 10.0 * np.sqrt(prec)) / prec
     # the density on the fallen cloud's axis at this x
-    norm = density(c, (x, 0.0, -d), t)
-    two_s = 2.0 * s_m
-
-    def integrand(r: float) -> float:
-        f = math.exp(-r * r * inv_w_sq)
-        ring = r * math.exp(-0.5 * (r - d) ** 2 * inv_var) * i0e(r * d * inv_var)
-        return f / (1.0 + two_s * f) * ring
-
-    value, _ = quad(integrand, 0.0, r_hi, epsabs=0.0, epsrel=_LAYER_RTOL)
-    return 2.0 * math.pi * norm * value
-
-
-def _sigma_saturated_at(inp: EffNumInputs, opt: OpticalParams, t: float) -> float:
-    """Longitudinal quadrature of the saturated layers over beam section at one t."""
-    beam = inp.beam
-    half_width = 10.0 * math.sqrt(_spread_sq(inp.cloud, t))
-
-    def integrand(x: float) -> float:
-        s_m = saturation_on_axis(opt, beam, x)
-        if 2.0 * s_m < _SERIES_THRESHOLD:
-            layer = _saturated_layer_series(inp, s_m, x, t)
-        else:
-            layer = _saturated_layer_quadrature(inp, s_m, x, t)
-        return layer / beam_section(beam, x)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        value, abserr, info, *tail = quad(
-            integrand, -half_width, half_width,
-            epsabs=0.0, epsrel=_RTOL, limit=200, full_output=1,
-        )
-    achieved = abserr / abs(value) if value != 0 else math.inf
-    if tail or achieved > 10.0 * _RTOL:
-        raise QuadratureError(
-            f"saturated sigma quadrature did not converge to {_RTOL:g} relative at t={t:g}",
-            achieved,
-        )
-    return value
+    norm = density(c, np.stack([x, np.zeros_like(x), -d], axis=-1), t)
+    two_s = 2.0 * np.asarray(s_m, dtype=float)[..., None]
+    half = 0.5 * r_hi[..., None]
+    r = half * (1.0 + _RADIAL_NODES)
+    f = np.exp(-r * r * inv_w_sq[..., None])
+    ring = (r * np.exp(-0.5 * (r - d[..., None]) ** 2 * inv_var[..., None])
+            * i0e(r * (d * inv_var)[..., None]))
+    value = np.sum(f / (1.0 + two_s * f) * ring * (half * _RADIAL_WEIGHTS), axis=-1)
+    out = 2.0 * math.pi * norm * value
+    return out if out.ndim else float(out)
 
 
 def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t):
-    """Saturated sigma by longitudinal quadrature of the saturated layers.
+    """Saturated sigma by the longitudinal rule over the saturated layers.
 
     Each layer uses the power series in -2*s_m(x) while 2*s_m(x) is below
-    0.8 (the series alternates and converges geometrically there) and a
-    radial integral beyond, where the expansion no longer converges.
-    Accepts scalar or array t; each time is its own adaptive quadrature.
+    0.8 (the series alternates and converges geometrically there) and the
+    radial rule beyond, where the expansion no longer converges.  Accepts
+    scalar or array t.
     """
     t = _check_time(t)
-    out = np.array([_sigma_saturated_at(inp, opt, ti) for ti in t.ravel().tolist()])
-    out = out.reshape(t.shape)
+    x, dx = _longitudinal_rule(inp, t)
+    t_x = np.broadcast_to(t[..., None], x.shape)
+    s_m = saturation_on_axis(opt, inp.beam, x)
+    series = 2.0 * s_m < _SERIES_THRESHOLD
+    layer = np.empty_like(x)
+    layer[series] = _saturated_layer_series(inp, s_m[series], x[series], t_x[series])
+    layer[~series] = _saturated_layer_quadrature(inp, s_m[~series], x[~series], t_x[~series])
+    out = np.sum(layer / beam_section(inp.beam, x) * dx, axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -281,7 +281,7 @@ class TestFuzzedScalarFields:
             cfg_path = os.path.join(out, "config.json")
             with open(cfg_path, "w", encoding="utf-8") as handle:
                 json.dump(cfg, handle)
-            for sub in ("mean", "variance", "sigma"):
+            for sub in ("mean", "variance", "sigma", "saturated"):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
                     code = main([sub, "--config", cfg_path, "--out", out])

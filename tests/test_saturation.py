@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coldcloud
 from coldcloud import (
     BeamParams,
     CloudParams,
@@ -24,7 +28,7 @@ from coldcloud import (
 from coldcloud.effnum import _layer_density_weighted
 from coldcloud.saturation import _saturated_layer_quadrature
 
-from oracles import gaussian_product_window, transverse_quad
+from oracles import gaussian_product_window, sigma_saturated_quad, transverse_quad
 
 
 def joint_limit_inputs(g=9.81):
@@ -166,6 +170,13 @@ class TestSaturatedGeneral:
         got = sigma_saturated_general(inp, OpticalParams(2.0, 0.0), 0.01)
         assert got == pytest.approx(sigma_general(inp, 0.01), rel=1e-13)
 
+    def test_zero_saturation_is_the_linear_rule_bit_for_bit(self):
+        inp = joint_limit_inputs()
+        t = np.linspace(0.0, 0.03, 7)
+        np.testing.assert_array_equal(
+            sigma_saturated_general(inp, OpticalParams(2.0, 0.0), t), sigma_general(inp, t)
+        )
+
     @pytest.mark.parametrize("s_m0", [0.1, 0.3])
     def test_series_matches_closed_form_in_joint_limit(self, s_m0):
         inp = joint_limit_inputs()
@@ -201,6 +212,40 @@ class TestSaturatedGeneral:
         )
 
 
+# (w0, s_m0, g, t) at 852 nm on a 1 mm cloud: Rayleigh lengths from 4e-3 to
+# 3e4 cloud radii; weak saturation (series layers only), 2*s_m0 = 1 (radial
+# layers near the waist, series in the wings) and strong saturation
+SATURATED_REGIMES = [
+    (w0, s_m0, g, t)
+    for w0 in (1e-6, 1e-5, 2e-5, 1e-4, 3e-3)
+    for s_m0, g, t in ((0.1, 9.81, 0.02), (0.5, 0.0, 0.0), (2.0, 9.81, 0.02))
+] + [(1e-5, 2.0, 0.0, 0.01)]
+
+
+@pytest.mark.parametrize("w0,s_m0,g,t", SATURATED_REGIMES)
+def test_saturated_sigma_matches_adaptive_oracle(w0, s_m0, g, t):
+    # the fixed rules against adaptive x over adaptive radial layers, no
+    # series; 1e-12 is the series cut.  The saturation varies on the
+    # Rayleigh length, so a rule scaled to the cloud alone misses it when
+    # the Rayleigh length is short: a 32-node Gauss-Hermite rule is 1.9e-2
+    # off at w0 = 10 um
+    inp = EffNumInputs(CloudParams(1e6, 1e-3, 0.1, g), BeamParams(w0, 852e-9))
+    opt = OpticalParams(delta=10.0, s_m0=s_m0)
+    expected = sigma_saturated_quad(inp, opt, t)
+    assert sigma_saturated_general(inp, opt, t) == pytest.approx(expected, rel=1e-12)
+
+
+def test_import_leaves_out_scipy_integrate():
+    # no adaptive quadrature in the package: importing it loads no QUADPACK
+    package_root = os.path.dirname(os.path.dirname(coldcloud.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, coldcloud; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"
+
+
 # (sigma_r, w0, g, t, x, s_m): waists below, at and above the cloud size,
 # the cloud on the axis and fallen far off it, weak to strong saturation
 RADIAL_REGIMES = [
@@ -234,12 +279,13 @@ class TestTransverseSaturationIntegral:
         expected = rho_axis * section * math.log(1.0 + 2.0 * s_m) / (2.0 * s_m)
         assert got == pytest.approx(expected, rel=1e-5)
 
-    def test_quadrature_matches_series_in_its_domain(self):
-        # where the expansion converges both evaluations must agree
+    @pytest.mark.parametrize("s_m", [0.3, 0.3999])
+    def test_quadrature_matches_series_in_its_domain(self, s_m):
+        # where the expansion converges both evaluations must agree, up to
+        # its edge at 2*s_m = 0.8 (about 106 orders at 0.7998)
         inp = joint_limit_inputs()
         from coldcloud.saturation import _saturated_layer_series
 
-        s_m = 0.3
         x, t = 2e-4, 0.008
         series = _saturated_layer_series(inp, s_m, x, t)
         quadr = _saturated_layer_quadrature(inp, s_m, x, t)
