@@ -23,6 +23,8 @@ __all__ = [
     "mode_amplitude",
 ]
 
+_EXP_UNDERFLOW = -745.2  # exp(x) is 0.0 here and below; the least subnormal is exp(-744.44)
+
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -80,11 +82,15 @@ def weight(p: BeamParams, r):
 
     Equals 1 on the beam axis and decays monotonically with transverse
     radius.  ``r`` is a 3-vector or an array of shape (..., 3).
+
+    At exponents <= -745.2, f is exact 0.0, what ``exp`` rounds to, without
+    calling ``exp``: numpy's SIMD exp is ~25x slower on underflowing
+    arguments, where most Monte Carlo atoms sit.  NaN stays NaN.
     """
     r = np.asarray(r, dtype=float)
-    w2 = np.asarray(beam_size(p, r[..., 0])) ** 2
-    rho2 = r[..., 1] ** 2 + r[..., 2] ** 2
-    out = np.exp(-2.0 * rho2 / w2)
+    expo = -2.0 * (r[..., 1] ** 2 + r[..., 2] ** 2) / np.asarray(beam_size(p, r[..., 0])) ** 2
+    out = np.zeros_like(expo)
+    np.exp(expo, out=out, where=~(expo <= _EXP_UNDERFLOW))
     return out if out.ndim else float(out)
 
 

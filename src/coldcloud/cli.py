@@ -518,6 +518,10 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         status = "pass" if entry["pass"] else "FAIL"
         print(f"[{status}] {entry['name']}: z = {entry['z']:+.2f}")
     print(f"validate: {report['n_checks'] - report['n_failures']}/{report['n_checks']} checks passed")
+    undefined = [c[0] for c in checks if not np.isfinite(c[3])]
+    if undefined:
+        raise ValueError(f"no data (zero box counts or zero standard error), z undefined for "
+                         f"{len(undefined)} checks: {', '.join(undefined)}")
     return {
         "validate.csv": {
             "z_score": z, "estimate": np.array([c[1] for c in checks]),

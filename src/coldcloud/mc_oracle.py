@@ -52,7 +52,12 @@ def substream_seed(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled cloud: atom positions and velocities at release."""
+    """One sampled cloud: atom positions and velocities at release.
+
+    sample_cloud stores both (count, 3) arrays column-major, so each
+    coordinate ``[:, d]``, which propagation, weight and box test read, is
+    contiguous.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -106,21 +111,24 @@ def sample_cloud(c: CloudParams, seed: int) -> Realization:
 
     The atom count is Poisson with mean n_total; positions and velocities
     are i.i.d. isotropic Gaussians (sigma_r, sigma_v).  Draw order is
-    fixed: count, then positions, then velocities.
+    fixed: count, then positions, then velocities, each a row-major
+    (count, 3) block of draws stored column-major (see Realization).
     """
     if not c.n_total > 0:
         raise ValueError("sampling requires a positive mean atom number")
     rng = np.random.Generator(np.random.PCG64(seed))
     count = int(rng.poisson(c.n_total))
-    positions = c.sigma_r * rng.standard_normal((count, 3))
-    velocities = c.sigma_v * rng.standard_normal((count, 3))
+    positions, velocities = (np.empty((count, 3), order="F") for _ in range(2))
+    np.multiply(c.sigma_r, rng.standard_normal((count, 3)), out=positions)
+    np.multiply(c.sigma_v, rng.standard_normal((count, 3)), out=velocities)
     return Realization(positions=positions, velocities=velocities, count=count)
 
 
 def propagate(r0, v0, g: float, t: float):
     """Ballistic position r0 + v0*t with the gravity drop -g*t^2/2 along z.
 
-    Accepts single 3-vectors or arrays of shape (..., 3).
+    Accepts single 3-vectors or arrays of shape (..., 3); the result keeps
+    the memory layout of the inputs.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -274,9 +282,16 @@ def binary_count_check(
         raise ValueError("box lower bounds must be below upper bounds")
     times = np.atleast_1d(np.asarray(times, dtype=float))
 
+    def inside(pos: np.ndarray) -> int:
+        # column by column: no (count, 3) boolean temporaries
+        mask = np.ones(pos.shape[0], dtype=bool)
+        for d in range(3):
+            mask &= pos[:, d] >= lo[d]
+            mask &= pos[:, d] <= hi[d]
+        return np.count_nonzero(mask)
+
     def box_counts(real: Realization):
-        positions = (propagate(real.positions, real.velocities, c.g, t) for t in times)
-        return [np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1)) for pos in positions]
+        return [inside(propagate(real.positions, real.velocities, c.g, t)) for t in times]
 
     counts = _realization_rows(c, box_counts, times, n_realizations, seed, threads)
     n = n_realizations

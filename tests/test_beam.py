@@ -110,3 +110,31 @@ def test_weight_power_shrinks_beam_size(x, y, z, j):
     direct = weight(beam, (x, y, z)) ** j
     shrunk = math.exp(-2.0 * (y * y + z * z) / (w_sq / j))
     assert direct == pytest.approx(shrunk, rel=1e-13, abs=1e-300)
+
+
+def _plain_weight(p, r):
+    """f(r) as the bare formula with one exp call over every point."""
+    w_sq = (p.w0 * np.sqrt(1.0 + (r[..., 0] / p.rayleigh_length) ** 2)) ** 2
+    return np.exp(-2.0 * (r[..., 1] ** 2 + r[..., 2] ** 2) / w_sq)
+
+
+def test_weight_equals_plain_exp_across_underflow(beam):
+    # exponents over [-800, 0] with a dense band around the underflow edge
+    rng = np.random.default_rng(31)
+    expo = np.concatenate([np.linspace(-800.0, 0.0, 20001), np.linspace(-760.0, -700.0, 60001)])
+    x = rng.uniform(-3.0, 3.0, expo.size) * beam.rayleigh_length
+    rho = np.sqrt(-0.5 * expo) * np.asarray(beam_size(beam, x))
+    phi = rng.uniform(0.0, 2.0 * math.pi, expo.size)
+    r = np.stack([x, rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+    plain = _plain_weight(beam, r)
+    assert np.count_nonzero(plain == 0.0) > 1000 and np.count_nonzero(plain > 0.0) > 1000
+    np.testing.assert_array_equal(weight(beam, r), plain)
+    np.testing.assert_array_equal(weight(beam, np.asfortranarray(r)), plain)
+
+
+def test_weight_passes_nan_and_returns_float_for_a_vector(beam):
+    assert math.isnan(weight(beam, (0.0, math.nan, 0.0)))
+    out = weight(beam, np.array([[0.0, 0.0, 0.0], [math.nan, 1.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert out[0] == 1.0 and math.isnan(out[1]) and out[2] == 0.0
+    far = weight(beam, (0.0, 1.0, 0.0))
+    assert type(far) is float and far == 0.0

@@ -254,6 +254,24 @@ class TestMonteCarloSubcommands:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["validate", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_FAIL
 
+    def test_validate_names_the_checks_without_data(self, tmp_path, capsys):
+        # by t = 0.1 s the desk cloud has fallen ~5 sigma_r below the beam
+        # and the Poisson box: no counts, zero standard errors
+        cfg = json.loads((ROOT / "configs" / "validate_desk.json").read_text())
+        cfg["grids"]["t"] = [0.0, 0.05, 0.1]
+        cfg["mc"]["realizations"] = 50
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["validate", "--config", cfg_path, "--out", str(out)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert "column z_score is not finite" not in err
+        for name in ("gravity.mean[t=0.1]", "gravity.variance[t=0.1]",
+                     "gravity.covariance[t=0,t'=0.1]", "gravity.poisson_ratio[t=0.1]"):
+            assert name in err
+        assert "gravity.mean[t=0]," not in err
+        assert not (out / "validate.csv").exists()
+
 
 FUZZED_FIELDS = [
     ("cloud", "n_total"), ("cloud", "sigma_r"), ("cloud", "sigma_v"), ("cloud", "g"),

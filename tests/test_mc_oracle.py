@@ -71,6 +71,19 @@ class TestSampleCloud:
         with pytest.raises(ValueError):
             sample_cloud(CloudParams(0.0, 1e-3, 0.1), 1)
 
+    def test_draws_are_scaled_normals_in_column_major_layout(self):
+        real = sample_cloud(CLOUD, 2024)
+        rng = np.random.Generator(np.random.PCG64(2024))
+        count = int(rng.poisson(CLOUD.n_total))
+        assert real.count == count
+        positions = CLOUD.sigma_r * rng.standard_normal((count, 3))
+        velocities = CLOUD.sigma_v * rng.standard_normal((count, 3))
+        np.testing.assert_array_equal(real.positions, positions)
+        np.testing.assert_array_equal(real.velocities, velocities)
+        moved = propagate(real.positions, real.velocities, CLOUD.g, 0.01)
+        for array in (real.positions, real.velocities, moved):
+            assert all(array[:, d].flags.c_contiguous for d in range(3))
+
 
 class TestPropagate:
     def test_identity_at_zero_time(self):
@@ -172,6 +185,55 @@ class TestEnsembleStats:
     def test_rejects_tiny_ensembles(self):
         with pytest.raises(ValueError):
             ensemble_stats(CLOUD, BEAM, [0.0], 1, seed=0)
+
+
+def _naive_rows(c, seed, n_realizations, times, per_time):
+    """Realization loop written out by hand: row-major draws, propagation
+    by the formula, per_time(positions) at every time."""
+    rows = []
+    for i in range(n_realizations):
+        rng = np.random.Generator(np.random.PCG64(substream_seed(seed, i)))
+        count = int(rng.poisson(c.n_total))
+        r0 = c.sigma_r * rng.standard_normal((count, 3))
+        v0 = c.sigma_v * rng.standard_normal((count, 3))
+        row = []
+        for t in times:
+            pos = r0 + v0 * t
+            pos[:, 2] -= 0.5 * c.g * t**2
+            row.append(per_time(pos))
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+class TestAgainstNaiveLoop:
+    # a beam wide enough that weights both underflow and survive
+    beam = BeamParams(w0=40e-6, wavelength=1e-9)
+    times = np.array([0.0, 0.004, 0.011])
+
+    def test_weighted_counts(self):
+        l_r = self.beam.rayleigh_length
+
+        def plain_count(pos):
+            w_sq = (self.beam.w0 * np.sqrt(1.0 + (pos[:, 0] / l_r) ** 2)) ** 2
+            return float(np.sum(np.exp(-2.0 * (pos[:, 1] ** 2 + pos[:, 2] ** 2) / w_sq)))
+
+        naive = _naive_rows(CLOUD, 17, 40, self.times, plain_count)
+        assert np.all(naive > 0.0)
+        for threads in (1, 2):
+            np.testing.assert_array_equal(
+                weighted_counts(CLOUD, self.beam, self.times, 40, 17, threads), naive)
+
+    def test_binary_count_check(self):
+        lo = np.array([-1e-3, -5e-4, -2e-3])
+        hi = np.array([8e-4, 1e-3, 4e-4])
+
+        def box_count(pos):
+            return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
+
+        naive = _naive_rows(CLOUD, 23, 60, self.times, box_count)
+        report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23)
+        np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
+        np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
 
 
 class TestBinaryCountCheck:
