@@ -2,7 +2,11 @@
 
 Every subcommand reads one JSON config (SI units throughout), writes CSV
 data files plus a JSON run manifest into the output directory, and exits 0
-on success.  Outputs are byte-identical for identical config and seed.
+on success.  Data files are byte-identical for identical config and seed;
+the manifest also records the Python, numpy and scipy versions (scipy is
+null when the run never loaded it) and the wall times of the load,
+compute and write stages (``load_s``, ``compute_s``, ``write_s``), which
+vary from run to run.
 
 Config layout (keys follow the parameter bundles of the library)::
 
@@ -39,6 +43,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,9 +307,13 @@ def write_manifest(
     outputs: list[str],
     extra: dict | None = None,
 ) -> str:
+    scipy = sys.modules.get("scipy")
     manifest = {
         "tool": "coldcloud",
         "version": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "scipy": None if scipy is None else scipy.__version__,
         "subcommand": subcommand,
         "seed": seed,
         "threads": threads,
@@ -468,26 +477,28 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
     checks = []
     mean_th = np.asarray(mean_number(inp, times))
     var_th = np.asarray(variance(inp, times))
-    for j, t in enumerate(times):
-        checks.append((f"{label}.mean[t={t:g}]", stats.mean[j], mean_th[j],
-                       (stats.mean[j] - mean_th[j]) / stats.se_mean[j]))
-        checks.append((f"{label}.variance[t={t:g}]", stats.variance[j], var_th[j],
-                       (stats.variance[j] - var_th[j]) / stats.se_variance[j]))
-    for j in range(times.size):
-        for k in range(j + 1, times.size):
-            th = covariance_exact(inp, 0.5 * (times[j] + times[k]), times[j] - times[k])
-            z = (stats.covariance[j, k] - th) / stats.se_covariance[j, k]
-            checks.append((f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]",
-                           stats.covariance[j, k], th, z))
-
     half = 0.5 * cloud.sigma_r
     report = binary_count_check(
         cloud, ((-half, -half, -half), (half, half, half)),
         times, cfg.mc_realizations, seed + 1, threads,
     )
-    for j, t in enumerate(times):
-        z = (report.ratio[j] - 1.0) / report.ratio_se[j]
-        checks.append((f"{label}.poisson_ratio[t={t:g}]", report.ratio[j], 1.0, z))
+    # a check without data (zero standard error) gets a non-finite z, which
+    # _validate reports by name
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, t in enumerate(times):
+            checks.append((f"{label}.mean[t={t:g}]", stats.mean[j], mean_th[j],
+                           (stats.mean[j] - mean_th[j]) / stats.se_mean[j]))
+            checks.append((f"{label}.variance[t={t:g}]", stats.variance[j], var_th[j],
+                           (stats.variance[j] - var_th[j]) / stats.se_variance[j]))
+        for j in range(times.size):
+            for k in range(j + 1, times.size):
+                th = covariance_exact(inp, 0.5 * (times[j] + times[k]), times[j] - times[k])
+                z = (stats.covariance[j, k] - th) / stats.se_covariance[j, k]
+                checks.append((f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]",
+                               stats.covariance[j, k], th, z))
+        for j, t in enumerate(times):
+            z = (report.ratio[j] - 1.0) / report.ratio_se[j]
+            checks.append((f"{label}.poisson_ratio[t={t:g}]", report.ratio[j], 1.0, z))
     return checks
 
 
@@ -522,6 +533,15 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
     if undefined:
         raise ValueError(f"no data (zero box counts or zero standard error), z undefined for "
                          f"{len(undefined)} checks: {', '.join(undefined)}")
+    # chance that the largest |z| of this many independent normal checks
+    # is at least the worst one: small values point to a defect, not noise
+    worst = int(np.argmax(np.abs(z)))
+    with np.errstate(divide="ignore"):
+        tail = np.log1p(-math.erfc(abs(z[worst]) / math.sqrt(2.0)))
+    report.update(worst_check=checks[worst][0], worst_z=float(z[worst]),
+                  familywise_p=float(-np.expm1(len(checks) * tail)))
+    print(f"validate: worst check {report['worst_check']}: z = {report['worst_z']:+.2f}, "
+          f"family-wise p = {report['familywise_p']:.3g} over {len(checks)} checks")
     return {
         "validate.csv": {
             "z_score": z, "estimate": np.array([c[1] for c in checks]),
@@ -544,11 +564,17 @@ SUBCOMMANDS = {
 }
 
 
-def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
+def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int,
+         load_s: float) -> int:
     """Compute one subcommand, write its files and manifest, return the exit
     code: failure exactly when the manifest says all_pass is false.  A
-    non-finite CSV column raises ValueError before any file is written."""
+    non-finite CSV column raises ValueError before any file is written.
+    load_s, the seconds the config took to load, goes into the manifest
+    with the compute and write times (the write time leaves out the
+    manifest itself)."""
+    start = time.perf_counter()
     outputs, extra = SUBCOMMANDS[subcommand](cfg, seed, threads)
+    computed = time.perf_counter()
     for name, content in outputs.items():
         if name.endswith(".csv"):
             for column, values in content.items():
@@ -562,7 +588,9 @@ def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int)
                 handle.write("\n")
         else:
             write_csv(path, list(content), list(content.values()))
-    write_manifest(out_dir, subcommand, cfg, seed, threads, list(outputs), extra)
+    stages = {"load_s": load_s, "compute_s": computed - start,
+              "write_s": time.perf_counter() - computed}
+    write_manifest(out_dir, subcommand, cfg, seed, threads, list(outputs), {**extra, **stages})
     return EXIT_OK if extra.get("all_pass", True) else EXIT_FAIL
 
 
@@ -600,11 +628,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        start = time.perf_counter()
         cfg = load_config(args.config)
+        load_s = time.perf_counter() - start
         out_dir = args.out or os.environ.get(_OUT_DIR_ENV) or "."
         os.makedirs(out_dir, exist_ok=True)
         seed = args.seed if args.seed is not None else cfg.mc_seed
-        return _run(args.subcommand, cfg, out_dir, seed, args.threads)
+        return _run(args.subcommand, cfg, out_dir, seed, args.threads, load_s)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import k as _BOLTZMANN
 
 from .beam import BeamParams
 
@@ -25,6 +24,9 @@ __all__ = [
     "density",
     "center_density",
 ]
+
+# Boltzmann constant, J/K: exact in the SI since 2019
+_BOLTZMANN = 1.380649e-23
 
 
 @dataclass(frozen=True)

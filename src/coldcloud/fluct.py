@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .cloud import _ballistic_decay, _check_time, time_scales
 from .effnum import EffNumInputs
@@ -229,6 +228,12 @@ def covariance_series(p: ScaledFluctParams, tau_w: float, T, tau):
     peak near order g, so the term cap follows from the largest g.  At
     g = 0 the sum ends after its first term, which is 1.
     """
+    # scipy.special is imported here and in the other two gravity-series
+    # functions, not with the package: it costs more than most commands.
+    # The one-term p_k recurrence planned in ROADMAP.md (item 2) deletes
+    # these imports.
+    from scipy.special import gammaln, xlogy
+
     lor = _lorentzian(p, tau_w, T, tau)
     drift = p.n0 * lor * np.exp(-p.zeta * (p.a_t(T) - p.b_t(T) * lor))
     growth = p.zeta * p.b_t(T) * lor
@@ -261,6 +266,8 @@ def pk_polynomial(k: int, x):
 
 def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     """log p_k(x) elementwise, stable for large k and large x."""
+    from scipy.special import gammaln, logsumexp
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     j = np.arange(k + 1, dtype=float)
     log_coeff = gammaln(2 * k - j + 1) - gammaln(j + 1) - gammaln(k - j + 1)
@@ -297,6 +304,8 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if c == 0.0:
         return np.exp(-x)
+    from scipy.special import gammaln
+
     log_c = math.log(c)
 
     def log_term(k: int) -> np.ndarray:

@@ -91,7 +91,9 @@ class BinaryCountReport:
 
     For a 0/1 weight the count must stay Poissonian at all times, so the
     variance/mean ratio is 1 up to sampling error.  ``consistent`` flags
-    |ratio - 1| <= 3 standard errors per time.
+    |ratio - 1| <= 3 standard errors per time.  At a time when no atom of
+    any realization is in the box, ratio and ratio_se are NaN and the time
+    is not consistent.
     """
 
     times: np.ndarray
@@ -299,10 +301,12 @@ def binary_count_check(
     centered = counts - mean
     sq_sum = np.sum(centered**2, axis=0)
     var = sq_sum / (n - 1)
-    ratio = var / mean
-    # leave-one-out variances over leave-one-out means
+    # leave-one-out variances over leave-one-out means; 0/0 (NaN) for an
+    # empty box
     loo_var = _leave_one_out_covariances(sq_sum, centered, centered)
-    ratio_se = _jackknife_se(loo_var / (mean - centered / (n - 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = var / mean
+        ratio_se = _jackknife_se(loo_var / (mean - centered / (n - 1)))
 
     consistent = np.abs(ratio - 1.0) <= 3.0 * ratio_se
     return BinaryCountReport(

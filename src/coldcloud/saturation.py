@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import i0e
 
 from .beam import beam_section, beam_size
 from .cloud import _check_time, _spread_sq, density
@@ -50,6 +49,66 @@ _SERIES_ORDERS = math.ceil(math.log(_SERIES_RTOL * (1.0 - _SERIES_THRESHOLD))
                            / math.log(_SERIES_THRESHOLD))
 # Gauss-Legendre rule of the radial layer integral, on [-1, 1]
 _RADIAL_NODES, _RADIAL_WEIGHTS = leggauss(64)
+
+# Chebyshev coefficients of exp(-x) I0(x) (Cephes i0.c, the expansions
+# np.i0 also uses): in x/2 - 2 on [0, 8], and of sqrt(x) exp(-x) I0(x) in
+# 32/x - 2 on (8, inf)
+_I0E_SMALL = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
+    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
+    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
+    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
+    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
+    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
+    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
+    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
+    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
+    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
+    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+_I0E_LARGE = (
+    -7.23318048787475395456E-18, -4.83050448594418207126E-18,
+    4.46562142029675999901E-17, 3.46122286769746109310E-17,
+    -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+    1.77256013305652638360E-15, 3.81168066935262242075E-15,
+    -9.55484669882830764870E-15, -4.15056934728722208663E-14,
+    1.54008621752140982691E-14, 3.85277838274214270114E-13,
+    7.18012445138366623367E-13, -1.79417853150680611778E-12,
+    -1.32158118404477131188E-11, -3.14991652796324136454E-11,
+    1.18891471078464383424E-11, 4.94060238822496958910E-10,
+    3.39623202570838634515E-9, 2.26666899049817806459E-8,
+    2.04891858946906374183E-7, 2.89137052083475648297E-6,
+    6.88975834691682398426E-5, 3.36911647825569408990E-3,
+    8.04490411014108831608E-1,
+)
+
+
+def _chebyshev(y, coeffs):
+    """Chebyshev series at y by the Clenshaw recurrence of Cephes chbevl."""
+    b0, b1, b2 = coeffs[0], 0.0, 0.0
+    for c in coeffs[1:]:
+        b2, b1 = b1, b0
+        b0 = y * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0e(x) -> np.ndarray:
+    """Exponentially scaled Bessel function exp(-|x|) I0(x), elementwise.
+
+    The Cephes evaluation, as scipy.special.i0e computes it, in numpy
+    alone: importing scipy.special would cost more than every sigma curve.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    small = x <= 8.0
+    large = x[~small]
+    out = np.empty_like(x)
+    out[small] = _chebyshev(x[small] / 2.0 - 2.0, _I0E_SMALL)
+    out[~small] = _chebyshev(32.0 / large - 2.0, _I0E_LARGE) / np.sqrt(large)
+    return out
 
 
 def saturation_on_axis(opt: OpticalParams, b, x):
@@ -131,7 +190,7 @@ def _saturated_layer_quadrature(inp: EffNumInputs, s_m, x, t):
     r = half * (1.0 + _RADIAL_NODES)
     f = np.exp(-r * r * inv_w_sq[..., None])
     ring = (r * np.exp(-0.5 * (r - d[..., None]) ** 2 * inv_var[..., None])
-            * i0e(r * (d * inv_var)[..., None]))
+            * _i0e(r * (d * inv_var)[..., None]))
     value = np.sum(f / (1.0 + two_s * f) * ring * (half * _RADIAL_WEIGHTS), axis=-1)
     out = 2.0 * math.pi * norm * value
     return out if out.ndim else float(out)

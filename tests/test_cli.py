@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,9 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coldcloud
+from coldcloud import cli
 from coldcloud.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(args, **kwargs):
+    """A fresh interpreter that imports this coldcloud; scipy is not loaded
+    until the code run there loads it."""
+    package_root = os.path.dirname(os.path.dirname(coldcloud.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300, **kwargs)
 
 
 def base_config(**overrides):
@@ -244,6 +259,22 @@ class TestMonteCarloSubcommands:
         assert report["all_pass"] is True
         assert not report["hard_failure"]
         assert code == EXIT_OK
+        # the worst of the checks, and how likely noise alone makes it
+        worst = max(report["checks"], key=lambda check: abs(check["z"]))
+        assert (report["worst_check"], report["worst_z"]) == (worst["name"], worst["z"])
+        assert 0.0 < report["familywise_p"] <= 1.0
+        assert f"validate: worst check {worst['name']}: z = " in out
+
+    def test_validate_names_a_defect(self, tmp_path, monkeypatch, capsys):
+        # a closed-form mean 10% too high against a correct sampler
+        true_mean = cli.mean_number
+        monkeypatch.setattr(cli, "mean_number", lambda inp, t: 1.1 * true_mean(inp, t))
+        cfg_path = write_config(tmp_path, self.mc_config())
+        assert main(["validate", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_FAIL
+        report = json.loads((tmp_path / "validate_report.json").read_text())
+        assert ".mean[" in report["worst_check"]
+        assert report["familywise_p"] < 1e-6
+        assert report["worst_check"] in capsys.readouterr().out
 
     def test_validate_detects_wrong_physics(self, tmp_path):
         # corrupt the comparison by claiming a different atom number than
@@ -271,6 +302,91 @@ class TestMonteCarloSubcommands:
             assert name in err
         assert "gravity.mean[t=0]," not in err
         assert not (out / "validate.csv").exists()
+
+    def test_validate_without_data_prints_only_its_error(self, tmp_path):
+        # the case above from the command line, numpy errors at their
+        # defaults: no RuntimeWarning comes before the error line
+        cfg = json.loads((ROOT / "configs" / "validate_desk.json").read_text())
+        cfg["grids"]["t"] = [0.0, 0.05, 0.1]
+        cfg["mc"]["realizations"] = 50
+        cfg_path = write_config(tmp_path, cfg)
+        result = run_python(["-m", "coldcloud.cli", "validate", "--config", cfg_path,
+                             "--out", str(tmp_path / "out")])
+        assert result.returncode == EXIT_FAIL
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error in validate: "), lines
+
+
+# each subcommand on a small config in one fresh interpreter, spectrum last:
+# the package and every other subcommand run on numpy alone
+_FRESH_RUN = """
+import json, sys
+import coldcloud, coldcloud.cli
+
+cfg_dir, out = sys.argv[1:3]
+runs = [("mean", "curves"), ("sigma", "curves"), ("saturated", "curves"),
+        ("saturated", "strong"), ("variance", "curves"), ("covariance", "curves"),
+        ("mc", "mc"), ("validate", "mc")]
+codes = {}
+for sub, cfg in runs:
+    codes[sub + "/" + cfg] = coldcloud.cli.main(
+        [sub, "--config", f"{cfg_dir}/{cfg}.json", "--out", f"{out}/{sub}"])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes["spectrum/curves"] = coldcloud.cli.main(
+    ["spectrum", "--config", f"{cfg_dir}/curves.json", "--out", f"{out}/spectrum"])
+print(json.dumps({"codes": codes, "scipy_before_spectrum": scipy,
+                  "special_after_spectrum": "scipy.special" in sys.modules}))
+"""
+
+
+class TestNumpyOnlyRuns:
+    @pytest.fixture(scope="class")
+    def fresh_run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fresh")
+        strong = base_config()
+        strong["optical"]["s_m0"] = 2.0  # every layer near the waist is radial
+        for name, cfg in (("curves", base_config()), ("strong", strong),
+                          ("mc", TestMonteCarloSubcommands().mc_config())):
+            write_config(tmp, cfg, f"{name}.json")
+        result = run_python(["-c", _FRESH_RUN, str(tmp), str(tmp / "out")], check=True)
+        return tmp / "out", json.loads(result.stdout.splitlines()[-1])
+
+    def test_scipy_loads_only_for_the_spectral_series(self, fresh_run):
+        _, run = fresh_run
+        assert set(run["codes"].values()) == {EXIT_OK}, run["codes"]
+        assert run["scipy_before_spectrum"] == []
+        assert run["special_after_spectrum"]
+
+    def test_manifest_records_versions_and_stage_times(self, fresh_run):
+        out, _ = fresh_run
+        mean = json.loads((out / "mean" / "mean_manifest.json").read_text())
+        spectrum = json.loads((out / "spectrum" / "spectrum_manifest.json").read_text())
+        assert mean["scipy"] is None
+        assert isinstance(spectrum["scipy"], str) and spectrum["scipy"]
+        for manifest in (mean, spectrum):
+            assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
+            assert manifest["numpy"] == np.__version__
+            for stage in ("load_s", "compute_s", "write_s"):
+                assert manifest[stage] >= 0.0
+
+
+_FAULT_COUNT = """
+import resource, coldcloud
+cloud = coldcloud.CloudParams(1e4, 1e-3, 0.1, 9.81)
+beam = coldcloud.BeamParams(10e-6, 1e-9)
+coldcloud.ensemble_stats(cloud, beam, [0.0, 0.01], 20, seed=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+coldcloud.ensemble_stats(cloud, beam, [0.0, 0.01], 200, seed=2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_realizations_reuse_heap_memory():
+    # each realization allocates ~0.5 MB; once import coldcloud has raised
+    # malloc's trim threshold the heap keeps it, and page faults stay near
+    # zero instead of ~100 per realization
+    assert int(run_python(["-c", _FAULT_COUNT], check=True).stdout) < 2000
 
 
 FUZZED_FIELDS = [

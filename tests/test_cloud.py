@@ -39,6 +39,13 @@ class TestCloudParams:
         c = CloudParams.from_temperature(1e6, 1e-3, 10e-6, m_cs, g=9.81)
         assert c.sigma_v == pytest.approx(math.sqrt(1.380649e-23 * 10e-6 / m_cs), rel=1e-9)
 
+    def test_boltzmann_constant_is_scipys(self):
+        from scipy.constants import k
+
+        from coldcloud.cloud import _BOLTZMANN
+
+        assert _BOLTZMANN == k
+
 
 class TestTimeScales:
     def test_expansion_time(self, cloud, beam):

@@ -26,7 +26,7 @@ from coldcloud import (
     sigma_small_waist,
 )
 from coldcloud.effnum import _layer_density_weighted
-from coldcloud.saturation import _saturated_layer_quadrature
+from coldcloud.saturation import _i0e, _saturated_layer_quadrature
 
 from oracles import gaussian_product_window, sigma_saturated_quad, transverse_quad
 
@@ -244,6 +244,19 @@ def test_import_leaves_out_scipy_integrate():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "False"
+
+
+def test_numpy_i0e_is_scipys_bit_for_bit():
+    from scipy.special import i0e
+
+    # both Chebyshev ranges and their seam at 8, tiny and huge arguments,
+    # and the even extension to negative x
+    x = np.concatenate([
+        np.linspace(0.0, 50.0, 100_001), np.geomspace(1e-300, 1e300, 100_001),
+        np.nextafter(8.0, [0.0, 16.0]), [0.0, 8.0, 1e-300, 1e300, 5e-324],
+    ])
+    x = np.concatenate([x, -x])
+    assert np.array_equal(_i0e(x).view(np.int64), i0e(x).view(np.int64))
 
 
 # (sigma_r, w0, g, t, x, s_m): waists below, at and above the cloud size,
