@@ -39,18 +39,14 @@ from .effnum import (
 )
 from .exceptions import SeriesConvergenceError
 from .fluct import (
-    ScaledFluctParams,
-    cosine_transform,
     covariance_exact,
     covariance_quasistationary,
     covariance_series,
     mean_number,
     normalized_spectrum,
     pk_polynomial,
-    scaled_fluct_params,
     spectra,
     spectrum_exponential,
-    spectrum_numeric,
     spectrum_series,
     variance,
 )
@@ -101,10 +97,9 @@ __all__ = [
     "OpticalParams", "polarizability", "saturation_on_axis",
     "sigma_saturated_closed", "sigma_saturated_general", "nonlinear_field_shift",
     # fluctuations
-    "ScaledFluctParams", "scaled_fluct_params", "mean_number", "variance",
-    "covariance_exact", "covariance_quasistationary", "covariance_series",
-    "pk_polynomial", "spectrum_exponential", "spectrum_series",
-    "normalized_spectrum", "spectra", "cosine_transform", "spectrum_numeric",
+    "mean_number", "variance", "covariance_exact", "covariance_quasistationary",
+    "covariance_series", "pk_polynomial", "spectrum_exponential",
+    "spectrum_series", "normalized_spectrum", "spectra",
     # cavity
     "CavityParams", "cooperativity", "detuning_shift", "detuning_spectrum",
     "is_linear_regime",

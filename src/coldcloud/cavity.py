@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import BeamParams, beam_section
-from .cloud import time_scales
 from .effnum import EffNumInputs, _coupling_area
-from .fluct import mean_number, normalized_spectrum, scaled_fluct_params
+from .fluct import mean_number, normalized_spectrum
 from .optical import OpticalParams
 
 __all__ = [
@@ -106,10 +105,8 @@ def detuning_spectrum(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, 
     the probe beam of ``inp``.
     """
     _check_dispersive(opt)
-    ts = time_scales(inp.cloud, inp.beam)
     coupling = _coupling_per_atom(inp.beam)
-    p = scaled_fluct_params(inp)
-    shape = np.asarray(normalized_spectrum(p, ts.tau_w, T, omega))
+    shape = np.asarray(normalized_spectrum(inp, T, omega))
     n_mean = mean_number(inp, T)
 
     s_nn = 0.5 * n_mean * shape

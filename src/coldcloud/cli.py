@@ -63,7 +63,6 @@ from .fluct import (
     covariance_exact,
     covariance_quasistationary,
     mean_number,
-    scaled_fluct_params,
     spectra,
     spectrum_exponential,
     variance,
@@ -386,8 +385,6 @@ def _variance(cfg: RunConfig, seed: int, threads: int):
 
 def _covariance(cfg: RunConfig, seed: int, threads: int):
     inp = EffNumInputs(cfg.cloud, cfg.beam)
-    tau_w = time_scales(cfg.cloud, cfg.beam).tau_w
-    p = scaled_fluct_params(inp)
 
     def block(big_t):
         # keep both sampling times nonnegative
@@ -395,7 +392,7 @@ def _covariance(cfg: RunConfig, seed: int, threads: int):
         if tau.size == 0:
             return None
         exact = covariance_exact(inp, big_t, tau)
-        quasi = covariance_quasistationary(p, tau_w, big_t, tau)
+        quasi = covariance_quasistationary(inp, big_t, tau)
         return {"tau_s": tau, "covariance_exact": exact, "covariance_quasistationary": quasi,
                 "relative_gap": np.abs(quasi - exact) / np.abs(exact)}
 
@@ -406,17 +403,16 @@ def _covariance(cfg: RunConfig, seed: int, threads: int):
 
 
 def _spectrum(cfg: RunConfig, seed: int, threads: int):
-    tau_w = time_scales(cfg.cloud, cfg.beam).tau_w
-    p = scaled_fluct_params(EffNumInputs(cfg.cloud, cfg.beam))
+    inp = EffNumInputs(cfg.cloud, cfg.beam)
     omega = cfg.omega_grid
 
     def block(big_t):
-        series, normalized = spectra(p, tau_w, big_t, omega)
+        series, normalized = spectra(inp, big_t, omega)
         return {
             "omega_rad_s": omega,
             "omega_hz": omega / (2.0 * math.pi),
             "spectrum_series_s": series,
-            "spectrum_exponential_s": spectrum_exponential(p, tau_w, big_t, omega),
+            "spectrum_exponential_s": spectrum_exponential(inp, big_t, omega),
             "normalized_spectrum_s": normalized,
         }
 

@@ -122,8 +122,10 @@ def time_scales(c: CloudParams, b: BeamParams) -> TimeScales:
 
 def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative (t = 0 is the release instant)")
+    # NaN propagates through min and max, so it fails both comparisons;
+    # the initial 0.0 admits an empty t
+    if not (t.min(initial=0.0) >= 0 and t.max(initial=0.0) < math.inf):
+        raise ValueError("t must be finite and nonnegative (t = 0 is the release instant)")
     return t
 
 

@@ -30,8 +30,6 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +38,6 @@ from .effnum import EffNumInputs
 from .exceptions import SeriesConvergenceError
 
 __all__ = [
-    "ScaledFluctParams",
-    "scaled_fluct_params",
     "mean_number",
     "variance",
     "covariance_exact",
@@ -52,8 +48,6 @@ __all__ = [
     "spectrum_series",
     "normalized_spectrum",
     "spectra",
-    "cosine_transform",
-    "spectrum_numeric",
 ]
 
 _SERIES_RTOL = 1e-12
@@ -111,12 +105,14 @@ def covariance_exact(inp: EffNumInputs, T, tau):
 
     Closed Gaussian form, valid for any waist and gravity in the
     long-Rayleigh regime; even in tau and equal to the variance at tau = 0.
-    Both sampling times must be nonnegative, i.e. T >= |tau|/2.
+    Both sampling times must be finite and nonnegative, i.e. T >= |tau|/2.
     """
     T = np.asarray(T, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if np.any(T - 0.5 * np.abs(tau) < 0):
-        raise ValueError("both sampling times T +/- tau/2 must be nonnegative")
+    # the earlier sampling time; finite exactly when T and tau both are
+    earlier = T - 0.5 * np.abs(tau)
+    if not np.all(np.isfinite(earlier) & (earlier >= 0)):
+        raise ValueError("both sampling times T +/- tau/2 must be finite and nonnegative")
     ts = time_scales(inp.cloud, inp.beam)
     tau_r_sq, tau_w_sq = ts.tau_r**2, ts.tau_w**2
     n0 = inp.cloud.n_total * tau_w_sq / (tau_r_sq + tau_w_sq)
@@ -129,71 +125,32 @@ def covariance_exact(inp: EffNumInputs, T, tau):
 # quasistationary (small-waist) family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaledFluctParams:
-    """Scaled parameters of the quasistationary covariance and spectra.
+def _scaled(inp: EffNumInputs, T):
+    """n0, zeta, tau_w and the fall-time coefficients alpha_T^2, a_T, b_T.
 
-    Attributes
-    ----------
-    n0 : float
-        Weighted count at t = 0 that normalizes the whole family.
-    zeta : float
-        Gravity strength (tau_r/tau_g)^2; exactly 0 without gravity.
-    tau_r : float
-        Expansion time used to scale the fall time T.
-
-    The fall-time coefficients are derived per call: ``alpha_t_sq(T)`` is
-    the Lorentzian offset 2*(1+(T/tau_r)^2), while ``a_t(T)`` and
-    ``b_t(T)`` build the gravity exponent zeta*(a_T - b_T*L).
+    The zero-time count n0 = N*tau_w^2/tau_r^2 drops the tau_w^2 correction
+    of the exact count, consistent with the small-waist regime the
+    quasistationary expressions live in.  With u = (T/tau_r)^2, the
+    Lorentzian offset is alpha_T^2 = 2*(1+u), while a_T = u*(4+u) and
+    b_T = 2*u*(2+u)^2 build the gravity exponent zeta*(a_T - b_T*L).
     """
-
-    n0: float
-    zeta: float
-    tau_r: float
-
-    def __post_init__(self) -> None:
-        if self.zeta < 0:
-            raise ValueError(f"zeta must be nonnegative, got {self.zeta}")
-        if not self.tau_r > 0:
-            raise ValueError(f"tau_r must be positive, got {self.tau_r}")
-
-    def alpha_t_sq(self, T) -> float | np.ndarray:
-        return 2.0 * (1.0 + (np.asarray(T, dtype=float) / self.tau_r) ** 2)
-
-    def a_t(self, T) -> float | np.ndarray:
-        u = (np.asarray(T, dtype=float) / self.tau_r) ** 2
-        return u * (4.0 + u)
-
-    def b_t(self, T) -> float | np.ndarray:
-        u = (np.asarray(T, dtype=float) / self.tau_r) ** 2
-        return 2.0 * u * (2.0 + u) ** 2
-
-
-def scaled_fluct_params(inp: EffNumInputs) -> ScaledFluctParams:
-    """Bundle the scaled parameters for the quasistationary family.
-
-    The zero-time count n0 = N*tau_w^2/tau_r^2 drops the tau_w^2
-    correction of the exact count, consistent with the small-waist regime
-    the quasistationary expressions live in.
-    """
+    T = _check_time(T)
     ts = time_scales(inp.cloud, inp.beam)
+    u = (T / ts.tau_r) ** 2
     n0 = inp.cloud.n_total * ts.tau_w**2 / ts.tau_r**2
-    return ScaledFluctParams(n0=n0, zeta=ts.zeta, tau_r=ts.tau_r)
+    return n0, ts.zeta, ts.tau_w, 2.0 * (1.0 + u), u * (4.0 + u), 2.0 * u * (2.0 + u) ** 2
 
 
-def _lorentzian(p: ScaledFluctParams, tau_w: float, T, tau):
-    return 1.0 / ((np.asarray(tau, dtype=float) / tau_w) ** 2 + p.alpha_t_sq(T))
-
-
-def covariance_quasistationary(p: ScaledFluctParams, tau_w: float, T, tau):
+def covariance_quasistationary(inp: EffNumInputs, T, tau):
     """Quasistationary covariance n0 * L * exp[-zeta*(a_T - b_T*L)].
 
     L is a Lorentzian of the delay scaled by the transit time tau_w.
     Intended for delays short against tau_r and fall times long against
     tau_w (not enforced).
     """
-    lor = _lorentzian(p, tau_w, T, tau)
-    out = p.n0 * lor * np.exp(-p.zeta * (p.a_t(T) - p.b_t(T) * lor))
+    n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, T)
+    lor = 1.0 / ((np.asarray(tau, dtype=float) / tau_w) ** 2 + alpha_sq)
+    out = n0 * lor * np.exp(-zeta * (a_t - b_t * lor))
     return out if np.ndim(out) else float(out)
 
 
@@ -219,7 +176,7 @@ def _log_series(log_term, peak: float, name: str, detail: str):
     raise SeriesConvergenceError(f"{name} series did not converge within {cap} terms ({detail})")
 
 
-def covariance_series(p: ScaledFluctParams, tau_w: float, T, tau):
+def covariance_series(inp: EffNumInputs, T, tau):
     """Gravity expansion of the quasistationary covariance in powers of L.
 
     n0 * exp(-zeta*a_T) * sum_k (zeta*b_T)^k L^(1+k) / k!, summed like the
@@ -234,9 +191,10 @@ def covariance_series(p: ScaledFluctParams, tau_w: float, T, tau):
     # these imports.
     from scipy.special import gammaln, xlogy
 
-    lor = _lorentzian(p, tau_w, T, tau)
-    drift = p.n0 * lor * np.exp(-p.zeta * (p.a_t(T) - p.b_t(T) * lor))
-    growth = p.zeta * p.b_t(T) * lor
+    n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, T)
+    lor = 1.0 / ((np.asarray(tau, dtype=float) / tau_w) ** 2 + alpha_sq)
+    drift = n0 * lor * np.exp(-zeta * (a_t - b_t * lor))
+    growth = zeta * b_t * lor
     g_max = float(np.max(growth, initial=0.0))
     drift = drift * _log_series(lambda k: xlogy(k, growth) - gammaln(k + 1) - growth,
                                 g_max, "covariance", f"g={g_max:.3g}")
@@ -280,15 +238,16 @@ def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     return logsumexp(log_terms, axis=0)
 
 
-def spectrum_exponential(p: ScaledFluctParams, tau_w: float, T, omega):
+def spectrum_exponential(inp: EffNumInputs, T, omega):
     """Gravity-free noise spectrum n0*(pi*tau_w/alpha_T)*exp(-alpha_T*|omega|*tau_w).
 
     Transform of the pure Lorentzian covariance; even in omega with
     linewidth 1/(alpha_T*tau_w).
     """
-    alpha = np.sqrt(p.alpha_t_sq(T))
+    n0, _, tau_w, alpha_sq, _, _ = _scaled(inp, T)
+    alpha = np.sqrt(alpha_sq)
     x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
-    out = p.n0 * math.pi * tau_w / alpha * np.exp(-x)
+    out = n0 * math.pi * tau_w / alpha * np.exp(-x)
     return out if np.ndim(out) else float(out)
 
 
@@ -315,26 +274,25 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     return _log_series(log_term, peak, "spectrum", f"c={c:.3g}")
 
 
-def spectra(p: ScaledFluctParams, tau_w: float, T, omega):
+def spectra(inp: EffNumInputs, T, omega):
     """spectrum_series and normalized_spectrum together, from one evaluation
     of the gravity series they share (its cost dominates both)."""
-    T = float(T)
-    alpha_sq = p.alpha_t_sq(T)
+    n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, float(T))
     alpha = math.sqrt(alpha_sq)
     x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
-    c = p.zeta * p.b_t(T) / (4.0 * alpha_sq)
+    c = zeta * b_t / (4.0 * alpha_sq)
     enveloped = _enveloped_pk_series(c, x)
     # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
     # second factor is the damping folded into the series
-    drift = math.exp(-p.zeta * (p.a_t(T) - p.b_t(T) / alpha_sq))
-    spectrum = p.n0 * math.pi * tau_w / alpha * drift * enveloped
+    drift = math.exp(-zeta * (a_t - b_t / alpha_sq))
+    spectrum = n0 * math.pi * tau_w / alpha * drift * enveloped
     normalized = math.pi * alpha * tau_w * enveloped
     if np.ndim(omega):
         return spectrum, normalized
     return float(spectrum[0]), float(normalized[0])
 
 
-def spectrum_series(p: ScaledFluctParams, tau_w: float, T, omega):
+def spectrum_series(inp: EffNumInputs, T, omega):
     """Noise spectrum of N at fall time T, delay-transformed over tau.
 
     Exponential envelope times the gravity series in
@@ -342,63 +300,14 @@ def spectrum_series(p: ScaledFluctParams, tau_w: float, T, omega):
     the exact transform, order by order, of the covariance series.  Reduces
     to spectrum_exponential when zeta = 0.
     """
-    return spectra(p, tau_w, T, omega)[0]
+    return spectra(inp, T, omega)[0]
 
 
-def normalized_spectrum(p: ScaledFluctParams, tau_w: float, T, omega):
+def normalized_spectrum(inp: EffNumInputs, T, omega):
     """Unit-area spectral shape: spectrum_series divided by the variance at T.
 
     pi*alpha_T*tau_w * exp(-alpha_T*|omega|*tau_w) times the damped gravity
     series; integrates to 1 over d(omega)/(2*pi) for every zeta and T.
     """
-    return spectra(p, tau_w, T, omega)[1]
+    return spectra(inp, T, omega)[1]
 
-
-# ---------------------------------------------------------------------------
-# numeric transform bridge
-# ---------------------------------------------------------------------------
-
-def cosine_transform(tau, values, omega):
-    """Trapezoid cosine transform of an even correlation sample.
-
-    Returns sum over the grid of values*cos(omega*tau), i.e. the real
-    Fourier transform of an even function sampled on ``tau``.
-    """
-    tau = np.asarray(tau, dtype=float)
-    values = np.asarray(values, dtype=float)
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    integrand = values[None, :] * np.cos(omega[:, None] * tau[None, :])
-    return np.trapezoid(integrand, tau, axis=1)
-
-
-def spectrum_numeric(inp: EffNumInputs, T: float, tau_grid, omega):
-    """Model-independent spectrum: cosine transform of the exact covariance.
-
-    ``tau_grid`` must be symmetric about zero and should span at least 20
-    correlation widths with several points per width; a coarse or short
-    grid only triggers an accuracy warning carrying a truncation estimate.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if not np.allclose(tau_grid, -tau_grid[::-1], rtol=0, atol=1e-12 * np.max(np.abs(tau_grid))):
-        raise ValueError("tau_grid must be symmetric about zero")
-    cov = np.asarray(covariance_exact(inp, float(T), tau_grid))
-
-    peak = cov[np.argmin(np.abs(tau_grid))]
-    above = np.abs(cov) >= 0.5 * abs(peak)
-    width = np.max(np.abs(tau_grid[above])) if np.any(above) else np.max(np.abs(tau_grid))
-    tau_max = np.max(np.abs(tau_grid))
-    step = np.min(np.diff(np.sort(tau_grid)))
-    tail_bound = 2.0 * abs(cov[np.argmax(np.abs(tau_grid))]) * tau_max
-    if tau_max < 20.0 * width:
-        warnings.warn(
-            f"tau grid spans only {tau_max / width:.1f} correlation widths; "
-            f"estimated spectrum truncation error up to {tail_bound:.3e}",
-            stacklevel=2,
-        )
-    if step > width / 4.0:
-        warnings.warn(
-            f"tau grid step {step:.3e} is coarse against the correlation width "
-            f"{width:.3e}; transform accuracy degrades at high frequency",
-            stacklevel=2,
-        )
-    return cosine_transform(tau_grid, cov, omega)

@@ -132,8 +132,8 @@ def propagate(r0, v0, g: float, t: float):
     Accepts single 3-vectors or arrays of shape (..., 3); the result keeps
     the memory layout of the inputs.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError("t must be finite and nonnegative")
     r0 = np.asarray(r0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     out = r0 + v0 * t

@@ -27,11 +27,9 @@ from .effnum import (
     _longitudinal_rule,
     sigma_small_waist,
 )
-from .optical import OpticalParams, polarizability
+from .optical import OpticalParams
 
 __all__ = [
-    "OpticalParams",
-    "polarizability",
     "saturation_on_axis",
     "sigma_saturated_closed",
     "sigma_saturated_general",

@@ -11,6 +11,8 @@ import math
 import numpy as np
 from scipy.integrate import dblquad, quad
 
+from coldcloud import covariance_exact, time_scales
+
 
 def transverse_quad(func, y_window, z_window, epsrel=1e-12):
     """Adaptive 2D integral of func(y, z) over an explicit window.
@@ -104,19 +106,32 @@ def quad3d_vec(func3d, x_bounds, y_bounds, z_bounds, epsrel=1e-8):
     return value
 
 
-def quasistationary_fourier_oracle(n0, zeta, alpha_sq, a_t, b_t, tau_w, omega, dps=40):
+def quasistationary_coefficients(inp, big_t):
+    """n0, zeta, alpha_T^2, a_T and b_T of the quasistationary covariance,
+    from their written formulas: n0 = N*tau_w^2/tau_r^2 and, with
+    u = (T/tau_r)^2, alpha_T^2 = 2*(1+u), a_T = u*(4+u), b_T = 2*u*(2+u)^2."""
+    ts = time_scales(inp.cloud, inp.beam)
+    u = (big_t / ts.tau_r) ** 2
+    return (inp.cloud.n_total * ts.tau_w**2 / ts.tau_r**2, ts.zeta,
+            2.0 * (1.0 + u), u * (4.0 + u), 2.0 * u * (2.0 + u) ** 2)
+
+
+def quasistationary_fourier_oracle(inp, big_t, omega, dps=40):
     """Arbitrary-precision Fourier transform of the quasistationary
-    covariance, rebuilt in mpmath from its scaled parameters.
+    covariance at fall time big_t, rebuilt in mpmath from its written
+    coefficients.
 
     Oscillatory quadrature at 40 digits keeps full relative accuracy even
     where the spectrum has decayed ten orders below its peak.
     """
     import mpmath as mp
 
+    tau_w = time_scales(inp.cloud, inp.beam).tau_w
     with mp.workdps(dps):
-        n0_m, z_m, asq, a_m, b_m, tw, om = (
-            mp.mpf(v) for v in (n0, zeta, alpha_sq, a_t, b_t, tau_w, omega)
+        n0_m, z_m, asq, a_m, b_m = (
+            mp.mpf(v) for v in quasistationary_coefficients(inp, big_t)
         )
+        tw, om = mp.mpf(tau_w), mp.mpf(omega)
 
         def cov(u):
             lor = 1 / ((u / tw) ** 2 + asq)
@@ -127,6 +142,28 @@ def quasistationary_fourier_oracle(n0, zeta, alpha_sq, a_t, b_t, tau_w, omega, d
         else:
             value = mp.quadosc(lambda u: cov(u) * mp.cos(om * u), [0, mp.inf], omega=om)
         return float(2 * value)
+
+
+def cosine_transform(tau, values, omega):
+    """Trapezoid cosine transform of an even correlation sample.
+
+    Returns sum over the grid of values*cos(omega*tau), i.e. the real
+    Fourier transform of an even function sampled on ``tau``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    values = np.asarray(values, dtype=float)
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    integrand = values[None, :] * np.cos(omega[:, None] * tau[None, :])
+    return np.trapezoid(integrand, tau, axis=1)
+
+
+def spectrum_numeric(inp, big_t, tau_grid, omega):
+    """Model-independent spectrum: cosine transform of the exact covariance.
+
+    ``tau_grid`` must be symmetric about zero and span many correlation
+    widths with several points per width; nothing here checks either.
+    """
+    return cosine_transform(tau_grid, covariance_exact(inp, big_t, tau_grid), omega)
 
 
 def pk_reference(k: int, x: float) -> float:

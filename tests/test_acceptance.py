@@ -16,6 +16,7 @@ from oracles import (
     peak_series_reference,
     plane_integral_vec,
     quad3d_vec,
+    quasistationary_coefficients,
     quasistationary_fourier_oracle,
 )
 
@@ -153,11 +154,10 @@ def test_06_quasistationary_consistency():
     for frac in (1e-3, 1e-4):
         inp = collimated_inputs(tau_w_over_tau_r=frac, g=9.81)
         ts = cc.time_scales(inp.cloud, inp.beam)
-        p = cc.scaled_fluct_params(inp)
         section = cc.beam_section(inp.beam, 0.0)
         for big_t in np.linspace(0.0, 3.0 * ts.tau_r, 16):
             half_mean = 0.5 * cc.sigma_small_waist(inp, big_t) * section
-            got = cc.covariance_quasistationary(p, ts.tau_w, big_t, 0.0)
+            got = cc.covariance_quasistationary(inp, big_t, 0.0)
             worst = max(worst, abs(got / half_mean - 1.0))
     report(6, "quasistationary zero-delay consistency", worst <= 1e-9,
            f" (worst rel = {worst:.2e}, tol 1e-9)")
@@ -169,28 +169,26 @@ def test_07_series_duality():
     for zeta in (0.0, 0.3, 1.0):
         inp = inputs_with_zeta(zeta)
         ts = cc.time_scales(inp.cloud, inp.beam)
-        p = cc.scaled_fluct_params(inp)
         for t_frac in (0.5, 1.0, 2.0, 3.0):
             big_t = t_frac * ts.tau_r
             for tau in (0.0, 0.5 * ts.tau_w, 3.0 * ts.tau_w, 0.3 * ts.tau_r, ts.tau_r):
-                closed = cc.covariance_quasistationary(p, ts.tau_w, big_t, tau)
-                summed = cc.covariance_series(p, ts.tau_w, big_t, tau)
+                closed = cc.covariance_quasistationary(inp, big_t, tau)
+                summed = cc.covariance_series(inp, big_t, tau)
                 worst_cov = max(worst_cov, abs(summed / closed - 1.0))
 
     worst_peak = 0.0
     for zeta in (0.1, 1.0):
         inp = inputs_with_zeta(zeta)
         ts = cc.time_scales(inp.cloud, inp.beam)
-        p = cc.scaled_fluct_params(inp)
         for t_frac in (1.0, 2.0):
             big_t = t_frac * ts.tau_r
-            alpha_sq = p.alpha_t_sq(big_t)
-            c = p.zeta * p.b_t(big_t) / (4.0 * alpha_sq)
+            _, _, alpha_sq, _, b_t = quasistationary_coefficients(inp, big_t)
+            c = ts.zeta * b_t / (4.0 * alpha_sq)
             expected = (
                 math.pi * math.sqrt(alpha_sq) * ts.tau_w
                 * math.exp(-4.0 * c) * peak_series_reference(c)
             )
-            got = cc.normalized_spectrum(p, ts.tau_w, big_t, 0.0)
+            got = cc.normalized_spectrum(inp, big_t, 0.0)
             worst_peak = max(worst_peak, abs(got / expected - 1.0))
 
     ok = worst_cov <= 1e-9 and worst_peak <= 1e-10
@@ -204,18 +202,17 @@ def test_08_spectrum_normalization():
     for zeta in (0.0, 0.1, 1.0):
         inp = inputs_with_zeta(zeta)
         ts = cc.time_scales(inp.cloud, inp.beam)
-        p = cc.scaled_fluct_params(inp)
         for t_frac in (0.5, 1.0, 2.0):
             big_t = t_frac * ts.tau_r
-            alpha_sq = p.alpha_t_sq(big_t)
-            c = p.zeta * p.b_t(big_t) / (4.0 * alpha_sq)
+            _, _, alpha_sq, _, b_t = quasistationary_coefficients(inp, big_t)
+            c = ts.zeta * b_t / (4.0 * alpha_sq)
             # beyond x = 8c+80 the enveloped series has underflowed
             omega_cut = (8.0 * c + 80.0) / (math.sqrt(alpha_sq) * ts.tau_w)
             val, _ = quad(
-                lambda w: cc.normalized_spectrum(p, ts.tau_w, big_t, w),
+                lambda w: cc.normalized_spectrum(inp, big_t, w),
                 0.0, omega_cut, limit=400,
             )
-            tail = cc.normalized_spectrum(p, ts.tau_w, big_t, omega_cut)
+            tail = cc.normalized_spectrum(inp, big_t, omega_cut)
             assert tail < 1e-12
             worst = max(worst, abs(val / math.pi - 1.0))
     report(8, "spectrum normalization", worst <= 1e-6,
@@ -226,15 +223,11 @@ def test_09_spectrum_covariance_transform_pair():
     """The spectral series is the Fourier transform of the covariance."""
     inp = inputs_with_zeta(0.5)
     ts = cc.time_scales(inp.cloud, inp.beam)
-    p = cc.scaled_fluct_params(inp)
     big_t = 1.5 * ts.tau_r
     worst = 0.0
     for omega in np.geomspace(0.01, 10.0, 10) / ts.tau_w:
-        oracle = quasistationary_fourier_oracle(
-            p.n0, p.zeta, p.alpha_t_sq(big_t), p.a_t(big_t), p.b_t(big_t),
-            ts.tau_w, float(omega),
-        )
-        got = cc.spectrum_series(p, ts.tau_w, big_t, float(omega))
+        oracle = quasistationary_fourier_oracle(inp, big_t, float(omega))
+        got = cc.spectrum_series(inp, big_t, float(omega))
         worst = max(worst, abs(got / oracle - 1.0))
     report(9, "spectrum-covariance transform pair", worst <= 1e-6,
            f" (worst rel over 3 decades = {worst:.2e}, tol 1e-6)")
@@ -344,7 +337,7 @@ def test_12_cavity_identities():
         shift_b = coupling * n / (delta * cav.tau_c)
         worst_shift = max(worst_shift, abs(shift_a / shift_b - 1.0))
 
-        shape = cc.normalized_spectrum(cc.scaled_fluct_params(inp), ts.tau_w, big_t, omega)
+        shape = cc.normalized_spectrum(inp, big_t, omega)
         n_mean = cc.mean_number(inp, big_t)
         spec_a = cc.detuning_spectrum(cav, opt, inp, big_t, omega)
         spec_b = (

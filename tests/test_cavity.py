@@ -16,7 +16,6 @@ from coldcloud import (
     is_linear_regime,
     mean_number,
     normalized_spectrum,
-    scaled_fluct_params,
     time_scales,
 )
 
@@ -127,7 +126,7 @@ class TestDetuningSpectrum:
             big_t = float(rng.uniform(0.0, 2.0)) * ts.tau_r
             omega = float(rng.uniform(0.0, 3.0)) / ts.tau_w
 
-            shape = normalized_spectrum(scaled_fluct_params(inp), ts.tau_w, big_t, omega)
+            shape = normalized_spectrum(inp, big_t, omega)
             n_mean = mean_number(inp, big_t)
             form_direct = coupling(beam) ** 2 * (0.5 * n_mean * shape) / (opt.delta * cav.tau_c) ** 2
             form_coop = (
@@ -140,13 +139,12 @@ class TestDetuningSpectrum:
 
     def test_spectral_shape_identical_to_number_spectrum(self, cavity, inputs):
         ts = time_scales(inputs.cloud, inputs.beam)
-        p = scaled_fluct_params(inputs)
         big_t = ts.tau_r
         omega = np.linspace(0.0, 4.0 / ts.tau_w, 9)
         noise = np.asarray(
             detuning_spectrum(cavity, OpticalParams(delta=10.0), inputs, big_t, omega)
         )
-        shape = np.asarray(normalized_spectrum(p, ts.tau_w, big_t, omega))
+        shape = np.asarray(normalized_spectrum(inputs, big_t, omega))
         np.testing.assert_allclose(
             noise / noise[0], shape / shape[0], rtol=1e-12
         )

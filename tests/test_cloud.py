@@ -187,3 +187,56 @@ class TestVelocityMarginal:
             integrand, (-half, half), (-half, half), (-half, half), epsrel=1e-8
         )
         assert val == pytest.approx(density(cloud, r, t), rel=1e-6)
+
+
+def _time_takers():
+    """Every public function of a time t or fall time T, as a call on that time."""
+    import coldcloud as cc
+
+    small = CloudParams(100, 1e-3, 0.1, 9.81)
+    beam = BeamParams(w0=100e-6, wavelength=852e-9)
+    inp = cc.EffNumInputs(CloudParams(1e6, 1e-3, 0.1, 9.81), beam)
+    opt = cc.OpticalParams(delta=10.0, s_m0=0.3)
+    cav = cc.CavityParams(kappa=5e6, tau_c=1e-9)
+    origin = (0.0, 0.0, 0.0)
+    everywhere = ((-math.inf,) * 3, (math.inf,) * 3)
+    return {
+        "phase_space_density": lambda t: cc.phase_space_density(small, origin, origin, t),
+        "density": lambda t: cc.density(small, origin, t),
+        "center_density": lambda t: cc.center_density(small, t),
+        "column_number_density": lambda t: cc.column_number_density(inp, 0.0, t),
+        "layer_number_density": lambda t: cc.layer_number_density(inp, 0.0, t),
+        "sigma_general": lambda t: cc.sigma_general(inp, t),
+        "sigma_small_waist": lambda t: cc.sigma_small_waist(inp, t),
+        "sigma_long_rayleigh": lambda t: cc.sigma_long_rayleigh(inp, t),
+        "sigma_high_temperature": lambda t: cc.sigma_high_temperature(inp, t),
+        "linear_field_shift": lambda t: cc.linear_field_shift(inp, opt, t),
+        "sigma_saturated_closed": lambda t: cc.sigma_saturated_closed(inp, opt, t),
+        "sigma_saturated_general": lambda t: cc.sigma_saturated_general(inp, opt, t),
+        "nonlinear_field_shift": lambda t: cc.nonlinear_field_shift(inp, opt, t),
+        "mean_number": lambda t: cc.mean_number(inp, t),
+        "variance": lambda t: cc.variance(inp, t),
+        "covariance_exact": lambda t: cc.covariance_exact(inp, t, 0.0),
+        "covariance_quasistationary": lambda t: cc.covariance_quasistationary(inp, t, 0.0),
+        "covariance_series": lambda t: cc.covariance_series(inp, t, 0.0),
+        "spectrum_exponential": lambda t: cc.spectrum_exponential(inp, t, 0.0),
+        "spectrum_series": lambda t: cc.spectrum_series(inp, t, 0.0),
+        "normalized_spectrum": lambda t: cc.normalized_spectrum(inp, t, 0.0),
+        "spectra": lambda t: cc.spectra(inp, t, 0.0),
+        "detuning_spectrum": lambda t: cc.detuning_spectrum(cav, opt, inp, t, 0.0),
+        "is_linear_regime": lambda t: cc.is_linear_regime(cav, opt, inp, t),
+        "propagate": lambda t: cc.propagate(origin, origin, 9.81, t),
+        "effective_count": lambda t: cc.effective_count(beam, cc.sample_cloud(small, 1), 9.81, t),
+        "weighted_counts": lambda t: cc.weighted_counts(small, beam, [t], 3, 1),
+        "ensemble_stats": lambda t: cc.ensemble_stats(small, beam, [t], 3, 1),
+        "binary_count_check": lambda t: cc.binary_count_check(small, everywhere, [t], 3, 1),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.01])
+@pytest.mark.parametrize("name", sorted(_time_takers()))
+def test_times_must_be_finite_and_nonnegative(name, bad):
+    call = _time_takers()[name]
+    call(0.01)  # the call itself is valid
+    with pytest.raises(ValueError):
+        call(bad)

@@ -1,6 +1,8 @@
-"""The narrative demos run to completion against the current API."""
+"""The narrative demos and the README quick start run to completion
+against the current API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +21,24 @@ DEMOS = [
 ]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_exits_cleanly(demo, tmp_path):
+def run_fresh(args, cwd):
+    """Run a Python interpreter on args with src/ on its path."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_cleanly(demo, tmp_path):
+    result = run_fresh([str(ROOT / "demos" / demo)], tmp_path)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    result = run_fresh(["-c", code], tmp_path)
     assert result.returncode == 0, result.stderr[-2000:]

@@ -9,26 +9,29 @@ from coldcloud import (
     BeamParams,
     CloudParams,
     EffNumInputs,
-    ScaledFluctParams,
     beam_section,
-    cosine_transform,
     covariance_exact,
     covariance_quasistationary,
     covariance_series,
     mean_number,
     normalized_spectrum,
     pk_polynomial,
-    scaled_fluct_params,
     sigma_small_waist,
     spectrum_exponential,
-    spectrum_numeric,
     spectrum_series,
     time_scales,
     variance,
 )
 from coldcloud.fluct import _cov_factors
 
-from oracles import peak_series_reference, pk_reference, quasistationary_fourier_oracle
+from oracles import (
+    cosine_transform,
+    peak_series_reference,
+    pk_reference,
+    quasistationary_coefficients,
+    quasistationary_fourier_oracle,
+    spectrum_numeric,
+)
 
 
 def small_waist_inputs(tau_w_over_tau_r=0.005, g=9.81, n=1e6, sigma_r=1e-3, sigma_v=0.1):
@@ -133,6 +136,11 @@ class TestCovarianceExact:
         with pytest.raises(ValueError):
             covariance_exact(inputs, 0.001, 0.003)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delay(self, inputs, tau):
+        with pytest.raises(ValueError):
+            covariance_exact(inputs, 0.01, tau)
+
     def test_shape_factor_at_zero_mean_time(self):
         # at T = 0 the exact shape factor reduces to a plain ratio
         tau_r_sq, tau_w_sq = (0.01) ** 2, (5e-4) ** 2
@@ -153,22 +161,21 @@ class TestCovarianceQuasistationary:
     def test_zero_gravity_is_pure_lorentzian(self):
         inp = small_waist_inputs(g=0.0)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
-        assert p.zeta == 0.0
         big_t, tau = 1.3 * ts.tau_r, 2.7 * ts.tau_w
-        expected = p.n0 / ((tau / ts.tau_w) ** 2 + p.alpha_t_sq(big_t))
-        assert covariance_quasistationary(p, ts.tau_w, big_t, tau) == pytest.approx(
+        n0, zeta, alpha_sq, _, _ = quasistationary_coefficients(inp, big_t)
+        assert zeta == 0.0
+        expected = n0 / ((tau / ts.tau_w) ** 2 + alpha_sq)
+        assert covariance_quasistationary(inp, big_t, tau) == pytest.approx(
             expected, rel=1e-14
         )
 
     def test_zero_delay_is_half_small_waist_mean(self, rng):
         inp = small_waist_inputs(tau_w_over_tau_r=1e-3)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         section = beam_section(inp.beam, 0.0)
         for big_t in rng.uniform(0.0, 3.0 * ts.tau_r, size=10):
             half_mean = 0.5 * sigma_small_waist(inp, big_t) * section
-            assert covariance_quasistationary(p, ts.tau_w, big_t, 0.0) == pytest.approx(
+            assert covariance_quasistationary(inp, big_t, 0.0) == pytest.approx(
                 half_mean, rel=1e-12
             )
 
@@ -179,41 +186,31 @@ class TestCovarianceQuasistationary:
     def test_tracks_exact_covariance_in_regime(self, zeta, tau_cap):
         inp = inputs_with_zeta(zeta, tau_w_over_tau_r=0.02)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         for big_t in np.linspace(5.0 * ts.tau_w, 2.0 * ts.tau_r, 6):
             taus = np.linspace(0.0, min(tau_cap * ts.tau_r, 2.0 * big_t), 7)
             exact = np.asarray(covariance_exact(inp, big_t, taus))
-            quasi = np.asarray(covariance_quasistationary(p, ts.tau_w, big_t, taus))
+            quasi = np.asarray(covariance_quasistationary(inp, big_t, taus))
             np.testing.assert_allclose(quasi, exact, rtol=0.01)
-
-    def test_invariants_of_scaled_params(self):
-        p = ScaledFluctParams(n0=1.0, zeta=0.3, tau_r=0.01)
-        assert p.alpha_t_sq(0.0) == 2.0
-        assert p.a_t(0.0) == 0.0 and p.b_t(0.0) == 0.0
-        with pytest.raises(ValueError):
-            ScaledFluctParams(n0=1.0, zeta=-0.1, tau_r=0.01)
 
 
 class TestCovarianceSeries:
     def test_zeroth_order_without_gravity_is_quasistationary(self):
         inp = small_waist_inputs(g=0.0)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         big_t, tau = ts.tau_r, 0.5 * ts.tau_w
         # at zero growth the sum is its first term
-        assert covariance_series(p, ts.tau_w, big_t, tau) == pytest.approx(
-            covariance_quasistationary(p, ts.tau_w, big_t, tau), rel=1e-15
+        assert covariance_series(inp, big_t, tau) == pytest.approx(
+            covariance_quasistationary(inp, big_t, tau), rel=1e-15
         )
 
     @pytest.mark.parametrize("zeta", [0.1, 1.0])
     def test_converged_sum_equals_closed_form(self, zeta):
         inp = inputs_with_zeta(zeta)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         for big_t in (0.5 * ts.tau_r, 1.5 * ts.tau_r, 3.0 * ts.tau_r):
             for tau in (0.0, 0.3 * ts.tau_w, 5.0 * ts.tau_w, ts.tau_r):
-                closed = covariance_quasistationary(p, ts.tau_w, big_t, tau)
-                summed = covariance_series(p, ts.tau_w, big_t, tau)
+                closed = covariance_quasistationary(inp, big_t, tau)
+                summed = covariance_series(inp, big_t, tau)
                 assert summed == pytest.approx(closed, rel=1e-9)
 
     def test_converges_at_strong_gravity(self):
@@ -221,21 +218,19 @@ class TestCovarianceSeries:
         # from the largest growth parameter allows
         inp = inputs_with_zeta(1.0)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         big_t = 4.0 * ts.tau_r
-        assert covariance_series(p, ts.tau_w, big_t, 0.0) == pytest.approx(
-            covariance_quasistationary(p, ts.tau_w, big_t, 0.0), rel=1e-9
+        assert covariance_series(inp, big_t, 0.0) == pytest.approx(
+            covariance_quasistationary(inp, big_t, 0.0), rel=1e-9
         )
 
     @pytest.mark.parametrize("big_t", [0.055, 0.07, 0.09, 0.12])
     def test_late_fall_times_of_default_physics(self, inputs, big_t):
         # thousands of orders at 120 ms, where exp(-zeta*a_T) alone underflows
         ts = time_scales(inputs.cloud, inputs.beam)
-        p = scaled_fluct_params(inputs)
         taus = np.array([0.0, 0.3 * ts.tau_w, 3.0 * ts.tau_w])
         np.testing.assert_allclose(
-            covariance_series(p, ts.tau_w, big_t, taus),
-            covariance_quasistationary(p, ts.tau_w, big_t, taus),
+            covariance_series(inputs, big_t, taus),
+            covariance_quasistationary(inputs, big_t, taus),
             rtol=1e-9,
         )
 
@@ -285,33 +280,31 @@ class TestSpectra:
     def test_exponential_peak_and_linewidth(self):
         inp = small_waist_inputs(g=0.0)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         big_t = ts.tau_r
-        alpha = math.sqrt(p.alpha_t_sq(big_t))
-        peak = spectrum_exponential(p, ts.tau_w, big_t, 0.0)
-        assert peak == pytest.approx(p.n0 * math.pi * ts.tau_w / alpha, rel=1e-14)
-        at_width = spectrum_exponential(p, ts.tau_w, big_t, 1.0 / (alpha * ts.tau_w))
+        n0, _, alpha_sq, _, _ = quasistationary_coefficients(inp, big_t)
+        alpha = math.sqrt(alpha_sq)
+        peak = spectrum_exponential(inp, big_t, 0.0)
+        assert peak == pytest.approx(n0 * math.pi * ts.tau_w / alpha, rel=1e-14)
+        at_width = spectrum_exponential(inp, big_t, 1.0 / (alpha * ts.tau_w))
         assert at_width == pytest.approx(peak * math.exp(-1.0), rel=1e-13)
 
     def test_spectra_even_in_frequency(self):
         inp = inputs_with_zeta(0.4)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         omega = np.array([300.0, 2000.0])
         for f in (spectrum_exponential, spectrum_series, normalized_spectrum):
             np.testing.assert_array_equal(
-                np.asarray(f(p, ts.tau_w, ts.tau_r, omega)),
-                np.asarray(f(p, ts.tau_w, ts.tau_r, -omega)),
+                np.asarray(f(inp, ts.tau_r, omega)),
+                np.asarray(f(inp, ts.tau_r, -omega)),
             )
 
     def test_series_reduces_to_exponential_without_gravity(self):
         inp = small_waist_inputs(g=0.0)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         omega = np.linspace(0.0, 6.0 / ts.tau_w, 40)
         np.testing.assert_allclose(
-            np.asarray(spectrum_series(p, ts.tau_w, ts.tau_r, omega)),
-            np.asarray(spectrum_exponential(p, ts.tau_w, ts.tau_r, omega)),
+            np.asarray(spectrum_series(inp, ts.tau_r, omega)),
+            np.asarray(spectrum_exponential(inp, ts.tau_r, omega)),
             rtol=1e-14,
         )
 
@@ -321,29 +314,24 @@ class TestSpectra:
         for zeta in (0.1, 1.0):
             inp = inputs_with_zeta(zeta)
             ts = time_scales(inp.cloud, inp.beam)
-            p = scaled_fluct_params(inp)
             big_t = 2.0 * ts.tau_r
-            alpha_sq = p.alpha_t_sq(big_t)
+            _, _, alpha_sq, _, b_t = quasistationary_coefficients(inp, big_t)
             alpha = math.sqrt(alpha_sq)
-            c = zeta * p.b_t(big_t) / (4.0 * alpha_sq)
+            c = zeta * b_t / (4.0 * alpha_sq)
             expected = (
                 math.pi * alpha * ts.tau_w * math.exp(-4.0 * c) * peak_series_reference(c)
             )
-            assert normalized_spectrum(p, ts.tau_w, big_t, 0.0) == pytest.approx(
+            assert normalized_spectrum(inp, big_t, 0.0) == pytest.approx(
                 expected, rel=1e-10
             )
 
     def test_series_is_transform_of_covariance(self):
         inp = inputs_with_zeta(0.5)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         big_t = 1.5 * ts.tau_r
         for omega in (0.0, 0.3 / ts.tau_w, 3.0 / ts.tau_w):
-            oracle = quasistationary_fourier_oracle(
-                p.n0, p.zeta, p.alpha_t_sq(big_t), p.a_t(big_t), p.b_t(big_t),
-                ts.tau_w, omega,
-            )
-            assert spectrum_series(p, ts.tau_w, big_t, omega) == pytest.approx(
+            oracle = quasistationary_fourier_oracle(inp, big_t, omega)
+            assert spectrum_series(inp, big_t, omega) == pytest.approx(
                 oracle, rel=1e-6
             )
 
@@ -352,23 +340,19 @@ class TestSpectra:
         # c = 30.3 needs 205 orders at omega = 0; at c = 204.65 the damping
         # exp(-4c) underflows, so every early term of the series is zero
         ts = time_scales(inputs.cloud, inputs.beam)
-        p = scaled_fluct_params(inputs)
-        alpha_sq = p.alpha_t_sq(big_t)
-        assert p.zeta * p.b_t(big_t) / (4.0 * alpha_sq) == pytest.approx(c_expected, rel=1e-3)
+        _, zeta, alpha_sq, _, b_t = quasistationary_coefficients(inputs, big_t)
+        assert zeta * b_t / (4.0 * alpha_sq) == pytest.approx(c_expected, rel=1e-3)
         for omega in (0.0, 0.3 / ts.tau_w, 3.0 / ts.tau_w):
-            oracle = quasistationary_fourier_oracle(
-                p.n0, p.zeta, alpha_sq, p.a_t(big_t), p.b_t(big_t), ts.tau_w, omega,
-            )
-            assert spectrum_series(p, ts.tau_w, big_t, omega) == pytest.approx(
+            oracle = quasistationary_fourier_oracle(inputs, big_t, omega)
+            assert spectrum_series(inputs, big_t, omega) == pytest.approx(
                 oracle, rel=1e-10
             )
 
     def test_normalized_peak_without_gravity(self):
         inp = small_waist_inputs(g=0.0)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
-        alpha = math.sqrt(p.alpha_t_sq(ts.tau_r))
-        assert normalized_spectrum(p, ts.tau_w, ts.tau_r, 0.0) == pytest.approx(
+        alpha = math.sqrt(quasistationary_coefficients(inp, ts.tau_r)[2])
+        assert normalized_spectrum(inp, ts.tau_r, 0.0) == pytest.approx(
             math.pi * alpha * ts.tau_w, rel=1e-14
         )
 
@@ -377,13 +361,12 @@ class TestSpectra:
 
         inp = inputs_with_zeta(0.3)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         big_t = ts.tau_r
-        alpha_sq = p.alpha_t_sq(big_t)
-        c = p.zeta * p.b_t(big_t) / (4.0 * alpha_sq)
+        _, zeta, alpha_sq, _, b_t = quasistationary_coefficients(inp, big_t)
+        c = zeta * b_t / (4.0 * alpha_sq)
         omega_cut = (8.0 * c + 80.0) / (math.sqrt(alpha_sq) * ts.tau_w)
         val, _ = quad(
-            lambda w: normalized_spectrum(p, ts.tau_w, big_t, w),
+            lambda w: normalized_spectrum(inp, big_t, w),
             0.0, omega_cut, limit=400,
         )
         assert val / math.pi == pytest.approx(1.0, abs=1e-9)
@@ -391,25 +374,26 @@ class TestSpectra:
     def test_ratio_to_normalized_is_variance(self, rng):
         inp = inputs_with_zeta(0.6)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         big_t = 1.2 * ts.tau_r
-        var_qs = covariance_quasistationary(p, ts.tau_w, big_t, 0.0)
+        var_qs = covariance_quasistationary(inp, big_t, 0.0)
         for omega in rng.uniform(0.0, 5.0 / ts.tau_w, size=8):
-            ratio = spectrum_series(p, ts.tau_w, big_t, omega) / normalized_spectrum(
-                p, ts.tau_w, big_t, omega
+            ratio = spectrum_series(inp, big_t, omega) / normalized_spectrum(
+                inp, big_t, omega
             )
             assert ratio == pytest.approx(var_qs, rel=1e-12)
 
     def test_positive_spectrum(self):
         inp = inputs_with_zeta(1.0)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         omega = np.linspace(0.0, 10.0 / ts.tau_w, 60)
         for big_t in (0.3 * ts.tau_r, ts.tau_r, 3.0 * ts.tau_r):
-            assert np.all(np.asarray(spectrum_series(p, ts.tau_w, big_t, omega)) >= 0.0)
+            assert np.all(np.asarray(spectrum_series(inp, big_t, omega)) >= 0.0)
 
 
 class TestSpectrumNumeric:
+    """The oracles' direct transform, checked on known pairs and then
+    against the spectral series."""
+
     def test_narrow_correlation_gives_flat_spectrum(self):
         # a correlation much narrower than 1/omega transforms to its area
         tau = np.linspace(-1.0, 1.0, 20001)
@@ -434,20 +418,9 @@ class TestSpectrumNumeric:
         # frequencies start above zero where truncation is oscillation-damped
         inp = small_waist_inputs(tau_w_over_tau_r=0.005)
         ts = time_scales(inp.cloud, inp.beam)
-        p = scaled_fluct_params(inp)
         big_t = 2.0 * ts.tau_r
         tau_grid = np.linspace(-400.0 * ts.tau_w, 400.0 * ts.tau_w, 12801)
         omega = np.linspace(0.05, 1.0, 6) / ts.tau_w
         numeric = spectrum_numeric(inp, big_t, tau_grid, omega)
-        series = np.asarray(spectrum_series(p, ts.tau_w, big_t, omega))
+        series = np.asarray(spectrum_series(inp, big_t, omega))
         np.testing.assert_allclose(numeric, series, rtol=3e-3)
-
-    def test_warns_on_short_grid(self, inputs):
-        ts = time_scales(inputs.cloud, inputs.beam)
-        tau_grid = np.linspace(-4.0 * ts.tau_w, 4.0 * ts.tau_w, 101)
-        with pytest.warns(UserWarning, match="correlation widths"):
-            spectrum_numeric(inputs, 2.0 * ts.tau_r, tau_grid, np.array([0.0]))
-
-    def test_rejects_asymmetric_grid(self, inputs):
-        with pytest.raises(ValueError):
-            spectrum_numeric(inputs, 0.02, np.linspace(-1e-3, 2e-3, 31), np.array([0.0]))
