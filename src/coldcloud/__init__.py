@@ -41,7 +41,6 @@ from .exceptions import SeriesConvergenceError
 from .fluct import (
     covariance_exact,
     covariance_quasistationary,
-    covariance_series,
     mean_number,
     normalized_spectrum,
     pk_polynomial,
@@ -98,8 +97,8 @@ __all__ = [
     "sigma_saturated_closed", "sigma_saturated_general", "nonlinear_field_shift",
     # fluctuations
     "mean_number", "variance", "covariance_exact", "covariance_quasistationary",
-    "covariance_series", "pk_polynomial", "spectrum_exponential",
-    "spectrum_series", "normalized_spectrum", "spectra",
+    "pk_polynomial", "spectrum_exponential", "spectrum_series",
+    "normalized_spectrum", "spectra",
     # cavity
     "CavityParams", "cooperativity", "detuning_shift", "detuning_spectrum",
     "is_linear_regime",

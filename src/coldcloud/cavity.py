@@ -9,6 +9,7 @@ cavity-detuning noise spectrum.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -66,8 +67,8 @@ def cooperativity(cav: CavityParams, b: BeamParams, n: float) -> float:
     Linear in the effective atom number n; the waist section S enters
     because the coupling concentrates on the beam area.
     """
-    if n < 0:
-        raise ValueError(f"atom number must be nonnegative, got {n}")
+    if not 0.0 <= n < math.inf:
+        raise ValueError(f"atom number must be finite and nonnegative, got {n}")
     return _coupling_per_atom(b) * n / (2.0 * cav.kappa * cav.tau_c)
 
 
@@ -89,8 +90,6 @@ def detuning_shift(cav: CavityParams, b: BeamParams, opt: OpticalParams, n: floa
     the detuning.  Units rad/s.
     """
     _check_dispersive(opt)
-    if n < 0:
-        raise ValueError(f"atom number must be nonnegative, got {n}")
     return 2.0 * cav.kappa * cooperativity(cav, b, n) / opt.delta
 
 

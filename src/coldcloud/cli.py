@@ -486,12 +486,12 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
                            (stats.mean[j] - mean_th[j]) / stats.se_mean[j]))
             checks.append((f"{label}.variance[t={t:g}]", stats.variance[j], var_th[j],
                            (stats.variance[j] - var_th[j]) / stats.se_variance[j]))
-        for j in range(times.size):
-            for k in range(j + 1, times.size):
-                th = covariance_exact(inp, 0.5 * (times[j] + times[k]), times[j] - times[k])
-                z = (stats.covariance[j, k] - th) / stats.se_covariance[j, k]
-                checks.append((f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]",
-                               stats.covariance[j, k], th, z))
+        rows, cols = np.triu_indices(times.size, 1)
+        cov_th = covariance_exact(inp, 0.5 * (times[rows] + times[cols]), times[rows] - times[cols])
+        for j, k, th in zip(rows, cols, cov_th):
+            z = (stats.covariance[j, k] - th) / stats.se_covariance[j, k]
+            checks.append((f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]",
+                           stats.covariance[j, k], th, z))
         for j, t in enumerate(times):
             z = (report.ratio[j] - 1.0) / report.ratio_se[j]
             checks.append((f"{label}.poisson_ratio[t={t:g}]", report.ratio[j], 1.0, z))

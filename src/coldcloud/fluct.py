@@ -16,15 +16,12 @@ Conventions fixed here:
 
 * Spectra are even in omega; the exponential decay uses |omega| so that the
   normalized spectrum integrates to exactly 1 over d(omega)/(2*pi).
-* Each order of the gravity expansion of the covariance is a power of the
-  Lorentzian L, so its transform carries the Lorentzian peak value
-  1/alpha_T^2 along with the expansion parameter: the spectral series runs
-  in c = zeta*b_T/(4*alpha_T^2).  This keeps the spectrum the exact
-  transform of the covariance series at every order (checked in the tests
-  against direct numerical transforms).
-* Both gravity series go through one log-space summer, fed a per-order
-  log-term and the order where the terms peak; the term cap follows from
-  that peak, so it grows with the gravity parameter.
+* Expanding covariance_quasistationary in powers of the Lorentzian L gives
+  orders with analytic transforms, each carrying the Lorentzian peak value
+  1/alpha_T^2 along with the expansion parameter: the spectrum is their
+  sum, a series in c = zeta*b_T/(4*alpha_T^2) (checked in the tests against
+  direct numerical transforms).  It is summed in log space, with a term
+  cap that follows from the order where the terms peak.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "variance",
     "covariance_exact",
     "covariance_quasistationary",
-    "covariance_series",
     "pk_polynomial",
     "spectrum_exponential",
     "spectrum_series",
@@ -141,6 +137,14 @@ def _scaled(inp: EffNumInputs, T):
     return n0, ts.zeta, ts.tau_w, 2.0 * (1.0 + u), u * (4.0 + u), 2.0 * u * (2.0 + u) ** 2
 
 
+def _check_finite(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError if any is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def covariance_quasistationary(inp: EffNumInputs, T, tau):
     """Quasistationary covariance n0 * L * exp[-zeta*(a_T - b_T*L)].
 
@@ -149,56 +153,9 @@ def covariance_quasistationary(inp: EffNumInputs, T, tau):
     tau_w (not enforced).
     """
     n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, T)
-    lor = 1.0 / ((np.asarray(tau, dtype=float) / tau_w) ** 2 + alpha_sq)
+    lor = 1.0 / ((_check_finite(tau, "tau") / tau_w) ** 2 + alpha_sq)
     out = n0 * lor * np.exp(-zeta * (a_t - b_t * lor))
     return out if np.ndim(out) else float(out)
-
-
-def _log_series(log_term, peak: float, name: str, detail: str):
-    """sum_k exp(log_term(k)) over k = 0, 1, ..., elementwise.
-
-    Terms are compared in log space, so terms that underflow (all of the
-    early ones when the envelope leaves the float range) never end the
-    sum; it ends once every term is below 1e-12 of its partial sum and
-    falling.  The terms peak near order ``peak`` with a spread of about
-    sqrt(peak); the cap allows ten spreads beyond the peak.
-    """
-    log_rtol = math.log(_SERIES_RTOL)
-    total, log_total, prev = 0.0, -np.inf, -np.inf
-    cap = int(peak + 10.0 * math.sqrt(peak)) + 20
-    for k in range(cap + 1):
-        term = log_term(k)
-        total = total + np.exp(term)
-        log_total = np.logaddexp(log_total, term)
-        if np.all(term <= log_rtol + log_total) and np.all(term <= prev):
-            return total
-        prev = term
-    raise SeriesConvergenceError(f"{name} series did not converge within {cap} terms ({detail})")
-
-
-def covariance_series(inp: EffNumInputs, T, tau):
-    """Gravity expansion of the quasistationary covariance in powers of L.
-
-    n0 * exp(-zeta*a_T) * sum_k (zeta*b_T)^k L^(1+k) / k!, summed like the
-    spectrum series: the drift n0*L*exp(-zeta*(a_T - b_T*L)) times the
-    Poisson envelope exp(k*ln g - ln k! - g), g = zeta*b_T*L, whose terms
-    peak near order g, so the term cap follows from the largest g.  At
-    g = 0 the sum ends after its first term, which is 1.
-    """
-    # scipy.special is imported here and in the other two gravity-series
-    # functions, not with the package: it costs more than most commands.
-    # The one-term p_k recurrence planned in ROADMAP.md (item 2) deletes
-    # these imports.
-    from scipy.special import gammaln, xlogy
-
-    n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, T)
-    lor = 1.0 / ((np.asarray(tau, dtype=float) / tau_w) ** 2 + alpha_sq)
-    drift = n0 * lor * np.exp(-zeta * (a_t - b_t * lor))
-    growth = zeta * b_t * lor
-    g_max = float(np.max(growth, initial=0.0))
-    drift = drift * _log_series(lambda k: xlogy(k, growth) - gammaln(k + 1) - growth,
-                                g_max, "covariance", f"g={g_max:.3g}")
-    return drift if np.ndim(drift) else float(drift)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +170,21 @@ def pk_polynomial(k: int, x):
     times p_k.  Evaluated in log space, the path the spectrum series uses
     (relative error below 1e-12 for k <= 60).
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
+    # NaN fails both comparisons
+    if not np.all((x >= 0) & (x < math.inf)):
+        raise ValueError("x must be finite and nonnegative")
     out = np.exp(_log_pk(k, x)).reshape(x.shape)
     return out if out.ndim else float(out)
 
 
 def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     """log p_k(x) elementwise, stable for large k and large x."""
+    # scipy.special is imported here and in _enveloped_pk_series, not with
+    # the package: it costs more than most commands.  The one-term p_k
+    # recurrence planned in ROADMAP.md (item 2) deletes these imports.
     from scipy.special import gammaln, logsumexp
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -246,7 +207,7 @@ def spectrum_exponential(inp: EffNumInputs, T, omega):
     """
     n0, _, tau_w, alpha_sq, _, _ = _scaled(inp, T)
     alpha = np.sqrt(alpha_sq)
-    x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
+    x = alpha * np.abs(_check_finite(omega, "omega")) * tau_w
     out = n0 * math.pi * tau_w / alpha * np.exp(-x)
     return out if np.ndim(out) else float(out)
 
@@ -257,8 +218,11 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     exp(-4c) is exactly the normalization prefactor of the spectra and
     exp(-x) their frequency envelope; folding both into the terms bounds
     every partial sum by 1 and lets far-tail terms underflow harmlessly,
-    so the evaluation neither overflows nor stalls at large x.  The terms
-    peak near order m = 4c + 2*sqrt(2*c*x).
+    so the evaluation neither overflows nor stalls at large x.  Compared in
+    log space, underflowing early terms never end the sum; it ends once
+    every term is below 1e-12 of its partial sum and falling.  The terms
+    peak near order m = 4c + 2*sqrt(2*c*x); the cap allows ten spreads
+    sqrt(m) beyond it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if c == 0.0:
@@ -266,12 +230,18 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     from scipy.special import gammaln
 
     log_c = math.log(c)
-
-    def log_term(k: int) -> np.ndarray:
-        return k * log_c - 2.0 * gammaln(k + 1) + _log_pk(k, x) - 4.0 * c - x
-
+    log_rtol = math.log(_SERIES_RTOL)
     peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x.max(initial=0.0))
-    return _log_series(log_term, peak, "spectrum", f"c={c:.3g}")
+    cap = int(peak + 10.0 * math.sqrt(peak)) + 20
+    total, log_total, prev = 0.0, -np.inf, -np.inf
+    for k in range(cap + 1):
+        term = k * log_c - 2.0 * gammaln(k + 1) + _log_pk(k, x) - 4.0 * c - x
+        total = total + np.exp(term)
+        log_total = np.logaddexp(log_total, term)
+        if np.all(term <= log_rtol + log_total) and np.all(term <= prev):
+            return total
+        prev = term
+    raise SeriesConvergenceError(f"spectrum series did not converge within {cap} terms (c={c:.3g})")
 
 
 def spectra(inp: EffNumInputs, T, omega):
@@ -279,7 +249,7 @@ def spectra(inp: EffNumInputs, T, omega):
     of the gravity series they share (its cost dominates both)."""
     n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, float(T))
     alpha = math.sqrt(alpha_sq)
-    x = alpha * np.abs(np.asarray(omega, dtype=float)) * tau_w
+    x = alpha * np.abs(_check_finite(omega, "omega")) * tau_w
     c = zeta * b_t / (4.0 * alpha_sq)
     enveloped = _enveloped_pk_series(c, x)
     # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
@@ -297,8 +267,8 @@ def spectrum_series(inp: EffNumInputs, T, omega):
 
     Exponential envelope times the gravity series in
     c = zeta*b_T/(4*alpha_T^2), each order carrying p_k(alpha_T*|omega|*tau_w):
-    the exact transform, order by order, of the covariance series.  Reduces
-    to spectrum_exponential when zeta = 0.
+    the order-by-order transform of covariance_quasistationary expanded in
+    powers of L.  Reduces to spectrum_exponential when zeta = 0.
     """
     return spectra(inp, T, omega)[0]
 

@@ -143,8 +143,6 @@ def propagate(r0, v0, g: float, t: float):
 
 def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> float:
     """Weighted atom count N(t) = sum of beam weights over the atoms."""
-    if real.count == 0:
-        return 0.0
     pos = propagate(real.positions, real.velocities, g, t)
     return float(np.sum(weight(b, pos)))
 
@@ -280,7 +278,8 @@ def binary_count_check(
     lo, hi = (np.asarray(side, dtype=float) for side in box_bounds)
     if lo.shape != (3,) or hi.shape != (3,):
         raise ValueError("box_bounds must be a pair of 3-vectors")
-    if np.any(lo >= hi):
+    # a NaN bound fails the comparison; infinite bounds pass it
+    if not np.all(lo < hi):
         raise ValueError("box lower bounds must be below upper bounds")
     times = np.atleast_1d(np.asarray(times, dtype=float))
 

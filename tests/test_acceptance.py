@@ -164,18 +164,7 @@ def test_06_quasistationary_consistency():
 
 
 def test_07_series_duality():
-    """Gravity series match their closed forms in both domains."""
-    worst_cov = 0.0
-    for zeta in (0.0, 0.3, 1.0):
-        inp = inputs_with_zeta(zeta)
-        ts = cc.time_scales(inp.cloud, inp.beam)
-        for t_frac in (0.5, 1.0, 2.0, 3.0):
-            big_t = t_frac * ts.tau_r
-            for tau in (0.0, 0.5 * ts.tau_w, 3.0 * ts.tau_w, 0.3 * ts.tau_r, ts.tau_r):
-                closed = cc.covariance_quasistationary(inp, big_t, tau)
-                summed = cc.covariance_series(inp, big_t, tau)
-                worst_cov = max(worst_cov, abs(summed / closed - 1.0))
-
+    """The zero-frequency spectral series matches its closed-form sum."""
     worst_peak = 0.0
     for zeta in (0.1, 1.0):
         inp = inputs_with_zeta(zeta)
@@ -191,9 +180,8 @@ def test_07_series_duality():
             got = cc.normalized_spectrum(inp, big_t, 0.0)
             worst_peak = max(worst_peak, abs(got / expected - 1.0))
 
-    ok = worst_cov <= 1e-9 and worst_peak <= 1e-10
-    report(7, "series-closed form duality", ok,
-           f" (covariance rel = {worst_cov:.2e} tol 1e-9; peak-series rel = {worst_peak:.2e} tol 1e-10)")
+    report(7, "zero-frequency series-closed form duality", worst_peak <= 1e-10,
+           f" (peak-series rel = {worst_peak:.2e} tol 1e-10)")
 
 
 def test_08_spectrum_normalization():

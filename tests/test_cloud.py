@@ -218,7 +218,6 @@ def _time_takers():
         "variance": lambda t: cc.variance(inp, t),
         "covariance_exact": lambda t: cc.covariance_exact(inp, t, 0.0),
         "covariance_quasistationary": lambda t: cc.covariance_quasistationary(inp, t, 0.0),
-        "covariance_series": lambda t: cc.covariance_series(inp, t, 0.0),
         "spectrum_exponential": lambda t: cc.spectrum_exponential(inp, t, 0.0),
         "spectrum_series": lambda t: cc.spectrum_series(inp, t, 0.0),
         "normalized_spectrum": lambda t: cc.normalized_spectrum(inp, t, 0.0),
@@ -240,3 +239,58 @@ def test_times_must_be_finite_and_nonnegative(name, bad):
     call(0.01)  # the call itself is valid
     with pytest.raises(ValueError):
         call(bad)
+
+
+def _value_takers():
+    """Every public function of a delay, frequency, atom number, polynomial
+    order or box bound, as (call on that value, a valid value, bad values)."""
+    import coldcloud as cc
+
+    beam = BeamParams(w0=100e-6, wavelength=852e-9)
+    inp = cc.EffNumInputs(CloudParams(1e6, 1e-3, 0.1, 9.81), beam)
+    small = CloudParams(100, 1e-3, 0.1, 9.81)
+    opt = cc.OpticalParams(delta=10.0, s_m0=0.3)
+    cav = cc.CavityParams(kappa=5e6, tau_c=1e-9)
+    non_finite = (math.nan, math.inf, -math.inf)
+    bad_count = (math.nan, math.inf, -1.0)
+    return {
+        "covariance_quasistationary":
+            (lambda tau: cc.covariance_quasistationary(inp, 0.01, tau), 1e-4, non_finite),
+        "spectrum_exponential": (lambda w: cc.spectrum_exponential(inp, 0.01, w), 1e3, non_finite),
+        "spectrum_series": (lambda w: cc.spectrum_series(inp, 0.01, w), 1e3, non_finite),
+        "normalized_spectrum": (lambda w: cc.normalized_spectrum(inp, 0.01, w), 1e3, non_finite),
+        "spectra": (lambda w: cc.spectra(inp, 0.01, w), 1e3, non_finite),
+        "detuning_spectrum":
+            (lambda w: cc.detuning_spectrum(cav, opt, inp, 0.01, w), 1e3, non_finite),
+        "cooperativity": (lambda n: cc.cooperativity(cav, beam, n), 1e4, bad_count),
+        "detuning_shift": (lambda n: cc.detuning_shift(cav, beam, opt, n), 1e4, bad_count),
+        "pk_polynomial.x": (lambda x: cc.pk_polynomial(2, x), 0.5, (math.nan, math.inf, -0.5)),
+        "pk_polynomial.k": (lambda k: cc.pk_polynomial(k, 0.5), 2, (2.5, -1)),
+        # an infinite upper bound selects all space; NaN or -inf is no bound
+        "binary_count_check": (lambda hi: cc.binary_count_check(
+            small, ((-math.inf,) * 3, (hi, math.inf, math.inf)), [0.01], 3, 1),
+            math.inf, (math.nan, -math.inf)),
+    }
+
+
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name, (_, _, bads) in sorted(_value_takers().items()) for bad in bads
+])
+def test_values_must_be_finite_and_in_range(name, bad):
+    call, valid, _ = _value_takers()[name]
+    call(valid)  # the call itself is valid
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+def test_package_exports_every_module_export():
+    import importlib
+
+    import coldcloud as cc
+
+    modules = ("beam", "cavity", "cloud", "effnum", "exceptions", "fluct", "mc_oracle",
+               "optical", "saturation")
+    module_names = set().union(
+        *(importlib.import_module(f"coldcloud.{m}").__all__ for m in modules))
+    assert set(cc.__all__) - {"__version__"} == module_names
+    assert all(hasattr(cc, name) for name in cc.__all__)

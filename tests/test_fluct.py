@@ -12,7 +12,6 @@ from coldcloud import (
     beam_section,
     covariance_exact,
     covariance_quasistationary,
-    covariance_series,
     mean_number,
     normalized_spectrum,
     pk_polynomial,
@@ -132,6 +131,22 @@ class TestCovarianceExact:
                 inputs, big_t, -tau
             )
 
+    @pytest.mark.parametrize("g", [0.0, 9.81])
+    @pytest.mark.parametrize("n,w0,wavelength,t_stop", [
+        (1e4, 10e-6, 1e-9, 0.02),      # validate_desk.json
+        (1e6, 100e-6, 852e-9, 0.03),   # default.json
+    ])
+    def test_pair_array_equals_scalar_calls(self, g, n, w0, wavelength, t_stop):
+        # cli validate evaluates all pairs (t_j, t_k), j < k, of its grid in one call
+        inp = EffNumInputs(CloudParams(n, 1e-3, 0.1, g), BeamParams(w0=w0, wavelength=wavelength))
+        times = np.linspace(0.0, t_stop, 5)
+        rows, cols = np.triu_indices(times.size, 1)
+        together = covariance_exact(inp, 0.5 * (times[rows] + times[cols]),
+                                    times[rows] - times[cols])
+        one_by_one = [covariance_exact(inp, 0.5 * (times[j] + times[k]), times[j] - times[k])
+                      for j, k in zip(rows, cols)]
+        np.testing.assert_array_equal(together, one_by_one)
+
     def test_rejects_negative_sampling_time(self, inputs):
         with pytest.raises(ValueError):
             covariance_exact(inputs, 0.001, 0.003)
@@ -191,48 +206,6 @@ class TestCovarianceQuasistationary:
             exact = np.asarray(covariance_exact(inp, big_t, taus))
             quasi = np.asarray(covariance_quasistationary(inp, big_t, taus))
             np.testing.assert_allclose(quasi, exact, rtol=0.01)
-
-
-class TestCovarianceSeries:
-    def test_zeroth_order_without_gravity_is_quasistationary(self):
-        inp = small_waist_inputs(g=0.0)
-        ts = time_scales(inp.cloud, inp.beam)
-        big_t, tau = ts.tau_r, 0.5 * ts.tau_w
-        # at zero growth the sum is its first term
-        assert covariance_series(inp, big_t, tau) == pytest.approx(
-            covariance_quasistationary(inp, big_t, tau), rel=1e-15
-        )
-
-    @pytest.mark.parametrize("zeta", [0.1, 1.0])
-    def test_converged_sum_equals_closed_form(self, zeta):
-        inp = inputs_with_zeta(zeta)
-        ts = time_scales(inp.cloud, inp.beam)
-        for big_t in (0.5 * ts.tau_r, 1.5 * ts.tau_r, 3.0 * ts.tau_r):
-            for tau in (0.0, 0.3 * ts.tau_w, 5.0 * ts.tau_w, ts.tau_r):
-                closed = covariance_quasistationary(inp, big_t, tau)
-                summed = covariance_series(inp, big_t, tau)
-                assert summed == pytest.approx(closed, rel=1e-9)
-
-    def test_converges_at_strong_gravity(self):
-        # T = 4*tau_r at zeta = 1 needs ~430 orders, which the cap derived
-        # from the largest growth parameter allows
-        inp = inputs_with_zeta(1.0)
-        ts = time_scales(inp.cloud, inp.beam)
-        big_t = 4.0 * ts.tau_r
-        assert covariance_series(inp, big_t, 0.0) == pytest.approx(
-            covariance_quasistationary(inp, big_t, 0.0), rel=1e-9
-        )
-
-    @pytest.mark.parametrize("big_t", [0.055, 0.07, 0.09, 0.12])
-    def test_late_fall_times_of_default_physics(self, inputs, big_t):
-        # thousands of orders at 120 ms, where exp(-zeta*a_T) alone underflows
-        ts = time_scales(inputs.cloud, inputs.beam)
-        taus = np.array([0.0, 0.3 * ts.tau_w, 3.0 * ts.tau_w])
-        np.testing.assert_allclose(
-            covariance_series(inputs, big_t, taus),
-            covariance_quasistationary(inputs, big_t, taus),
-            rtol=1e-9,
-        )
 
 
 class TestPkPolynomial:
@@ -381,6 +354,17 @@ class TestSpectra:
                 inp, big_t, omega
             )
             assert ratio == pytest.approx(var_qs, rel=1e-12)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0])
+    def test_peak_is_at_zero_frequency(self, zeta):
+        # a transform of the nonnegative covariance is largest at omega = 0,
+        # the only value is_linear_regime compares with kappa
+        inp = inputs_with_zeta(zeta)
+        ts = time_scales(inp.cloud, inp.beam)
+        omega = np.linspace(0.0, 10.0 / ts.tau_w, 2001)
+        for big_t in (0.5 * ts.tau_r, 2.0 * ts.tau_r, 4.0 * ts.tau_r):
+            shape = normalized_spectrum(inp, big_t, omega)
+            assert np.all(shape[1:] <= shape[0])
 
     def test_positive_spectrum(self):
         inp = inputs_with_zeta(1.0)
