@@ -11,63 +11,16 @@ cross-validates every closed form.
 
 import numpy as _np
 
-from .beam import BeamParams, beam_section, beam_size, mode_amplitude, weight
-from .cavity import (
-    CavityParams,
-    cooperativity,
-    detuning_shift,
-    detuning_spectrum,
-    is_linear_regime,
-)
-from .cloud import (
-    CloudParams,
-    TimeScales,
-    center_density,
-    density,
-    phase_space_density,
-    time_scales,
-)
-from .effnum import (
-    EffNumInputs,
-    column_number_density,
-    layer_number_density,
-    linear_field_shift,
-    sigma_general,
-    sigma_high_temperature,
-    sigma_long_rayleigh,
-    sigma_small_waist,
-)
-from .exceptions import SeriesConvergenceError
-from .fluct import (
-    covariance_exact,
-    covariance_quasistationary,
-    mean_number,
-    normalized_spectrum,
-    pk_polynomial,
-    spectra,
-    spectrum_exponential,
-    spectrum_series,
-    variance,
-)
-from .mc_oracle import (
-    BinaryCountReport,
-    EnsembleStats,
-    Realization,
-    binary_count_check,
-    effective_count,
-    ensemble_stats,
-    propagate,
-    sample_cloud,
-    substream_seed,
-    weighted_counts,
-)
-from .optical import OpticalParams, polarizability
-from .saturation import (
-    nonlinear_field_shift,
-    saturation_on_axis,
-    sigma_saturated_closed,
-    sigma_saturated_general,
-)
+from . import beam, cavity, cloud, effnum, exceptions, fluct, mc_oracle, optical, saturation
+from .beam import *
+from .cavity import *
+from .cloud import *
+from .effnum import *
+from .exceptions import *
+from .fluct import *
+from .mc_oracle import *
+from .optical import *
+from .saturation import *
 
 __version__ = "0.1.0"
 
@@ -81,31 +34,8 @@ __version__ = "0.1.0"
 # allocation whose pages are never touched.
 _np.empty(3 << 20)
 
-__all__ = [
-    "__version__",
-    # beam
-    "BeamParams", "beam_size", "beam_section", "weight", "mode_amplitude",
-    # cloud
-    "CloudParams", "TimeScales", "time_scales", "phase_space_density",
-    "density", "center_density",
-    # effective number
-    "EffNumInputs", "column_number_density", "layer_number_density",
-    "sigma_general", "sigma_small_waist", "sigma_long_rayleigh",
-    "sigma_high_temperature", "linear_field_shift",
-    # saturation
-    "OpticalParams", "polarizability", "saturation_on_axis",
-    "sigma_saturated_closed", "sigma_saturated_general", "nonlinear_field_shift",
-    # fluctuations
-    "mean_number", "variance", "covariance_exact", "covariance_quasistationary",
-    "pk_polynomial", "spectrum_exponential", "spectrum_series",
-    "normalized_spectrum", "spectra",
-    # cavity
-    "CavityParams", "cooperativity", "detuning_shift", "detuning_spectrum",
-    "is_linear_regime",
-    # Monte Carlo oracle
-    "Realization", "EnsembleStats", "BinaryCountReport", "substream_seed",
-    "sample_cloud", "propagate", "effective_count", "weighted_counts",
-    "ensemble_stats", "binary_count_check",
-    # errors
-    "SeriesConvergenceError",
+__all__ = ["__version__"] + [
+    name for module in (beam, cavity, cloud, effnum, exceptions, fluct, mc_oracle, optical,
+                        saturation)
+    for name in module.__all__
 ]

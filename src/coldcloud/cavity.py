@@ -93,7 +93,7 @@ def detuning_shift(cav: CavityParams, b: BeamParams, opt: OpticalParams, n: floa
     return 2.0 * cav.kappa * cooperativity(cav, b, n) / opt.delta
 
 
-def detuning_spectrum(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T: float, omega):
+def detuning_spectrum(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T, omega):
     """Noise spectrum of the cavity detuning at fall time T (rad/s).
 
     Assembled as (3*lambda^2/(4*pi*S))^2 * S_NN(T, omega)/(delta*tau_c)^2
@@ -101,16 +101,14 @@ def detuning_spectrum(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, 
     normalized spectral shape.  Equivalently
     kappa*(C(T)/delta^2)*(3*lambda^2/(4*pi*S))*normalized/tau_c in terms of
     the cooperativity at T.  The coupling and the spectrum both belong to
-    the probe beam of ``inp``.
+    the probe beam of ``inp``.  T and omega broadcast against each other;
+    scalar inputs return a float.
     """
     _check_dispersive(opt)
     coupling = _coupling_per_atom(inp.beam)
-    shape = np.asarray(normalized_spectrum(inp, T, omega))
-    n_mean = mean_number(inp, T)
-
-    s_nn = 0.5 * n_mean * shape
+    s_nn = 0.5 * mean_number(inp, T) * normalized_spectrum(inp, T, omega)
     out = coupling**2 * s_nn / (opt.delta * cav.tau_c) ** 2
-    return out if np.ndim(omega) else float(np.atleast_1d(out)[0])
+    return out if np.ndim(out) else float(out)
 
 
 def is_linear_regime(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T: float) -> bool:

@@ -29,8 +29,9 @@ Config layout (keys follow the parameter bundles of the library)::
 Grid entries accept either an explicit list or a start/stop/num range;
 missing grids fall back to defaults derived from the cloud time scales.
 Every number must be finite: the NaN and Infinity literals are rejected,
-and so are unknown tolerance keys.  Curves over the t grid come from one
-array-valued library call each.
+and so are unknown tolerance keys.  Every CSV column comes from one
+array-valued library call: over the t grid, or over the (T, tau) and
+(T, omega) pairs in T-major order.
 Exit codes: 0 success (all validation checks pass), 1 physics/validation
 failure (including a finite config whose results leave the float range:
 no CSV column is ever written non-finite), 2 malformed config or usage.
@@ -76,6 +77,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 _OUT_DIR_ENV = "COLDCLOUD_OUT_DIR"
+_CSV_BLOCK_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -278,11 +280,14 @@ def _fmt(value: float) -> str:
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """Comma-separated, '.' decimal, 17 significant digits, one header row."""
-    rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for i in range(rows):
-            handle.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        # formatted column by column in blocks: Python floats format faster
+        # than numpy scalars, and a block bounds the memory of the text
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [map("{:.17g}".format, col[lo:lo + _CSV_BLOCK_ROWS].tolist())
+                     for col in columns]
+            handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _derived_scales(cfg: RunConfig) -> dict:
@@ -336,18 +341,9 @@ def write_manifest(
 # is the document itself.
 # ---------------------------------------------------------------------------
 
-def _per_fall_time(cfg: RunConfig, block) -> dict:
-    """block(T) -> {column: values} for every fall time T, stacked in T order
-    behind a T_s column; block returns None to skip T."""
-    blocks = []
-    for big_t in cfg.big_t_grid:
-        columns = block(big_t)
-        if columns is not None:
-            rows = len(next(iter(columns.values())))
-            blocks.append({"T_s": np.full(rows, big_t), **columns})
-    if not blocks:
-        return {}
-    return {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+def _fall_time_pairs(cfg: RunConfig, grid: np.ndarray):
+    """T-major (T, grid value) pairs: the whole grid for each fall time."""
+    return np.repeat(cfg.big_t_grid, grid.size), np.tile(grid, cfg.big_t_grid.size)
 
 
 def _mean(cfg: RunConfig, seed: int, threads: int):
@@ -385,38 +381,32 @@ def _variance(cfg: RunConfig, seed: int, threads: int):
 
 def _covariance(cfg: RunConfig, seed: int, threads: int):
     inp = EffNumInputs(cfg.cloud, cfg.beam)
-
-    def block(big_t):
-        # keep both sampling times nonnegative
-        tau = cfg.tau_grid[np.abs(cfg.tau_grid) <= 2.0 * big_t]
-        if tau.size == 0:
-            return None
-        exact = covariance_exact(inp, big_t, tau)
-        quasi = covariance_quasistationary(inp, big_t, tau)
-        return {"tau_s": tau, "covariance_exact": exact, "covariance_quasistationary": quasi,
-                "relative_gap": np.abs(quasi - exact) / np.abs(exact)}
-
-    columns = _per_fall_time(cfg, block)
-    if not columns:
+    big_t, tau = _fall_time_pairs(cfg, cfg.tau_grid)
+    # keep both sampling times nonnegative
+    keep = np.abs(tau) <= 2.0 * big_t
+    if not keep.any():
         raise ValueError("no valid (T, tau) pairs: tau grid exceeds 2*T everywhere")
-    return {"covariance.csv": columns}, {}
+    big_t, tau = big_t[keep], tau[keep]
+    exact = covariance_exact(inp, big_t, tau)
+    quasi = covariance_quasistationary(inp, big_t, tau)
+    return {"covariance.csv": {
+        "T_s": big_t, "tau_s": tau, "covariance_exact": exact,
+        "covariance_quasistationary": quasi, "relative_gap": np.abs(quasi - exact) / np.abs(exact),
+    }}, {}
 
 
 def _spectrum(cfg: RunConfig, seed: int, threads: int):
     inp = EffNumInputs(cfg.cloud, cfg.beam)
-    omega = cfg.omega_grid
-
-    def block(big_t):
-        series, normalized = spectra(inp, big_t, omega)
-        return {
-            "omega_rad_s": omega,
-            "omega_hz": omega / (2.0 * math.pi),
-            "spectrum_series_s": series,
-            "spectrum_exponential_s": spectrum_exponential(inp, big_t, omega),
-            "normalized_spectrum_s": normalized,
-        }
-
-    return {"spectrum.csv": _per_fall_time(cfg, block)}, {}
+    big_t, omega = _fall_time_pairs(cfg, cfg.omega_grid)
+    series, normalized = spectra(inp, big_t, omega)
+    return {"spectrum.csv": {
+        "T_s": big_t,
+        "omega_rad_s": omega,
+        "omega_hz": omega / (2.0 * math.pi),
+        "spectrum_series_s": series,
+        "spectrum_exponential_s": spectrum_exponential(inp, big_t, omega),
+        "normalized_spectrum_s": normalized,
+    }}, {}
 
 
 def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
@@ -424,21 +414,20 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     if cav is None:
         raise ConfigError("cavity", "required for the detuning-spectrum subcommand")
     inp = EffNumInputs(cfg.cloud, cfg.beam)
-    omega = cfg.omega_grid
+    big_t, omega = _fall_time_pairs(cfg, cfg.omega_grid)
+    noise = detuning_spectrum(cav, cfg.optical, inp, big_t, omega)
     regime = {}
-
-    def block(big_t):
-        noise = detuning_spectrum(cav, cfg.optical, inp, big_t, omega)
-        n_mean = mean_number(inp, big_t)
-        regime[_fmt(big_t)] = {
+    for t in cfg.big_t_grid:
+        n_mean = mean_number(inp, t)
+        regime[_fmt(t)] = {
             "cooperativity": cooperativity(cav, cfg.beam, n_mean),
             "detuning_shift_rad_s": detuning_shift(cav, cfg.beam, cfg.optical, n_mean),
-            "linear_regime": is_linear_regime(cav, cfg.optical, inp, big_t),
+            "linear_regime": is_linear_regime(cav, cfg.optical, inp, t),
         }
-        return {"omega_rad_s": omega, "omega_hz": omega / (2.0 * math.pi),
-                "detuning_noise_rad_s": noise}
-
-    return {"detuning_spectrum.csv": _per_fall_time(cfg, block)}, {"per_fall_time": regime}
+    return {"detuning_spectrum.csv": {
+        "T_s": big_t, "omega_rad_s": omega, "omega_hz": omega / (2.0 * math.pi),
+        "detuning_noise_rad_s": noise,
+    }}, {"per_fall_time": regime}
 
 
 def _mc_times(cfg: RunConfig) -> np.ndarray:
@@ -467,56 +456,52 @@ def _mc(cfg: RunConfig, seed: int, threads: int):
 
 
 def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed: int, threads: int):
-    """z-scores of one MC ensemble against the closed forms."""
+    """Check names and a (3, checks) array of MC estimates, closed-form
+    references and standard errors for one ensemble.  Order: mean and
+    variance per t, the covariance pairs, then the Poisson ratios."""
     inp = EffNumInputs(cloud, cfg.beam)
     stats = ensemble_stats(cloud, cfg.beam, times, cfg.mc_realizations, seed, threads)
-    checks = []
-    mean_th = np.asarray(mean_number(inp, times))
-    var_th = np.asarray(variance(inp, times))
     half = 0.5 * cloud.sigma_r
     report = binary_count_check(
         cloud, ((-half, -half, -half), (half, half, half)),
         times, cfg.mc_realizations, seed + 1, threads,
     )
-    # a check without data (zero standard error) gets a non-finite z, which
-    # _validate reports by name
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j, t in enumerate(times):
-            checks.append((f"{label}.mean[t={t:g}]", stats.mean[j], mean_th[j],
-                           (stats.mean[j] - mean_th[j]) / stats.se_mean[j]))
-            checks.append((f"{label}.variance[t={t:g}]", stats.variance[j], var_th[j],
-                           (stats.variance[j] - var_th[j]) / stats.se_variance[j]))
-        rows, cols = np.triu_indices(times.size, 1)
-        cov_th = covariance_exact(inp, 0.5 * (times[rows] + times[cols]), times[rows] - times[cols])
-        for j, k, th in zip(rows, cols, cov_th):
-            z = (stats.covariance[j, k] - th) / stats.se_covariance[j, k]
-            checks.append((f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]",
-                           stats.covariance[j, k], th, z))
-        for j, t in enumerate(times):
-            z = (report.ratio[j] - 1.0) / report.ratio_se[j]
-            checks.append((f"{label}.poisson_ratio[t={t:g}]", report.ratio[j], 1.0, z))
-    return checks
+    rows, cols = np.triu_indices(times.size, 1)
+    names = [f"{label}.{q}[t={t:g}]" for t in times for q in ("mean", "variance")]
+    names += [f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]" for j, k in zip(rows, cols)]
+    names += [f"{label}.poisson_ratio[t={t:g}]" for t in times]
+    mean = [stats.mean, mean_number(inp, times), stats.se_mean]
+    var = [stats.variance, variance(inp, times), stats.se_variance]
+    cov = [stats.covariance[rows, cols],
+           covariance_exact(inp, 0.5 * (times[rows] + times[cols]), times[rows] - times[cols]),
+           stats.se_covariance[rows, cols]]
+    ratio = [report.ratio, np.ones(times.size), report.ratio_se]
+    return names, np.hstack([np.stack([mean, var], axis=-1).reshape(3, -1), cov, ratio])
 
 
 def _validate(cfg: RunConfig, seed: int, threads: int):
     times = _mc_times(cfg)
-    checks = _validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)
+    branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)]
     if cfg.cloud.has_gravity:
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
-        checks += _validate_branch(cfg, free, "free", times, seed + 1000, threads)
-
+        branches.append(_validate_branch(cfg, free, "free", times, seed + 1000, threads))
+    names = [name for branch_names, _ in branches for name in branch_names]
+    estimate, reference, se = np.hstack([values for _, values in branches])
+    # a check without data (zero standard error) gets a non-finite z, which
+    # is reported by name below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (estimate - reference) / se
     tol = cfg.tolerances["mc_sigma"]
-    z = np.array([c[3] for c in checks])
     ok = np.abs(z) <= tol
     hard = np.abs(z) > cfg.tolerances["fail_sigma"]
     report = {
         "checks": [
-            {"name": c[0], "estimate": c[1], "reference": c[2], "z": c[3],
-             "pass": bool(abs(c[3]) <= tol)}
-            for c in checks
+            {"name": name, "estimate": e, "reference": r, "z": zj, "pass": bool(passed)}
+            for name, e, r, zj, passed in zip(names, estimate.tolist(), reference.tolist(),
+                                              z.tolist(), ok)
         ],
         "tolerance_sigma": tol,
-        "n_checks": len(checks),
+        "n_checks": len(names),
         "n_failures": int(np.count_nonzero(~ok)),
         "hard_failure": bool(np.count_nonzero(hard) >= cfg.tolerances["fail_points"]),
         "all_pass": bool(np.all(ok)),
@@ -525,7 +510,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         status = "pass" if entry["pass"] else "FAIL"
         print(f"[{status}] {entry['name']}: z = {entry['z']:+.2f}")
     print(f"validate: {report['n_checks'] - report['n_failures']}/{report['n_checks']} checks passed")
-    undefined = [c[0] for c in checks if not np.isfinite(c[3])]
+    undefined = [names[j] for j in np.flatnonzero(~np.isfinite(z))]
     if undefined:
         raise ValueError(f"no data (zero box counts or zero standard error), z undefined for "
                          f"{len(undefined)} checks: {', '.join(undefined)}")
@@ -534,15 +519,13 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
     worst = int(np.argmax(np.abs(z)))
     with np.errstate(divide="ignore"):
         tail = np.log1p(-math.erfc(abs(z[worst]) / math.sqrt(2.0)))
-    report.update(worst_check=checks[worst][0], worst_z=float(z[worst]),
-                  familywise_p=float(-np.expm1(len(checks) * tail)))
+    report.update(worst_check=names[worst], worst_z=float(z[worst]),
+                  familywise_p=float(-np.expm1(len(names) * tail)))
     print(f"validate: worst check {report['worst_check']}: z = {report['worst_z']:+.2f}, "
-          f"family-wise p = {report['familywise_p']:.3g} over {len(checks)} checks")
+          f"family-wise p = {report['familywise_p']:.3g} over {len(names)} checks")
     return {
-        "validate.csv": {
-            "z_score": z, "estimate": np.array([c[1] for c in checks]),
-            "reference": np.array([c[2] for c in checks]), "pass": ok.astype(float),
-        },
+        "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
+                         "pass": ok.astype(float)},
         "validate_report.json": report,
     }, {"all_pass": report["all_pass"]}
 
@@ -617,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="override the Monte Carlo seed from the config")
     parser.add_argument("--threads", type=_int_at_least(1), default=1,
-                        help="worker threads for Monte Carlo realizations")
+                        help="worker threads for Monte Carlo realizations "
+                             "(at most one per CPU is used)")
     return parser
 
 

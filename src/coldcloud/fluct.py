@@ -14,6 +14,9 @@ tau is then a legitimate time-dependent noise spectrum.
 
 Conventions fixed here:
 
+* Every function of the fall time T takes an array of times that
+  broadcasts against its delays or frequencies; scalar inputs return a
+  float.
 * Spectra are even in omega; the exponential decay uses |omega| so that the
   normalized spectrum integrates to exactly 1 over d(omega)/(2*pi).
 * Expanding covariance_quasistationary in powers of the Lorentzian L gives
@@ -132,9 +135,11 @@ def _scaled(inp: EffNumInputs, T):
     """
     T = _check_time(T)
     ts = time_scales(inp.cloud, inp.beam)
-    u = (T / ts.tau_r) ** 2
+    # np.square, unlike ** on a numpy scalar, rounds a scalar T exactly as
+    # the same T inside an array
+    u = np.square(T / ts.tau_r)
     n0 = inp.cloud.n_total * ts.tau_w**2 / ts.tau_r**2
-    return n0, ts.zeta, ts.tau_w, 2.0 * (1.0 + u), u * (4.0 + u), 2.0 * u * (2.0 + u) ** 2
+    return n0, ts.zeta, ts.tau_w, 2.0 * (1.0 + u), u * (4.0 + u), 2.0 * u * np.square(2.0 + u)
 
 
 def _check_finite(values, name: str) -> np.ndarray:
@@ -246,19 +251,30 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
 
 def spectra(inp: EffNumInputs, T, omega):
     """spectrum_series and normalized_spectrum together, from one evaluation
-    of the gravity series they share (its cost dominates both)."""
-    n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, float(T))
-    alpha = math.sqrt(alpha_sq)
-    x = alpha * np.abs(_check_finite(omega, "omega")) * tau_w
+    of the gravity series they share (its cost dominates both).
+
+    T and omega broadcast against each other.  The series runs once per
+    distinct T, over all of the frequencies paired with it.
+    """
+    T, omega = np.broadcast_arrays(_check_time(T), _check_finite(omega, "omega"))
+    times, group = np.unique(T.ravel(), return_inverse=True)
+    n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, times)
+    alpha = np.sqrt(alpha_sq)
+    x = alpha[group] * np.abs(omega.ravel()) * tau_w
     c = zeta * b_t / (4.0 * alpha_sq)
-    enveloped = _enveloped_pk_series(c, x)
+    enveloped = np.empty(x.shape)
+    for j in range(times.size):
+        at = group == j
+        enveloped[at] = _enveloped_pk_series(float(c[j]), x[at])
     # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
-    # second factor is the damping folded into the series
-    drift = math.exp(-zeta * (a_t - b_t / alpha_sq))
-    spectrum = n0 * math.pi * tau_w / alpha * drift * enveloped
-    normalized = math.pi * alpha * tau_w * enveloped
-    if np.ndim(omega):
-        return spectrum, normalized
+    # second factor is the damping folded into the series.  math.exp keeps
+    # the spectra bit for bit those of earlier versions; np.exp differs in
+    # the last bit for some of these arguments
+    drift = np.array([math.exp(-zeta * d) for d in a_t - b_t / alpha_sq])
+    spectrum = (n0 * math.pi * tau_w / alpha * drift)[group] * enveloped
+    normalized = (math.pi * alpha * tau_w)[group] * enveloped
+    if T.ndim:
+        return spectrum.reshape(T.shape), normalized.reshape(T.shape)
     return float(spectrum[0]), float(normalized[0])
 
 
@@ -268,7 +284,8 @@ def spectrum_series(inp: EffNumInputs, T, omega):
     Exponential envelope times the gravity series in
     c = zeta*b_T/(4*alpha_T^2), each order carrying p_k(alpha_T*|omega|*tau_w):
     the order-by-order transform of covariance_quasistationary expanded in
-    powers of L.  Reduces to spectrum_exponential when zeta = 0.
+    powers of L.  Reduces to spectrum_exponential when zeta = 0.  T and
+    omega broadcast against each other, as in spectra.
     """
     return spectra(inp, T, omega)[0]
 
@@ -278,6 +295,7 @@ def normalized_spectrum(inp: EffNumInputs, T, omega):
 
     pi*alpha_T*tau_w * exp(-alpha_T*|omega|*tau_w) times the damped gravity
     series; integrates to 1 over d(omega)/(2*pi) for every zeta and T.
+    T and omega broadcast against each other, as in spectra.
     """
     return spectra(inp, T, omega)[1]
 

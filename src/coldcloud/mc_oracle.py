@@ -14,6 +14,7 @@ realizations are spread over.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -153,8 +154,10 @@ def _realization_rows(c: CloudParams, row, times: np.ndarray, n_realizations: in
 
     Realization i is drawn from substream_seed(seed, i), so scheduling
     order cannot change the result.  One thread runs on the calling thread;
-    more split the realizations into contiguous chunks over a thread pool.
+    more split the realizations into contiguous chunks over a thread pool
+    of at most one worker per CPU.
     """
+    threads = min(threads, os.cpu_count() or 1)
     out = np.empty((n_realizations, times.size))
 
     def fill(indices) -> None:

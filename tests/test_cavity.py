@@ -150,6 +150,20 @@ class TestDetuningSpectrum:
         )
 
 
+    @pytest.mark.parametrize("g", [0.0, 9.81])
+    def test_fall_time_grid_equals_scalar_calls(self, cavity, g):
+        # cli detuning-spectrum evaluates all (T, omega) pairs in one call
+        inp = EffNumInputs(CloudParams(1e6, 1e-3, 0.1, g),
+                           BeamParams(w0=100e-6, wavelength=852e-9))
+        opt = OpticalParams(delta=10.0)
+        big_t = np.array([0.0, 0.005, 0.02759])
+        omega = np.linspace(0.0, 16000.0, 161)
+        np.testing.assert_array_equal(
+            detuning_spectrum(cavity, opt, inp, big_t[:, None], omega),
+            [detuning_spectrum(cavity, opt, inp, t, omega) for t in big_t])
+        assert type(detuning_spectrum(cavity, opt, inp, 0.02759, 100.0)) is float
+
+
 class TestLinearRegimeFlag:
     def test_flag_flips_with_atom_number(self, cavity, beam):
         opt = OpticalParams(delta=10.0)

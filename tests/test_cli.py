@@ -195,6 +195,49 @@ class TestCurveSubcommands:
         assert np.all(data["spectrum_series_s"] > 0.0)
         assert np.all(data["normalized_spectrum_s"] > 0.0)
 
+    def test_fall_time_blocks_equal_scalar_calls(self, tmp_path):
+        # one array call per column; each T block keeps exactly the delays
+        # with |tau| <= 2T, so both sampling times stay nonnegative
+        cfg = base_config()
+        cfg["grids"]["T"] = [0.0, 0.0005, 0.005, 0.02759]
+        cfg_path = write_config(tmp_path, cfg)
+        for sub in ("covariance", "spectrum"):
+            assert main([sub, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        run = load_config(cfg_path)
+        inp = coldcloud.EffNumInputs(run.cloud, run.beam)
+        cov = np.genfromtxt(tmp_path / "covariance.csv", delimiter=",", names=True)
+        spec = np.genfromtxt(tmp_path / "spectrum.csv", delimiter=",", names=True)
+        kept = np.abs(run.tau_grid) <= 2.0 * run.big_t_grid[:, None]
+        assert cov.size == np.count_nonzero(kept) < kept.size
+        np.testing.assert_array_equal(cov["T_s"], np.repeat(run.big_t_grid, kept.sum(axis=1)))
+        for big_t, keep in zip(run.big_t_grid, kept):
+            tau = run.tau_grid[keep]
+            block = cov[cov["T_s"] == big_t]
+            np.testing.assert_array_equal(block["tau_s"], tau)
+            if tau.size:
+                np.testing.assert_array_equal(block["covariance_exact"],
+                                              coldcloud.covariance_exact(inp, big_t, tau))
+                np.testing.assert_array_equal(
+                    block["covariance_quasistationary"],
+                    coldcloud.covariance_quasistationary(inp, big_t, tau))
+            block = spec[spec["T_s"] == big_t]
+            series, normalized = coldcloud.spectra(inp, big_t, run.omega_grid)
+            np.testing.assert_array_equal(block["omega_rad_s"], run.omega_grid)
+            np.testing.assert_array_equal(block["spectrum_series_s"], series)
+            np.testing.assert_array_equal(block["normalized_spectrum_s"], normalized)
+            np.testing.assert_array_equal(
+                block["spectrum_exponential_s"],
+                coldcloud.spectrum_exponential(inp, big_t, run.omega_grid))
+
+    def test_covariance_without_valid_pairs(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["grids"]["T"] = [0.0, 0.0004]
+        cfg["grids"]["tau"] = [-1e-3, 1e-3]
+        code = main(["covariance", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == EXIT_FAIL
+        assert "no valid (T, tau) pairs" in capsys.readouterr().err
+        assert not (tmp_path / "covariance.csv").exists()
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("COLDCLOUD_OUT_DIR", str(target))

@@ -16,6 +16,7 @@ from coldcloud import (
     normalized_spectrum,
     pk_polynomial,
     sigma_small_waist,
+    spectra,
     spectrum_exponential,
     spectrum_series,
     time_scales,
@@ -260,6 +261,26 @@ class TestSpectra:
         assert peak == pytest.approx(n0 * math.pi * ts.tau_w / alpha, rel=1e-14)
         at_width = spectrum_exponential(inp, big_t, 1.0 / (alpha * ts.tau_w))
         assert at_width == pytest.approx(peak * math.exp(-1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("g", [0.0, 9.81])
+    @pytest.mark.parametrize("num_omega", [161, 2000])  # default.json, the dense benchmark grid
+    def test_fall_time_grid_equals_scalar_calls(self, g, num_omega):
+        # cli spectrum evaluates all (T, omega) pairs in one call.  T = 0 has
+        # c = 0, and at T = 27.59 ms the numpy-scalar (T/tau_r)**2 rounds
+        # one ulp away from the same square taken in an array.
+        inp = EffNumInputs(CloudParams(1e6, 1e-3, 0.1, g),
+                           BeamParams(w0=100e-6, wavelength=852e-9))
+        big_t = np.array([0.0, 0.005, 0.02, 0.02759, 0.048])
+        omega = np.linspace(0.0, 16000.0, num_omega)
+        series, normalized = spectra(inp, big_t[:, None], omega)
+        one_by_one = [spectra(inp, t, omega) for t in big_t]
+        np.testing.assert_array_equal(series, [s for s, _ in one_by_one])
+        np.testing.assert_array_equal(normalized, [n for _, n in one_by_one])
+        np.testing.assert_array_equal(spectrum_series(inp, big_t[:, None], omega), series)
+        np.testing.assert_array_equal(normalized_spectrum(inp, big_t[:, None], omega), normalized)
+        np.testing.assert_array_equal(spectrum_exponential(inp, big_t[:, None], omega),
+                                      [spectrum_exponential(inp, t, omega) for t in big_t])
+        assert all(type(v) is float for v in spectra(inp, 0.02759, 100.0))
 
     def test_spectra_even_in_frequency(self):
         inp = inputs_with_zeta(0.4)

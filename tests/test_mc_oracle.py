@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coldcloud import mc_oracle
 from coldcloud import (
     BeamParams,
     CloudParams,
@@ -130,6 +131,31 @@ class TestEnsembleStats:
             np.testing.assert_array_equal(x.mean, y.mean)
             np.testing.assert_array_equal(x.covariance, y.covariance)
             np.testing.assert_array_equal(x.se_covariance, y.se_covariance)
+
+    @pytest.mark.parametrize("cpus,workers", [(3, [3]), (None, [])])
+    def test_threads_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        # a serial stand-in for the pool: no real thread is started
+        recorded = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(mc_oracle.os, "cpu_count", lambda: cpus)
+        times = [0.0, 0.01]
+        capped = weighted_counts(CLOUD, BEAM, times, 40, seed=5, threads=100_000)
+        assert recorded == workers
+        np.testing.assert_array_equal(capped, weighted_counts(CLOUD, BEAM, times, 40, seed=5))
 
     def test_seed_changes_results(self):
         a = ensemble_stats(CLOUD, BEAM, [0.0], 100, seed=1)
