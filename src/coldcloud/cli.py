@@ -68,7 +68,7 @@ from .fluct import (
     spectrum_exponential,
     variance,
 )
-from .mc_oracle import binary_count_check, ensemble_stats
+from .mc_oracle import binary_count_check, dropped_weight_bound, ensemble_stats
 from .optical import OpticalParams
 from .saturation import sigma_saturated_closed, sigma_saturated_general
 
@@ -452,7 +452,7 @@ def _mc(cfg: RunConfig, seed: int, threads: int):
             "mc_covariance": stats.covariance.ravel(),
             "mc_se_covariance": stats.se_covariance.ravel(),
         },
-    }, {"realizations": stats.realization_count}
+    }, {"realizations": stats.realization_count, "beam_window": dropped_weight_bound(cfg.cloud, m)}
 
 
 def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed: int, threads: int):
@@ -527,7 +527,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
                          "pass": ok.astype(float)},
         "validate_report.json": report,
-    }, {"all_pass": report["all_pass"]}
+    }, {"all_pass": report["all_pass"], "beam_window": dropped_weight_bound(cfg.cloud, times.size)}
 
 
 SUBCOMMANDS = {

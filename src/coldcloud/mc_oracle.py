@@ -3,25 +3,32 @@
 Every closed form in the package can be checked against this sampler: draw
 a Poisson-distributed number of atoms from the initial Gaussian phase
 space, fly them ballistically, sum the beam weights, and estimate
-mean/variance/covariance across many independent realizations.
+mean/variance/covariance across many independent realizations.  Only the
+atoms that can reach the beam or the box are drawn: a Poisson cloud
+restricted to a region is the same Poisson process there (Kingman,
+*Poisson Processes*, 1993).
 
 Reproducibility contract: each realization uses its own generator seeded by
-a splitmix64 mix of the master seed and the realization index, and all
-statistics are reductions over a fully materialized (realization, time)
-array.  Results are therefore bit-identical no matter how many threads the
-realizations are spread over.
+a splitmix64 mix of the master seed and the realization index.  It draws
+the Poisson count, then, one coordinate at a time, the positions and then
+the velocities of the atoms still kept: first the coordinates with a
+window, then the others, each group in x, y, z order.  All statistics are
+reductions over a fully materialized (realization, time) array.  Results
+are therefore bit-identical no matter how many threads the realizations
+are spread over.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamParams, weight
-from .cloud import CloudParams
+from .beam import BeamParams, beam_size, weight
+from .cloud import CloudParams, _check_time, _spread_sq
 
 __all__ = [
     "Realization",
@@ -34,9 +41,22 @@ __all__ = [
     "weighted_counts",
     "ensemble_stats",
     "binary_count_check",
+    "dropped_weight_bound",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Beam window of weighted_counts.  An atom is drawn only if its y and its z
+# each come within BEAM_CUT * W_i of the beam axis at some grid time t_i,
+# where W_i = w(AXIAL_CUT * sigma_x(t_i)) bounds the beam radius w(x) over
+# |x| <= AXIAL_CUT * sigma_x(t_i).  A dropped atom in that range weighs at
+# most exp(-2 BEAM_CUT^2) at t_i, and an atom leaves it with probability
+# erfc(AXIAL_CUT/sqrt(2)), so the expected weight dropped per realization,
+# summed over m grid times, is at most
+#     n_total * m * (exp(-2 BEAM_CUT^2) + erfc(AXIAL_CUT/sqrt(2))),
+# about 1e-15 atoms for 1e6 atoms on 5 times (configs/default.json).
+BEAM_CUT = 5.0
+AXIAL_CUT = 10.0
 
 
 def substream_seed(master_seed: int, index: int) -> int:
@@ -55,7 +75,9 @@ def substream_seed(master_seed: int, index: int) -> int:
 class Realization:
     """One sampled cloud: atom positions and velocities at release.
 
-    sample_cloud stores both (count, 3) arrays column-major, so each
+    ``count`` is the number of atoms drawn, which sample_cloud limits to
+    those inside its windows.  It stores both (count, 3) arrays
+    column-major, so each
     coordinate ``[:, d]``, which propagation, weight and box test read, is
     contiguous.
     """
@@ -109,21 +131,56 @@ class BinaryCountReport:
         return bool(np.all(self.consistent))
 
 
-def sample_cloud(c: CloudParams, seed: int) -> Realization:
+def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> Realization:
     """Draw one cloud realization, deterministic for a given seed.
 
     The atom count is Poisson with mean n_total; positions and velocities
-    are i.i.d. isotropic Gaussians (sigma_r, sigma_v).  Draw order is
-    fixed: count, then positions, then velocities, each a row-major
-    (count, 3) block of draws stored column-major (see Realization).
+    are i.i.d. isotropic Gaussians (sigma_r, sigma_v).  ``lo`` and ``hi``
+    broadcast to (3, len(times)): the window of each coordinate at each
+    time.  An atom is kept only if each coordinate, propagated with the
+    fall along z, lies in its window at some time; a coordinate that has
+    the whole line as its window at some time keeps every atom.  With no
+    times this is the whole cloud.
+
+    Draw order is fixed: the count, then one coordinate at a time, first
+    those with windows and then the others, each group in x, y, z order.
+    Each coordinate draws a (2, kept) block, the positions then the
+    velocities of the atoms still kept, which are stored column-major (see
+    Realization).
     """
     if not c.n_total > 0:
         raise ValueError("sampling requires a positive mean atom number")
+    times = np.atleast_1d(_check_time(times))
+    lo, hi = (np.broadcast_to(np.asarray(side, dtype=float), (3, times.size)) for side in (lo, hi))
+    windowed = ((lo > -np.inf) | (hi < np.inf)).all(axis=1) & (times.size > 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     count = int(rng.poisson(c.n_total))
+    drawn = {}
+    for d in np.flatnonzero(windowed):
+        pair = rng.standard_normal((2, count))
+        pair[0] *= c.sigma_r
+        pair[1] *= c.sigma_v
+        keep = np.zeros(count, dtype=bool)
+        pos = np.empty(count)
+        for t, a, b in zip(times, lo[d], hi[d]):
+            # the propagate formula, so a box edge cuts as the count does
+            np.multiply(pair[1], t, out=pos)
+            pos += pair[0]
+            if d == 2:
+                pos -= 0.5 * c.g * t**2
+            keep |= (pos >= a) & (pos <= b)
+        kept = np.flatnonzero(keep)
+        drawn = {e: earlier.take(kept, axis=1) for e, earlier in drawn.items()}
+        drawn[d] = pair.take(kept, axis=1)
+        count = kept.size
     positions, velocities = (np.empty((count, 3), order="F") for _ in range(2))
-    np.multiply(c.sigma_r, rng.standard_normal((count, 3)), out=positions)
-    np.multiply(c.sigma_v, rng.standard_normal((count, 3)), out=velocities)
+    for d in range(3):
+        if d in drawn:
+            positions[:, d], velocities[:, d] = drawn[d]
+        else:  # the coordinates without a window, drawn last and in full
+            for column, sigma in ((positions[:, d], c.sigma_r), (velocities[:, d], c.sigma_v)):
+                rng.standard_normal(out=column)
+                column *= sigma
     return Realization(positions=positions, velocities=velocities, count=count)
 
 
@@ -148,11 +205,12 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
     return float(np.sum(weight(b, pos)))
 
 
-def _realization_rows(c: CloudParams, row, times: np.ndarray, n_realizations: int,
+def _realization_rows(c: CloudParams, row, times: np.ndarray, lo, hi, n_realizations: int,
                       seed: int, threads: int) -> np.ndarray:
     """(realization, time) array whose row i is row(realization i).
 
-    Realization i is drawn from substream_seed(seed, i), so scheduling
+    Realization i is drawn from substream_seed(seed, i) in the windows
+    lo, hi at the given times (see sample_cloud), so scheduling
     order cannot change the result.  One thread runs on the calling thread;
     more split the realizations into contiguous chunks over a thread pool
     of at most one worker per CPU.
@@ -162,7 +220,7 @@ def _realization_rows(c: CloudParams, row, times: np.ndarray, n_realizations: in
 
     def fill(indices) -> None:
         for i in indices:
-            out[i] = row(sample_cloud(c, substream_seed(seed, i)))
+            out[i] = row(sample_cloud(c, substream_seed(seed, i), times, lo, hi))
 
     if threads <= 1:
         fill(range(n_realizations))
@@ -219,6 +277,22 @@ def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> E
     )
 
 
+def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
+    """BEAM_CUT, AXIAL_CUT and their bound on the expected weight per
+    realization, summed over n_times grid times, that the beam window of
+    weighted_counts leaves out."""
+    tails = math.exp(-2.0 * BEAM_CUT**2) + math.erfc(AXIAL_CUT / math.sqrt(2.0))
+    return {"beam_cut": BEAM_CUT, "axial_cut": AXIAL_CUT,
+            "dropped_weight_bound": c.n_total * n_times * tails}
+
+
+def _beam_window(c: CloudParams, b: BeamParams, times: np.ndarray) -> np.ndarray:
+    """Upper window bounds (3, times) of weighted_counts; the lower ones are
+    their negatives.  x is not windowed."""
+    half = BEAM_CUT * beam_size(b, AXIAL_CUT * np.sqrt(_spread_sq(c, times)))
+    return np.stack([np.full(times.size, np.inf), half, half])
+
+
 def weighted_counts(
     c: CloudParams,
     b: BeamParams,
@@ -230,13 +304,16 @@ def weighted_counts(
     """Raw weighted counts N(t), shape (n_realizations, n_times).
 
     Row i comes from the substream seed of realization i, so the array is
-    identical for any thread count.  Useful for statistics beyond what
-    ensemble_stats reports (ratio estimators, bootstrap, ...).
+    identical for any thread count.  Only atoms inside the beam window
+    (see BEAM_CUT and dropped_weight_bound) are drawn.  Useful for
+    statistics beyond what ensemble_stats reports (ratio estimators,
+    bootstrap, ...).
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.atleast_1d(_check_time(times))
+    hi = _beam_window(c, b, times)
     return _realization_rows(
         c, lambda real: [effective_count(b, real, c.g, t) for t in times],
-        times, n_realizations, seed, threads,
+        times, -hi, hi, n_realizations, seed, threads,
     )
 
 
@@ -274,7 +351,7 @@ def binary_count_check(
     all space.  Counts atoms inside the box after free fall and reports the
     variance/mean ratio with a jackknife standard error; a healthy sampler
     gives 1 within noise at every time, independently of any beam-weight
-    physics.
+    physics.  Only atoms that enter the box at some grid time are drawn.
     """
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations for variance estimates")
@@ -284,7 +361,7 @@ def binary_count_check(
     # a NaN bound fails the comparison; infinite bounds pass it
     if not np.all(lo < hi):
         raise ValueError("box lower bounds must be below upper bounds")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.atleast_1d(_check_time(times))
 
     def inside(pos: np.ndarray) -> int:
         # column by column: no (count, 3) boolean temporaries
@@ -297,7 +374,8 @@ def binary_count_check(
     def box_counts(real: Realization):
         return [inside(propagate(real.positions, real.velocities, c.g, t)) for t in times]
 
-    counts = _realization_rows(c, box_counts, times, n_realizations, seed, threads)
+    counts = _realization_rows(c, box_counts, times, lo[:, None], hi[:, None],
+                               n_realizations, seed, threads)
     n = n_realizations
     mean = counts.mean(axis=0)
     centered = counts - mean

@@ -198,6 +198,25 @@ def gaussian_density_reference(n_total, sigma_r, sigma_v, g, r, t):
     return n_total / (2.0 * math.pi * var) ** 1.5 * math.exp(-d2 / (2.0 * var))
 
 
+def sample_cloud_full(c, seed):
+    """Whole-cloud draw: a Poisson count, then the row-major (count, 3)
+    blocks of positions and of velocities.  The library sampler's former
+    draw, kept as the reference its windowed draw must agree with in
+    distribution."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    count = int(rng.poisson(c.n_total))
+    return c.sigma_r * rng.standard_normal((count, 3)), c.sigma_v * rng.standard_normal((count, 3))
+
+
+def fly_and_weigh(c, w0, wavelength, r0, v0, t):
+    """Ballistic positions at time t, with the fall along -z, and the
+    Gaussian beam weight exp(-2 (y^2 + z^2)/w(x)^2) of each atom."""
+    pos = r0 + v0 * t
+    pos[:, 2] -= 0.5 * c.g * t**2
+    w_sq = w0**2 * (1.0 + (pos[:, 0] * wavelength / (math.pi * w0**2)) ** 2)
+    return pos, np.exp(-2.0 * (pos[:, 1] ** 2 + pos[:, 2] ** 2) / w_sq)
+
+
 def sigma_general_quad(inp, t, rel_tol=1e-9):
     """sigma(t) by adaptive quadrature of layer density / beam section.
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -283,6 +284,11 @@ class TestMonteCarloSubcommands:
         assert stats.shape == (3,)
         cov = np.genfromtxt(tmp_path / "mc_covariance.csv", delimiter=",", names=True)
         assert cov.shape == (9,)
+        # the beam window of the sampler and its bound on the dropped weight
+        manifest = json.loads((tmp_path / "mc_manifest.json").read_text())
+        tails = math.exp(-2.0 * 5.0**2) + math.erfc(10.0 / math.sqrt(2.0))
+        assert manifest["beam_window"] == {"beam_cut": 5.0, "axial_cut": 10.0,
+                                           "dropped_weight_bound": 2000.0 * 3 * tails}
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg_path = write_config(tmp_path, self.mc_config())
@@ -307,12 +313,18 @@ class TestMonteCarloSubcommands:
         assert (report["worst_check"], report["worst_z"]) == (worst["name"], worst["z"])
         assert 0.0 < report["familywise_p"] <= 1.0
         assert f"validate: worst check {worst['name']}: z = " in out
+        manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
+        assert manifest["beam_window"]["dropped_weight_bound"] < 1e-15
 
     def test_validate_names_a_defect(self, tmp_path, monkeypatch, capsys):
-        # a closed-form mean 10% too high against a correct sampler
+        # a closed-form mean 10% too high against a correct sampler; 4x the
+        # realizations of mc_config put the expected worst z near 9, far
+        # beyond the p < 1e-6 mark at about 5.6
         true_mean = cli.mean_number
         monkeypatch.setattr(cli, "mean_number", lambda inp, t: 1.1 * true_mean(inp, t))
-        cfg_path = write_config(tmp_path, self.mc_config())
+        cfg = self.mc_config()
+        cfg["mc"]["realizations"] *= 4
+        cfg_path = write_config(tmp_path, cfg)
         assert main(["validate", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_FAIL
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert ".mean[" in report["worst_check"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,7 @@ def _time_takers():
     cav = cc.CavityParams(kappa=5e6, tau_c=1e-9)
     origin = (0.0, 0.0, 0.0)
     everywhere = ((-math.inf,) * 3, (math.inf,) * 3)
+    box = ((-1e-3,) * 3, (1e-3,) * 3)
     return {
         "phase_space_density": lambda t: cc.phase_space_density(small, origin, origin, t),
         "density": lambda t: cc.density(small, origin, t),
@@ -225,10 +227,12 @@ def _time_takers():
         "detuning_spectrum": lambda t: cc.detuning_spectrum(cav, opt, inp, t, 0.0),
         "is_linear_regime": lambda t: cc.is_linear_regime(cav, opt, inp, t),
         "propagate": lambda t: cc.propagate(origin, origin, 9.81, t),
+        "sample_cloud": lambda t: cc.sample_cloud(small, 1, [t], -1e-3, 1e-3),
         "effective_count": lambda t: cc.effective_count(beam, cc.sample_cloud(small, 1), 9.81, t),
         "weighted_counts": lambda t: cc.weighted_counts(small, beam, [t], 3, 1),
         "ensemble_stats": lambda t: cc.ensemble_stats(small, beam, [t], 3, 1),
         "binary_count_check": lambda t: cc.binary_count_check(small, everywhere, [t], 3, 1),
+        "binary_count_check.box": lambda t: cc.binary_count_check(small, box, [t], 3, 1),
     }
 
 
@@ -237,7 +241,9 @@ def _time_takers():
 def test_times_must_be_finite_and_nonnegative(name, bad):
     call = _time_takers()[name]
     call(0.01)  # the call itself is valid
-    with pytest.raises(ValueError):
+    # the check comes first: no arithmetic on the bad time warns before it
+    with warnings.catch_warnings(), pytest.raises(ValueError):
+        warnings.simplefilter("error")
         call(bad)
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 07 runs about 13 s of Monte Carlo; test_mc_oracle covers the API it uses
+# 07 runs 6-7 s of Monte Carlo on a 2-core machine, most of it the Poisson
+# box; test_mc_oracle covers the API it uses
 DEMOS = [
     "01_beam_geometry.py",
     "02_cloud_expansion.py",

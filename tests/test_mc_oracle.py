@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from coldcloud import mc_oracle
 from coldcloud import (
     BeamParams,
@@ -26,6 +27,8 @@ from coldcloud import (
 CLOUD = CloudParams(n_total=1e3, sigma_r=1e-3, sigma_v=0.1, g=9.81)
 BEAM = BeamParams(w0=10e-6, wavelength=1e-9)
 INPUTS = EffNumInputs(CLOUD, BEAM)
+# a beam wide enough that weights both underflow and survive
+BEAM_40 = BeamParams(w0=40e-6, wavelength=1e-9)
 
 
 class TestSubstreamSeed:
@@ -73,17 +76,35 @@ class TestSampleCloud:
             sample_cloud(CloudParams(0.0, 1e-3, 0.1), 1)
 
     def test_draws_are_scaled_normals_in_column_major_layout(self):
+        # no windows: the count, then a (2, count) block of positions and
+        # velocities for each of x, y, z
         real = sample_cloud(CLOUD, 2024)
         rng = np.random.Generator(np.random.PCG64(2024))
         count = int(rng.poisson(CLOUD.n_total))
         assert real.count == count
-        positions = CLOUD.sigma_r * rng.standard_normal((count, 3))
-        velocities = CLOUD.sigma_v * rng.standard_normal((count, 3))
-        np.testing.assert_array_equal(real.positions, positions)
-        np.testing.assert_array_equal(real.velocities, velocities)
+        for d in range(3):
+            draws = rng.standard_normal((2, count))
+            np.testing.assert_array_equal(real.positions[:, d], CLOUD.sigma_r * draws[0])
+            np.testing.assert_array_equal(real.velocities[:, d], CLOUD.sigma_v * draws[1])
         moved = propagate(real.positions, real.velocities, CLOUD.g, 0.01)
         for array in (real.positions, real.velocities, moved):
             assert all(array[:, d].flags.c_contiguous for d in range(3))
+
+    @pytest.mark.parametrize("lo,hi", [
+        # a band around the fallen centre in z only: z is drawn first
+        ([[-np.inf], [-np.inf], [-9e-4]], [[np.inf], [np.inf], [-6e-4]]),
+        # a half-line in x and a band in y; z has the whole line at t = 0
+        ([[2e-4] * 3, [-3e-4] * 3, [-np.inf, -1e-3, -1e-3]],
+         [[np.inf] * 3, [3e-4] * 3, [np.inf, 1e-3, 1e-3]]),
+    ])
+    def test_windowed_draw_matches_hand_loop(self, lo, hi):
+        times = np.array([0.0, 0.004, 0.011])
+        real = sample_cloud(CLOUD, 77, times, lo, hi)
+        r0, v0 = _naive_cloud(CLOUD, 77, times, np.broadcast_to(lo, (3, 3)),
+                              np.broadcast_to(hi, (3, 3)))
+        assert 0 < real.count == len(r0) < CLOUD.n_total / 2
+        np.testing.assert_array_equal(real.positions, r0)
+        np.testing.assert_array_equal(real.velocities, v0)
 
 
 class TestPropagate:
@@ -203,8 +224,10 @@ class TestEnsembleStats:
         assert abs(var / mean - 0.5) <= 3.0 * se
 
     def test_standard_error_shrinks_like_sqrt_n(self):
-        a = ensemble_stats(CLOUD, BEAM, [0.0], 600, seed=50)
-        b = ensemble_stats(CLOUD, BEAM, [0.0], 2400, seed=50)
+        # the counts are heavy-tailed (mean 0.025 atoms), so each standard
+        # error needs thousands of realizations to be steady within 15%
+        a = ensemble_stats(CLOUD, BEAM, [0.0], 2400, seed=50)
+        b = ensemble_stats(CLOUD, BEAM, [0.0], 9600, seed=50)
         ratio = a.se_mean[0] / b.se_mean[0]
         assert 1.7 < ratio < 2.3  # expect 2 for 4x the realizations
 
@@ -213,15 +236,38 @@ class TestEnsembleStats:
             ensemble_stats(CLOUD, BEAM, [0.0], 1, seed=0)
 
 
-def _naive_rows(c, seed, n_realizations, times, per_time):
-    """Realization loop written out by hand: row-major draws, propagation
+def _naive_cloud(c, seed, times, lo, hi):
+    """The windowed draw written out by hand: the Poisson count, then per
+    coordinate, windowed ones first, a (2, kept) block of positions and
+    velocities; an atom outside a coordinate's window at every time is
+    dropped.  lo and hi are (3, times) arrays."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    count = int(rng.poisson(c.n_total))
+    r0 = np.full((count, 3), np.nan)
+    v0 = np.full((count, 3), np.nan)
+    windowed = [all(lo[d, i] > -np.inf or hi[d, i] < np.inf for i in range(len(times)))
+                for d in range(3)]
+    for d in [d for d in range(3) if windowed[d]] + [d for d in range(3) if not windowed[d]]:
+        draws = rng.standard_normal((2, len(r0)))
+        r0[:, d] = c.sigma_r * draws[0]
+        v0[:, d] = c.sigma_v * draws[1]
+        if windowed[d]:
+            inside = np.zeros(len(r0), dtype=bool)
+            for i, t in enumerate(times):
+                coord = r0[:, d] + v0[:, d] * t
+                if d == 2:
+                    coord -= 0.5 * c.g * t**2
+                inside |= (coord >= lo[d, i]) & (coord <= hi[d, i])
+            r0, v0 = r0[inside], v0[inside]
+    return r0, v0
+
+
+def _naive_rows(c, seed, n_realizations, times, lo, hi, per_time):
+    """Realization loop written out by hand: windowed draws, propagation
     by the formula, per_time(positions) at every time."""
     rows = []
     for i in range(n_realizations):
-        rng = np.random.Generator(np.random.PCG64(substream_seed(seed, i)))
-        count = int(rng.poisson(c.n_total))
-        r0 = c.sigma_r * rng.standard_normal((count, 3))
-        v0 = c.sigma_v * rng.standard_normal((count, 3))
+        r0, v0 = _naive_cloud(c, substream_seed(seed, i), times, lo, hi)
         row = []
         for t in times:
             pos = r0 + v0 * t
@@ -232,8 +278,7 @@ def _naive_rows(c, seed, n_realizations, times, per_time):
 
 
 class TestAgainstNaiveLoop:
-    # a beam wide enough that weights both underflow and survive
-    beam = BeamParams(w0=40e-6, wavelength=1e-9)
+    beam = BEAM_40
     times = np.array([0.0, 0.004, 0.011])
 
     def test_weighted_counts(self):
@@ -243,7 +288,12 @@ class TestAgainstNaiveLoop:
             w_sq = (self.beam.w0 * np.sqrt(1.0 + (pos[:, 0] / l_r) ** 2)) ** 2
             return float(np.sum(np.exp(-2.0 * (pos[:, 1] ** 2 + pos[:, 2] ** 2) / w_sq)))
 
-        naive = _naive_rows(CLOUD, 17, 40, self.times, plain_count)
+        # the beam window from its definition: |y|, |z| <= c * w(K * sigma_x(t))
+        sigma_x = np.sqrt(CLOUD.sigma_r**2 + (CLOUD.sigma_v * self.times) ** 2)
+        half = mc_oracle.BEAM_CUT * self.beam.w0 * np.sqrt(
+            1.0 + (mc_oracle.AXIAL_CUT * sigma_x / l_r) ** 2)
+        hi = np.stack([np.full(3, np.inf), half, half])
+        naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_count)
         assert np.all(naive > 0.0)
         for threads in (1, 2):
             np.testing.assert_array_equal(
@@ -256,10 +306,66 @@ class TestAgainstNaiveLoop:
         def box_count(pos):
             return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
 
-        naive = _naive_rows(CLOUD, 23, 60, self.times, box_count)
+        naive = _naive_rows(CLOUD, 23, 60, self.times, np.tile(lo[:, None], 3),
+                            np.tile(hi[:, None], 3), box_count)
         report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23)
         np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
         np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
+
+
+class TestBeamWindow:
+    @pytest.mark.parametrize("g", [0.0, 9.81])
+    # the desk probe (l_R = 0.31 m) and one with l_R = sigma_r
+    @pytest.mark.parametrize("wavelength", [1e-9, math.pi * 1e-10 / 1e-3])
+    def test_dropped_atoms_weigh_at_most_the_cut(self, g, wavelength):
+        cloud = CloudParams(n_total=1e4, sigma_r=1e-3, sigma_v=0.1, g=g)
+        beam = BeamParams(w0=10e-6, wavelength=wavelength)
+        times = np.array([0.0, 0.005, 0.01, 0.02, 0.05, 0.1])
+        hi = mc_oracle._beam_window(cloud, beam, times)
+        cut = math.exp(-2.0 * 5.0**2)  # c = 5, as documented at BEAM_CUT
+        dropped_atoms = atoms = 0
+        for seed in range(10):
+            r0, v0 = oracles.sample_cloud_full(cloud, seed)
+            flown = [oracles.fly_and_weigh(cloud, beam.w0, beam.wavelength, r0, v0, t)
+                     for t in times]
+            # kept: |y| and |z| each inside the window at some grid time
+            kept = np.ones(len(r0), dtype=bool)
+            for d in (1, 2):
+                kept &= np.any([np.abs(pos[:, d]) <= hi[d, i]
+                                for i, (pos, _) in enumerate(flown)], axis=0)
+            for _, weights in flown:
+                assert np.max(weights[~kept], initial=0.0) <= cut
+            dropped_atoms += np.count_nonzero(~kept)
+            atoms += len(r0)
+        assert dropped_atoms > 0.25 * atoms
+
+    def test_agrees_with_full_draw(self):
+        # mean and variance of the weighted counts and of the box counts:
+        # the windowed draw against the whole-cloud oracle, each difference
+        # in units of sqrt(2) oracle standard errors
+        n = 3000
+        times = np.array([0.0, 0.004, 0.011])
+        lo = np.array([-1e-3, -5e-4, -2e-3])
+        hi = np.array([8e-4, 1e-3, 4e-4])
+
+        def both(pos, weights):
+            return np.sum(weights), np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
+
+        full = []
+        for i in range(n):  # oracle seeds independent of substream_seed
+            r0, v0 = oracles.sample_cloud_full(CLOUD, 1_000_003 * i + 1)
+            full.append([both(*oracles.fly_and_weigh(CLOUD, BEAM_40.w0, BEAM_40.wavelength,
+                                                     r0, v0, t)) for t in times])
+        full = np.array(full, dtype=float)
+        report = binary_count_check(CLOUD, (lo, hi), times, n, seed=31)
+        thinned = weighted_counts(CLOUD, BEAM_40, times, n, seed=32)
+        for values, mean, var in ((full[:, :, 0], thinned.mean(axis=0), thinned.var(axis=0, ddof=1)),
+                                  (full[:, :, 1], report.mean, report.variance)):
+            ref_var = values.var(axis=0, ddof=1)
+            fourth = np.mean((values - values.mean(axis=0)) ** 4, axis=0)
+            z_mean = (mean - values.mean(axis=0)) / np.sqrt(2.0 * ref_var / n)
+            z_var = (var - ref_var) / np.sqrt(2.0 * (fourth - ref_var**2) / n)
+            assert np.all(np.abs(z_mean) < 4.0) and np.all(np.abs(z_var) < 4.0)
 
 
 class TestBinaryCountCheck:
