@@ -111,12 +111,13 @@ def detuning_spectrum(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, 
     return out if np.ndim(out) else float(out)
 
 
-def is_linear_regime(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T: float) -> bool:
+def is_linear_regime(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T):
     """Whether the detuning noise stays below the cavity rate kappa.
 
     The spectrum is even in omega and peaks at zero frequency, so the
     comparison max_omega S_phiphi < kappa reduces to the zero-frequency
     value.  True means detuning fluctuations act linearly on the cavity.
+    An array of T gives a bool array of its shape; a scalar T, a bool.
     """
-    peak = detuning_spectrum(cav, opt, inp, T, 0.0)
-    return bool(peak < cav.kappa)
+    out = detuning_spectrum(cav, opt, inp, T, 0.0) < cav.kappa
+    return out if np.ndim(out) else bool(out)

@@ -416,13 +416,14 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     inp = EffNumInputs(cfg.cloud, cfg.beam)
     big_t, omega = _fall_time_pairs(cfg, cfg.omega_grid)
     noise = detuning_spectrum(cav, cfg.optical, inp, big_t, omega)
+    linear = is_linear_regime(cav, cfg.optical, inp, cfg.big_t_grid)
     regime = {}
-    for t in cfg.big_t_grid:
+    for t, flag in zip(cfg.big_t_grid, linear.tolist()):
         n_mean = mean_number(inp, t)
         regime[_fmt(t)] = {
             "cooperativity": cooperativity(cav, cfg.beam, n_mean),
             "detuning_shift_rad_s": detuning_shift(cav, cfg.beam, cfg.optical, n_mean),
-            "linear_regime": is_linear_regime(cav, cfg.optical, inp, t),
+            "linear_regime": flag,
         }
     return {"detuning_spectrum.csv": {
         "T_s": big_t, "omega_rad_s": omega, "omega_hz": omega / (2.0 * math.pi),
@@ -435,7 +436,7 @@ def _mc_times(cfg: RunConfig) -> np.ndarray:
     if "t" in cfg.raw.get("grids", {}):
         t = cfg.t_grid
         # cap the grid so the covariance jackknife stays light
-        return t if t.size <= 8 else np.linspace(t[0], t[-1], 5)
+        return t if t.size <= 8 else np.linspace(t.min(), t.max(), 5)
     return np.linspace(0.0, 2.0 * ts.tau_r, 5)
 
 

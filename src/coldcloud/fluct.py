@@ -24,7 +24,8 @@ Conventions fixed here:
   1/alpha_T^2 along with the expansion parameter: the spectrum is their
   sum, a series in c = zeta*b_T/(4*alpha_T^2) (checked in the tests against
   direct numerical transforms).  It is summed in log space, with a term
-  cap that follows from the order where the terms peak.
+  cap that follows from the order where the terms peak.  Of scipy, the
+  series uses only scipy.special.gammaln; the log-sums are numpy.
 """
 
 from __future__ import annotations
@@ -186,22 +187,39 @@ def pk_polynomial(k: int, x):
 
 
 def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
-    """log p_k(x) elementwise, stable for large k and large x."""
+    """log p_k(x) elementwise, stable for large k and large x.
+
+    The log-sum over the k+1 terms is scipy.special.logsumexp's arithmetic,
+    operation for operation, on one (k+1, n) matrix updated in place: the
+    largest term per column is taken out of the sum, once per tie, and the
+    rest are summed down axis 0 in row order.  scipy's extra pass for
+    non-finite results is left out: row 0 is always finite, so a result is
+    infinite only when a term is +inf, and then both ways give +inf.
+    """
     # scipy.special is imported here and in _enveloped_pk_series, not with
     # the package: it costs more than most commands.  The one-term p_k
-    # recurrence planned in ROADMAP.md (item 2) deletes these imports.
-    from scipy.special import gammaln, logsumexp
+    # recurrence planned in ROADMAP.md (item 1) deletes these imports.
+    # math.lgamma differs from gammaln in the last bit for many integers.
+    from scipy.special import gammaln
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
     j = np.arange(k + 1, dtype=float)
     log_coeff = gammaln(2 * k - j + 1) - gammaln(j + 1) - gammaln(k - j + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_2x = np.log(2.0 * x)
-        # j = 0 contributes log_coeff alone even at x = 0
-        log_terms = log_coeff[:, None] + np.where(
-            j[:, None] == 0, 0.0, j[:, None] * log_2x[None, :]
-        )
-    return logsumexp(log_terms, axis=0)
+        terms = j[:, None] * np.log(2.0 * x)
+    # j = 0 contributes log_coeff alone even at x = 0
+    terms[0] = 0.0
+    terms += log_coeff[:, None]
+    top = terms.max(0)
+    at_top = terms == top
+    ties = np.count_nonzero(at_top, axis=0).astype(float)
+    with np.errstate(invalid="ignore"):
+        terms -= top
+    np.exp(terms, out=terms)
+    np.copyto(terms, 0.0, where=at_top)
+    s = terms.sum(0)
+    s = np.where(s == 0, s, s / ties)
+    return np.log1p(s) + np.log(ties) + top
 
 
 def spectrum_exponential(inp: EffNumInputs, T, omega):

@@ -175,6 +175,24 @@ def pk_reference(k: int, x: float) -> float:
     return total
 
 
+def log_pk_logsumexp(k: int, x) -> np.ndarray:
+    """log p_k(x) summed by scipy.special.logsumexp: the library's earlier
+    log-space sum, kept verbatim so its in-place kernel can be checked bit
+    for bit."""
+    from scipy.special import gammaln, logsumexp
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    j = np.arange(k + 1, dtype=float)
+    log_coeff = gammaln(2 * k - j + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_2x = np.log(2.0 * x)
+        # j = 0 contributes log_coeff alone even at x = 0
+        log_terms = log_coeff[:, None] + np.where(
+            j[:, None] == 0, 0.0, j[:, None] * log_2x[None, :]
+        )
+    return logsumexp(log_terms, axis=0)
+
+
 def peak_series_reference(c: float, kmax: int = 400) -> float:
     """sum_k c^k (2k)!/(k!)^3 with exact integer factorials, for spectra at
     zero frequency."""

@@ -172,6 +172,20 @@ class TestLinearRegimeFlag:
         huge = EffNumInputs(CloudParams(1e13, 1e-3, 0.1, 9.81), beam)
         assert not is_linear_regime(cavity, opt, huge, 0.005)
 
+    def test_array_of_fall_times_equals_scalar_calls(self, cavity, beam):
+        opt = OpticalParams(delta=10.0)
+        # the flag flips inside this grid, so both values are compared
+        inp = EffNumInputs(CloudParams(1e8, 1e-3, 0.1, 9.81), beam)
+        big_t = np.array([0.0, 0.005, 0.01, 0.02, 0.03, 0.04])
+        flags = is_linear_regime(cavity, opt, inp, big_t)
+        scalar = [is_linear_regime(cavity, opt, inp, t) for t in big_t]
+        assert flags.dtype == bool and flags.shape == big_t.shape
+        np.testing.assert_array_equal(flags, scalar)
+        assert flags.any() and not flags.all()
+        assert all(type(flag) is bool for flag in scalar)
+        np.testing.assert_array_equal(is_linear_regime(cavity, opt, inp, big_t[:, None]),
+                                      np.array(scalar)[:, None])
+
     def test_peak_sits_at_zero_frequency(self, cavity, inputs):
         ts = time_scales(inputs.cloud, inputs.beam)
         opt = OpticalParams(delta=10.0)

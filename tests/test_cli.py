@@ -290,6 +290,14 @@ class TestMonteCarloSubcommands:
         assert manifest["beam_window"] == {"beam_cut": 5.0, "axial_cut": 10.0,
                                            "dropped_weight_bound": 2000.0 * 3 * tails}
 
+    def test_capped_time_grid_spans_an_unsorted_list(self, tmp_path):
+        # more than 8 listed times are replaced by 5 evenly spaced ones over
+        # the list's whole range, whatever its order
+        cfg = self.mc_config()
+        cfg["grids"]["t"] = [0.008, 0.0, 0.016, 0.002, 0.012, 0.004, 0.01, 0.006, 0.014]
+        times = cli._mc_times(load_config(write_config(tmp_path, cfg)))
+        np.testing.assert_array_equal(times, np.linspace(0.0, 0.016, 5))
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg_path = write_config(tmp_path, self.mc_config())
         out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))

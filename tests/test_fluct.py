@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from coldcloud import (
     BeamParams,
@@ -22,10 +23,12 @@ from coldcloud import (
     time_scales,
     variance,
 )
-from coldcloud.fluct import _cov_factors
+from coldcloud import fluct
+from coldcloud.fluct import _cov_factors, _enveloped_pk_series, _log_pk
 
 from oracles import (
     cosine_transform,
+    log_pk_logsumexp,
     peak_series_reference,
     pk_reference,
     quasistationary_coefficients,
@@ -248,6 +251,33 @@ class TestPkPolynomial:
             pk_polynomial(-1, 1.0)
         with pytest.raises(ValueError):
             pk_polynomial(2, -0.5)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestLogSumKernel:
+    """The in-place log-sum of _log_pk is scipy's logsumexp, bit for bit."""
+
+    def test_log_pk_equals_logsumexp(self):
+        for k in [*range(301), 500, 1021]:
+            j = np.arange(k, dtype=float)
+            log_coeff = gammaln(2 * k - j + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+            log_coeff_next = gammaln(2 * k - j) - gammaln(j + 2) - gammaln(k - j)
+            # where terms j and j+1 of the sum are equal, and their neighbours
+            ties = np.exp(log_coeff - log_coeff_next) / 2.0
+            x = np.concatenate([[0.0, 5e-324, 1e300], ties,
+                                np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+            np.testing.assert_array_equal(_bits(_log_pk(k, x)), _bits(log_pk_logsumexp(k, x)),
+                                          err_msg=f"k = {k}")
+
+    @pytest.mark.parametrize("c", [0.0, 1.54, 18.1, 30.3])
+    def test_enveloped_series_equals_logsumexp_sum(self, c, monkeypatch):
+        x = np.concatenate([[0.0, 5e-324], np.linspace(0.0, 40.0, 201)])
+        series = _enveloped_pk_series(c, x)
+        monkeypatch.setattr(fluct, "_log_pk", log_pk_logsumexp)
+        np.testing.assert_array_equal(_bits(series), _bits(fluct._enveloped_pk_series(c, x)))
 
 
 class TestSpectra:
