@@ -29,9 +29,9 @@ __version__ = "0.1.0"
 # size of any freed block that it had mapped on its own.  Freeing one 24 MiB
 # block here keeps the arrays of MC realizations and spectral-series orders
 # in the heap instead of faulting them in afresh on every use.  On a 2-core
-# Xeon, a 1000-realization validate of validate_desk.json went from 2.2e6
-# page faults and 10 s to none and 7.7 s.  Other allocators see one
-# allocation whose pages are never touched.
+# Xeon (glibc 2.36), a repeated 4-realization ensemble of the default 1e6-atom
+# cloud went from 9.7e3 page faults to 1, and a repeated 2000-frequency
+# spectrum from 570 to 0-2.  Other allocators see one untouched allocation.
 _np.empty(3 << 20)
 
 __all__ = ["__version__"] + [

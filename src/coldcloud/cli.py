@@ -28,8 +28,9 @@ Config layout (keys follow the parameter bundles of the library)::
 
 Grid entries accept either an explicit list or a start/stop/num range;
 missing grids fall back to defaults derived from the cloud time scales.
-Every number must be finite: the NaN and Infinity literals are rejected,
-and so are unknown tolerance keys.  Every CSV column comes from one
+Every number must be finite (the NaN and Infinity literals are rejected),
+every object may hold only the keys shown above, and mc.realizations must
+be at least 3.  Every CSV column comes from one
 array-valued library call: over the t grid, or over the (T, tau) and
 (T, omega) pairs in T-major order.
 Exit codes: 0 success (all validation checks pass), 1 physics/validation
@@ -119,8 +120,16 @@ def _integer(section: dict, section_name: str, key: str, minimum: int,
     return value
 
 
-def _section(raw: dict, name: str, required: bool = False) -> dict:
-    """A config object; an absent optional section reads as empty."""
+def _known_keys(obj: dict, prefix: str, keys: tuple[str, ...]) -> dict:
+    """obj itself; ConfigError naming prefix + its first key not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(prefix + key, f"unknown key (expected one of: {', '.join(keys)})")
+    return obj
+
+
+def _section(raw: dict, name: str, keys: tuple[str, ...], required: bool = False) -> dict:
+    """A config object of the given keys; an absent optional section reads as empty."""
     value = raw.get(name)
     if value is None and not required:
         return {}
@@ -128,7 +137,7 @@ def _section(raw: dict, name: str, required: bool = False) -> dict:
         raise ConfigError(name, "missing required section")
     if not isinstance(value, dict):
         raise ConfigError(name, "expected an object")
-    return value
+    return _known_keys(value, f"{name}.", keys)
 
 
 def _params(section: str, build, **fields):
@@ -154,6 +163,7 @@ def _parse_grid(entry, name: str) -> np.ndarray:
             raise ConfigError(f"grids.{name}", "grid values must be finite")
         return grid
     if isinstance(entry, dict):
+        _known_keys(entry, f"grids.{name}.", ("start", "stop", "num", "spacing"))
         start = _number(entry, f"grids.{name}", "start")
         stop = _number(entry, f"grids.{name}", "stop")
         num = _integer(entry, f"grids.{name}", "num", 1)
@@ -196,9 +206,11 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<file>", "top level must be a JSON object")
+    _known_keys(raw, "", ("cloud", "beam", "optical", "cavity", "grids", "mc", "tolerances"))
 
-    cloud_cfg = _section(raw, "cloud", required=True)
-    beam_cfg = _section(raw, "beam", required=True)
+    cloud_cfg = _section(raw, "cloud", ("n_total", "sigma_r", "sigma_v", "temperature", "mass",
+                                        "g"), required=True)
+    beam_cfg = _section(raw, "beam", ("w0", "lambda"), required=True)
     has_sigma_v = "sigma_v" in cloud_cfg
     has_thermal = "temperature" in cloud_cfg or "mass" in cloud_cfg
     if has_sigma_v and has_thermal:
@@ -219,13 +231,13 @@ def load_config(path: str) -> RunConfig:
                         mass=_number(cloud_cfg, "cloud", "mass"), **cloud_fields)
     beam = _params("beam", BeamParams, w0=_number(beam_cfg, "beam", "w0"),
                    wavelength=_number(beam_cfg, "beam", "lambda"))
-    optical_cfg = _section(raw, "optical")
+    optical_cfg = _section(raw, "optical", ("delta", "s_m0"))
     optical = _params("optical", OpticalParams,
                       delta=_number(optical_cfg, "optical", "delta", 10.0),
                       s_m0=_number(optical_cfg, "optical", "s_m0", 0.0))
     cavity = None
     if raw.get("cavity") is not None:
-        cavity_cfg = _section(raw, "cavity")
+        cavity_cfg = _section(raw, "cavity", ("kappa", "tau_c"))
         cavity = _params("cavity", CavityParams, kappa=_number(cavity_cfg, "cavity", "kappa"),
                          tau_c=_number(cavity_cfg, "cavity", "tau_c"))
 
@@ -236,18 +248,15 @@ def load_config(path: str) -> RunConfig:
         "tau": np.linspace(-8.0 * ts.tau_w, 8.0 * ts.tau_w, 161),
         "omega": np.linspace(0.0, 8.0 / ts.tau_w, 161),
     }
-    grids_cfg = _section(raw, "grids")
+    grids_cfg = _section(raw, "grids", tuple(grids))
     for name in grids:
         if name in grids_cfg:
             grids[name] = _parse_grid(grids_cfg[name], name)
     if np.any(grids["t"] < 0) or np.any(grids["T"] < 0):
         raise ConfigError("grids", "time grids must be nonnegative")
 
-    mc_cfg = _section(raw, "mc")
-    tol_cfg = _section(raw, "tolerances")
-    for key in tol_cfg:
-        if key not in ("mc_sigma", "fail_sigma", "fail_points"):
-            raise ConfigError(f"tolerances.{key}", "unknown tolerance")
+    mc_cfg = _section(raw, "mc", ("realizations", "seed"))
+    tol_cfg = _section(raw, "tolerances", ("mc_sigma", "fail_sigma", "fail_points"))
     tolerances = {
         "mc_sigma": _number(tol_cfg, "tolerances", "mc_sigma", 3.0),
         "fail_sigma": _number(tol_cfg, "tolerances", "fail_sigma", 5.0),
@@ -263,7 +272,7 @@ def load_config(path: str) -> RunConfig:
         big_t_grid=grids["T"],
         tau_grid=grids["tau"],
         omega_grid=grids["omega"],
-        mc_realizations=_integer(mc_cfg, "mc", "realizations", 2, 10000),
+        mc_realizations=_integer(mc_cfg, "mc", "realizations", 3, 10000),
         mc_seed=_integer(mc_cfg, "mc", "seed", 0, 20250801),
         tolerances=tolerances,
         raw=raw,
@@ -483,7 +492,7 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
 def _validate(cfg: RunConfig, seed: int, threads: int):
     times = _mc_times(cfg)
     branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)]
-    if cfg.cloud.has_gravity:
+    if math.isfinite(time_scales(cfg.cloud, cfg.beam).tau_g):
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
         branches.append(_validate_branch(cfg, free, "free", times, seed + 1000, threads))
     names = [name for branch_names, _ in branches for name in branch_names]

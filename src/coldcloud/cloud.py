@@ -85,10 +85,6 @@ class CloudParams:
             raise ValueError(f"mass must be positive, got {mass}")
         return cls(n_total, sigma_r, math.sqrt(_BOLTZMANN * temperature / mass), g)
 
-    @property
-    def has_gravity(self) -> bool:
-        return self.g > 0
-
 
 @dataclass(frozen=True)
 class TimeScales:
@@ -97,8 +93,10 @@ class TimeScales:
     tau_r : expansion time, sigma_r/sigma_v; the cloud radius grows
         noticeably past its initial value after tau_r.
     tau_g : fall time, 2*sqrt(2)*sigma_v/g; gravity dominates the on-axis
-        density decay past tau_g.  ``math.inf`` when g = 0, so gravity
-        exponents evaluate to exactly zero downstream.
+        density decay past tau_g.  ``math.inf`` when g = 0, and also when
+        tau_g^2 would overflow (tau_g beyond sqrt(DBL_MAX), about 1.34e154 s),
+        so gravity exponents evaluate to exactly zero downstream and one
+        code path serves the falling and the free cloud.
     tau_w : transit time through the probe beam at the waist, w0/(2*sigma_v).
     """
 
@@ -114,9 +112,10 @@ class TimeScales:
 
 def time_scales(c: CloudParams, b: BeamParams) -> TimeScales:
     """Derive the expansion, fall and beam-transit time scales."""
-    tau_g = 2.0 * math.sqrt(2.0) * c.sigma_v / c.g if c.has_gravity else math.inf
+    tau_g = 2.0 * math.sqrt(2.0) * c.sigma_v / c.g if c.g > 0 else math.inf
     return TimeScales(
-        tau_r=c.sigma_r / c.sigma_v, tau_g=tau_g, tau_w=b.w0 / (2.0 * c.sigma_v)
+        tau_r=c.sigma_r / c.sigma_v, tau_g=tau_g if tau_g * tau_g < math.inf else math.inf,
+        tau_w=b.w0 / (2.0 * c.sigma_v),
     )
 
 
@@ -144,10 +143,7 @@ def _ballistic_decay(scale, offset_sq, t, tau_g: float):
     fall factor, which is exactly 1 when tau_g is infinite (no gravity).
     """
     denom = offset_sq + t**2
-    out = scale / denom
-    if not math.isinf(tau_g):
-        out = out * np.exp(-(t**4) * (1.0 / tau_g**2) / denom)
-    return out
+    return scale / denom * np.exp(-(t**4) * (1.0 / tau_g**2) / denom)
 
 
 def phase_space_density(c: CloudParams, r, v, t: float):

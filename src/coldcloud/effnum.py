@@ -72,10 +72,7 @@ def _layer_density_weighted(inp: EffNumInputs, x, t, weight_power: float = 1.0):
     w2 = np.asarray(beam_size(inp.beam, x)) ** 2 / weight_power
     denom = 4.0 * _spread_sq(c, t) + w2
     overlap = w2 / denom
-    if c.has_gravity:
-        fall = np.exp(-0.5 * c.g**2 * t**4 / denom)
-    else:
-        fall = 1.0
+    fall = np.exp(-0.5 * c.g**2 * t**4 / denom)
     out = column_number_density(inp, x, t) * overlap * fall
     return out if out.ndim else float(out)
 
@@ -159,9 +156,7 @@ def sigma_high_temperature(inp: EffNumInputs, t):
     """
     t = _check_time(t)
     ts = time_scales(inp.cloud, inp.beam)
-    out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, math.inf)
-    if inp.cloud.has_gravity:
-        out = out * np.exp(-(t**2) / ts.tau_g**2)
+    out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, math.inf) * np.exp(-(t**2) / ts.tau_g**2)
     return out if np.ndim(out) else float(out)
 
 

@@ -93,8 +93,6 @@ def _cov_factors(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau):
     covariance over their common denominator; M is zero without gravity."""
     denom = 2.0 * tau_w_sq * T**2 + (tau_r_sq + 0.5 * tau_w_sq) * (tau**2 + 2.0 * tau_w_sq)
     shape = tau_w_sq * (tau_r_sq + tau_w_sq) / denom
-    if not inv_tau_g_sq:
-        return shape, 0.0
     num = (T**2 + 0.25 * tau**2) ** 2 * (tau**2 + 2.0 * tau_w_sq) \
         + 4.0 * (tau_r_sq + 0.5 * tau_w_sq) * T**2 * tau**2
     return shape, num * inv_tau_g_sq / denom
@@ -205,7 +203,7 @@ def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     j = np.arange(k + 1, dtype=float)
     log_coeff = gammaln(2 * k - j + 1) - gammaln(j + 1) - gammaln(k - j + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = j[:, None] * np.log(2.0 * x)
     # j = 0 contributes log_coeff alone even at x = 0
     terms[0] = 0.0

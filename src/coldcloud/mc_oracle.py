@@ -330,8 +330,8 @@ def ensemble_stats(
     Unbiased sample statistics with jackknife standard errors.  Identical
     results for any ``threads`` value.
     """
-    if n_realizations < 2:
-        raise ValueError("need at least 2 realizations for variance estimates")
+    if n_realizations < 3:
+        raise ValueError("need at least 3 realizations for jackknife standard errors")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values = weighted_counts(c, b, times, n_realizations, seed, threads)
     return _ensemble_from_values(values, times, seed)
@@ -353,8 +353,8 @@ def binary_count_check(
     gives 1 within noise at every time, independently of any beam-weight
     physics.  Only atoms that enter the box at some grid time are drawn.
     """
-    if n_realizations < 2:
-        raise ValueError("need at least 2 realizations for variance estimates")
+    if n_realizations < 3:
+        raise ValueError("need at least 3 realizations for jackknife standard errors")
     lo, hi = (np.asarray(side, dtype=float) for side in box_bounds)
     if lo.shape != (3,) or hi.shape != (3,):
         raise ValueError("box_bounds must be a pair of 3-vectors")

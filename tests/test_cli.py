@@ -113,6 +113,33 @@ class TestConfigParsing:
         assert main(["mean", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "tolerances.mc_sigmas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [
+        "cloud.G",                # ran without gravity when it was ignored
+        "optics",                 # a misspelt optional section
+        "grids.omega.spaceing",   # a grid range
+        "grids.omgea",
+        "mc.sed",
+    ])
+    def test_unknown_key_rejected_with_its_path(self, tmp_path, capsys, field):
+        cfg = base_config()
+        *sections, key = field.split(".")
+        target = cfg
+        for section in sections:
+            target = target[section]
+        target[key] = 9.81
+        path = write_config(tmp_path, cfg)
+        assert main(["mean", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"config field '{field}': unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "mean.csv").exists()
+
+    @pytest.mark.parametrize("realizations", [1, 2])
+    def test_fewer_than_three_realizations_rejected(self, tmp_path, capsys, realizations):
+        # two realizations would leave every jackknife standard error NaN
+        cfg = base_config(mc={"realizations": realizations, "seed": 1})
+        path = write_config(tmp_path, cfg)
+        assert main(["mc", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "mc.realizations" in capsys.readouterr().err
+
     def test_negative_sigma_r_reported_with_section(self, tmp_path, capsys):
         cfg = base_config()
         cfg["cloud"]["sigma_r"] = -1.0
@@ -195,6 +222,19 @@ class TestCurveSubcommands:
         data = np.genfromtxt(tmp_path / "spectrum.csv", delimiter=",", names=True)
         assert np.all(data["spectrum_series_s"] > 0.0)
         assert np.all(data["normalized_spectrum_s"] > 0.0)
+
+    @pytest.mark.parametrize("sub", ["mean", "spectrum"])
+    def test_unsquarable_fall_time_writes_the_free_cloud_bytes(self, tmp_path, sub):
+        # at g = 1e-300, tau_g^2 would overflow; the run is the g = 0 run
+        runs = {}
+        for g in (0.0, 1e-300):
+            cfg = base_config()
+            cfg["cloud"]["g"] = g
+            out = tmp_path / str(g)
+            assert main([sub, "--config", write_config(tmp_path, cfg, f"{g}.json"),
+                         "--out", str(out)]) == EXIT_OK
+            runs[g] = (out / f"{sub}.csv").read_bytes()
+        assert runs[1e-300] == runs[0.0]
 
     def test_fall_time_blocks_equal_scalar_calls(self, tmp_path):
         # one array call per column; each T block keeps exactly the delays
@@ -434,22 +474,37 @@ class TestNumpyOnlyRuns:
 
 
 _FAULT_COUNT = """
-import resource, coldcloud
-cloud = coldcloud.CloudParams(1e4, 1e-3, 0.1, 9.81)
-beam = coldcloud.BeamParams(10e-6, 1e-9)
-coldcloud.ensemble_stats(cloud, beam, [0.0, 0.01], 20, seed=1)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-coldcloud.ensemble_stats(cloud, beam, [0.0, 0.01], 200, seed=2)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+import json, resource
+import numpy as np
+import coldcloud
+
+def faults(run):
+    run()  # warm-up: the heap grows to its working size here
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+cloud = coldcloud.CloudParams(1e6, 1e-3, 0.1, 9.81)
+beam = coldcloud.BeamParams(100e-6, 852e-9)
+inp = coldcloud.EffNumInputs(cloud, beam)
+omega = np.linspace(0.0, 16000.0, 2000)
+# the spectrum first: once a large block has been freed, the MC arrays
+# raise malloc's thresholds on their own
+print(json.dumps({
+    "spectra": faults(lambda: coldcloud.spectra(inp, 0.048, omega)),
+    "mc": faults(lambda: coldcloud.ensemble_stats(cloud, beam, [0.0, 0.0075, 0.015], 4, seed=2)),
+}))
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
 def test_realizations_reuse_heap_memory():
-    # each realization allocates ~0.5 MB; once import coldcloud has raised
-    # malloc's trim threshold the heap keeps it, and page faults stay near
-    # zero instead of ~100 per realization
-    assert int(run_python(["-c", _FAULT_COUNT], check=True).stdout) < 2000
+    # once import coldcloud has raised malloc's trim threshold the heap keeps
+    # the arrays of MC realizations (~50 MB for 1e6 atoms) and of the
+    # spectral series: a few page faults a call, not ~1e4 and ~570
+    faults = json.loads(run_python(["-c", _FAULT_COUNT], check=True).stdout)
+    assert faults["mc"] < 1000, faults
+    assert faults["spectra"] < 100, faults
 
 
 FUZZED_FIELDS = [

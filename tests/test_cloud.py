@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -62,6 +63,20 @@ class TestTimeScales:
 
     def test_no_gravity_sentinel(self, cloud_free, beam):
         assert math.isinf(time_scales(cloud_free, beam).tau_g)
+
+    @pytest.mark.parametrize("g", [1e-160, 1e-300])
+    def test_fall_time_with_overflowing_square_is_infinite(self, g, beam):
+        assert math.isinf(time_scales(CloudParams(1e6, 1e-3, 0.1, g), beam).tau_g)
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    def test_finite_fall_time_squares_finitely(self, beam, factor):
+        # around the cut at sqrt(DBL_MAX), a fall time is either infinite or
+        # has a finite square
+        g = factor * 2.0 * math.sqrt(2.0) * 0.1 / math.sqrt(sys.float_info.max)
+        for g_near in (math.nextafter(g, 0.0), g, math.nextafter(g, math.inf)):
+            tau_g = time_scales(CloudParams(1e6, 1e-3, 0.1, g_near), beam).tau_g
+            assert math.isinf(tau_g) or math.isfinite(tau_g**2)
+        assert math.isinf(tau_g) == (factor < 1.0)
 
 
 class TestPhaseSpaceDensity:
@@ -245,6 +260,36 @@ def test_times_must_be_finite_and_nonnegative(name, bad):
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")
         call(bad)
+
+
+def _closed_forms(g: float):
+    """Every closed form of a time t, fall time T or delay, on the
+    configs/default.json cloud at gravity g, evaluated over a time grid."""
+    import coldcloud as cc
+
+    inp = cc.EffNumInputs(CloudParams(1e6, 1e-3, 0.1, g), BeamParams(100e-6, 852e-9))
+    t = np.linspace(0.0, 0.05, 11)
+    big_t, tau = np.repeat([0.005, 0.02, 0.048], 5), np.tile(np.linspace(-4e-3, 4e-3, 5), 3)
+    omega = np.tile(np.linspace(0.0, 16000.0, 5), 3)
+    out = {name: getattr(cc, name)(inp, t) for name in (
+        "mean_number", "variance", "sigma_small_waist", "sigma_long_rayleigh",
+        "sigma_high_temperature", "sigma_general")}
+    for s_m0 in (0.3, 2.0):
+        out[f"sigma_saturated_general[s_m0={s_m0}]"] = cc.sigma_saturated_general(
+            inp, cc.OpticalParams(10.0, s_m0), t)
+    out["covariance_exact"] = cc.covariance_exact(inp, big_t, tau)
+    out["covariance_quasistationary"] = cc.covariance_quasistationary(inp, big_t, tau)
+    out["spectrum_series"] = cc.spectrum_series(inp, big_t, omega)
+    return out
+
+
+@pytest.mark.parametrize("g", [1e-160, 1e-300])
+def test_gravity_too_weak_to_square_gives_the_free_cloud_bits(g):
+    # tau_g^2 would overflow here; time_scales makes tau_g infinite, so every
+    # closed form runs the free cloud's arithmetic
+    free = _closed_forms(0.0)
+    for name, values in _closed_forms(g).items():
+        assert values.tobytes() == free[name].tobytes(), name
 
 
 def _value_takers():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,13 @@ class TestPkPolynomial:
         for k in range(0, 12):
             for x in rng.uniform(0.0, 100.0, size=3):
                 assert pk_polynomial(k, x) > 0.0
+
+    def test_largest_arguments_do_not_warn(self):
+        # 2x overflows past 9e307, and log(2x) = inf is still the right limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pk_polynomial(0, 1.7e308) == 1.0
+            assert pk_polynomial(0, np.array([1e300, 1.7e308])).tolist() == [1.0, 1.0]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -232,8 +232,13 @@ class TestEnsembleStats:
         assert 1.7 < ratio < 2.3  # expect 2 for 4x the realizations
 
     def test_rejects_tiny_ensembles(self):
-        with pytest.raises(ValueError):
-            ensemble_stats(CLOUD, BEAM, [0.0], 1, seed=0)
+        # the leave-one-out covariances divide by n - 2: below 3 realizations
+        # every standard error would be NaN
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="at least 3"):
+                ensemble_stats(CLOUD, BEAM, [0.0], n, seed=0)
+            with pytest.raises(ValueError, match="at least 3"):
+                binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed=0)
 
 
 def _naive_cloud(c, seed, times, lo, hi):
