@@ -27,11 +27,13 @@ __version__ = "0.1.0"
 # glibc malloc returns free memory at the top of its heap to the OS beyond
 # a trim threshold (128 KiB at start), and raises the threshold to twice the
 # size of any freed block that it had mapped on its own.  Freeing one 24 MiB
-# block here keeps the arrays of MC realizations and spectral-series orders
-# in the heap instead of faulting them in afresh on every use.  On a 2-core
-# Xeon (glibc 2.36), a repeated 4-realization ensemble of the default 1e6-atom
-# cloud went from 9.7e3 page faults to 1, and a repeated 2000-frequency
-# spectrum from 570 to 0-2.  Other allocators see one untouched allocation.
+# block here keeps the arrays of spectral-series orders in the heap instead
+# of faulting them in afresh on every call.  On a 2-core Xeon (glibc 2.36),
+# a repeated 2000-frequency spectrum takes 0-3 page faults with the block
+# and 574-576 without.  A repeated 4-realization ensemble of the default
+# 1e6-atom cloud takes 0 either way, as it is drawn in sub-clouds of at most
+# 2**16 mean atoms (drawn whole, it took 1.1e4-1.2e4 without the block).
+# Other allocators see one untouched allocation.
 _np.empty(3 << 20)
 
 __all__ = ["__version__"] + [

@@ -69,7 +69,7 @@ from .fluct import (
     spectrum_exponential,
     variance,
 )
-from .mc_oracle import binary_count_check, dropped_weight_bound, ensemble_stats
+from .mc_oracle import _sub_clouds, binary_count_check, dropped_weight_bound, ensemble_stats
 from .optical import OpticalParams
 from .saturation import sigma_saturated_closed, sigma_saturated_general
 
@@ -440,6 +440,11 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     }}, {"per_fall_time": regime}
 
 
+def _draw(cloud: CloudParams, m: int) -> dict:
+    """How the sampler draws each realization of cloud on m grid times."""
+    return {"beam_window": dropped_weight_bound(cloud, m), "sub_clouds": _sub_clouds(cloud)}
+
+
 def _mc_times(cfg: RunConfig) -> np.ndarray:
     ts = time_scales(cfg.cloud, cfg.beam)
     if "t" in cfg.raw.get("grids", {}):
@@ -462,7 +467,7 @@ def _mc(cfg: RunConfig, seed: int, threads: int):
             "mc_covariance": stats.covariance.ravel(),
             "mc_se_covariance": stats.se_covariance.ravel(),
         },
-    }, {"realizations": stats.realization_count, "beam_window": dropped_weight_bound(cfg.cloud, m)}
+    }, {"realizations": stats.realization_count, **_draw(cfg.cloud, m)}
 
 
 def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed: int, threads: int):
@@ -537,7 +542,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
                          "pass": ok.astype(float)},
         "validate_report.json": report,
-    }, {"all_pass": report["all_pass"], "beam_window": dropped_weight_bound(cfg.cloud, times.size)}
+    }, {"all_pass": report["all_pass"], **_draw(cfg.cloud, times.size)}
 
 
 SUBCOMMANDS = {

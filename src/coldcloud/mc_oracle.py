@@ -12,7 +12,9 @@ Reproducibility contract: each realization uses its own generator seeded by
 a splitmix64 mix of the master seed and the realization index.  It draws
 the Poisson count, then, one coordinate at a time, the positions and then
 the velocities of the atoms still kept: first the coordinates with a
-window, then the others, each group in x, y, z order.  All statistics are
+window, then the others, each group in x, y, z order.  Above _PART_ATOMS mean
+atoms, a realization adds independent sub-clouds of equal mean, sub-cloud
+j >= 1 seeded by the same mix of its seed and j.  All statistics are
 reductions over a fully materialized (realization, time) array.  Results
 are therefore bit-identical no matter how many threads the realizations
 are spread over.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +59,8 @@ _MASK64 = (1 << 64) - 1
 # about 1e-15 atoms for 1e6 atoms on 5 times (configs/default.json).
 BEAM_CUT = 5.0
 AXIAL_CUT = 10.0
+# Largest mean atom number drawn as one cloud: 512 KiB per coordinate array.
+_PART_ATOMS = 1 << 16
 
 
 def substream_seed(master_seed: int, index: int) -> int:
@@ -205,22 +209,33 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
     return float(np.sum(weight(b, pos)))
 
 
+def _sub_clouds(c: CloudParams) -> int:
+    """Independent sub-clouds drawn per realization of c."""
+    return max(1, math.ceil(c.n_total / _PART_ATOMS))
+
+
 def _realization_rows(c: CloudParams, row, times: np.ndarray, lo, hi, n_realizations: int,
                       seed: int, threads: int) -> np.ndarray:
     """(realization, time) array whose row i is row(realization i).
 
-    Realization i is drawn from substream_seed(seed, i) in the windows
-    lo, hi at the given times (see sample_cloud), so scheduling
-    order cannot change the result.  One thread runs on the calling thread;
-    more split the realizations into contiguous chunks over a thread pool
-    of at most one worker per CPU.
+    Realization i sums _sub_clouds(c) sub-clouds of equal mean, drawn in the
+    windows lo, hi at the given times (see sample_cloud): sub-cloud 0 from
+    s = substream_seed(seed, i), sub-cloud j from substream_seed(s, j), in
+    order of j.  So scheduling order cannot change the result.  One thread
+    runs on the calling thread; more split the realizations into contiguous
+    chunks over a thread pool of at most one worker per CPU.
     """
     threads = min(threads, os.cpu_count() or 1)
     out = np.empty((n_realizations, times.size))
+    parts = _sub_clouds(c)
+    part = replace(c, n_total=c.n_total / parts)
 
     def fill(indices) -> None:
         for i in indices:
-            out[i] = row(sample_cloud(c, substream_seed(seed, i), times, lo, hi))
+            first = substream_seed(seed, i)
+            out[i] = row(sample_cloud(part, first, times, lo, hi))
+            for j in range(1, parts):
+                out[i] += row(sample_cloud(part, substream_seed(first, j), times, lo, hi))
 
     if threads <= 1:
         fill(range(n_realizations))
@@ -303,9 +318,9 @@ def weighted_counts(
 ) -> np.ndarray:
     """Raw weighted counts N(t), shape (n_realizations, n_times).
 
-    Row i comes from the substream seed of realization i, so the array is
-    identical for any thread count.  Only atoms inside the beam window
-    (see BEAM_CUT and dropped_weight_bound) are drawn.  Useful for
+    Row i sums the sub-clouds of realization i (see _realization_rows), so
+    the array is identical for any thread count.  Only atoms inside the beam
+    window (see BEAM_CUT and dropped_weight_bound) are drawn.  Useful for
     statistics beyond what ensemble_stats reports (ratio estimators,
     bootstrap, ...).
     """

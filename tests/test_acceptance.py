@@ -217,8 +217,8 @@ def test_09_spectrum_covariance_transform_pair():
         oracle = quasistationary_fourier_oracle(inp, big_t, float(omega))
         got = cc.spectrum_series(inp, big_t, float(omega))
         worst = max(worst, abs(got / oracle - 1.0))
-    report(9, "spectrum-covariance transform pair", worst <= 1e-6,
-           f" (worst rel over 3 decades = {worst:.2e}, tol 1e-6)")
+    report(9, "spectrum-covariance transform pair", worst <= 1e-12,
+           f" (worst rel over 3 decades = {worst:.2e}, tol 1e-12)")
 
 
 def test_10_monte_carlo_oracle():

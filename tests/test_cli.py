@@ -330,6 +330,17 @@ class TestMonteCarloSubcommands:
         assert manifest["beam_window"] == {"beam_cut": 5.0, "axial_cut": 10.0,
                                            "dropped_weight_bound": 2000.0 * 3 * tails}
 
+    @pytest.mark.parametrize("config,parts", [("default.json", 16), ("validate_desk.json", 1)])
+    def test_manifest_records_sub_clouds(self, tmp_path, config, parts):
+        # each realization of more than 2**16 mean atoms is drawn as
+        # independent sub-clouds of at most that mean
+        cfg = json.loads((ROOT / "configs" / config).read_text())
+        cfg["mc"]["realizations"] = 3
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["mc", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "mc_manifest.json").read_text())
+        assert manifest["sub_clouds"] == parts
+
     def test_capped_time_grid_spans_an_unsorted_list(self, tmp_path):
         # more than 8 listed times are replaced by 5 evenly spaced ones over
         # the list's whole range, whatever its order
@@ -363,6 +374,7 @@ class TestMonteCarloSubcommands:
         assert f"validate: worst check {worst['name']}: z = " in out
         manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
         assert manifest["beam_window"]["dropped_weight_bound"] < 1e-15
+        assert manifest["sub_clouds"] == 1
 
     def test_validate_names_a_defect(self, tmp_path, monkeypatch, capsys):
         # a closed-form mean 10% too high against a correct sampler; 4x the
@@ -500,8 +512,9 @@ print(json.dumps({
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
 def test_realizations_reuse_heap_memory():
     # once import coldcloud has raised malloc's trim threshold the heap keeps
-    # the arrays of MC realizations (~50 MB for 1e6 atoms) and of the
-    # spectral series: a few page faults a call, not ~1e4 and ~570
+    # the arrays of the spectral series: a few page faults a call, not ~575.
+    # The MC sub-clouds (at most 2**16 atoms, a few MB) fault 0 times either
+    # way; whole 1e6-atom realizations took ~1.2e4 without the raised threshold
     faults = json.loads(run_python(["-c", _FAULT_COUNT], check=True).stdout)
     assert faults["mc"] < 1000, faults
     assert faults["spectra"] < 100, faults

@@ -364,7 +364,7 @@ class TestSpectra:
         for omega in (0.0, 0.3 / ts.tau_w, 3.0 / ts.tau_w):
             oracle = quasistationary_fourier_oracle(inp, big_t, omega)
             assert spectrum_series(inp, big_t, omega) == pytest.approx(
-                oracle, rel=1e-6
+                oracle, rel=1e-12
             )
 
     @pytest.mark.parametrize("big_t,c_expected", [(0.055, 30.3), (0.09, 204.65)])

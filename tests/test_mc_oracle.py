@@ -267,19 +267,28 @@ def _naive_cloud(c, seed, times, lo, hi):
     return r0, v0
 
 
-def _naive_rows(c, seed, n_realizations, times, lo, hi, per_time):
+def _naive_rows(c, seed, n_realizations, times, lo, hi, per_time, parts=1):
     """Realization loop written out by hand: windowed draws, propagation
-    by the formula, per_time(positions) at every time."""
+    by the formula, per_time(positions) at every time.  A realization is
+    `parts` sub-clouds of mean n_total / parts, the first drawn from its
+    substream seed s and sub-cloud j from substream_seed(s, j); their rows
+    are added in order of j."""
+    part = CloudParams(c.n_total / parts, c.sigma_r, c.sigma_v, c.g)
     rows = []
     for i in range(n_realizations):
-        r0, v0 = _naive_cloud(c, substream_seed(seed, i), times, lo, hi)
-        row = []
-        for t in times:
-            pos = r0 + v0 * t
-            pos[:, 2] -= 0.5 * c.g * t**2
-            row.append(per_time(pos))
-        rows.append(row)
-    return np.array(rows, dtype=float)
+        s = substream_seed(seed, i)
+        total = None
+        for j in range(parts):
+            r0, v0 = _naive_cloud(part, substream_seed(s, j) if j else s, times, lo, hi)
+            row = []
+            for t in times:
+                pos = r0 + v0 * t
+                pos[:, 2] -= 0.5 * c.g * t**2
+                row.append(per_time(pos))
+            row = np.array(row, dtype=float)
+            total = row if total is None else total + row
+        rows.append(total)
+    return np.array(rows)
 
 
 class TestAgainstNaiveLoop:
@@ -287,6 +296,19 @@ class TestAgainstNaiveLoop:
     times = np.array([0.0, 0.004, 0.011])
 
     def test_weighted_counts(self):
+        self.check_weighted_counts(parts=1)
+
+    def test_binary_count_check(self):
+        self.check_binary_count_check(parts=1)
+
+    # _PART_ATOMS = 300 splits the 1e3-atom CLOUD into 4 sub-clouds of 250
+    @pytest.mark.parametrize("check", ["check_weighted_counts", "check_binary_count_check"])
+    def test_split_into_sub_clouds(self, monkeypatch, check):
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 300)
+        assert mc_oracle._sub_clouds(CLOUD) == 4
+        getattr(self, check)(parts=4)
+
+    def check_weighted_counts(self, parts):
         l_r = self.beam.rayleigh_length
 
         def plain_count(pos):
@@ -298,13 +320,13 @@ class TestAgainstNaiveLoop:
         half = mc_oracle.BEAM_CUT * self.beam.w0 * np.sqrt(
             1.0 + (mc_oracle.AXIAL_CUT * sigma_x / l_r) ** 2)
         hi = np.stack([np.full(3, np.inf), half, half])
-        naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_count)
+        naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_count, parts)
         assert np.all(naive > 0.0)
         for threads in (1, 2):
             np.testing.assert_array_equal(
                 weighted_counts(CLOUD, self.beam, self.times, 40, 17, threads), naive)
 
-    def test_binary_count_check(self):
+    def check_binary_count_check(self, parts):
         lo = np.array([-1e-3, -5e-4, -2e-3])
         hi = np.array([8e-4, 1e-3, 4e-4])
 
@@ -312,10 +334,55 @@ class TestAgainstNaiveLoop:
             return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
 
         naive = _naive_rows(CLOUD, 23, 60, self.times, np.tile(lo[:, None], 3),
-                            np.tile(hi[:, None], 3), box_count)
-        report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23)
-        np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
-        np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
+                            np.tile(hi[:, None], 3), box_count, parts)
+        for threads in (1, 2):
+            report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23, threads)
+            np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
+            np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
+
+
+class TestSubClouds:
+    @pytest.mark.parametrize("n_total,parts", [
+        (float(mc_oracle._PART_ATOMS), 1), (mc_oracle._PART_ATOMS + 1.0, 2),
+        (1e4, 1), (1e6, 16), (0.5, 1)])
+    def test_count(self, n_total, parts):
+        assert mc_oracle._sub_clouds(CloudParams(n_total, 1e-3, 0.1)) == parts
+
+    # n_total == _PART_ATOMS: one sample_cloud per realization; one atom
+    # more: two of half the mean, the second from the substream of the first
+    @pytest.mark.parametrize("part_atoms", [1000, 999])
+    def test_rows_at_the_boundary(self, monkeypatch, part_atoms):
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", part_atoms)
+        times = np.array([0.0, 0.004])
+        hi = mc_oracle._beam_window(CLOUD, BEAM_40, times)
+        parts = 1 if part_atoms == 1000 else 2
+        part = CloudParams(CLOUD.n_total / parts, CLOUD.sigma_r, CLOUD.sigma_v, CLOUD.g)
+        expected = np.zeros((30, times.size))
+        for i in range(30):
+            s = substream_seed(41, i)
+            for j in range(parts):
+                real = sample_cloud(part, substream_seed(s, j) if j else s, times, -hi, hi)
+                expected[i] += [effective_count(BEAM_40, real, CLOUD.g, t) for t in times]
+        np.testing.assert_array_equal(weighted_counts(CLOUD, BEAM_40, times, 30, 41), expected)
+
+    def test_split_cloud_is_poisson_in_whole_space(self, monkeypatch):
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 300)
+        box = ((-np.inf, -np.inf, -np.inf), (np.inf, np.inf, np.inf))
+        report = binary_count_check(CLOUD, box, [0.0, 0.01], 2000, seed=8)
+        assert report.all_consistent
+        np.testing.assert_allclose(report.ratio, 1.0, atol=4.0 * np.max(report.ratio_se))
+
+    def test_split_cloud_agrees_with_closed_forms(self, monkeypatch):
+        # the cloud of test_agrees_with_closed_forms as 3 sub-clouds of 4e3/3
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 1500)
+        cloud = CloudParams(n_total=4e3, sigma_r=1e-3, sigma_v=0.1, g=9.81)
+        inp = EffNumInputs(cloud, BEAM)
+        times = np.array([0.0, 0.006, 0.012, 0.02])
+        stats = ensemble_stats(cloud, BEAM, times, 2500, seed=321)
+        mean_z = (stats.mean - mean_number(inp, times)) / stats.se_mean
+        var_z = (stats.variance - variance(inp, times)) / stats.se_variance
+        assert np.all(np.abs(mean_z) < 3.0)
+        assert np.all(np.abs(var_z) < 3.0)
 
 
 class TestBeamWindow:
