@@ -21,19 +21,21 @@ opt = cc.OpticalParams(delta=10.0)
 print(f"mirror transmission 2*kappa*tau_c = {2 * cavity.kappa * cavity.tau_c:.3f}")
 print()
 print(f"{'T [ms]':>7} {'<N(T)>':>10} {'coop. C(T)':>11} {'shift [rad/s]':>14} {'linear?':>8}")
-for big_t in np.linspace(0.0, 2.0 * ts.tau_r, 5):
-    n_mean = cc.mean_number(inp, big_t)
-    coop = cc.cooperativity(cavity, beam, n_mean)
-    shift = cc.detuning_shift(cavity, beam, opt, n_mean)
-    linear = cc.is_linear_regime(cavity, opt, inp, big_t)
-    print(f"{big_t * 1e3:7.1f} {n_mean:10.1f} {coop:11.3f} {shift:14.3e} {str(linear):>8}")
+# one call per column: every readout takes an array of fall times or of n
+big_t = np.linspace(0.0, 2.0 * ts.tau_r, 5)
+n_mean = cc.mean_number(inp, big_t)
+columns = zip(big_t, n_mean, cc.cooperativity(cavity, beam, n_mean),
+              cc.detuning_shift(cavity, beam, opt, n_mean),
+              cc.is_linear_regime(cavity, opt, inp, big_t).tolist())
+for t, n, coop, shift, linear in columns:
+    print(f"{t * 1e3:7.1f} {n:10.1f} {coop:11.3f} {shift:14.3e} {str(linear):>8}")
 
 print()
 big_t = ts.tau_r
 print(f"detuning noise spectrum at T = tau_r (kappa = {cavity.kappa:.1e} rad/s):")
 print(f"{'omega [rad/s]':>14} {'omega/2pi [Hz]':>15} {'S_PhiPhi [rad/s]':>17}")
-for omega in (0.0, 1000.0, 4000.0, 12000.0):
-    s = cc.detuning_spectrum(cavity, opt, inp, big_t, omega)
+omegas = np.array([0.0, 1000.0, 4000.0, 12000.0])
+for omega, s in zip(omegas, cc.detuning_spectrum(cavity, opt, inp, big_t, omegas)):
     print(f"{omega:14.0f} {omega / (2 * np.pi):15.1f} {s:17.3e}")
 
 peak = cc.detuning_spectrum(cavity, opt, inp, big_t, 0.0)

@@ -61,15 +61,18 @@ def _coupling_per_atom(b: BeamParams) -> float:
     return _coupling_area(b) / beam_section(b, 0.0)
 
 
-def cooperativity(cav: CavityParams, b: BeamParams, n: float) -> float:
+def cooperativity(cav: CavityParams, b: BeamParams, n):
     """Cooperativity C = (3*lambda^2/(4*pi*S)) * n / (2*kappa*tau_c).
 
     Linear in the effective atom number n; the waist section S enters
-    because the coupling concentrates on the beam area.
+    because the coupling concentrates on the beam area.  Elementwise in n:
+    an array keeps its shape, a scalar returns a float.
     """
-    if not 0.0 <= n < math.inf:
+    n = np.asarray(n, dtype=float)
+    if not np.all((n >= 0) & (n < math.inf)):
         raise ValueError(f"atom number must be finite and nonnegative, got {n}")
-    return _coupling_per_atom(b) * n / (2.0 * cav.kappa * cav.tau_c)
+    out = _coupling_per_atom(b) * n / (2.0 * cav.kappa * cav.tau_c)
+    return out if out.ndim else float(out)
 
 
 def _check_dispersive(opt: OpticalParams) -> None:
@@ -83,11 +86,11 @@ def _check_dispersive(opt: OpticalParams) -> None:
         )
 
 
-def detuning_shift(cav: CavityParams, b: BeamParams, opt: OpticalParams, n: float) -> float:
+def detuning_shift(cav: CavityParams, b: BeamParams, opt: OpticalParams, n):
     """Cavity detuning shift 2*kappa*C/delta induced by n effective atoms.
 
     Equivalently (3*lambda^2/(4*pi*S)) * n / (delta*tau_c); flips sign with
-    the detuning.  Units rad/s.
+    the detuning.  Units rad/s.  Elementwise in n, as cooperativity.
     """
     _check_dispersive(opt)
     return 2.0 * cav.kappa * cooperativity(cav, b, n) / opt.delta

@@ -425,15 +425,12 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     inp = EffNumInputs(cfg.cloud, cfg.beam)
     big_t, omega = _fall_time_pairs(cfg, cfg.omega_grid)
     noise = detuning_spectrum(cav, cfg.optical, inp, big_t, omega)
-    linear = is_linear_regime(cav, cfg.optical, inp, cfg.big_t_grid)
-    regime = {}
-    for t, flag in zip(cfg.big_t_grid, linear.tolist()):
-        n_mean = mean_number(inp, t)
-        regime[_fmt(t)] = {
-            "cooperativity": cooperativity(cav, cfg.beam, n_mean),
-            "detuning_shift_rad_s": detuning_shift(cav, cfg.beam, cfg.optical, n_mean),
-            "linear_regime": flag,
-        }
+    n_mean = mean_number(inp, cfg.big_t_grid)
+    columns = zip(cfg.big_t_grid, cooperativity(cav, cfg.beam, n_mean).tolist(),
+                  detuning_shift(cav, cfg.beam, cfg.optical, n_mean).tolist(),
+                  is_linear_regime(cav, cfg.optical, inp, cfg.big_t_grid).tolist())
+    regime = {_fmt(t): {"cooperativity": coop, "detuning_shift_rad_s": shift,
+                        "linear_regime": flag} for t, coop, shift, flag in columns}
     return {"detuning_spectrum.csv": {
         "T_s": big_t, "omega_rad_s": omega, "omega_hz": omega / (2.0 * math.pi),
         "detuning_noise_rad_s": noise,

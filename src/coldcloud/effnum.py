@@ -171,12 +171,13 @@ def _field_shift(b: BeamParams, opt: OpticalParams, sigma):
     return -_coupling_area(b) * sigma / (1.0 + 1j * opt.delta)
 
 
-def linear_field_shift(inp: EffNumInputs, opt: OpticalParams, t) -> complex:
+def linear_field_shift(inp: EffNumInputs, opt: OpticalParams, t):
     """Fractional field change dA/A from the linear atomic response.
 
     Returns -(3*lambda^2/(4*pi)) * sigma(t) / (1 + i*delta), computed from
     the general sigma quadrature.  The imaginary part is the phase shift;
     twice the real part is the fractional intensity change, reproducing the
-    resonant cross section 3*lambda^2/(2*pi) divided by 1+delta^2.
+    resonant cross section 3*lambda^2/(2*pi) divided by 1+delta^2.  A
+    scalar t gives a complex, an array of t a complex array of its shape.
     """
     return _field_shift(inp.beam, opt, sigma_general(inp, t))

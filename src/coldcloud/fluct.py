@@ -196,7 +196,7 @@ def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     """
     # scipy.special is imported here and in _enveloped_pk_series, not with
     # the package: it costs more than most commands.  The one-term p_k
-    # recurrence planned in ROADMAP.md (item 1) deletes these imports.
+    # recurrence planned in ROADMAP.md (item 3) deletes these imports.
     # math.lgamma differs from gammaln in the last bit for many integers.
     from scipy.special import gammaln
 
@@ -283,10 +283,8 @@ def spectra(inp: EffNumInputs, T, omega):
         at = group == j
         enveloped[at] = _enveloped_pk_series(float(c[j]), x[at])
     # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
-    # second factor is the damping folded into the series.  math.exp keeps
-    # the spectra bit for bit those of earlier versions; np.exp differs in
-    # the last bit for some of these arguments
-    drift = np.array([math.exp(-zeta * d) for d in a_t - b_t / alpha_sq])
+    # second factor is the damping folded into the series
+    drift = np.exp(-zeta * (a_t - b_t / alpha_sq))
     spectrum = (n0 * math.pi * tau_w / alpha * drift)[group] * enveloped
     normalized = (math.pi * alpha * tau_w)[group] * enveloped
     if T.ndim:

@@ -44,6 +44,6 @@ def polarizability(opt: OpticalParams, s_local: float) -> complex:
     alpha = 1 / ((1 + i*delta) * (1 + 2*s_local)); at zero saturation and
     zero detuning this is 1 by convention.
     """
-    if s_local < 0:
-        raise ValueError(f"s_local must be nonnegative, got {s_local}")
+    if not 0.0 <= s_local < math.inf:
+        raise ValueError(f"s_local must be finite and nonnegative, got {s_local}")
     return 1.0 / ((1.0 + 1j * opt.delta) * (1.0 + 2.0 * s_local))

@@ -214,11 +214,11 @@ def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t):
     return out if out.ndim else float(out)
 
 
-def nonlinear_field_shift(inp: EffNumInputs, opt: OpticalParams, t) -> complex:
+def nonlinear_field_shift(inp: EffNumInputs, opt: OpticalParams, t):
     """Fractional field change dA/A with the saturated atomic response.
 
     -(3*lambda^2/(4*pi)) * sigma_s(t) / (1 + i*delta), using the general
     saturated sigma.  At s_m0 = 0 this equals the linear field shift, and
-    its magnitude never exceeds the linear one.
+    its magnitude never exceeds the linear one.  Shaped as linear_field_shift.
     """
     return _field_shift(inp.beam, opt, sigma_saturated_general(inp, opt, t))

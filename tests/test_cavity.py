@@ -58,6 +58,21 @@ class TestCooperativity:
             cooperativity(cavity, beam, -1.0)
 
 
+class TestArrayOfAtomNumbers:
+    # detuning-spectrum reads both readouts over its whole fall-time grid
+    @pytest.mark.parametrize("readout", [
+        cooperativity,
+        lambda cav, beam, n: detuning_shift(cav, beam, OpticalParams(delta=-10.0), n),
+    ], ids=["cooperativity", "detuning_shift"])
+    def test_keeps_shape_and_equals_scalar_calls(self, cavity, beam, readout):
+        n = np.array([[0.0, 1.0, 2493.8], [1e4, 123456.789, 1e12]])
+        out = readout(cavity, beam, n)
+        assert out.shape == n.shape
+        np.testing.assert_array_equal(
+            out, [[readout(cavity, beam, float(v)) for v in row] for row in n])
+        assert type(readout(cavity, beam, 1e4)) is float
+
+
 class TestDetuningShift:
     def test_zero_atoms(self, cavity, beam):
         assert detuning_shift(cavity, beam, OpticalParams(delta=10.0), 0.0) == 0.0

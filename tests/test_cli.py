@@ -211,6 +211,18 @@ class TestCurveSubcommands:
         assert len(per_t) == 2
         for entry in per_t.values():
             assert set(entry) == {"cooperativity", "detuning_shift_rad_s", "linear_regime"}
+        # each entry is the library's scalar calls at its T, bit for bit
+        cfg = load_config(cfg_path)
+        inp = coldcloud.EffNumInputs(cfg.cloud, cfg.beam)
+        for t in cfg.big_t_grid:
+            n = coldcloud.mean_number(inp, float(t))
+            assert per_t[f"{t:.17g}"] == {
+                "cooperativity": coldcloud.cooperativity(cfg.cavity, cfg.beam, n),
+                "detuning_shift_rad_s":
+                    coldcloud.detuning_shift(cfg.cavity, cfg.beam, cfg.optical, n),
+                "linear_regime":
+                    coldcloud.is_linear_regime(cfg.cavity, cfg.optical, inp, float(t)),
+            }
 
     def test_spectrum_where_the_series_damping_underflows(self, tmp_path):
         # at T = 90 ms the spectrum series has c = 205 and exp(-4c) is below

@@ -293,8 +293,9 @@ def test_gravity_too_weak_to_square_gives_the_free_cloud_bits(g):
 
 
 def _value_takers():
-    """Every public function of a delay, frequency, atom number, polynomial
-    order or box bound, as (call on that value, a valid value, bad values)."""
+    """Every public function of a delay, frequency, atom number, saturation,
+    polynomial order or box bound, as (call on that value, a valid value,
+    bad values)."""
     import coldcloud as cc
 
     beam = BeamParams(w0=100e-6, wavelength=852e-9)
@@ -315,6 +316,10 @@ def _value_takers():
             (lambda w: cc.detuning_spectrum(cav, opt, inp, 0.01, w), 1e3, non_finite),
         "cooperativity": (lambda n: cc.cooperativity(cav, beam, n), 1e4, bad_count),
         "detuning_shift": (lambda n: cc.detuning_shift(cav, beam, opt, n), 1e4, bad_count),
+        "cooperativity[array]": (lambda n: cc.cooperativity(cav, beam, [1e4, n]), 1e4, bad_count),
+        "detuning_shift[array]":
+            (lambda n: cc.detuning_shift(cav, beam, opt, [1e4, n]), 1e4, bad_count),
+        "polarizability": (lambda s: cc.polarizability(opt, s), 0.5, (math.nan, math.inf, -0.1)),
         "pk_polynomial.x": (lambda x: cc.pk_polynomial(2, x), 0.5, (math.nan, math.inf, -0.5)),
         "pk_polynomial.k": (lambda k: cc.pk_polynomial(k, 0.5), 2, (2.5, -1)),
         # an infinite upper bound selects all space; NaN or -inf is no bound
