@@ -10,7 +10,7 @@ linewidth 1/(alpha_T tau_w).
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.laguerre import laggauss
 
 import coldcloud as cc
 
@@ -46,8 +46,9 @@ for omega in (0.0, 500.0, 2000.0, 8000.0):
     bare = cc.spectrum_exponential(inp, big_t, omega)
     print(f"{omega:14.0f} {full:12.5f} {bare:13.5f}")
 
-area, _ = quad(
-    lambda w: cc.normalized_spectrum(inp, big_t, w), 0.0, 100.0 / ts.tau_w, limit=300
-)
+# the spectrum decays as exp(-u) in u = alpha_T*tau_w*omega: a Gauss-Laguerre rule
+u, weights = laggauss(40)
+scale = alpha * ts.tau_w
+area = np.sum(weights * np.exp(u) * cc.normalized_spectrum(inp, big_t, u / scale)) / scale
 print()
 print(f"normalized spectrum area (d omega / 2 pi): {area / math.pi:.6f} (exact: 1)")

@@ -4,7 +4,7 @@ Every subcommand reads one JSON config (SI units throughout), writes CSV
 data files plus a JSON run manifest into the output directory, and exits 0
 on success.  Data files are byte-identical for identical config and seed;
 the manifest also records the Python, numpy and scipy versions (scipy is
-null when the run never loaded it) and the wall times of the load,
+null unless the calling process loaded it) and the wall times of the load,
 compute and write stages (``load_s``, ``compute_s``, ``write_s``), which
 vary from run to run.
 

@@ -24,8 +24,9 @@ Conventions fixed here:
   1/alpha_T^2 along with the expansion parameter: the spectrum is their
   sum, a series in c = zeta*b_T/(4*alpha_T^2) (checked in the tests against
   direct numerical transforms).  It is summed in log space, with a term
-  cap that follows from the order where the terms peak.  Of scipy, the
-  series uses only scipy.special.gammaln; the log-sums are numpy.
+  cap that follows from the order where the terms peak.  It needs no
+  scipy: its log-factorials come from a port of Cephes lgam, bit for bit
+  scipy.special.gammaln, and its log-sums are numpy.
 """
 
 from __future__ import annotations
@@ -184,6 +185,54 @@ def pk_polynomial(k: int, x):
     return out if out.ndim else float(out)
 
 
+# Cephes lgam's Stirling correction, a polynomial in 1/x^2 (highest order
+# first), and log(sqrt(2*pi))
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) at a positive integer x, bit for bit scipy.special.gammaln.
+
+    The Cephes lgam that gammaln runs, on its integer paths below 1e8 only
+    (beyond, Cephes drops the 1/x correction), with scalar math.log:
+    compiled Cephes calls libm's log, and numpy's SIMD log differs from it
+    in the last bit at some integers (math.lgamma differs from gammaln at
+    many).
+    """
+    if x < 13.0:
+        z, u = 1.0, x - 1.0
+        while u >= 2.0:
+            z *= u
+            u -= 1.0
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = 0.0
+    for coeff in _LGAM_A:
+        poly = poly * p + coeff
+    return q + poly / x
+
+
+# log m! at index m; _log_factorials grows it by doubling and rebinds it in
+# one assignment, so concurrent callers at worst build it twice
+_log_factorial_table = np.empty(0)
+
+
+def _log_factorials(m: int) -> np.ndarray:
+    """The table of log n!, holding at least n = 0..m."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= m:
+        grown = [_lgam(n + 1.0) for n in range(table.size, max(2 * table.size, m + 1))]
+        table = _log_factorial_table = np.concatenate([table, grown])
+    return table
+
+
 def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     """log p_k(x) elementwise, stable for large k and large x.
 
@@ -194,15 +243,10 @@ def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     non-finite results is left out: row 0 is always finite, so a result is
     infinite only when a term is +inf, and then both ways give +inf.
     """
-    # scipy.special is imported here and in _enveloped_pk_series, not with
-    # the package: it costs more than most commands.  The one-term p_k
-    # recurrence planned in ROADMAP.md (item 3) deletes these imports.
-    # math.lgamma differs from gammaln in the last bit for many integers.
-    from scipy.special import gammaln
-
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    j = np.arange(k + 1, dtype=float)
-    log_coeff = gammaln(2 * k - j + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+    j = np.arange(k + 1)
+    log_fact = _log_factorials(2 * k)
+    log_coeff = log_fact[2 * k - j] - log_fact[j] - log_fact[k - j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = j[:, None] * np.log(2.0 * x)
     # j = 0 contributes log_coeff alone even at x = 0
@@ -248,15 +292,14 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if c == 0.0:
         return np.exp(-x)
-    from scipy.special import gammaln
-
     log_c = math.log(c)
     log_rtol = math.log(_SERIES_RTOL)
     peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x.max(initial=0.0))
     cap = int(peak + 10.0 * math.sqrt(peak)) + 20
+    log_fact = _log_factorials(cap)
     total, log_total, prev = 0.0, -np.inf, -np.inf
     for k in range(cap + 1):
-        term = k * log_c - 2.0 * gammaln(k + 1) + _log_pk(k, x) - 4.0 * c - x
+        term = k * log_c - 2.0 * log_fact[k] + _log_pk(k, x) - 4.0 * c - x
         total = total + np.exp(term)
         log_total = np.logaddexp(log_total, term)
         if np.all(term <= log_rtol + log_total) and np.all(term <= prev):

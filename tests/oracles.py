@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.integrate import dblquad, quad
 
-from coldcloud import covariance_exact, time_scales
+from coldcloud import SeriesConvergenceError, covariance_exact, time_scales
 
 
 def transverse_quad(func, y_window, z_window, epsrel=1e-12):
@@ -193,6 +193,30 @@ def log_pk_logsumexp(k: int, x) -> np.ndarray:
             j[:, None] == 0, 0.0, j[:, None] * log_2x[None, :]
         )
     return logsumexp(log_terms, axis=0)
+
+
+def enveloped_series_scipy(c: float, x) -> np.ndarray:
+    """exp(-x-4c) * sum_k c^k p_k(x)/(k!)^2 with scipy.special.gammaln for
+    k! and log_pk_logsumexp for p_k: the library's earlier series, kept
+    verbatim so its scipy-free log-factorials can be checked bit for bit."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if c == 0.0:
+        return np.exp(-x)
+    from scipy.special import gammaln
+
+    log_c = math.log(c)
+    log_rtol = math.log(1e-12)
+    peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x.max(initial=0.0))
+    cap = int(peak + 10.0 * math.sqrt(peak)) + 20
+    total, log_total, prev = 0.0, -np.inf, -np.inf
+    for k in range(cap + 1):
+        term = k * log_c - 2.0 * gammaln(k + 1) + log_pk_logsumexp(k, x) - 4.0 * c - x
+        total = total + np.exp(term)
+        log_total = np.logaddexp(log_total, term)
+        if np.all(term <= log_rtol + log_total) and np.all(term <= prev):
+            return total
+        prev = term
+    raise SeriesConvergenceError(f"spectrum series did not converge within {cap} terms (c={c:.3g})")
 
 
 def peak_series_reference(c: float, kmax: int = 400) -> float:

@@ -448,21 +448,19 @@ class TestMonteCarloSubcommands:
 # the package and every other subcommand run on numpy alone
 _FRESH_RUN = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import coldcloud, coldcloud.cli
 
 cfg_dir, out = sys.argv[1:3]
 runs = [("mean", "curves"), ("sigma", "curves"), ("saturated", "curves"),
         ("saturated", "strong"), ("variance", "curves"), ("covariance", "curves"),
-        ("mc", "mc"), ("validate", "mc")]
+        ("spectrum", "curves"), ("detuning-spectrum", "curves"), ("mc", "mc"),
+        ("validate", "mc")]
 codes = {}
 for sub, cfg in runs:
     codes[sub + "/" + cfg] = coldcloud.cli.main(
         [sub, "--config", f"{cfg_dir}/{cfg}.json", "--out", f"{out}/{sub}"])
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-codes["spectrum/curves"] = coldcloud.cli.main(
-    ["spectrum", "--config", f"{cfg_dir}/curves.json", "--out", f"{out}/spectrum"])
-print(json.dumps({"codes": codes, "scipy_before_spectrum": scipy,
-                  "special_after_spectrum": "scipy.special" in sys.modules}))
+print(json.dumps(codes))
 """
 
 
@@ -478,19 +476,19 @@ class TestNumpyOnlyRuns:
         result = run_python(["-c", _FRESH_RUN, str(tmp), str(tmp / "out")], check=True)
         return tmp / "out", json.loads(result.stdout.splitlines()[-1])
 
-    def test_scipy_loads_only_for_the_spectral_series(self, fresh_run):
-        _, run = fresh_run
-        assert set(run["codes"].values()) == {EXIT_OK}, run["codes"]
-        assert run["scipy_before_spectrum"] == []
-        assert run["special_after_spectrum"]
+    def test_no_subcommand_loads_scipy(self, fresh_run):
+        # the gravity series of spectrum and detuning-spectrum included
+        _, codes = fresh_run
+        assert len(codes) == 10 and set(codes.values()) == {EXIT_OK}, codes
 
     def test_manifest_records_versions_and_stage_times(self, fresh_run):
         out, _ = fresh_run
         mean = json.loads((out / "mean" / "mean_manifest.json").read_text())
         spectrum = json.loads((out / "spectrum" / "spectrum_manifest.json").read_text())
-        assert mean["scipy"] is None
-        assert isinstance(spectrum["scipy"], str) and spectrum["scipy"]
-        for manifest in (mean, spectrum):
+        detuning = json.loads(
+            (out / "detuning-spectrum" / "detuning_spectrum_manifest.json").read_text())
+        for manifest in (mean, spectrum, detuning):
+            assert manifest["scipy"] is None
             assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
             assert manifest["numpy"] == np.__version__
             for stage in ("load_s", "compute_s", "write_s"):

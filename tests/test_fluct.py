@@ -24,11 +24,11 @@ from coldcloud import (
     time_scales,
     variance,
 )
-from coldcloud import fluct
-from coldcloud.fluct import _cov_factors, _enveloped_pk_series, _log_pk
+from coldcloud.fluct import _cov_factors, _enveloped_pk_series, _log_factorials, _log_pk
 
 from oracles import (
     cosine_transform,
+    enveloped_series_scipy,
     log_pk_logsumexp,
     peak_series_reference,
     pk_reference,
@@ -281,11 +281,18 @@ class TestLogSumKernel:
                                           err_msg=f"k = {k}")
 
     @pytest.mark.parametrize("c", [0.0, 1.54, 18.1, 30.3])
-    def test_enveloped_series_equals_logsumexp_sum(self, c, monkeypatch):
+    def test_enveloped_series_equals_logsumexp_sum(self, c):
+        # the oracle takes k! and every p_k coefficient from scipy's gammaln
         x = np.concatenate([[0.0, 5e-324], np.linspace(0.0, 40.0, 201)])
-        series = _enveloped_pk_series(c, x)
-        monkeypatch.setattr(fluct, "_log_pk", log_pk_logsumexp)
-        np.testing.assert_array_equal(_bits(series), _bits(fluct._enveloped_pk_series(c, x)))
+        np.testing.assert_array_equal(_bits(_enveloped_pk_series(c, x)),
+                                      _bits(enveloped_series_scipy(c, x)))
+
+    def test_log_factorial_table_is_gammaln(self):
+        # both Cephes branches with their edges at 13 and 1000, log 2042!
+        # (order 1021 above), and log 9169!, whose log(9170) numpy's SIMD
+        # log rounds apart from libm's; math.lgamma differs at log 2! already
+        m = np.arange(2**14 + 1)
+        np.testing.assert_array_equal(_bits(_log_factorials(m[-1])[m]), _bits(gammaln(m + 1.0)))
 
 
 class TestSpectra:
