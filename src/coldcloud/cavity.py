@@ -9,13 +9,13 @@ cavity-detuning noise spectrum.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beam import BeamParams, beam_section
+from .cloud import _checked
 from .effnum import EffNumInputs, _coupling_area
 from .fluct import mean_number, normalized_spectrum
 from .optical import OpticalParams
@@ -68,10 +68,7 @@ def cooperativity(cav: CavityParams, b: BeamParams, n):
     because the coupling concentrates on the beam area.  Elementwise in n:
     an array keeps its shape, a scalar returns a float.
     """
-    n = np.asarray(n, dtype=float)
-    if not np.all((n >= 0) & (n < math.inf)):
-        raise ValueError(f"atom number must be finite and nonnegative, got {n}")
-    out = _coupling_per_atom(b) * n / (2.0 * cav.kappa * cav.tau_c)
+    out = _coupling_per_atom(b) * _checked(n, "n", 0.0) / (2.0 * cav.kappa * cav.tau_c)
     return out if out.ndim else float(out)
 
 

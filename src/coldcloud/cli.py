@@ -28,6 +28,7 @@ Config layout (keys follow the parameter bundles of the library)::
 
 Grid entries accept either an explicit list or a start/stop/num range;
 missing grids fall back to defaults derived from the cloud time scales.
+A section other than cloud and beam may be null, which reads as absent.
 Every number must be finite (the NaN and Infinity literals are rejected),
 every object may hold only the keys shown above, and mc.realizations must
 be at least 3.  Every CSV column comes from one
@@ -35,7 +36,9 @@ array-valued library call: over the t grid, or over the (T, tau) and
 (T, omega) pairs in T-major order.
 Exit codes: 0 success (all validation checks pass), 1 physics/validation
 failure (including a finite config whose results leave the float range:
-no CSV column is ever written non-finite), 2 malformed config or usage.
+no CSV column is ever written non-finite) or a data file that cannot be
+written, 2 malformed config or usage, or an output directory that cannot
+be made.
 """
 
 from __future__ import annotations
@@ -190,6 +193,7 @@ class RunConfig:
     big_t_grid: np.ndarray
     tau_grid: np.ndarray
     omega_grid: np.ndarray
+    mc_times: np.ndarray
     mc_realizations: int
     mc_seed: int
     tolerances: dict
@@ -254,6 +258,13 @@ def load_config(path: str) -> RunConfig:
             grids[name] = _parse_grid(grids_cfg[name], name)
     if np.any(grids["t"] < 0) or np.any(grids["T"] < 0):
         raise ConfigError("grids", "time grids must be nonnegative")
+    # the Monte Carlo grid: a given t grid, capped so the covariance
+    # jackknife stays light, or 5 times over [0, 2 tau_r]
+    mc_times = grids["t"]
+    if "t" not in grids_cfg:
+        mc_times = np.linspace(0.0, 2.0 * ts.tau_r, 5)
+    elif mc_times.size > 8:
+        mc_times = np.linspace(mc_times.min(), mc_times.max(), 5)
 
     mc_cfg = _section(raw, "mc", ("realizations", "seed"))
     tol_cfg = _section(raw, "tolerances", ("mc_sigma", "fail_sigma", "fail_points"))
@@ -272,6 +283,7 @@ def load_config(path: str) -> RunConfig:
         big_t_grid=grids["T"],
         tau_grid=grids["tau"],
         omega_grid=grids["omega"],
+        mc_times=mc_times,
         mc_realizations=_integer(mc_cfg, "mc", "realizations", 3, 10000),
         mc_seed=_integer(mc_cfg, "mc", "seed", 0, 20250801),
         tolerances=tolerances,
@@ -442,17 +454,8 @@ def _draw(cloud: CloudParams, m: int) -> dict:
     return {"beam_window": dropped_weight_bound(cloud, m), "sub_clouds": _sub_clouds(cloud)}
 
 
-def _mc_times(cfg: RunConfig) -> np.ndarray:
-    ts = time_scales(cfg.cloud, cfg.beam)
-    if "t" in cfg.raw.get("grids", {}):
-        t = cfg.t_grid
-        # cap the grid so the covariance jackknife stays light
-        return t if t.size <= 8 else np.linspace(t.min(), t.max(), 5)
-    return np.linspace(0.0, 2.0 * ts.tau_r, 5)
-
-
 def _mc(cfg: RunConfig, seed: int, threads: int):
-    stats = ensemble_stats(cfg.cloud, cfg.beam, _mc_times(cfg), cfg.mc_realizations, seed, threads)
+    stats = ensemble_stats(cfg.cloud, cfg.beam, cfg.mc_times, cfg.mc_realizations, seed, threads)
     m = stats.times.size
     return {
         "mc_stats.csv": {
@@ -492,7 +495,7 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
 
 
 def _validate(cfg: RunConfig, seed: int, threads: int):
-    times = _mc_times(cfg)
+    times = cfg.mc_times
     branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)]
     if math.isfinite(time_scales(cfg.cloud, cfg.beam).tau_g):
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
@@ -558,8 +561,9 @@ SUBCOMMANDS = {
 def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int,
          load_s: float) -> int:
     """Compute one subcommand, write its files and manifest, return the exit
-    code: failure exactly when the manifest says all_pass is false.  A
-    non-finite CSV column raises ValueError before any file is written.
+    code: failure when the manifest says all_pass is false or when a file
+    cannot be written.  A non-finite CSV column raises ValueError before
+    any file is written.
     load_s, the seconds the config took to load, goes into the manifest
     with the compute and write times (the write time leaves out the
     manifest itself)."""
@@ -571,17 +575,21 @@ def _run(subcommand: str, cfg: RunConfig, out_dir: str, seed: int, threads: int,
             for column, values in content.items():
                 if not np.all(np.isfinite(values)):
                     raise ValueError(f"{name}: column {column} is not finite")
-    for name, content in outputs.items():
-        path = os.path.join(out_dir, name)
-        if name.endswith(".json"):
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(content, handle, indent=2)
-                handle.write("\n")
-        else:
-            write_csv(path, list(content), list(content.values()))
-    stages = {"load_s": load_s, "compute_s": computed - start,
-              "write_s": time.perf_counter() - computed}
-    write_manifest(out_dir, subcommand, cfg, seed, threads, list(outputs), {**extra, **stages})
+    try:
+        for name, content in outputs.items():
+            path = os.path.join(out_dir, name)
+            if name.endswith(".json"):
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(content, handle, indent=2)
+                    handle.write("\n")
+            else:
+                write_csv(path, list(content), list(content.values()))
+        stages = {"load_s": load_s, "compute_s": computed - start,
+                  "write_s": time.perf_counter() - computed}
+        write_manifest(out_dir, subcommand, cfg, seed, threads, list(outputs), {**extra, **stages})
+    except OSError as exc:
+        print(f"error in {subcommand}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK if extra.get("all_pass", True) else EXIT_FAIL
 
 
@@ -624,7 +632,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         load_s = time.perf_counter() - start
         out_dir = args.out or os.environ.get(_OUT_DIR_ENV) or "."
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         seed = args.seed if args.seed is not None else cfg.mc_seed
         return _run(args.subcommand, cfg, out_dir, seed, args.threads, load_s)
     except ConfigError as exc:

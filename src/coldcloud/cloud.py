@@ -119,13 +119,17 @@ def time_scales(c: CloudParams, b: BeamParams) -> TimeScales:
     )
 
 
-def _check_time(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    # NaN propagates through min and max, so it fails both comparisons;
-    # the initial 0.0 admits an empty t
-    if not (t.min(initial=0.0) >= 0 and t.max(initial=0.0) < math.inf):
-        raise ValueError("t must be finite and nonnegative (t = 0 is the release instant)")
-    return t
+def _checked(values, name: str, least: float = -math.inf) -> np.ndarray:
+    """values as a float array; ValueError naming it unless every element is
+    finite and at least ``least`` (an empty array passes)."""
+    values = np.asarray(values, dtype=float)
+    # NaN propagates through min and max and fails every comparison; the
+    # initial values admit an empty array
+    low, high = values.min(initial=math.inf), values.max(initial=-math.inf)
+    if not (-math.inf < low and least <= low and high < math.inf):
+        rule = "finite" if least == -math.inf else f"finite and >= {least:g}"
+        raise ValueError(f"{name} must be {rule}")
+    return values
 
 
 def _spread_sq(c: CloudParams, t) -> np.ndarray:
@@ -154,7 +158,7 @@ def phase_space_density(c: CloudParams, r, v, t: float):
     (r - v*t + g*t^2/2, v - g*t) with the gravity vector (0, 0, -g).
     Units: atoms / (m^3 (m/s)^3).
     """
-    t = float(_check_time(t))
+    t = float(_checked(t, "t", 0.0))
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)
 
@@ -179,7 +183,7 @@ def density(c: CloudParams, r, t):
     Gaussian of width sqrt(sigma_r^2 + sigma_v^2 t^2) per axis centered on
     the falling point (0, 0, -g t^2/2).
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     r = np.asarray(r, dtype=float)
     var = _spread_sq(c, t)
     dz = r[..., 2] + 0.5 * c.g * t**2

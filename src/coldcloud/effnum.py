@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .beam import BeamParams, beam_section, beam_size
-from .cloud import CloudParams, _ballistic_decay, _check_time, _spread_sq, time_scales
+from .cloud import CloudParams, _ballistic_decay, _checked, _spread_sq, time_scales
 from .optical import OpticalParams
 
 __all__ = [
@@ -50,7 +50,7 @@ def column_number_density(inp: EffNumInputs, x, t):
     Gaussian in x with the instantaneous cloud spread; integrates to the
     total atom number at every time.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     x = np.asarray(x, dtype=float)
     c = inp.cloud
     var = _spread_sq(c, t)
@@ -66,7 +66,7 @@ def _layer_density_weighted(inp: EffNumInputs, x, t, weight_power: float = 1.0):
     column density times (w^2/j) / (4*spread^2 + w^2/j), with a fall factor
     from the cloud center dropping out of the beam.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     x = np.asarray(x, dtype=float)
     c = inp.cloud
     w2 = np.asarray(beam_size(inp.beam, x)) ** 2 / weight_power
@@ -109,7 +109,7 @@ def sigma_general(inp: EffNumInputs, t):
     any waist-to-cloud and cloud-to-Rayleigh ratio.  Accepts scalar or
     array t.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     x, dx = _longitudinal_rule(inp, t)
     integrand = _layer_density_weighted(inp, x, t[..., None]) / beam_section(inp.beam, x)
     out = np.sum(integrand * dx, axis=-1)
@@ -127,7 +127,7 @@ def sigma_small_waist(inp: EffNumInputs, t):
     sigma(t) = N / (2*pi*sigma_v^2*(tau_r^2+t^2)) times the gravity factor
     exp[-t^4/(tau_g^2*(tau_r^2+t^2))].  The beam size drops out entirely.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, ts.tau_g)
     return out if np.ndim(out) else float(out)
@@ -141,7 +141,7 @@ def sigma_long_rayleigh(inp: EffNumInputs, t):
     time through the waist.  Reduces to the small-waist form as
     tau_w -> 0.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     out = _lorentzian_sigma(inp.cloud, ts.tau_r**2 + ts.tau_w**2, t, ts.tau_g)
     return out if np.ndim(out) else float(out)
@@ -154,7 +154,7 @@ def sigma_high_temperature(inp: EffNumInputs, t):
     exp(-t^2/tau_g^2); coincides with the small-waist form when g = 0 and
     approximates it to first order in tau_r^2/tau_g^2 otherwise.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, math.inf) * np.exp(-(t**2) / ts.tau_g**2)
     return out if np.ndim(out) else float(out)

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .cloud import _ballistic_decay, _check_time, time_scales
+from .cloud import _ballistic_decay, _checked, time_scales
 from .effnum import EffNumInputs
 from .exceptions import SeriesConvergenceError
 
@@ -64,7 +64,7 @@ def mean_number(inp: EffNumInputs, t):
     N * tau_w^2/(tau_r^2+tau_w^2+t^2) with the gravity decay factor; equals
     sigma_long_rayleigh(t) times the waist section pi*w0^2/2.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     tau_w_sq = ts.tau_w**2
     out = _ballistic_decay(inp.cloud.n_total * tau_w_sq, ts.tau_r**2 + tau_w_sq, t, ts.tau_g)
@@ -78,7 +78,7 @@ def variance(inp: EffNumInputs, t):
     so this is the mean formula at tau_w^2/2.  In the small-waist limit it
     tends to half the mean.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     tau_w_sq = 0.5 * ts.tau_w**2
     out = _ballistic_decay(inp.cloud.n_total * tau_w_sq, ts.tau_r**2 + tau_w_sq, t, ts.tau_g)
@@ -109,9 +109,7 @@ def covariance_exact(inp: EffNumInputs, T, tau):
     T = np.asarray(T, dtype=float)
     tau = np.asarray(tau, dtype=float)
     # the earlier sampling time; finite exactly when T and tau both are
-    earlier = T - 0.5 * np.abs(tau)
-    if not np.all(np.isfinite(earlier) & (earlier >= 0)):
-        raise ValueError("both sampling times T +/- tau/2 must be finite and nonnegative")
+    _checked(T - 0.5 * np.abs(tau), "T - |tau|/2", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     tau_r_sq, tau_w_sq = ts.tau_r**2, ts.tau_w**2
     n0 = inp.cloud.n_total * tau_w_sq / (tau_r_sq + tau_w_sq)
@@ -133,21 +131,13 @@ def _scaled(inp: EffNumInputs, T):
     Lorentzian offset is alpha_T^2 = 2*(1+u), while a_T = u*(4+u) and
     b_T = 2*u*(2+u)^2 build the gravity exponent zeta*(a_T - b_T*L).
     """
-    T = _check_time(T)
+    T = _checked(T, "T", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     # np.square, unlike ** on a numpy scalar, rounds a scalar T exactly as
     # the same T inside an array
     u = np.square(T / ts.tau_r)
     n0 = inp.cloud.n_total * ts.tau_w**2 / ts.tau_r**2
     return n0, ts.zeta, ts.tau_w, 2.0 * (1.0 + u), u * (4.0 + u), 2.0 * u * np.square(2.0 + u)
-
-
-def _check_finite(values, name: str) -> np.ndarray:
-    """values as a float array; ValueError if any is NaN or infinite."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
-    return values
 
 
 def covariance_quasistationary(inp: EffNumInputs, T, tau):
@@ -158,7 +148,7 @@ def covariance_quasistationary(inp: EffNumInputs, T, tau):
     tau_w (not enforced).
     """
     n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, T)
-    lor = 1.0 / ((_check_finite(tau, "tau") / tau_w) ** 2 + alpha_sq)
+    lor = 1.0 / ((_checked(tau, "tau") / tau_w) ** 2 + alpha_sq)
     out = n0 * lor * np.exp(-zeta * (a_t - b_t * lor))
     return out if np.ndim(out) else float(out)
 
@@ -177,11 +167,8 @@ def pk_polynomial(k: int, x):
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    x = np.asarray(x, dtype=float)
-    # NaN fails both comparisons
-    if not np.all((x >= 0) & (x < math.inf)):
-        raise ValueError("x must be finite and nonnegative")
-    out = np.exp(_log_pk(k, x)).reshape(x.shape)
+    x = _checked(x, "x", 0.0)
+    out = np.exp(_log_pk(k, x, _log_factorials(2 * k))).reshape(x.shape)
     return out if out.ndim else float(out)
 
 
@@ -218,23 +205,14 @@ def _lgam(x: float) -> float:
     return q + poly / x
 
 
-# log m! at index m; _log_factorials grows it by doubling and rebinds it in
-# one assignment, so concurrent callers at worst build it twice
-_log_factorial_table = np.empty(0)
-
-
 def _log_factorials(m: int) -> np.ndarray:
-    """The table of log n!, holding at least n = 0..m."""
-    global _log_factorial_table
-    table = _log_factorial_table
-    if table.size <= m:
-        grown = [_lgam(n + 1.0) for n in range(table.size, max(2 * table.size, m + 1))]
-        table = _log_factorial_table = np.concatenate([table, grown])
-    return table
+    """The table of log n! for n = 0..m."""
+    return np.array([_lgam(n + 1.0) for n in range(m + 1)])
 
 
-def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
-    """log p_k(x) elementwise, stable for large k and large x.
+def _log_pk(k: int, x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """log p_k(x) elementwise, stable for large k and large x; log_fact is
+    a table of log n! up to at least n = 2k.
 
     The log-sum over the k+1 terms is scipy.special.logsumexp's arithmetic,
     operation for operation, on one (k+1, n) matrix updated in place: the
@@ -245,7 +223,6 @@ def _log_pk(k: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     j = np.arange(k + 1)
-    log_fact = _log_factorials(2 * k)
     log_coeff = log_fact[2 * k - j] - log_fact[j] - log_fact[k - j]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = j[:, None] * np.log(2.0 * x)
@@ -272,7 +249,7 @@ def spectrum_exponential(inp: EffNumInputs, T, omega):
     """
     n0, _, tau_w, alpha_sq, _, _ = _scaled(inp, T)
     alpha = np.sqrt(alpha_sq)
-    x = alpha * np.abs(_check_finite(omega, "omega")) * tau_w
+    x = alpha * np.abs(_checked(omega, "omega")) * tau_w
     out = n0 * math.pi * tau_w / alpha * np.exp(-x)
     return out if np.ndim(out) else float(out)
 
@@ -296,10 +273,10 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     log_rtol = math.log(_SERIES_RTOL)
     peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x.max(initial=0.0))
     cap = int(peak + 10.0 * math.sqrt(peak)) + 20
-    log_fact = _log_factorials(cap)
+    log_fact = _log_factorials(2 * cap)
     total, log_total, prev = 0.0, -np.inf, -np.inf
     for k in range(cap + 1):
-        term = k * log_c - 2.0 * log_fact[k] + _log_pk(k, x) - 4.0 * c - x
+        term = k * log_c - 2.0 * log_fact[k] + _log_pk(k, x, log_fact) - 4.0 * c - x
         total = total + np.exp(term)
         log_total = np.logaddexp(log_total, term)
         if np.all(term <= log_rtol + log_total) and np.all(term <= prev):
@@ -315,7 +292,7 @@ def spectra(inp: EffNumInputs, T, omega):
     T and omega broadcast against each other.  The series runs once per
     distinct T, over all of the frequencies paired with it.
     """
-    T, omega = np.broadcast_arrays(_check_time(T), _check_finite(omega, "omega"))
+    T, omega = np.broadcast_arrays(_checked(T, "T", 0.0), _checked(omega, "omega"))
     times, group = np.unique(T.ravel(), return_inverse=True)
     n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, times)
     alpha = np.sqrt(alpha_sq)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beam import BeamParams, beam_size, weight
-from .cloud import CloudParams, _check_time, _spread_sq
+from .cloud import CloudParams, _checked, _spread_sq
 
 __all__ = [
     "Realization",
@@ -154,7 +154,7 @@ def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> 
     """
     if not c.n_total > 0:
         raise ValueError("sampling requires a positive mean atom number")
-    times = np.atleast_1d(_check_time(times))
+    times = np.atleast_1d(_checked(times, "times", 0.0))
     lo, hi = (np.broadcast_to(np.asarray(side, dtype=float), (3, times.size)) for side in (lo, hi))
     windowed = ((lo > -np.inf) | (hi < np.inf)).all(axis=1) & (times.size > 0)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -324,7 +324,7 @@ def weighted_counts(
     statistics beyond what ensemble_stats reports (ratio estimators,
     bootstrap, ...).
     """
-    times = np.atleast_1d(_check_time(times))
+    times = np.atleast_1d(_checked(times, "times", 0.0))
     hi = _beam_window(c, b, times)
     return _realization_rows(
         c, lambda real: [effective_count(b, real, c.g, t) for t in times],
@@ -376,7 +376,7 @@ def binary_count_check(
     # a NaN bound fails the comparison; infinite bounds pass it
     if not np.all(lo < hi):
         raise ValueError("box lower bounds must be below upper bounds")
-    times = np.atleast_1d(_check_time(times))
+    times = np.atleast_1d(_checked(times, "times", 0.0))
 
     def inside(pos: np.ndarray) -> int:
         # column by column: no (count, 3) boolean temporaries

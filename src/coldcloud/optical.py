@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cloud import _checked
+
 __all__ = ["OpticalParams", "polarizability"]
 
 
@@ -44,6 +46,5 @@ def polarizability(opt: OpticalParams, s_local: float) -> complex:
     alpha = 1 / ((1 + i*delta) * (1 + 2*s_local)); at zero saturation and
     zero detuning this is 1 by convention.
     """
-    if not 0.0 <= s_local < math.inf:
-        raise ValueError(f"s_local must be finite and nonnegative, got {s_local}")
+    _checked(s_local, "s_local", 0.0)
     return 1.0 / ((1.0 + 1j * opt.delta) * (1.0 + 2.0 * s_local))

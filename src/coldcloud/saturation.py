@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .beam import beam_section, beam_size
-from .cloud import _check_time, _spread_sq, density
+from .cloud import _checked, _spread_sq, density
 from .effnum import (
     EffNumInputs,
     _field_shift,
@@ -202,7 +202,7 @@ def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t):
     radial rule beyond, where the expansion no longer converges.  Accepts
     scalar or array t.
     """
-    t = _check_time(t)
+    t = _checked(t, "t", 0.0)
     x, dx = _longitudinal_rule(inp, t)
     t_x = np.broadcast_to(t[..., None], x.shape)
     s_m = saturation_on_axis(opt, inp.beam, x)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -159,6 +160,46 @@ class TestShippedConfigs:
             assert {"mc_sigma", "fail_sigma"} <= set(tolerances), path
 
 
+class TestNullSections:
+    """An optional section given as null reads exactly as one left out."""
+
+    @staticmethod
+    def shipped(name):
+        return json.loads((ROOT / "configs" / name).read_text())
+
+    @pytest.mark.parametrize("section", ["optical", "cavity", "grids", "tolerances"])
+    def test_null_section_runs_as_absent(self, tmp_path, capsys, section):
+        default, desk = self.shipped("default.json"), self.shipped("validate_desk.json")
+        desk["mc"]["realizations"] = 3
+        runs = [(sub, default) for sub in ("mean", "sigma", "saturated", "variance",
+                                           "covariance", "spectrum", "detuning-spectrum")]
+        runs += [("mc", desk), ("validate", desk)]
+        for sub, cfg in runs:
+            absent = {key: value for key, value in cfg.items() if key != section}
+            results = []
+            for label, variant in (("absent", absent), ("null", {**absent, section: None})):
+                out = tmp_path / f"{sub}-{label}"
+                code = main([sub, "--config", write_config(tmp_path, variant, f"{label}.json"),
+                             "--out", str(out)])
+                results.append((code, {p.name: p.read_bytes() for p in out.glob("*.csv")}))
+            assert results[0] == results[1], sub
+        capsys.readouterr()
+
+    def test_null_mc_section_loads_as_absent(self, tmp_path):
+        # run as a subcommand, either config would draw 10**4 realizations
+        absent = {key: value for key, value in self.shipped("default.json").items()
+                  if key != "mc"}
+        loaded = [load_config(write_config(tmp_path, variant, f"{label}.json"))
+                  for label, variant in (("absent", absent), ("null", {**absent, "mc": None}))]
+        for field in dataclasses.fields(cli.RunConfig):
+            if field.name != "raw":
+                values = [getattr(run, field.name) for run in loaded]
+                if isinstance(values[0], np.ndarray):
+                    np.testing.assert_array_equal(*values, err_msg=field.name)
+                else:
+                    assert values[0] == values[1], field.name
+
+
 class TestCurveSubcommands:
     def test_sigma_contract(self, tmp_path):
         code = main(["sigma", "--config", write_config(tmp_path, base_config()), "--out", str(tmp_path)])
@@ -291,6 +332,23 @@ class TestCurveSubcommands:
         assert "no valid (T, tau) pairs" in capsys.readouterr().err
         assert not (tmp_path / "covariance.csv").exists()
 
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["mean", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(taken)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--out" in err[0]
+
+    def test_unwritable_data_file_fails_the_subcommand(self, tmp_path, capsys):
+        (tmp_path / "mean.csv").mkdir()
+        code = main(["mean", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error in mean:")
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("COLDCLOUD_OUT_DIR", str(target))
@@ -358,7 +416,7 @@ class TestMonteCarloSubcommands:
         # the list's whole range, whatever its order
         cfg = self.mc_config()
         cfg["grids"]["t"] = [0.008, 0.0, 0.016, 0.002, 0.012, 0.004, 0.01, 0.006, 0.014]
-        times = cli._mc_times(load_config(write_config(tmp_path, cfg)))
+        times = load_config(write_config(tmp_path, cfg)).mc_times
         np.testing.assert_array_equal(times, np.linspace(0.0, 0.016, 5))
 
     def test_seed_override_changes_output(self, tmp_path):

@@ -306,6 +306,9 @@ def _value_takers():
     non_finite = (math.nan, math.inf, -math.inf)
     bad_count = (math.nan, math.inf, -1.0)
     return {
+        # a delay beyond 2T puts the earlier sampling time before the release
+        "covariance_exact.tau":
+            (lambda tau: cc.covariance_exact(inp, 0.01, tau), 1e-4, (math.nan, math.inf, 0.03)),
         "covariance_quasistationary":
             (lambda tau: cc.covariance_quasistationary(inp, 0.01, tau), 1e-4, non_finite),
         "spectrum_exponential": (lambda w: cc.spectrum_exponential(inp, 0.01, w), 1e3, non_finite),
