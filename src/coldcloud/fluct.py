@@ -212,31 +212,45 @@ def _log_factorials(m: int) -> np.ndarray:
 
 def _log_pk(k: int, x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
     """log p_k(x) elementwise, stable for large k and large x; log_fact is
-    a table of log n! up to at least n = 2k.
+    a table of log n! up to at least n = 2k.  The log-sum, _log_pk_sum, is
+    scipy.special.logsumexp's arithmetic operation for operation, with the
+    tie bookkeeping skipped where no column has a tie."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _log_pk_sum(k, np.log(2.0 * x), log_fact)
+
+
+def _log_pk_sum(k: int, log_2x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """log p_k(x) from log(2x); the caller silences numpy's divide,
+    invalid and overflow warnings (log 0, 0 * log 0 and 2x past the float
+    range come up on purpose).
 
     The log-sum over the k+1 terms is scipy.special.logsumexp's arithmetic,
     operation for operation, on one (k+1, n) matrix updated in place: the
     largest term per column is taken out of the sum, once per tie, and the
-    rest are summed down axis 0 in row order.  scipy's extra pass for
+    rest are summed down axis 0 in row order.  With the column max
+    subtracted, the max terms are those not below 0 (NaN = inf - inf where
+    the max is +inf); when every column has exactly one, there is no tie,
+    and the division by the tie count and the log of it are skipped, as
+    dividing by 1 and adding log 1 = 0 are exact.  scipy's extra pass for
     non-finite results is left out: row 0 is always finite, so a result is
     infinite only when a term is +inf, and then both ways give +inf.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     j = np.arange(k + 1)
     log_coeff = log_fact[2 * k - j] - log_fact[j] - log_fact[k - j]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = j[:, None] * np.log(2.0 * x)
+    terms = np.multiply.outer(j.astype(float), log_2x)
     # j = 0 contributes log_coeff alone even at x = 0
     terms[0] = 0.0
     terms += log_coeff[:, None]
     top = terms.max(0)
-    at_top = terms == top
-    ties = np.count_nonzero(at_top, axis=0).astype(float)
-    with np.errstate(invalid="ignore"):
-        terms -= top
+    terms -= top
+    at_top = ~(terms < 0.0)
     np.exp(terms, out=terms)
     np.copyto(terms, 0.0, where=at_top)
     s = terms.sum(0)
+    if np.count_nonzero(at_top) == top.size:
+        return np.log1p(s) + top
+    ties = np.count_nonzero(at_top, axis=0).astype(float)
     s = np.where(s == 0, s, s / ties)
     return np.log1p(s) + np.log(ties) + top
 
@@ -254,7 +268,14 @@ def spectrum_exponential(inp: EffNumInputs, T, omega):
     return out if np.ndim(out) else float(out)
 
 
-def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
+def _series_cap(c: float, x_max: float) -> int:
+    """Last order the spectrum series may reach: the terms peak near order
+    m = 4c + 2*sqrt(2*c*x), and the cap allows ten spreads sqrt(m) beyond."""
+    peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x_max)
+    return int(peak + 10.0 * math.sqrt(peak)) + 20
+
+
+def _enveloped_pk_series(c: float, x: np.ndarray, log_fact: np.ndarray | None = None) -> np.ndarray:
     """exp(-x-4c) * sum_k c^k p_k(x)/(k!)^2, elementwise in x.
 
     exp(-4c) is exactly the normalization prefactor of the spectra and
@@ -262,26 +283,28 @@ def _enveloped_pk_series(c: float, x: np.ndarray) -> np.ndarray:
     every partial sum by 1 and lets far-tail terms underflow harmlessly,
     so the evaluation neither overflows nor stalls at large x.  Compared in
     log space, underflowing early terms never end the sum; it ends once
-    every term is below 1e-12 of its partial sum and falling.  The terms
-    peak near order m = 4c + 2*sqrt(2*c*x); the cap allows ten spreads
-    sqrt(m) beyond it.
+    every term is below 1e-12 of its partial sum and falling; past the
+    order _series_cap it raises SeriesConvergenceError.  log_fact, a table
+    of log n! up to at least twice that order, is built here when not given.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if c == 0.0:
         return np.exp(-x)
     log_c = math.log(c)
     log_rtol = math.log(_SERIES_RTOL)
-    peak = 4.0 * c + 2.0 * math.sqrt(2.0 * c * x.max(initial=0.0))
-    cap = int(peak + 10.0 * math.sqrt(peak)) + 20
-    log_fact = _log_factorials(2 * cap)
+    cap = _series_cap(c, x.max(initial=0.0))
+    if log_fact is None:
+        log_fact = _log_factorials(2 * cap)
     total, log_total, prev = 0.0, -np.inf, -np.inf
-    for k in range(cap + 1):
-        term = k * log_c - 2.0 * log_fact[k] + _log_pk(k, x, log_fact) - 4.0 * c - x
-        total = total + np.exp(term)
-        log_total = np.logaddexp(log_total, term)
-        if np.all(term <= log_rtol + log_total) and np.all(term <= prev):
-            return total
-        prev = term
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_2x = np.log(2.0 * x)
+        for k in range(cap + 1):
+            term = k * log_c - 2.0 * log_fact[k] + _log_pk_sum(k, log_2x, log_fact) - 4.0 * c - x
+            total = total + np.exp(term)
+            log_total = np.logaddexp(log_total, term)
+            if np.all(term <= log_rtol + log_total) and np.all(term <= prev):
+                return total
+            prev = term
     raise SeriesConvergenceError(f"spectrum series did not converge within {cap} terms (c={c:.3g})")
 
 
@@ -298,10 +321,15 @@ def spectra(inp: EffNumInputs, T, omega):
     alpha = np.sqrt(alpha_sq)
     x = alpha[group] * np.abs(omega.ravel()) * tau_w
     c = zeta * b_t / (4.0 * alpha_sq)
+    at = [group == j for j in range(times.size)]
+    # one log-factorial table, long enough for the largest cap among the T
+    # that run the series
+    cap = max((_series_cap(float(c[j]), x[at[j]].max()) for j in range(times.size) if c[j]),
+              default=0)
+    log_fact = _log_factorials(2 * cap)
     enveloped = np.empty(x.shape)
     for j in range(times.size):
-        at = group == j
-        enveloped[at] = _enveloped_pk_series(float(c[j]), x[at])
+        enveloped[at[j]] = _enveloped_pk_series(float(c[j]), x[at[j]], log_fact)
     # exp(-zeta*a_T) = exp(-zeta*(a_T - b_T/alpha_T^2)) * exp(-4c); the
     # second factor is the damping folded into the series
     drift = np.exp(-zeta * (a_t - b_t / alpha_sq))

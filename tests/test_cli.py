@@ -102,6 +102,19 @@ class TestConfigParsing:
         assert main(["mean", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "mean.csv").exists()
 
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400, "-1" + "0" * 400, "true"],
+                             ids=["1e400", "int401", "-int401", "true"])
+    def test_grid_entry_beyond_float_range_rejected(self, tmp_path, capsys, literal):
+        # an integer too large for a float is a config error, as in a scalar
+        # field, not a failure of the computation
+        text = json.dumps(base_config()).replace('"T": [0.005, 0.01]', f'"T": [0.005, {literal}]')
+        assert literal in text
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["mean", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config field 'grids.T'" in capsys.readouterr().err
+        assert not (tmp_path / "mean.csv").exists()
+
     def test_tolerance_of_wrong_type_rejected_at_load(self, tmp_path, capsys):
         cfg = base_config(tolerances={"mc_sigma": "abc"})
         path = write_config(tmp_path, cfg)
@@ -354,6 +367,38 @@ class TestCurveSubcommands:
         monkeypatch.setenv("COLDCLOUD_OUT_DIR", str(target))
         assert main(["mean", "--config", write_config(tmp_path, base_config())]) == EXIT_OK
         assert (target / "mean.csv").exists()
+
+
+class TestWriteCsv:
+    """The bytes of write_csv: every cell as format(v, ".17g") of the
+    column's Python value, one row per line, across block boundaries."""
+
+    @staticmethod
+    def reference(header, columns):
+        lines = [",".join(header)]
+        lines += [",".join(format(v, ".17g") for v in row)
+                  for row in zip(*(col.tolist() for col in columns))]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                                      cli._CSV_BLOCK_ROWS + 1])
+    def test_cells_are_17_significant_digits(self, tmp_path, rows):
+        # -0.0, the least subnormal, 0.1 (which repr writes as "0.1") and
+        # the powers of ten where 17 digits switch to an exponent
+        special = np.array([-0.0, 5e-324, 0.1, 1e16, 1e17, -2.5, 1.7976931348623157e308])
+        floats = np.resize(special, rows)
+        ints = np.arange(rows) * 987654321 - 2**53 - 1
+        flags = (np.arange(rows) % 3 == 0).astype(float)
+        header = ["x", "n", "flag"]
+        path = tmp_path / "out.csv"
+        cli.write_csv(str(path), header, [floats, ints, flags])
+        assert path.read_bytes() == self.reference(header, [floats, ints, flags])
+
+    def test_integer_only_columns(self, tmp_path):
+        ints = np.array([0, -1, 2**53 + 1, 10**17])
+        path = tmp_path / "out.csv"
+        cli.write_csv(str(path), ["n", "m"], [ints, ints[::-1]])
+        assert path.read_bytes() == self.reference(["n", "m"], [ints, ints[::-1]])
 
 
 class TestFlags:

@@ -24,6 +24,7 @@ from coldcloud import (
     time_scales,
     variance,
 )
+from coldcloud import fluct
 from coldcloud.fluct import _cov_factors, _enveloped_pk_series, _log_factorials, _log_pk
 
 from oracles import (
@@ -254,6 +255,18 @@ class TestPkPolynomial:
             assert pk_polynomial(0, 1.7e308) == 1.0
             assert pk_polynomial(0, np.array([1e300, 1.7e308])).tolist() == [1.0, 1.0]
 
+    def test_overflowing_argument_gives_infinity(self):
+        # past x = 9e307 the terms j >= 1 are +inf: their column max is inf,
+        # and the sum is inf as in logsumexp, not NaN
+        x = np.array([1e300, 1.7e308])
+        for k in (1, 2, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert pk_polynomial(k, 1.7e308) == math.inf
+                log_pk = _log_pk(k, x, _log_factorials(2 * k))
+            with np.errstate(over="ignore"):
+                np.testing.assert_array_equal(_bits(log_pk), _bits(log_pk_logsumexp(k, x)))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             pk_polynomial(-1, 1.0)
@@ -410,6 +423,29 @@ class TestSpectra:
             0.0, omega_cut, limit=400,
         )
         assert val / math.pi == pytest.approx(1.0, abs=1e-9)
+
+    def test_shared_log_factorial_table_equals_per_fall_time_series(self):
+        # spectra builds one log-factorial table for the largest term cap
+        # among its T; each T's series must read as from its own table
+        inp = EffNumInputs(CloudParams(1e6, 1e-3, 0.1, 9.81),
+                           BeamParams(w0=100e-6, wavelength=852e-9))
+        big_t = 0.004 * np.arange(1, 13)
+        _, _, tau_w, alpha_sq, _, b_t = fluct._scaled(inp, big_t)
+        alpha = np.sqrt(alpha_sq)
+        c = time_scales(inp.cloud, inp.beam).zeta * b_t / (4.0 * alpha_sq)
+        # omegas with x = alpha*omega*tau_w exactly 1 at some T (9 of the 12
+        # here), where the two terms of p_1 = 2 + 2x tie
+        near = (1.0 / (alpha * tau_w))[:, None] * (1.0 + np.arange(-4, 5) * 2.0**-52)
+        omega = np.sort(np.append(np.linspace(0.0, 16000.0, 401),
+                                  near[alpha[:, None] * near * tau_w == 1.0]))
+        x = alpha[:, None] * omega * tau_w
+        assert np.all(x[:, 0] == 0.0) and np.count_nonzero(x == 1.0) == 9
+        _, normalized = spectra(inp, big_t[:, None], omega)
+        for j in range(big_t.size):
+            expected = (math.pi * alpha * tau_w)[j] * _enveloped_pk_series(float(c[j]), x[j])
+            np.testing.assert_array_equal(_bits(normalized[j]), _bits(expected), err_msg=f"T = {big_t[j]}")
+        # the table is built per call, not cached in the module
+        assert not [name for name, value in vars(fluct).items() if isinstance(value, np.ndarray)]
 
     def test_ratio_to_normalized_is_variance(self, rng):
         inp = inputs_with_zeta(0.6)
