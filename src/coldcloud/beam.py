@@ -49,6 +49,9 @@ class BeamParams:
             raise ValueError(f"w0 must be positive, got {self.w0}")
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not self.rayleigh_length > 0:
+            raise ValueError(f"w0 = {self.w0} gives a Rayleigh length pi*w0^2/wavelength "
+                             "that underflows to 0")
 
     @property
     def rayleigh_length(self) -> float:

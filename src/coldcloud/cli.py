@@ -72,7 +72,8 @@ from .fluct import (
     spectrum_exponential,
     variance,
 )
-from .mc_oracle import _sub_clouds, binary_count_check, dropped_weight_bound, ensemble_stats
+from .mc_oracle import (_beam_window, _ensemble_and_box, _sub_clouds, dropped_weight_bound,
+                        ensemble_stats)
 from .optical import OpticalParams
 from .saturation import sigma_saturated_closed, sigma_saturated_general
 
@@ -398,8 +399,10 @@ def _saturated(cfg: RunConfig, seed: int, threads: int):
 def _variance(cfg: RunConfig, seed: int, threads: int):
     inp, t = EffNumInputs(cfg.cloud, cfg.beam), cfg.t_grid
     mean, var = mean_number(inp, t), variance(inp, t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # _run names a non-finite ratio
+        ratio = var / mean
     return {"variance.csv": {
-        "t_s": t, "mean_number": mean, "variance": var, "variance_over_mean": var / mean,
+        "t_s": t, "mean_number": mean, "variance": var, "variance_over_mean": ratio,
     }}, {}
 
 
@@ -413,9 +416,11 @@ def _covariance(cfg: RunConfig, seed: int, threads: int):
     big_t, tau = big_t[keep], tau[keep]
     exact = covariance_exact(inp, big_t, tau)
     quasi = covariance_quasistationary(inp, big_t, tau)
+    with np.errstate(divide="ignore", invalid="ignore"):  # _run names a non-finite gap
+        gap = np.abs(quasi - exact) / np.abs(exact)
     return {"covariance.csv": {
         "T_s": big_t, "tau_s": tau, "covariance_exact": exact,
-        "covariance_quasistationary": quasi, "relative_gap": np.abs(quasi - exact) / np.abs(exact),
+        "covariance_quasistationary": quasi, "relative_gap": gap,
     }}, {}
 
 
@@ -473,17 +478,24 @@ def _mc(cfg: RunConfig, seed: int, threads: int):
     }, {"realizations": stats.realization_count, **_draw(cfg.cloud, m)}
 
 
-def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed: int, threads: int):
+def _poisson_box(cfg: RunConfig, times: np.ndarray):
+    """The box of validate's Poisson checks: |x| <= sigma_r/2, and |y|, |z|
+    at most the narrowest half-width the beam window has over the grid, so
+    the box lies inside the window at every grid time."""
+    half, edge = 0.5 * cfg.cloud.sigma_r, float(_beam_window(cfg.cloud, cfg.beam, times)[1].min())
+    return (-half, -edge, -edge), (half, edge, edge)
+
+
+def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, box, seed: int,
+                     threads: int):
     """Check names and a (3, checks) array of MC estimates, closed-form
     references and standard errors for one ensemble.  Order: mean and
-    variance per t, the covariance pairs, then the Poisson ratios."""
+    variance per t, the covariance pairs, then the Poisson ratios.  One
+    beam-window draw from seed gives every check: the Poisson ratios count
+    the atoms of its realizations inside box (see _poisson_box)."""
     inp = EffNumInputs(cloud, cfg.beam)
-    stats = ensemble_stats(cloud, cfg.beam, times, cfg.mc_realizations, seed, threads)
-    half = 0.5 * cloud.sigma_r
-    report = binary_count_check(
-        cloud, ((-half, -half, -half), (half, half, half)),
-        times, cfg.mc_realizations, seed + 1, threads,
-    )
+    stats, report = _ensemble_and_box(cloud, cfg.beam, times, box, cfg.mc_realizations, seed,
+                                      threads)
     rows, cols = np.triu_indices(times.size, 1)
     names = [f"{label}.{q}[t={t:g}]" for t in times for q in ("mean", "variance")]
     names += [f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]" for j, k in zip(rows, cols)]
@@ -499,10 +511,11 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
 
 def _validate(cfg: RunConfig, seed: int, threads: int):
     times = cfg.mc_times
-    branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)]
+    box = _poisson_box(cfg, times)
+    branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, box, seed, threads)]
     if math.isfinite(time_scales(cfg.cloud, cfg.beam).tau_g):
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
-        branches.append(_validate_branch(cfg, free, "free", times, seed + 1000, threads))
+        branches.append(_validate_branch(cfg, free, "free", times, box, seed + 1000, threads))
     names = [name for branch_names, _ in branches for name in branch_names]
     estimate, reference, se = np.hstack([values for _, values in branches])
     # a check without data (zero standard error) gets a non-finite z, which
@@ -545,7 +558,8 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
                          "pass": ok.astype(float)},
         "validate_report.json": report,
-    }, {"all_pass": report["all_pass"], **_draw(cfg.cloud, times.size)}
+    }, {"all_pass": report["all_pass"], **_draw(cfg.cloud, times.size),
+        "poisson_box": {"lo_m": list(box[0]), "hi_m": list(box[1])}}
 
 
 SUBCOMMANDS = {

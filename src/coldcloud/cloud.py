@@ -107,7 +107,7 @@ class TimeScales:
     @property
     def zeta(self) -> float:
         """Gravity strength (tau_r/tau_g)^2; exactly 0 without gravity."""
-        return self.tau_r**2 * (1.0 / self.tau_g**2)
+        return self.tau_r**2 * _inverse_square(self.tau_g)
 
 
 def time_scales(c: CloudParams, b: BeamParams) -> TimeScales:
@@ -137,6 +137,19 @@ def _spread_sq(c: CloudParams, t) -> np.ndarray:
     return c.sigma_r**2 + (c.sigma_v * np.asarray(t, dtype=float)) ** 2
 
 
+def _inverse_square(tau: float) -> float:
+    """1/tau^2, or inf where tau^2 underflows to 0 (1/tau^2 is then beyond
+    the float range): no Python float division by zero."""
+    square = tau**2
+    return 1.0 / square if square > 0.0 else math.inf
+
+
+def _fall_exponent(coeff: float, powers):
+    """coeff * powers, exactly 0 where powers is 0: a fall exponent vanishes
+    at t = 0 also when its coefficient, 1/tau_g^2 or g^2, is inf."""
+    return np.multiply(coeff, powers, out=np.zeros(np.shape(powers)), where=powers > 0)
+
+
 def _ballistic_decay(scale, offset_sq, t, tau_g: float):
     """scale/(offset_sq + t^2) times exp[-t^4/(tau_g^2 (offset_sq + t^2))].
 
@@ -147,7 +160,7 @@ def _ballistic_decay(scale, offset_sq, t, tau_g: float):
     fall factor, which is exactly 1 when tau_g is infinite (no gravity).
     """
     denom = offset_sq + t**2
-    return scale / denom * np.exp(-(t**4) * (1.0 / tau_g**2) / denom)
+    return scale / denom * np.exp(-_fall_exponent(_inverse_square(tau_g), t**4) / denom)
 
 
 def phase_space_density(c: CloudParams, r, v, t: float):

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .beam import BeamParams, beam_section, beam_size
-from .cloud import CloudParams, _ballistic_decay, _checked, _spread_sq, time_scales
+from .cloud import CloudParams, _ballistic_decay, _checked, _fall_exponent, _spread_sq, time_scales
 from .optical import OpticalParams
 
 __all__ = [
@@ -72,7 +72,7 @@ def _layer_density_weighted(inp: EffNumInputs, x, t, weight_power: float = 1.0):
     w2 = np.asarray(beam_size(inp.beam, x)) ** 2 / weight_power
     denom = 4.0 * _spread_sq(c, t) + w2
     overlap = w2 / denom
-    fall = np.exp(-0.5 * c.g**2 * t**4 / denom)
+    fall = np.exp(-_fall_exponent(0.5 * (c.g * c.g), t**4) / denom)
     out = column_number_density(inp, x, t) * overlap * fall
     return out if out.ndim else float(out)
 
@@ -156,7 +156,10 @@ def sigma_high_temperature(inp: EffNumInputs, t):
     """
     t = _checked(t, "t", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
-    out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, math.inf) * np.exp(-(t**2) / ts.tau_g**2)
+    # t^2/tau_g^2 is inf at t > 0 where tau_g^2 underflows to 0
+    with np.errstate(divide="ignore"):
+        fall = np.divide(t**2, ts.tau_g**2, out=np.zeros(t.shape), where=t > 0)
+    out = _lorentzian_sigma(inp.cloud, ts.tau_r**2, t, math.inf) * np.exp(-fall)
     return out if np.ndim(out) else float(out)
 
 

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .cloud import _ballistic_decay, _checked, time_scales
+from .cloud import _ballistic_decay, _checked, _fall_exponent, _inverse_square, time_scales
 from .effnum import EffNumInputs
 from .exceptions import SeriesConvergenceError
 
@@ -96,7 +96,7 @@ def _cov_factors(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau):
     shape = tau_w_sq * (tau_r_sq + tau_w_sq) / denom
     num = (T**2 + 0.25 * tau**2) ** 2 * (tau**2 + 2.0 * tau_w_sq) \
         + 4.0 * (tau_r_sq + 0.5 * tau_w_sq) * T**2 * tau**2
-    return shape, num * inv_tau_g_sq / denom
+    return shape, _fall_exponent(inv_tau_g_sq, num) / denom
 
 
 def covariance_exact(inp: EffNumInputs, T, tau):
@@ -113,7 +113,7 @@ def covariance_exact(inp: EffNumInputs, T, tau):
     ts = time_scales(inp.cloud, inp.beam)
     tau_r_sq, tau_w_sq = ts.tau_r**2, ts.tau_w**2
     n0 = inp.cloud.n_total * tau_w_sq / (tau_r_sq + tau_w_sq)
-    shape, expo = _cov_factors(tau_r_sq, tau_w_sq, 1.0 / ts.tau_g**2, T, tau)
+    shape, expo = _cov_factors(tau_r_sq, tau_w_sq, _inverse_square(ts.tau_g), T, tau)
     out = n0 * shape * np.exp(-expo)
     return out if np.ndim(out) else float(out)
 
@@ -321,6 +321,9 @@ def spectra(inp: EffNumInputs, T, omega):
     alpha = np.sqrt(alpha_sq)
     x = alpha[group] * np.abs(omega.ravel()) * tau_w
     c = zeta * b_t / (4.0 * alpha_sq)
+    if not np.all(np.isfinite(c)):
+        raise OverflowError("the gravity series parameter c = zeta*b_T/(4*alpha_T^2) of the "
+                            "spectrum leaves the float range")
     at = [group == j for j in range(times.size)]
     # one log-factorial table, long enough for the largest cap among the T
     # that run the series

@@ -214,9 +214,11 @@ def _sub_clouds(c: CloudParams) -> int:
     return max(1, math.ceil(c.n_total / _PART_ATOMS))
 
 
-def _realization_rows(c: CloudParams, row, times: np.ndarray, lo, hi, n_realizations: int,
-                      seed: int, threads: int) -> np.ndarray:
-    """(realization, time) array whose row i is row(realization i).
+def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi,
+                      n_realizations: int, seed: int, threads: int) -> np.ndarray:
+    """(realization, width) array whose row i is row(realization i), a
+    sequence of width numbers: the m weighted counts of weighted_counts, the
+    m box counts of binary_count_check, or both from one draw.
 
     Realization i sums _sub_clouds(c) sub-clouds of equal mean, drawn in the
     windows lo, hi at the given times (see sample_cloud): sub-cloud 0 from
@@ -226,7 +228,7 @@ def _realization_rows(c: CloudParams, row, times: np.ndarray, lo, hi, n_realizat
     chunks over a thread pool of at most one worker per CPU.
     """
     threads = min(threads, os.cpu_count() or 1)
-    out = np.empty((n_realizations, times.size))
+    out = np.empty((n_realizations, width))
     parts = _sub_clouds(c)
     part = replace(c, n_total=c.n_total / parts)
 
@@ -328,7 +330,7 @@ def weighted_counts(
     hi = _beam_window(c, b, times)
     return _realization_rows(
         c, lambda real: [effective_count(b, real, c.g, t) for t in times],
-        times, -hi, hi, n_realizations, seed, threads,
+        times.size, times, -hi, hi, n_realizations, seed, threads,
     )
 
 
@@ -352,6 +354,51 @@ def ensemble_stats(
     return _ensemble_from_values(values, times, seed)
 
 
+def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper 3-vectors of a box ((xlo, ylo, zlo), (xhi, yhi, zhi))."""
+    lo, hi = (np.asarray(side, dtype=float) for side in box_bounds)
+    if lo.shape != (3,) or hi.shape != (3,):
+        raise ValueError("box_bounds must be a pair of 3-vectors")
+    # a NaN bound fails the comparison; infinite bounds pass it
+    if not np.all(lo < hi):
+        raise ValueError("box lower bounds must be below upper bounds")
+    return lo, hi
+
+
+def _inside(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Number of the (count, 3) positions inside the box lo, hi."""
+    # column by column: no (count, 3) boolean temporaries
+    mask = np.ones(pos.shape[0], dtype=bool)
+    for d in range(3):
+        mask &= pos[:, d] >= lo[d]
+        mask &= pos[:, d] <= hi[d]
+    return np.count_nonzero(mask)
+
+
+def _box_report(counts: np.ndarray, times: np.ndarray) -> BinaryCountReport:
+    """Variance/mean ratio of the (realization, time) box counts, with its
+    jackknife standard error."""
+    n = counts.shape[0]
+    mean = counts.mean(axis=0)
+    centered = counts - mean
+    sq_sum = np.sum(centered**2, axis=0)
+    var = sq_sum / (n - 1)
+    # leave-one-out variances over leave-one-out means; 0/0 (NaN) for an
+    # empty box
+    loo_var = _leave_one_out_covariances(sq_sum, centered, centered)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = var / mean
+        ratio_se = _jackknife_se(loo_var / (mean - centered / (n - 1)))
+    return BinaryCountReport(
+        times=times,
+        mean=mean,
+        variance=var,
+        ratio=ratio,
+        ratio_se=ratio_se,
+        consistent=np.abs(ratio - 1.0) <= 3.0 * ratio_se,
+    )
+
+
 def binary_count_check(
     c: CloudParams,
     box_bounds,
@@ -370,45 +417,48 @@ def binary_count_check(
     """
     if n_realizations < 3:
         raise ValueError("need at least 3 realizations for jackknife standard errors")
-    lo, hi = (np.asarray(side, dtype=float) for side in box_bounds)
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValueError("box_bounds must be a pair of 3-vectors")
-    # a NaN bound fails the comparison; infinite bounds pass it
-    if not np.all(lo < hi):
-        raise ValueError("box lower bounds must be below upper bounds")
+    lo, hi = _box(box_bounds)
     times = np.atleast_1d(_checked(times, "times", 0.0))
 
-    def inside(pos: np.ndarray) -> int:
-        # column by column: no (count, 3) boolean temporaries
-        mask = np.ones(pos.shape[0], dtype=bool)
-        for d in range(3):
-            mask &= pos[:, d] >= lo[d]
-            mask &= pos[:, d] <= hi[d]
-        return np.count_nonzero(mask)
-
     def box_counts(real: Realization):
-        return [inside(propagate(real.positions, real.velocities, c.g, t)) for t in times]
+        return [_inside(propagate(real.positions, real.velocities, c.g, t), lo, hi)
+                for t in times]
 
-    counts = _realization_rows(c, box_counts, times, lo[:, None], hi[:, None],
+    counts = _realization_rows(c, box_counts, times.size, times, lo[:, None], hi[:, None],
                                n_realizations, seed, threads)
-    n = n_realizations
-    mean = counts.mean(axis=0)
-    centered = counts - mean
-    sq_sum = np.sum(centered**2, axis=0)
-    var = sq_sum / (n - 1)
-    # leave-one-out variances over leave-one-out means; 0/0 (NaN) for an
-    # empty box
-    loo_var = _leave_one_out_covariances(sq_sum, centered, centered)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = var / mean
-        ratio_se = _jackknife_se(loo_var / (mean - centered / (n - 1)))
+    return _box_report(counts, times)
 
-    consistent = np.abs(ratio - 1.0) <= 3.0 * ratio_se
-    return BinaryCountReport(
-        times=times,
-        mean=mean,
-        variance=var,
-        ratio=ratio,
-        ratio_se=ratio_se,
-        consistent=consistent,
-    )
+
+def _ensemble_and_box(c: CloudParams, b: BeamParams, times, box_bounds, n_realizations: int,
+                      seed: int, threads: int = 1) -> tuple[EnsembleStats, BinaryCountReport]:
+    """ensemble_stats and a binary_count_check report of the same
+    realizations, from one draw.
+
+    The stats equal ensemble_stats(c, b, times, n_realizations, seed,
+    threads) bit for bit.  The box is counted from the atoms of that
+    beam-window draw, so it must lie inside the window at every grid time
+    (ValueError otherwise): an atom in the box at t_i is then inside the
+    window at t_i, hence drawn, and the count is exact.
+    """
+    if n_realizations < 3:
+        raise ValueError("need at least 3 realizations for jackknife standard errors")
+    lo, hi = _box(box_bounds)
+    times = np.atleast_1d(_checked(times, "times", 0.0))
+    window = _beam_window(c, b, times)
+    if np.any(lo[:, None] < -window) or np.any(hi[:, None] > window):
+        raise ValueError("the box must lie inside the beam window at every grid time")
+    m = times.size
+
+    def both_counts(real: Realization) -> np.ndarray:
+        # effective_count's sum and the box count from one propagation
+        row = np.empty(2 * m)
+        for i, t in enumerate(times):
+            pos = propagate(real.positions, real.velocities, c.g, t)
+            row[i] = np.sum(weight(b, pos))
+            row[m + i] = _inside(pos, lo, hi)
+        return row
+
+    values = _realization_rows(c, both_counts, 2 * m, times, -window, window,
+                               n_realizations, seed, threads)
+    weighted, boxed = (np.ascontiguousarray(half) for half in np.hsplit(values, 2))
+    return _ensemble_from_values(weighted, times, seed), _box_report(boxed, times)

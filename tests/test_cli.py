@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coldcloud
-from coldcloud import cli
+from coldcloud import cli, mc_oracle
 from coldcloud.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -336,6 +337,49 @@ class TestCurveSubcommands:
                 block["spectrum_exponential_s"],
                 coldcloud.spectrum_exponential(inp, big_t, run.omega_grid))
 
+    def test_gravity_beyond_the_float_range(self, tmp_path, capsys):
+        # at g = 1e300, tau_g^2 underflows to 0 and 1/tau_g^2 is inf: the
+        # cloud leaves the beam at once, so counts are 0 after t = 0.  Each
+        # subcommand writes finite CSVs or names what left the float range,
+        # and numpy warns of nothing
+        cfg = base_config()
+        cfg["cloud"]["g"] = 1e300
+        cfg_path = write_config(tmp_path, cfg)
+        codes = {}
+        for sub in ("mean", "sigma", "variance", "saturated", "covariance", "spectrum",
+                    "detuning-spectrum"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes[sub] = main([sub, "--config", cfg_path, "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            if codes[sub] == EXIT_OK:
+                values = np.loadtxt(tmp_path / f"{sub.replace('-', '_')}.csv", delimiter=",",
+                                    skiprows=1, ndmin=2)
+                assert np.all(np.isfinite(values)) and err == "", sub
+            else:
+                assert codes[sub] == EXIT_FAIL and err.count("\n") == 1, (sub, err)
+                assert "is not finite" in err or "leaves the float range" in err, err
+        assert codes["mean"] == codes["sigma"] == codes["saturated"] == EXIT_OK
+        mean = np.loadtxt(tmp_path / "mean.csv", delimiter=",", skiprows=1)
+        assert mean[0, 1] > 0.0 and np.all(mean[1:, 1] == 0.0)
+
+    def test_rayleigh_length_underflow_is_a_config_error(self, tmp_path):
+        # w0 = 1e-300: pi*w0^2/lambda underflows to 0; the run stops at the
+        # config instead of printing numpy's divide warning
+        good = write_config(tmp_path, base_config(), "good.json")
+        cfg = base_config()
+        cfg["beam"]["w0"] = 1e-300
+        bad = write_config(tmp_path, cfg, "bad.json")
+        for sub in ("mean", "spectrum"):
+            result = run_python(["-m", "coldcloud.cli", sub, "--config", good,
+                                 "--out", str(tmp_path / "out")])
+            assert (result.returncode, result.stderr) == (EXIT_OK, "")
+            result = run_python(["-m", "coldcloud.cli", sub, "--config", bad,
+                                 "--out", str(tmp_path / "out")])
+            assert result.returncode == EXIT_CONFIG
+            assert result.stderr.startswith("error: config field 'beam': w0 = 1e-300 ")
+            assert result.stderr.count("\n") == 1
+
     def test_covariance_without_valid_pairs(self, tmp_path, capsys):
         cfg = base_config()
         cfg["grids"]["T"] = [0.0, 0.0004]
@@ -545,6 +589,59 @@ class TestMonteCarloSubcommands:
         assert result.returncode == EXIT_FAIL
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error in validate: "), lines
+
+    def test_validate_manifest_records_the_poisson_box(self, tmp_path):
+        # |x| <= sigma_r/2, and |y|, |z| up to the beam window's narrowest
+        # half-width over the grid, c * w(K * sigma_r) at t = 0
+        cfg = self.mc_config()
+        cfg["mc"]["realizations"] = 30
+        cfg_path = write_config(tmp_path, cfg)
+        main(["validate", "--config", cfg_path, "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
+        edge = 5.0 * 40e-6 * math.sqrt(1.0 + (10.0 * 1e-3 / (math.pi * 40e-6**2 / 1e-9)) ** 2)
+        box = manifest["poisson_box"]
+        assert box["lo_m"] == [-5e-4, pytest.approx(-edge, rel=1e-15),
+                               pytest.approx(-edge, rel=1e-15)]
+        assert box["hi_m"] == [5e-4, pytest.approx(edge, rel=1e-15),
+                               pytest.approx(edge, rel=1e-15)]
+        main(["mc", "--config", cfg_path, "--out", str(tmp_path)])
+        mc = json.loads((tmp_path / "mc_manifest.json").read_text())
+        assert set(manifest) - set(mc) == {"all_pass", "poisson_box"}
+
+
+class TestPoissonBox:
+    """validate's Poisson box, counted inside the beam-window draw of the
+    desk config's gravity branch, against its closed-form mass."""
+
+    def z_of_box_mean(self, n_realizations=2000, seed=20250801):
+        """(box mean - mass) / SE per grid time.  The mass is
+        n * prod_d (erf((hi_d - mu_d)/(s sqrt 2)) - erf((lo_d - mu_d)/(s sqrt 2)))/2
+        with s^2 = sigma_r^2 + sigma_v^2 t^2 and mu = (0, 0, -g t^2/2)."""
+        cfg = load_config(str(ROOT / "configs" / "validate_desk.json"))
+        cloud, times = cfg.cloud, cfg.mc_times
+        box = cli._poisson_box(cfg, times)
+        _, report = mc_oracle._ensemble_and_box(cloud, cfg.beam, times, box, n_realizations,
+                                                seed)
+        mass = []
+        for t in times:
+            s_sqrt2 = math.sqrt(2.0 * (cloud.sigma_r**2 + (cloud.sigma_v * t) ** 2))
+            mu = (0.0, 0.0, -0.5 * cloud.g * t**2)
+            mass.append(cloud.n_total * math.prod(
+                0.5 * (math.erf((hi - m) / s_sqrt2) - math.erf((lo - m) / s_sqrt2))
+                for lo, hi, m in zip(*box, mu)))
+        return (report.mean - mass) / np.sqrt(report.variance / n_realizations)
+
+    def test_box_mean_matches_its_mass(self):
+        assert np.all(np.abs(self.z_of_box_mean()) < 4.0)
+
+    def test_box_mean_sees_a_window_that_cuts_too_much(self, monkeypatch):
+        # the sampler's window shrunk to 0.9 of its width while the box stays
+        # at the full window's edge: ~19% of the box goes undrawn
+        true_sample = mc_oracle.sample_cloud
+        monkeypatch.setattr(mc_oracle, "sample_cloud",
+                            lambda c, seed, times, lo, hi: true_sample(c, seed, times,
+                                                                       0.9 * lo, 0.9 * hi))
+        assert np.min(self.z_of_box_mean()) < -5.0
 
 
 # each subcommand on a small config in one fresh interpreter, spectrum last:

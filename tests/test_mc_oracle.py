@@ -474,3 +474,50 @@ class TestBinaryCountCheck:
             binary_count_check(CLOUD, ((0, 0, 0), (0, 0, 0)), [0.0], 10, seed=1)
         with pytest.raises(ValueError):
             binary_count_check(CLOUD, ((0, 0), (1, 1)), [0.0], 10, seed=1)
+
+
+class TestSharedDraw:
+    """_ensemble_and_box: the stats of ensemble_stats and the box counts of
+    the same beam-window draw."""
+
+    beam = BEAM_40
+    times = np.array([0.0, 0.004, 0.011])
+
+    def box(self):
+        # inside the beam window at every grid time, off centre in y and z
+        edge = mc_oracle._beam_window(CLOUD, self.beam, self.times)[1].min()
+        return np.array([-1e-3, -edge, -0.5 * edge]), np.array([8e-4, 0.5 * edge, edge])
+
+    def test_box_counts_equal_a_hand_loop(self):
+        lo, hi = self.box()
+        window = mc_oracle._beam_window(CLOUD, self.beam, self.times)
+        naive = np.zeros((60, self.times.size))
+        for i in range(60):
+            real = sample_cloud(CLOUD, substream_seed(23, i), self.times, -window, window)
+            for j, t in enumerate(self.times):
+                pos = propagate(real.positions, real.velocities, CLOUD.g, t)
+                naive[i, j] = np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
+        assert np.all(naive.sum(axis=0) > 0)
+        for threads in (1, 2):
+            _, report = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, (lo, hi),
+                                                    60, 23, threads)
+            np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
+            np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
+            np.testing.assert_array_equal(report.ratio,
+                                          naive.var(axis=0, ddof=1) / naive.mean(axis=0))
+
+    def test_stats_equal_ensemble_stats(self):
+        expected = ensemble_stats(CLOUD, self.beam, self.times, 60, 23)
+        for threads in (1, 2):
+            stats, _ = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, self.box(),
+                                                   60, 23, threads)
+            for field in ("times", "mean", "variance", "covariance", "se_mean", "se_variance",
+                          "se_covariance"):
+                np.testing.assert_array_equal(getattr(stats, field), getattr(expected, field))
+            assert (stats.realization_count, stats.seed) == (60, 23)
+
+    def test_rejects_a_box_outside_the_window(self):
+        lo, hi = self.box()
+        hi[2] *= 1.01
+        with pytest.raises(ValueError, match="inside the beam window"):
+            mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, (lo, hi), 10, 1)
