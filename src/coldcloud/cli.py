@@ -11,9 +11,8 @@ vary from run to run.
 Config layout (keys follow the parameter bundles of the library)::
 
     {
-      "cloud":   {"n_total": 1e6, "sigma_r": 1e-3,
-                  "sigma_v": 0.1            # or "temperature" and "mass"
-                  , "g": 9.81},
+      "cloud":   {"n_total": 1e6, "sigma_r": 1e-3, "g": 9.81,
+                  "sigma_v": 0.1},  # or "temperature": 1e-5, "mass": 2.2e-25
       "beam":    {"w0": 100e-6, "lambda": 852e-9},
       "optical": {"delta": 10.0, "s_m0": 0.3},
       "cavity":  {"kappa": 5e6, "tau_c": 1e-9},
@@ -21,12 +20,14 @@ Config layout (keys follow the parameter bundles of the library)::
                   "T": [0.005, 0.01, 0.02],
                   "tau": {"start": -2e-3, "stop": 2e-3, "num": 201},
                   "omega": {"start": 10.0, "stop": 1e5, "num": 200,
-                             "spacing": "log"}},
+                            "spacing": "log"}},
       "mc":      {"realizations": 10000, "seed": 20250801},
       "tolerances": {"mc_sigma": 3.0, "fail_sigma": 5.0, "fail_points": 2}
     }
 
-Grid entries accept either an explicit list or a start/stop/num range;
+The table _CONFIG holds each key's type and default.  Grid entries accept
+either an explicit list or a start/stop/num range; a range whose grid
+leaves the float range (stop - start beyond it, say) is a config error, and
 missing grids fall back to defaults derived from the cloud time scales.
 A section other than cloud and beam may be null, which reads as absent.
 Every number must be finite (the NaN and Infinity literals are rejected),
@@ -97,13 +98,29 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _require(section: dict, section_name: str, key: str, default=None):
-    """section[key]; a missing key is an error unless a default is given."""
-    if key in section:
-        return section[key]
-    if default is None:
-        raise ConfigError(f"{section_name}.{key}", "missing required field")
-    return default
+# Every config key, once: key -> (kind, default).  A kind is "number" (a
+# finite JSON number, read as a float), the least value of an integer,
+# "grid" (a list of numbers or a _RANGE object), a tuple of the allowed
+# strings, or a table of this form (a section: an object, and null reads
+# as absent).  An absent key takes its default, checked like a given value;
+# _REQUIRED makes it an error and None leaves it out.  The rules that tie
+# keys together are code in load_config.
+_REQUIRED = object()
+_RANGE = {"start": ("number", _REQUIRED), "stop": ("number", _REQUIRED),
+          "num": (1, _REQUIRED), "spacing": (("linear", "log"), "linear")}
+_CONFIG = {
+    "cloud": ({"n_total": ("number", _REQUIRED), "sigma_r": ("number", _REQUIRED),
+               "sigma_v": ("number", None), "temperature": ("number", None),
+               "mass": ("number", None), "g": ("number", 0.0)}, _REQUIRED),
+    "beam": ({"w0": ("number", _REQUIRED), "lambda": ("number", _REQUIRED)}, _REQUIRED),
+    "optical": ({"delta": ("number", 10.0), "s_m0": ("number", 0.0)}, {}),
+    "cavity": ({"kappa": ("number", _REQUIRED), "tau_c": ("number", _REQUIRED)}, None),
+    "grids": ({"t": ("grid", None), "T": ("grid", None), "tau": ("grid", None),
+               "omega": ("grid", None)}, {}),
+    "mc": ({"realizations": (3, 10000), "seed": (0, 20250801)}, {}),
+    "tolerances": ({"mc_sigma": ("number", 3.0), "fail_sigma": ("number", 5.0),
+                    "fail_points": (1, 2)}, {}),
+}
 
 
 def _finite_number(value) -> bool:
@@ -113,40 +130,43 @@ def _finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _number(section: dict, section_name: str, key: str, default: float | None = None) -> float:
-    value = _require(section, section_name, key, default)
-    if not _finite_number(value):
-        raise ConfigError(f"{section_name}.{key}", f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(section: dict, section_name: str, key: str, minimum: int,
-             default: int | None = None) -> int:
-    value = _require(section, section_name, key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{section_name}.{key}",
-                          f"expected an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _known_keys(obj: dict, prefix: str, keys: tuple[str, ...]) -> dict:
-    """obj itself; ConfigError naming prefix + its first key not in keys."""
+def _read(obj: dict, prefix: str, table: dict) -> dict:
+    """obj's keys checked against table, in the table's order, with the
+    defaults filled in; ConfigError names prefix + the offending key."""
     for key in obj:
-        if key not in keys:
-            raise ConfigError(prefix + key, f"unknown key (expected one of: {', '.join(keys)})")
-    return obj
+        if key not in table:
+            raise ConfigError(prefix + key, f"unknown key (expected one of: {', '.join(table)})")
+    values = {}
+    for key, (kind, default) in table.items():
+        section = isinstance(kind, dict)
+        if key in obj and not (section and obj[key] is None):
+            values[key] = _entry(prefix + key, obj[key], kind)
+        elif default is _REQUIRED:
+            raise ConfigError(prefix + key, f"missing required {'section' if section else 'field'}")
+        elif default is not None:
+            values[key] = _entry(prefix + key, default, kind)
+    return values
 
 
-def _section(raw: dict, name: str, keys: tuple[str, ...], required: bool = False) -> dict:
-    """A config object of the given keys; an absent optional section reads as empty."""
-    value = raw.get(name)
-    if value is None and not required:
-        return {}
-    if value is None:
-        raise ConfigError(name, "missing required section")
-    if not isinstance(value, dict):
-        raise ConfigError(name, "expected an object")
-    return _known_keys(value, f"{name}.", keys)
+def _entry(path: str, value, kind):
+    """value checked against its table kind (see _CONFIG)."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(path, "expected an object")
+        return _read(value, path + ".", kind)
+    if kind == "grid":
+        return _parse_grid(value, path)
+    if kind == "number":
+        if not _finite_number(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return float(value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(path, f"unknown {path.rsplit('.', 1)[1]} {value!r}")
+        return value
+    if not isinstance(value, int) or isinstance(value, bool) or value < kind:
+        raise ConfigError(path, f"expected an integer >= {kind}, got {value!r}")
+    return value
 
 
 def _params(section: str, build, **fields):
@@ -161,27 +181,25 @@ def _reject_constant(name: str):
     raise ConfigError("<file>", f"non-finite number {name} is not allowed")
 
 
-def _parse_grid(entry, name: str) -> np.ndarray:
+def _parse_grid(entry, path: str) -> np.ndarray:
     if isinstance(entry, list):
         if not entry:
-            raise ConfigError(f"grids.{name}", "grid list is empty")
+            raise ConfigError(path, "grid list is empty")
         if not all(map(_finite_number, entry)):
-            raise ConfigError(f"grids.{name}", "grid list must hold finite numbers only")
+            raise ConfigError(path, "grid list must hold finite numbers only")
         return np.asarray(entry, dtype=float)
-    if isinstance(entry, dict):
-        _known_keys(entry, f"grids.{name}.", ("start", "stop", "num", "spacing"))
-        start = _number(entry, f"grids.{name}", "start")
-        stop = _number(entry, f"grids.{name}", "stop")
-        num = _integer(entry, f"grids.{name}", "num", 1)
-        spacing = entry.get("spacing", "linear")
-        if spacing == "linear":
-            return np.linspace(start, stop, num)
-        if spacing == "log":
-            if start <= 0 or stop <= 0:
-                raise ConfigError(f"grids.{name}", "log spacing needs positive bounds")
-            return np.geomspace(start, stop, num)
-        raise ConfigError(f"grids.{name}.spacing", f"unknown spacing {spacing!r}")
-    raise ConfigError(f"grids.{name}", "expected a list or a start/stop/num range")
+    if not isinstance(entry, dict):
+        raise ConfigError(path, "expected a list or a start/stop/num range")
+    start, stop, num, spacing = _read(entry, path + ".", _RANGE).values()
+    if spacing == "log" and (start <= 0 or stop <= 0):
+        raise ConfigError(path, "log spacing needs positive bounds")
+    # stop - start beyond the float range makes linspace's step inf, and
+    # geomspace can round a point near the top of the range up to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, num)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(path, "the range's grid leaves the float range")
+    return grid
 
 
 @dataclass
@@ -213,85 +231,49 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("<file>", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<file>", "top level must be a JSON object")
-    _known_keys(raw, "", ("cloud", "beam", "optical", "cavity", "grids", "mc", "tolerances"))
+    cfg = _read(raw, "", _CONFIG)
 
-    cloud_cfg = _section(raw, "cloud", ("n_total", "sigma_r", "sigma_v", "temperature", "mass",
-                                        "g"), required=True)
-    beam_cfg = _section(raw, "beam", ("w0", "lambda"), required=True)
-    has_sigma_v = "sigma_v" in cloud_cfg
-    has_thermal = "temperature" in cloud_cfg or "mass" in cloud_cfg
-    if has_sigma_v and has_thermal:
+    cloud_cfg, beam_cfg = cfg["cloud"], cfg["beam"]
+    thermal = "temperature" in cloud_cfg or "mass" in cloud_cfg
+    if "sigma_v" in cloud_cfg and thermal:
         raise ConfigError("cloud.sigma_v", "give either sigma_v or (temperature, mass), not both")
-    if not has_sigma_v and not has_thermal:
+    if "sigma_v" not in cloud_cfg and not thermal:
         raise ConfigError("cloud.sigma_v", "one of sigma_v or (temperature, mass) is required")
-    cloud_fields = {
-        "n_total": _number(cloud_cfg, "cloud", "n_total"),
-        "sigma_r": _number(cloud_cfg, "cloud", "sigma_r"),
-        "g": _number(cloud_cfg, "cloud", "g", 0.0),
-    }
-    if has_sigma_v:
-        cloud = _params("cloud", CloudParams, sigma_v=_number(cloud_cfg, "cloud", "sigma_v"),
-                        **cloud_fields)
-    else:
-        cloud = _params("cloud", CloudParams.from_temperature,
-                        temperature=_number(cloud_cfg, "cloud", "temperature"),
-                        mass=_number(cloud_cfg, "cloud", "mass"), **cloud_fields)
-    beam = _params("beam", BeamParams, w0=_number(beam_cfg, "beam", "w0"),
-                   wavelength=_number(beam_cfg, "beam", "lambda"))
-    optical_cfg = _section(raw, "optical", ("delta", "s_m0"))
-    optical = _params("optical", OpticalParams,
-                      delta=_number(optical_cfg, "optical", "delta", 10.0),
-                      s_m0=_number(optical_cfg, "optical", "s_m0", 0.0))
-    cavity = None
-    if raw.get("cavity") is not None:
-        cavity_cfg = _section(raw, "cavity", ("kappa", "tau_c"))
-        cavity = _params("cavity", CavityParams, kappa=_number(cavity_cfg, "cavity", "kappa"),
-                         tau_c=_number(cavity_cfg, "cavity", "tau_c"))
+    if thermal:
+        for key in ("temperature", "mass"):
+            if key not in cloud_cfg:
+                raise ConfigError(f"cloud.{key}", "missing required field")
+    cloud = _params("cloud", CloudParams.from_temperature if thermal else CloudParams, **cloud_cfg)
+    # the config spells the wavelength "lambda", a Python keyword
+    beam_cfg["wavelength"] = beam_cfg.pop("lambda")
+    beam = _params("beam", BeamParams, **beam_cfg)
+    optical = _params("optical", OpticalParams, **cfg["optical"])
+    cavity = _params("cavity", CavityParams, **cfg["cavity"]) if "cavity" in cfg else None
 
+    # an absent grid is derived from the time scales; in table order, t, T,
+    # tau and omega
     ts = time_scales(cloud, beam)
-    grids = {
-        "t": np.linspace(0.0, 3.0 * ts.tau_r, 61),
-        "T": np.array([0.5, 1.0, 2.0]) * ts.tau_r,
-        "tau": np.linspace(-8.0 * ts.tau_w, 8.0 * ts.tau_w, 161),
-        "omega": np.linspace(0.0, 8.0 / ts.tau_w, 161),
-    }
-    grids_cfg = _section(raw, "grids", tuple(grids))
-    for name in grids:
-        if name in grids_cfg:
-            grids[name] = _parse_grid(grids_cfg[name], name)
-    if np.any(grids["t"] < 0) or np.any(grids["T"] < 0):
+    derived = (np.linspace(0.0, 3.0 * ts.tau_r, 61), np.array([0.5, 1.0, 2.0]) * ts.tau_r,
+               np.linspace(-8.0 * ts.tau_w, 8.0 * ts.tau_w, 161),
+               np.linspace(0.0, 8.0 / ts.tau_w, 161))
+    given = cfg["grids"]
+    t, big_t, tau, omega = (given.get(name, grid)
+                            for name, grid in zip(_CONFIG["grids"][0], derived))
+    if np.any(t < 0) or np.any(big_t < 0):
         raise ConfigError("grids", "time grids must be nonnegative")
     # the Monte Carlo grid: a given t grid, capped so the covariance
     # jackknife stays light, or 5 times over [0, 2 tau_r]
-    mc_times = grids["t"]
-    if "t" not in grids_cfg:
+    mc_times = t
+    if "t" not in given:
         mc_times = np.linspace(0.0, 2.0 * ts.tau_r, 5)
     elif mc_times.size > 8:
         mc_times = np.linspace(mc_times.min(), mc_times.max(), 5)
 
-    mc_cfg = _section(raw, "mc", ("realizations", "seed"))
-    tol_cfg = _section(raw, "tolerances", ("mc_sigma", "fail_sigma", "fail_points"))
-    tolerances = {
-        "mc_sigma": _number(tol_cfg, "tolerances", "mc_sigma", 3.0),
-        "fail_sigma": _number(tol_cfg, "tolerances", "fail_sigma", 5.0),
-        "fail_points": _integer(tol_cfg, "tolerances", "fail_points", 1, 2),
-    }
-
-    return RunConfig(
-        cloud=cloud,
-        beam=beam,
-        optical=optical,
-        cavity=cavity,
-        t_grid=grids["t"],
-        big_t_grid=grids["T"],
-        tau_grid=grids["tau"],
-        omega_grid=grids["omega"],
-        mc_times=mc_times,
-        mc_realizations=_integer(mc_cfg, "mc", "realizations", 3, 10000),
-        mc_seed=_integer(mc_cfg, "mc", "seed", 0, 20250801),
-        tolerances=tolerances,
-        raw=raw,
-    )
+    realizations, seed = cfg["mc"].values()
+    return RunConfig(cloud=cloud, beam=beam, optical=optical, cavity=cavity, t_grid=t,
+                     big_t_grid=big_t, tau_grid=tau, omega_grid=omega, mc_times=mc_times,
+                     mc_realizations=realizations, mc_seed=seed, tolerances=cfg["tolerances"],
+                     raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${_OUT_DIR_ENV} or '.')")
-    parser.add_argument("--seed", type=_int_at_least(0), default=None,
+    parser.add_argument("--seed", type=_int_at_least(_CONFIG["mc"][0]["seed"][0]), default=None,
                         help="override the Monte Carlo seed from the config")
     parser.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="worker threads for Monte Carlo realizations "

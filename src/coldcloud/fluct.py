@@ -89,6 +89,14 @@ def variance(inp: EffNumInputs, t):
 # exact two-time covariance
 # ---------------------------------------------------------------------------
 
+def _quotient(num: float, den: float) -> float:
+    """num/den, or the IEEE inf or NaN where den has underflowed to 0 (a
+    tau^2 far below the float range): no Python float division by zero.
+    A CSV column that inherits the NaN is named by the CLI."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(num, den))
+
+
 def _cov_factors(tau_r_sq, tau_w_sq, inv_tau_g_sq, T, tau):
     """Lorentzian-like shape L(T, tau) and gravity exponent M(T, tau) of the
     covariance over their common denominator; M is zero without gravity."""
@@ -112,7 +120,7 @@ def covariance_exact(inp: EffNumInputs, T, tau):
     _checked(T - 0.5 * np.abs(tau), "T - |tau|/2", 0.0)
     ts = time_scales(inp.cloud, inp.beam)
     tau_r_sq, tau_w_sq = ts.tau_r**2, ts.tau_w**2
-    n0 = inp.cloud.n_total * tau_w_sq / (tau_r_sq + tau_w_sq)
+    n0 = _quotient(inp.cloud.n_total * tau_w_sq, tau_r_sq + tau_w_sq)
     shape, expo = _cov_factors(tau_r_sq, tau_w_sq, _inverse_square(ts.tau_g), T, tau)
     out = n0 * shape * np.exp(-expo)
     return out if np.ndim(out) else float(out)
@@ -136,7 +144,7 @@ def _scaled(inp: EffNumInputs, T):
     # np.square, unlike ** on a numpy scalar, rounds a scalar T exactly as
     # the same T inside an array
     u = np.square(T / ts.tau_r)
-    n0 = inp.cloud.n_total * ts.tau_w**2 / ts.tau_r**2
+    n0 = _quotient(inp.cloud.n_total * ts.tau_w**2, ts.tau_r**2)
     return n0, ts.zeta, ts.tau_w, 2.0 * (1.0 + u), u * (4.0 + u), 2.0 * u * np.square(2.0 + u)
 
 

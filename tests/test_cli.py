@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -147,6 +148,25 @@ class TestConfigParsing:
         assert f"config field '{field}': unknown key" in capsys.readouterr().err
         assert not (tmp_path / "mean.csv").exists()
 
+    @pytest.mark.parametrize("name,entry", [
+        *((name, {"start": -1e308, "stop": 1e308, "num": 5}) for name in ("t", "T", "tau", "omega")),
+        # geomspace(max, max, 3) rounds its middle point up to inf
+        ("omega", {"start": sys.float_info.max, "stop": sys.float_info.max, "num": 3,
+                   "spacing": "log"}),
+    ], ids=["t", "T", "tau", "omega", "omega-log"])
+    def test_range_whose_grid_leaves_the_float_range(self, tmp_path, capsys, name, entry):
+        # at stop - start beyond the float range, linspace gave [nan, inf,
+        # inf, inf, 1e308]: a NaN delay dropped silently or an omega the run
+        # rejected
+        cfg = base_config()
+        cfg["grids"][name] = entry
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mean", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"config field 'grids.{name}': " in capsys.readouterr().err
+        assert not (tmp_path / "mean.csv").exists()
+
     @pytest.mark.parametrize("realizations", [1, 2])
     def test_fewer_than_three_realizations_rejected(self, tmp_path, capsys, realizations):
         # two realizations would leave every jackknife standard error NaN
@@ -172,6 +192,18 @@ class TestShippedConfigs:
         for path in paths:
             tolerances = load_config(str(path)).tolerances
             assert {"mc_sigma", "fail_sigma"} <= set(tolerances), path
+
+
+class TestConfigTable:
+    def test_docstring_layout_names_the_table_keys(self):
+        # the config layout of the cli docstring, one section per entry at
+        # its indent: each names exactly its keys, and grids the range keys
+        layout = cli.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+        sections = re.findall(r'^ {6}"(\w+)":(.*?)(?=^ {6}"|\Z)', layout, re.M | re.S)
+        assert [name for name, _ in sections] == list(cli._CONFIG)
+        for name, text in sections:
+            keys = set(cli._CONFIG[name][0]) | (set(cli._RANGE) if name == "grids" else set())
+            assert set(re.findall(r'"(\w+)":', text)) == keys, name
 
 
 class TestNullSections:
@@ -362,6 +394,25 @@ class TestCurveSubcommands:
         assert codes["mean"] == codes["sigma"] == codes["saturated"] == EXIT_OK
         mean = np.loadtxt(tmp_path / "mean.csv", delimiter=",", skiprows=1)
         assert mean[0, 1] > 0.0 and np.all(mean[1:, 1] == 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sub", ["covariance", "spectrum", "detuning-spectrum"])
+    @pytest.mark.parametrize("field,value", [("sigma_v", 1e300), ("sigma_r", 1e-300)])
+    def test_time_scales_whose_squares_underflow(self, tmp_path, capsys, sub, field, value):
+        # tau_r^2 (and at sigma_v = 1e300 tau_w^2 too) underflows to 0: the
+        # zero-time count n0 divides by it.  The run writes finite CSVs, or
+        # names the column or the series parameter that left the float range
+        cfg = base_config()
+        cfg["cloud"][field] = value
+        code = main([sub, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            values = np.loadtxt(tmp_path / f"{sub.replace('-', '_')}.csv", delimiter=",",
+                                skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(values))
+        else:
+            assert code == EXIT_FAIL and err.count("\n") == 1, err
+            assert "is not finite" in err or "series parameter c" in err, err
 
     def test_rayleigh_length_underflow_is_a_config_error(self, tmp_path):
         # w0 = 1e-300: pi*w0^2/lambda underflows to 0; the run stops at the
@@ -730,32 +781,73 @@ def test_realizations_reuse_heap_memory():
     assert faults["spectra"] < 100, faults
 
 
-FUZZED_FIELDS = [
-    ("cloud", "n_total"), ("cloud", "sigma_r"), ("cloud", "sigma_v"), ("cloud", "g"),
-    ("beam", "w0"), ("beam", "lambda"), ("optical", "delta"), ("optical", "s_m0"),
-    ("cavity", "kappa"), ("cavity", "tau_c"),
-]
 # any finite float, with the extremes of the float range drawn often
 finite_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([5e-324, 1e-300, 1e-30, 1e30, 1e300, 1e308]),
 )
+# grid entries: either sign, near zero and near the ends of the float range
+grid_values = st.sampled_from([-sys.float_info.max, -1e300, -1.0, 0.0, 5e-324, 1e-3, 1.0, 1e300,
+                               sys.float_info.max])
+# range bounds at both ends of the float range: a constant grid there, or
+# a stop - start that leaves it
+range_bounds = st.sampled_from([-sys.float_info.max, sys.float_info.max])
+
+
+def drawn(kind, numbers=finite_values):
+    """Config values of a cli._CONFIG kind: integers from two below the
+    least up to 50 (no grid longer than that) and two floats; grids as
+    ranges, whose required keys are always drawn, or as short lists."""
+    if kind == "number":
+        return numbers
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind == "grid":
+        required = {key: drawn(k, range_bounds)
+                    for key, (k, default) in cli._RANGE.items() if default is cli._REQUIRED}
+        optional = {key: drawn(k) for key, (k, _) in cli._RANGE.items() if key not in required}
+        return st.one_of(st.fixed_dictionaries(required, optional=optional),
+                         st.lists(grid_values, min_size=1, max_size=5))
+    return st.sampled_from([*range(kind - 2, 51), float(kind), 2.5])
+
+
+# every key of the config table, by its kind.  An example overrides any of
+# the grids and at most three other keys, so that most examples load
+KINDS = {(section, key): kind
+         for section, (table, _) in cli._CONFIG.items() for key, (kind, _) in table.items()}
+SCALARS = sorted(field for field, kind in KINDS.items() if kind != "grid")
+overrides = st.tuples(
+    st.lists(st.sampled_from(SCALARS), max_size=3, unique=True).flatmap(
+        lambda fields: st.fixed_dictionaries({field: drawn(KINDS[field]) for field in fields})),
+    st.fixed_dictionaries({}, optional={field: drawn(kind) for field, kind in KINDS.items()
+                                        if kind == "grid"}),
+).map(lambda parts: {**parts[0], **parts[1]})
 
 
 class TestFuzzedScalarFields:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=150)
-    @given(overrides=st.fixed_dictionaries(
-        {}, optional={field: finite_values for field in FUZZED_FIELDS}))
+    @given(overrides=overrides)
     def test_finite_csv_or_one_line_error(self, overrides):
-        # grids and Monte Carlo sizes stay fixed: only the physics varies
+        # Monte Carlo sizes only load, as no subcommand run here draws; a
+        # drawn temperature or mass replaces sigma_v
         cfg = base_config()
+        if ("cloud", "temperature") in overrides or ("cloud", "mass") in overrides:
+            del cfg["cloud"]["sigma_v"]
+            cfg["cloud"].update(temperature=1e-5, mass=2.2e-25)
         for (section, key), value in overrides.items():
-            cfg[section][key] = value
+            cfg.setdefault(section, {})[key] = value
         with tempfile.TemporaryDirectory() as out:
             cfg_path = os.path.join(out, "config.json")
             with open(cfg_path, "w", encoding="utf-8") as handle:
                 json.dump(cfg, handle)
+            # a config that loads holds finite grids only (one whose beam
+            # leaves the float range raises OverflowError, and exits 1)
+            with contextlib.suppress(cli.ConfigError, ArithmeticError):
+                run = load_config(cfg_path)
+                for grid in (run.t_grid, run.big_t_grid, run.tau_grid, run.omega_grid,
+                             run.mc_times):
+                    assert np.all(np.isfinite(grid)), grid
             for sub in ("mean", "variance", "sigma", "saturated"):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
