@@ -49,9 +49,13 @@ class BeamParams:
             raise ValueError(f"w0 must be positive, got {self.w0}")
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not self.rayleigh_length > 0:
+        try:
+            length = self.rayleigh_length
+        except OverflowError:  # w0**2 beyond the float range
+            length = math.inf
+        if not 0 < length < math.inf:
             raise ValueError(f"w0 = {self.w0} gives a Rayleigh length pi*w0^2/wavelength "
-                             "that underflows to 0")
+                             f"that {'underflows to 0' if length == 0 else 'leaves the float range'}")
 
     @property
     def rayleigh_length(self) -> float:

@@ -28,7 +28,8 @@ Config layout (keys follow the parameter bundles of the library)::
 The table _CONFIG holds each key's type and default.  Grid entries accept
 either an explicit list or a start/stop/num range; a range whose grid
 leaves the float range (stop - start beyond it, say) is a config error, and
-missing grids fall back to defaults derived from the cloud time scales.
+missing grids fall back to defaults derived from the cloud time scales
+(a config error too where a time scale puts them outside the float range).
 A section other than cloud and beam may be null, which reads as absent.
 Every number must be finite (the NaN and Infinity literals are rejected),
 every object may hold only the keys shown above, and mc.realizations must
@@ -39,7 +40,8 @@ Exit codes: 0 success (all validation checks pass), 1 physics/validation
 failure (including a finite config whose results leave the float range:
 no CSV column is ever written non-finite) or a data file that cannot be
 written, 2 malformed config or usage, or an output directory that cannot
-be made.
+be made.  An error is one line on stderr: numpy's floating-point warnings
+are off while a subcommand runs.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .effnum import (
     sigma_small_waist,
 )
 from .fluct import (
+    _variance_over_mean,
     covariance_exact,
     covariance_quasistationary,
     mean_number,
@@ -202,6 +205,17 @@ def _parse_grid(entry, path: str) -> np.ndarray:
     return grid
 
 
+def _derived_grid(name: str, make) -> np.ndarray:
+    """make(), an absent grid derived from the time scales; a ConfigError
+    naming grids.<name> if a time scale leaves it outside the float range."""
+    with np.errstate(all="ignore"):
+        grid = make()
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"grids.{name}", "the grid derived from the cloud time scales leaves "
+                                           "the float range; give it in the config")
+    return grid
+
+
 @dataclass
 class RunConfig:
     """Validated configuration with every grid materialized."""
@@ -253,12 +267,13 @@ def load_config(path: str) -> RunConfig:
     # an absent grid is derived from the time scales; in table order, t, T,
     # tau and omega
     ts = time_scales(cloud, beam)
-    derived = (np.linspace(0.0, 3.0 * ts.tau_r, 61), np.array([0.5, 1.0, 2.0]) * ts.tau_r,
-               np.linspace(-8.0 * ts.tau_w, 8.0 * ts.tau_w, 161),
-               np.linspace(0.0, 8.0 / ts.tau_w, 161))
+    derived = (lambda: np.linspace(0.0, 3.0 * ts.tau_r, 61),
+               lambda: np.array([0.5, 1.0, 2.0]) * ts.tau_r,
+               lambda: np.linspace(-8.0 * ts.tau_w, 8.0 * ts.tau_w, 161),
+               lambda: np.linspace(0.0, np.divide(8.0, ts.tau_w), 161))
     given = cfg["grids"]
-    t, big_t, tau, omega = (given.get(name, grid)
-                            for name, grid in zip(_CONFIG["grids"][0], derived))
+    t, big_t, tau, omega = (given[name] if name in given else _derived_grid(name, make)
+                            for name, make in zip(_CONFIG["grids"][0], derived))
     if np.any(t < 0) or np.any(big_t < 0):
         raise ConfigError("grids", "time grids must be nonnegative")
     # the Monte Carlo grid: a given t grid, capped so the covariance
@@ -381,8 +396,9 @@ def _saturated(cfg: RunConfig, seed: int, threads: int):
 def _variance(cfg: RunConfig, seed: int, threads: int):
     inp, t = EffNumInputs(cfg.cloud, cfg.beam), cfg.t_grid
     mean, var = mean_number(inp, t), variance(inp, t)
-    with np.errstate(divide="ignore", invalid="ignore"):  # _run names a non-finite ratio
-        ratio = var / mean
+    # below the float range, where the variance underflows to 0, the ratio
+    # comes from its closed form
+    ratio = np.divide(var, mean, out=_variance_over_mean(inp, t), where=var > 0)
     return {"variance.csv": {
         "t_s": t, "mean_number": mean, "variance": var, "variance_over_mean": ratio,
     }}, {}
@@ -398,11 +414,10 @@ def _covariance(cfg: RunConfig, seed: int, threads: int):
     big_t, tau = big_t[keep], tau[keep]
     exact = covariance_exact(inp, big_t, tau)
     quasi = covariance_quasistationary(inp, big_t, tau)
-    with np.errstate(divide="ignore", invalid="ignore"):  # _run names a non-finite gap
-        gap = np.abs(quasi - exact) / np.abs(exact)
     return {"covariance.csv": {
         "T_s": big_t, "tau_s": tau, "covariance_exact": exact,
-        "covariance_quasistationary": quasi, "relative_gap": gap,
+        "covariance_quasistationary": quasi,
+        "relative_gap": np.abs(quasi - exact) / np.abs(exact),
     }}, {}
 
 
@@ -502,8 +517,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
     estimate, reference, se = np.hstack([values for _, values in branches])
     # a check without data (zero standard error) gets a non-finite z, which
     # is reported by name below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (estimate - reference) / se
+    z = (estimate - reference) / se
     tol = cfg.tolerances["mc_sigma"]
     ok = np.abs(z) <= tol
     hard = np.abs(z) > cfg.tolerances["fail_sigma"]
@@ -530,8 +544,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
     # chance that the largest |z| of this many independent normal checks
     # is at least the worst one: small values point to a defect, not noise
     worst = int(np.argmax(np.abs(z)))
-    with np.errstate(divide="ignore"):
-        tail = np.log1p(-math.erfc(abs(z[worst]) / math.sqrt(2.0)))
+    tail = np.log1p(-math.erfc(abs(z[worst]) / math.sqrt(2.0)))
     report.update(worst_check=names[worst], worst_z=float(z[worst]),
                   familywise_p=float(-np.expm1(len(names) * tail)))
     print(f"validate: worst check {report['worst_check']}: z = {report['worst_z']:+.2f}, "
@@ -626,18 +639,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # numpy's floating-point warnings are off: a result that leaves the
+    # float range is named on one line (a non-finite column, see _run), and
+    # an intermediate overflow or 0/0 that the results survive is no error
     try:
-        start = time.perf_counter()
-        cfg = load_config(args.config)
-        load_s = time.perf_counter() - start
-        out_dir = args.out or os.environ.get(_OUT_DIR_ENV) or "."
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            print(f"error: --out: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        seed = args.seed if args.seed is not None else cfg.mc_seed
-        return _run(args.subcommand, cfg, out_dir, seed, args.threads, load_s)
+        with np.errstate(all="ignore"):
+            start = time.perf_counter()
+            cfg = load_config(args.config)
+            load_s = time.perf_counter() - start
+            out_dir = args.out or os.environ.get(_OUT_DIR_ENV) or "."
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                print(f"error: --out: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+            seed = args.seed if args.seed is not None else cfg.mc_seed
+            return _run(args.subcommand, cfg, out_dir, seed, args.threads, load_s)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

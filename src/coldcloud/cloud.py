@@ -145,9 +145,11 @@ def _inverse_square(tau: float) -> float:
 
 
 def _fall_exponent(coeff: float, powers):
-    """coeff * powers, exactly 0 where powers is 0: a fall exponent vanishes
-    at t = 0 also when its coefficient, 1/tau_g^2 or g^2, is inf."""
-    return np.multiply(coeff, powers, out=np.zeros(np.shape(powers)), where=powers > 0)
+    """coeff * powers, exactly 0 where powers is 0 and wherever coeff is 0: a
+    fall exponent vanishes at t = 0 also when its coefficient, 1/tau_g^2 or
+    g^2, is inf, and without a fall also where t^4 overflowed to inf."""
+    return np.multiply(coeff, powers, out=np.zeros(np.shape(powers)),
+                       where=(powers > 0) & (coeff > 0))
 
 
 def _ballistic_decay(scale, offset_sq, t, tau_g: float):
@@ -158,9 +160,14 @@ def _ballistic_decay(scale, offset_sq, t, tau_g: float):
     Lorentzian in t (offset_sq is tau_r^2, widened by the squared transit
     time of a wide beam), while the centre falling by g t^2/2 gives the
     fall factor, which is exactly 1 when tau_g is infinite (no gravity).
+    Where t^2 overflows the decay is the 0 it underflows to, not the NaN of
+    the fall exponent's inf/inf.
     """
     denom = offset_sq + t**2
-    return scale / denom * np.exp(-_fall_exponent(_inverse_square(tau_g), t**4) / denom)
+    decay = scale / denom
+    exponent = np.divide(_fall_exponent(_inverse_square(tau_g), t**4), denom,
+                         out=np.zeros(np.shape(decay)), where=decay > 0)
+    return decay * np.exp(-exponent)
 
 
 def phase_space_density(c: CloudParams, r, v, t: float):

@@ -111,9 +111,24 @@ def sigma_general(inp: EffNumInputs, t):
     """
     t = _checked(t, "t", 0.0)
     x, dx = _longitudinal_rule(inp, t)
-    integrand = _layer_density_weighted(inp, x, t[..., None]) / beam_section(inp.beam, x)
-    out = np.sum(integrand * dx, axis=-1)
+    out = _sum_over_sections(inp, _layer_density_weighted(inp, x, t[..., None]), x, dx)
     return out if out.ndim else float(out)
+
+
+def _sum_over_sections(inp: EffNumInputs, layer, x, dx) -> np.ndarray:
+    """The longitudinal rule's sum of layer/S(x) dx over its last axis.
+
+    A node whose beam section S(x) overflows adds 0, what a layer, at most
+    the column density N/(sqrt(2 pi) sigma), over an infinite section is,
+    even where inf/inf made its layer NaN.  That is a node far out in x, or
+    every node once the cloud spread leaves the float range (x and dx are
+    then inf).
+    """
+    section = beam_section(inp.beam, x)
+    finite = section < math.inf
+    terms = np.divide(layer, section, out=np.zeros(np.shape(x)), where=finite)
+    np.multiply(terms, dx, out=terms, where=finite)
+    return np.sum(terms, axis=-1)
 
 
 def _lorentzian_sigma(c: CloudParams, offset_sq: float, t, tau_g: float) -> np.ndarray:

@@ -85,6 +85,25 @@ def variance(inp: EffNumInputs, t):
     return out if np.ndim(out) else float(out)
 
 
+def _variance_over_mean(inp: EffNumInputs, t) -> np.ndarray:
+    """variance/mean in closed form, for the times where both underflow.
+
+    The two share the ballistic decay, with offsets a = tau_r^2 + tau_w^2
+    and b = tau_r^2 + tau_w^2/2, so the ratio is
+        (1/2) (1 + (a - b)/(b + t^2)) exp[-(a - b) t^4/(tau_g^2 (a + t^2)(b + t^2))],
+    which tends to exp[-tau_w^2/(2 tau_g^2)]/2 as t^2 leaves the float range.
+    """
+    t = _checked(t, "t", 0.0)
+    ts = time_scales(inp.cloud, inp.beam)
+    gap = 0.5 * ts.tau_w**2
+    a, b, u = ts.tau_r**2 + 2.0 * gap, ts.tau_r**2 + gap, t**2
+    # t^2/(offset + t^2) as 1 - offset/(offset + t^2): 1, not inf/inf, where
+    # t^2 overflows
+    shares = (1.0 - a / (a + u)) * (1.0 - b / (b + u))
+    return 0.5 * (1.0 + gap / (b + u)) * np.exp(
+        -_fall_exponent(_inverse_square(ts.tau_g), gap * shares))
+
+
 # ---------------------------------------------------------------------------
 # exact two-time covariance
 # ---------------------------------------------------------------------------

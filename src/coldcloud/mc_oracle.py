@@ -6,18 +6,22 @@ space, fly them ballistically, sum the beam weights, and estimate
 mean/variance/covariance across many independent realizations.  Only the
 atoms that can reach the beam or the box are drawn: a Poisson cloud
 restricted to a region is the same Poisson process there (Kingman,
-*Poisson Processes*, 1993).
+*Poisson Processes*, 1993).  Where the windows of the first windowed
+coordinate are narrow, as for validate's beam window, that coordinate is
+drawn from their bands in the (position, velocity) plane instead of from
+the whole cloud (see sample_cloud and _band_draw).
 
 Reproducibility contract: each realization uses its own generator seeded by
-a splitmix64 mix of the master seed and the realization index.  It draws
-the Poisson count, then, one coordinate at a time, the positions and then
-the velocities of the atoms still kept: first the coordinates with a
-window, then the others, each group in x, y, z order.  Above _PART_ATOMS mean
-atoms, a realization adds independent sub-clouds of equal mean, sub-cloud
-j >= 1 seeded by the same mix of its seed and j.  All statistics are
-reductions over a fully materialized (realization, time) array.  Results
-are therefore bit-identical no matter how many threads the realizations
-are spread over.
+a splitmix64 mix of the master seed and the realization index.  It draws,
+one coordinate at a time, the positions and then the velocities of the
+atoms still kept: first the coordinates with a window, then the others,
+each group in x, y, z order.  The draw starts with the Poisson count of the
+whole cloud, or, for a band draw, with the Poisson counts of the bands.
+Above _PART_ATOMS mean atoms, a realization adds independent sub-clouds of
+equal mean, sub-cloud j >= 1 seeded by the same mix of its seed and j.  All
+statistics are reductions over a fully materialized (realization, time)
+array.  Results are therefore bit-identical no matter how many threads the
+realizations are spread over.
 """
 
 from __future__ import annotations
@@ -135,45 +139,118 @@ class BinaryCountReport:
         return bool(np.all(self.consistent))
 
 
-def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> Realization:
-    """Draw one cloud realization, deterministic for a given seed.
-
-    The atom count is Poisson with mean n_total; positions and velocities
-    are i.i.d. isotropic Gaussians (sigma_r, sigma_v).  ``lo`` and ``hi``
-    broadcast to (3, len(times)): the window of each coordinate at each
-    time.  An atom is kept only if each coordinate, propagated with the
-    fall along z, lies in its window at some time; a coordinate that has
-    the whole line as its window at some time keeps every atom.  With no
-    times this is the whole cloud.
-
-    Draw order is fixed: the count, then one coordinate at a time, first
-    those with windows and then the others, each group in x, y, z order.
-    Each coordinate draws a (2, kept) block, the positions then the
-    velocities of the atoms still kept, which are stored column-major (see
-    Realization).
-    """
+def _draw_plan(c: CloudParams, times, lo, hi) -> tuple:
+    """What sample_cloud draws for one (cloud, times, windows), computed
+    once per ensemble since it does not depend on the seed: the checked
+    times, the windows lo, hi broadcast to (3, times), the windowed
+    coordinates in x, y, z order, and the _bands of the first of them, or
+    None for the full draw."""
     if not c.n_total > 0:
         raise ValueError("sampling requires a positive mean atom number")
     times = np.atleast_1d(_checked(times, "times", 0.0))
     lo, hi = (np.broadcast_to(np.asarray(side, dtype=float), (3, times.size)) for side in (lo, hi))
     windowed = ((lo > -np.inf) | (hi < np.inf)).all(axis=1) & (times.size > 0)
+    order = np.flatnonzero(windowed).tolist()
+    bands = _bands(c, times, lo[order[0]], hi[order[0]], order[0] == 2) if order else None
+    return times, lo, hi, order, bands
+
+
+def _bands(c: CloudParams, times: np.ndarray, lo: np.ndarray, hi: np.ndarray, falls: bool):
+    """The windows lo_i <= x0 + v t_i - f_i <= hi_i of one coordinate as
+    bands a_i <= (x0 + v t_i)/s_i <= b_i of the whitened (x0/sigma_r,
+    v/sigma_v) plane, with s_i^2 = sigma_r^2 + sigma_v^2 t_i^2 and f_i the
+    fall g t_i^2/2 on z.  Returns (mass, a, b, nearest^2, e_r, e_v): each
+    band's standard normal mass, its bounds, the square of its point nearest
+    0, and its unit normal e_i = (sigma_r, sigma_v t_i)/s_i.
+
+    None, for the full draw, unless every bound is finite, the masses sum
+    below 1, so that the band draw proposes fewer atoms than the whole cloud
+    holds, and the uniform envelopes of the rejection step, of area
+    (b_i - a_i) phi(nearest_i), sum below 2: n_total times that sum is the
+    expected number of uniform pairs the rejection rounds draw, which a
+    band far off centre would make unbounded.
+    """
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return None
+    s = np.sqrt(_spread_sq(c, times))
+    fall = 0.5 * c.g * times**2 if falls else 0.0
+    a, b = (lo + fall) / s, (hi + fall) / s
+    root2 = math.sqrt(2.0)
+    mass = np.maximum(0.0, [0.5 * (math.erf(upper / root2) - math.erf(lower / root2))
+                            for lower, upper in zip(a.tolist(), b.tolist())])
+    nearest_sq = np.clip(0.0, a, b) ** 2
+    envelope = np.maximum(b - a, 0.0) * np.exp(-0.5 * nearest_sq) / math.sqrt(2.0 * math.pi)
+    if not (mass.sum() < 1.0 and envelope.sum() < 2.0):
+        return None
+    return mass, a, b, nearest_sq, c.sigma_r / s, c.sigma_v * times / s
+
+
+def _window_hits(c: CloudParams, pair: np.ndarray, times: np.ndarray, lo, hi,
+                 falls: bool) -> np.ndarray:
+    """For each (position, velocity) column of pair, the number of times t_i
+    at which the coordinate lies in its window [lo_i, hi_i]."""
+    hits = np.zeros(pair.shape[1], dtype=np.min_scalar_type(len(times)))
+    pos = np.empty(pair.shape[1])
+    for t, a, b in zip(times, lo, hi):
+        # the propagate formula, so a box edge cuts as the count does
+        np.multiply(pair[1], t, out=pos)
+        pos += pair[0]
+        if falls:
+            pos -= 0.5 * c.g * t**2
+        hits += (pos >= a) & (pos <= b)
+    return hits
+
+
+def _band_draw(c: CloudParams, rng: np.random.Generator, times: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, falls: bool, bands: tuple) -> np.ndarray:
+    """The (position, velocity) pairs, shape (2, kept), of the cloud's atoms
+    inside the union of one coordinate's windows lo, hi at the times.
+
+    Band i gets a Poisson(n_total m_i) count of proposals, the Poisson
+    (n_total sum m) count split among the bands with probabilities
+    m_i/sum m.  Across its band a proposal is a standard normal truncated to
+    [a_i, b_i], by uniform rejection (Devroye 1986), along it a free
+    normal.  A proposal in k windows is kept with probability 1/k, so the
+    kept atoms are the cloud restricted to the union (Karp, Luby & Madras
+    1989): a thinned Poisson process is Poisson.
+    """
+    mass, a, b, nearest_sq, e_r, e_v = bands
+    per_band = rng.poisson(c.n_total * mass)
+    count = int(per_band.sum())
+    lower, width, top, e_r, e_v = np.repeat(np.stack([a, b - a, nearest_sq, e_r, e_v]),
+                                            per_band, axis=1)
+    across = np.empty(count)
+    pending = np.arange(count)
+    while pending.size:
+        u = rng.random((2, pending.size))
+        x = lower[pending] + width[pending] * u[0]
+        accepted = u[1] < np.exp(0.5 * (top[pending] - x * x))
+        across[pending[accepted]] = x[accepted]
+        pending = pending[~accepted]
+    along = rng.standard_normal(count)
+    pair = np.stack([c.sigma_r * (across * e_r - along * e_v),
+                     c.sigma_v * (across * e_v + along * e_r)])
+    hits = _window_hits(c, pair, times, lo, hi, falls)
+    # hits is 0 only where rounding moved a proposal off its band's edge
+    return pair.take(np.flatnonzero((hits > 0) & (rng.random(count) * hits < 1.0)), axis=1)
+
+
+def _draw(c: CloudParams, seed: int, plan: tuple) -> Realization:
+    """sample_cloud(c, seed, ...) for the _draw_plan of its other arguments."""
+    times, lo, hi, order, bands = plan
     rng = np.random.Generator(np.random.PCG64(seed))
-    count = int(rng.poisson(c.n_total))
     drawn = {}
-    for d in np.flatnonzero(windowed):
+    if bands is None:
+        count = int(rng.poisson(c.n_total))
+    else:
+        d = order[0]
+        drawn[d] = _band_draw(c, rng, times, lo[d], hi[d], d == 2, bands)
+        count = drawn[d].shape[1]
+    for d in order[len(drawn):]:
         pair = rng.standard_normal((2, count))
         pair[0] *= c.sigma_r
         pair[1] *= c.sigma_v
-        keep = np.zeros(count, dtype=bool)
-        pos = np.empty(count)
-        for t, a, b in zip(times, lo[d], hi[d]):
-            # the propagate formula, so a box edge cuts as the count does
-            np.multiply(pair[1], t, out=pos)
-            pos += pair[0]
-            if d == 2:
-                pos -= 0.5 * c.g * t**2
-            keep |= (pos >= a) & (pos <= b)
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(_window_hits(c, pair, times, lo[d], hi[d], d == 2))
         drawn = {e: earlier.take(kept, axis=1) for e, earlier in drawn.items()}
         drawn[d] = pair.take(kept, axis=1)
         count = kept.size
@@ -186,6 +263,31 @@ def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> 
                 rng.standard_normal(out=column)
                 column *= sigma
     return Realization(positions=positions, velocities=velocities, count=count)
+
+
+def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> Realization:
+    """Draw one cloud realization, deterministic for a given seed.
+
+    The atom count is Poisson with mean n_total; positions and velocities
+    are i.i.d. isotropic Gaussians (sigma_r, sigma_v).  ``lo`` and ``hi``
+    broadcast to (3, len(times)): the window of each coordinate at each
+    time.  An atom is kept only if each coordinate, propagated with the
+    fall along z, lies in its window at some time; a coordinate that has
+    the whole line as its window at some time keeps every atom.  With no
+    times this is the whole cloud.
+
+    Draw order is fixed.  The coordinates with windows come first, then
+    the others, each group in x, y, z order.  The first windowed coordinate
+    is drawn from its bands when they are narrow (see _bands and
+    _band_draw), which keeps the same atoms in distribution: a Poisson
+    count per band, the uniform pairs of the rejection rounds, one normal
+    per proposal along its band, and one uniform per proposal for the 1/k
+    thinning.  Otherwise the draw starts with the Poisson count of the whole
+    cloud.  Every other coordinate
+    draws a (2, kept) block, the positions then the velocities of the atoms
+    still kept, which are stored column-major (see Realization).
+    """
+    return _draw(c, seed, _draw_plan(c, times, lo, hi))
 
 
 def propagate(r0, v0, g: float, t: float):
@@ -221,7 +323,8 @@ def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi
     m box counts of binary_count_check, or both from one draw.
 
     Realization i sums _sub_clouds(c) sub-clouds of equal mean, drawn in the
-    windows lo, hi at the given times (see sample_cloud): sub-cloud 0 from
+    windows lo, hi at the given times as sample_cloud draws them, from one
+    _draw_plan for the whole ensemble: sub-cloud 0 from
     s = substream_seed(seed, i), sub-cloud j from substream_seed(s, j), in
     order of j.  So scheduling order cannot change the result.  One thread
     runs on the calling thread; more split the realizations into contiguous
@@ -231,13 +334,14 @@ def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi
     out = np.empty((n_realizations, width))
     parts = _sub_clouds(c)
     part = replace(c, n_total=c.n_total / parts)
+    plan = _draw_plan(part, times, lo, hi)
 
     def fill(indices) -> None:
         for i in indices:
             first = substream_seed(seed, i)
-            out[i] = row(sample_cloud(part, first, times, lo, hi))
+            out[i] = row(_draw(part, first, plan))
             for j in range(1, parts):
-                out[i] += row(sample_cloud(part, substream_seed(first, j), times, lo, hi))
+                out[i] += row(_draw(part, substream_seed(first, j), plan))
 
     if threads <= 1:
         fill(range(n_realizations))
@@ -365,14 +469,15 @@ def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _inside(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
-    """Number of the (count, 3) positions inside the box lo, hi."""
-    # column by column: no (count, 3) boolean temporaries
-    mask = np.ones(pos.shape[0], dtype=bool)
+def _inside(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Number of the (..., count, 3) positions inside the box lo, hi, over
+    the count axis."""
+    # coordinate by coordinate: no (..., count, 3) boolean temporaries
+    mask = np.ones(pos.shape[:-1], dtype=bool)
     for d in range(3):
-        mask &= pos[:, d] >= lo[d]
-        mask &= pos[:, d] <= hi[d]
-    return np.count_nonzero(mask)
+        mask &= pos[..., d] >= lo[d]
+        mask &= pos[..., d] <= hi[d]
+    return np.count_nonzero(mask, axis=-1)
 
 
 def _box_report(counts: np.ndarray, times: np.ndarray) -> BinaryCountReport:
@@ -448,15 +553,18 @@ def _ensemble_and_box(c: CloudParams, b: BeamParams, times, box_bounds, n_realiz
     if np.any(lo[:, None] < -window) or np.any(hi[:, None] > window):
         raise ValueError("the box must lie inside the beam window at every grid time")
     m = times.size
+    fall = 0.5 * c.g * times**2
 
     def both_counts(real: Realization) -> np.ndarray:
-        # effective_count's sum and the box count from one propagation
-        row = np.empty(2 * m)
-        for i, t in enumerate(times):
-            pos = propagate(real.positions, real.velocities, c.g, t)
-            row[i] = np.sum(weight(b, pos))
-            row[m + i] = _inside(pos, lo, hi)
-        return row
+        # effective_count's sums and the box counts from one propagation to
+        # all m times: the propagate formula in a (time, coordinate, atom)
+        # array, each time and coordinate contiguous, so each time's weight
+        # sum adds the same numbers in the same order as effective_count
+        pos = real.velocities.T * times[:, None, None]
+        pos += real.positions.T
+        pos[:, 2] -= fall[:, None]
+        pos = pos.transpose(0, 2, 1)
+        return np.concatenate([weight(b, pos).sum(axis=1), _inside(pos, lo, hi)])
 
     values = _realization_rows(c, both_counts, 2 * m, times, -window, window,
                                n_realizations, seed, threads)

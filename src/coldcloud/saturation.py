@@ -25,6 +25,7 @@ from .effnum import (
     _field_shift,
     _layer_density_weighted,
     _longitudinal_rule,
+    _sum_over_sections,
     sigma_small_waist,
 )
 from .optical import OpticalParams
@@ -210,7 +211,7 @@ def sigma_saturated_general(inp: EffNumInputs, opt: OpticalParams, t):
     layer = np.empty_like(x)
     layer[series] = _saturated_layer_series(inp, s_m[series], x[series], t_x[series])
     layer[~series] = _saturated_layer_quadrature(inp, s_m[~series], x[~series], t_x[~series])
-    out = np.sum(layer / beam_section(inp.beam, x) * dx, axis=-1)
+    out = _sum_over_sections(inp, layer, x, dx)
     return out if out.ndim else float(out)
 
 

@@ -252,6 +252,41 @@ def sample_cloud_full(c, seed):
     return c.sigma_r * rng.standard_normal((count, 3)), c.sigma_v * rng.standard_normal((count, 3))
 
 
+def band_union_mass(sigma_r, sigma_v, times, lo, hi):
+    """Normal mass of the (x0, v) plane, x0 ~ N(0, sigma_r^2) and v ~ N(0,
+    sigma_v^2), where lo_i <= x0 + v t_i <= hi_i for some i: the union of
+    the bands that sample_cloud's windows on a coordinate without fall
+    make.  Quadrature over x0 of the normal mass of the union of the v
+    intervals, merged by hand."""
+    def normal_cdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    def v_mass(x0):
+        intervals = []
+        for t, a, b in zip(times, lo, hi):
+            if t > 0:
+                intervals.append(((a - x0) / (sigma_v * t), (b - x0) / (sigma_v * t)))
+            elif a <= x0 <= b:
+                return 1.0
+        mass, reach = 0.0, -math.inf
+        for left, right in sorted(intervals):
+            left = max(left, reach)
+            if right > left:
+                mass += normal_cdf(right) - normal_cdf(left)
+                reach = right
+        return mass
+
+    # the t = 0 windows make the only jumps in x0; the tails beyond 12
+    # sigma_r weigh below 1e-32
+    edges = [x for t, a, b in zip(times, lo, hi) if t == 0 for x in (a, b)]
+    cuts = sorted({-12.0 * sigma_r, 12.0 * sigma_r,
+                   *(x for x in edges if abs(x) < 12.0 * sigma_r)})
+    density = 1.0 / (sigma_r * math.sqrt(2.0 * math.pi))
+    return sum(quad(lambda x0: density * math.exp(-0.5 * (x0 / sigma_r) ** 2) * v_mass(x0),
+                    left, right, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+               for left, right in zip(cuts, cuts[1:]))
+
+
 def fly_and_weigh(c, w0, wavelength, r0, v0, t):
     """Ballistic positions at time t, with the fall along -z, and the
     Gaussian beam weight exp(-2 (y^2 + z^2)/w(x)^2) of each atom."""

@@ -395,7 +395,6 @@ class TestCurveSubcommands:
         mean = np.loadtxt(tmp_path / "mean.csv", delimiter=",", skiprows=1)
         assert mean[0, 1] > 0.0 and np.all(mean[1:, 1] == 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sub", ["covariance", "spectrum", "detuning-spectrum"])
     @pytest.mark.parametrize("field,value", [("sigma_v", 1e300), ("sigma_r", 1e-300)])
     def test_time_scales_whose_squares_underflow(self, tmp_path, capsys, sub, field, value):
@@ -430,6 +429,70 @@ class TestCurveSubcommands:
             assert result.returncode == EXIT_CONFIG
             assert result.stderr.startswith("error: config field 'beam': w0 = 1e-300 ")
             assert result.stderr.count("\n") == 1
+
+    def test_arithmetic_errors_in_the_config_are_config_errors(self, tmp_path, capsys):
+        # w0 = 1.34e154: w0^2 leaves the float range.  w0 = 1e-30 at
+        # sigma_v = 1e300: tau_w = w0/(2 sigma_v) underflows to 0, and the
+        # omega grid derived from 8/tau_w leaves the float range
+        big = base_config()
+        big["beam"]["w0"] = 1.3407807929942597e154
+        narrow = base_config()
+        narrow["beam"]["w0"] = 1e-30
+        narrow["cloud"]["sigma_v"] = 1e300
+        del narrow["grids"]["omega"]
+        for cfg, message in (
+                (big, "config field 'beam': w0 = 1.3407807929942597e+154 gives a Rayleigh length "
+                      "pi*w0^2/wavelength that leaves the float range"),
+                (narrow, "config field 'grids.omega': the grid derived from the cloud time scales "
+                         "leaves the float range; give it in the config")):
+            assert main(["mean", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # a given grid is not derived
+        narrow["grids"]["omega"] = [0.0, 1.0]
+        run = load_config(write_config(tmp_path, narrow))
+        np.testing.assert_array_equal(run.omega_grid, [0.0, 1.0])
+
+    @pytest.mark.parametrize("sub,section,key,value", [
+        ("covariance", "cloud", "sigma_v", 1e300),
+        ("spectrum", "grids", "T", [1e300]),
+    ])
+    def test_one_error_line_and_no_warnings(self, tmp_path, sub, section, key, value):
+        # numpy overflows on the way to the non-finite result; stderr holds
+        # only the error line
+        cfg = base_config()
+        cfg[section][key] = value
+        result = run_python(["-m", "coldcloud.cli", sub, "--config", write_config(tmp_path, cfg),
+                             "--out", str(tmp_path)])
+        assert result.returncode == EXIT_FAIL
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith(f"error in {sub}: ")
+
+    def test_counts_beyond_the_float_range_are_zero(self, tmp_path, capsys):
+        # at t = 1e300, t^2 and t^4 overflow and the true counts underflow to
+        # 0; the t = 0 row keeps the bytes of a run without that time.  The
+        # variance/mean ratio of two zeros is its closed-form limit,
+        # exp(-tau_w^2/(2 tau_g^2))/2
+        rows = {}
+        for grid in ([0.0], [0.0, 1e300]):
+            cfg = base_config()
+            cfg["grids"]["t"] = grid
+            cfg_path = write_config(tmp_path, cfg)
+            for sub in ("mean", "variance", "sigma", "saturated"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert main([sub, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+                assert capsys.readouterr().err == ""
+                rows[sub, len(grid)] = (tmp_path / f"{sub}.csv").read_text().splitlines()
+        ts = coldcloud.time_scales(load_config(cfg_path).cloud, load_config(cfg_path).beam)
+        limit = 0.5 * math.exp(-ts.tau_w**2 / (2.0 * ts.tau_g**2))
+        for sub in ("mean", "variance", "sigma", "saturated"):
+            assert rows[sub, 2][:2] == rows[sub, 1]
+            last = [float(v) for v in rows[sub, 2][2].split(",")]
+            expected = [0.0] * (len(last) - 1)
+            if sub == "variance":
+                expected[-1] = pytest.approx(limit, rel=1e-15)
+            assert last == [1e300, *expected], sub
 
     def test_covariance_without_valid_pairs(self, tmp_path, capsys):
         cfg = base_config()
@@ -687,11 +750,11 @@ class TestPoissonBox:
 
     def test_box_mean_sees_a_window_that_cuts_too_much(self, monkeypatch):
         # the sampler's window shrunk to 0.9 of its width while the box stays
-        # at the full window's edge: ~19% of the box goes undrawn
-        true_sample = mc_oracle.sample_cloud
-        monkeypatch.setattr(mc_oracle, "sample_cloud",
-                            lambda c, seed, times, lo, hi: true_sample(c, seed, times,
-                                                                       0.9 * lo, 0.9 * hi))
+        # at the full window's edge: ~19% of the box goes undrawn.  The
+        # ensemble's draws all follow the one plan of its windows
+        true_plan = mc_oracle._draw_plan
+        monkeypatch.setattr(mc_oracle, "_draw_plan",
+                            lambda c, times, lo, hi: true_plan(c, times, 0.9 * lo, 0.9 * hi))
         assert np.min(self.z_of_box_mean()) < -5.0
 
 
@@ -825,7 +888,6 @@ overrides = st.tuples(
 
 
 class TestFuzzedScalarFields:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=150)
     @given(overrides=overrides)
     def test_finite_csv_or_one_line_error(self, overrides):
@@ -841,9 +903,8 @@ class TestFuzzedScalarFields:
             cfg_path = os.path.join(out, "config.json")
             with open(cfg_path, "w", encoding="utf-8") as handle:
                 json.dump(cfg, handle)
-            # a config that loads holds finite grids only (one whose beam
-            # leaves the float range raises OverflowError, and exits 1)
-            with contextlib.suppress(cli.ConfigError, ArithmeticError):
+            # a config that loads holds finite grids only
+            with contextlib.suppress(cli.ConfigError):
                 run = load_config(cfg_path)
                 for grid in (run.t_grid, run.big_t_grid, run.tau_grid, run.omega_grid,
                              run.mc_times):

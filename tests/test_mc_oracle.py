@@ -31,6 +31,12 @@ INPUTS = EffNumInputs(CLOUD, BEAM)
 BEAM_40 = BeamParams(w0=40e-6, wavelength=1e-9)
 
 
+def _banded(c, times, lo, hi):
+    """Whether sample_cloud draws the first windowed coordinate from its
+    bands."""
+    return mc_oracle._draw_plan(c, times, lo, hi)[-1] is not None
+
+
 class TestSubstreamSeed:
     def test_deterministic(self):
         assert substream_seed(123, 7) == substream_seed(123, 7)
@@ -90,15 +96,19 @@ class TestSampleCloud:
         for array in (real.positions, real.velocities, moved):
             assert all(array[:, d].flags.c_contiguous for d in range(3))
 
-    @pytest.mark.parametrize("lo,hi", [
-        # a band around the fallen centre in z only: z is drawn first
-        ([[-np.inf], [-np.inf], [-9e-4]], [[np.inf], [np.inf], [-6e-4]]),
-        # a half-line in x and a band in y; z has the whole line at t = 0
-        ([[2e-4] * 3, [-3e-4] * 3, [-np.inf, -1e-3, -1e-3]],
-         [[np.inf] * 3, [3e-4] * 3, [np.inf, 1e-3, 1e-3]]),
+    @pytest.mark.parametrize("lo,hi,banded", [
+        # a band around the fallen centre in z only: z is drawn first, from
+        # its bands
+        pytest.param([[-np.inf], [-np.inf], [-9e-4]], [[np.inf], [np.inf], [-6e-4]], True,
+                     id="lo0-hi0"),
+        # a half-line in x and a band in y; z has the whole line at t = 0.
+        # x is drawn first, in full
+        pytest.param([[2e-4] * 3, [-3e-4] * 3, [-np.inf, -1e-3, -1e-3]],
+                     [[np.inf] * 3, [3e-4] * 3, [np.inf, 1e-3, 1e-3]], False, id="lo1-hi1"),
     ])
-    def test_windowed_draw_matches_hand_loop(self, lo, hi):
+    def test_windowed_draw_matches_hand_loop(self, lo, hi, banded):
         times = np.array([0.0, 0.004, 0.011])
+        assert _banded(CLOUD, times, lo, hi) == banded
         real = sample_cloud(CLOUD, 77, times, lo, hi)
         r0, v0 = _naive_cloud(CLOUD, 77, times, np.broadcast_to(lo, (3, 3)),
                               np.broadcast_to(hi, (3, 3)))
@@ -241,18 +251,96 @@ class TestEnsembleStats:
                 binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed=0)
 
 
+def _naive_bands(c, times, lo, hi, falls):
+    """Per time t_i, the window lo_i <= x0 + v t_i - f_i <= hi_i of one
+    coordinate as a band a_i <= e_i . (x0/sigma_r, v/sigma_v) <= b_i of the
+    whitened plane: (mass, a_i, b_i, nearest^2, e_i), or None where the band
+    draw does not apply (an infinite bound, masses summing to 1 or more, or
+    uniform envelopes summing to 2 or more)."""
+    if not all(math.isfinite(x) for x in list(lo) + list(hi)):
+        return None
+    bands = []
+    for t, low, high in zip(times, lo, hi):
+        s = math.sqrt(c.sigma_r**2 + (c.sigma_v * t) ** 2)
+        fall = 0.5 * c.g * t**2 if falls else 0.0
+        a, b = (low + fall) / s, (high + fall) / s
+        mass = 0.5 * (math.erf(b / math.sqrt(2.0)) - math.erf(a / math.sqrt(2.0)))
+        nearest = min(max(0.0, a), b)
+        bands.append((max(0.0, mass), a, b, nearest**2, (c.sigma_r / s, c.sigma_v * t / s)))
+    envelope = sum(max(b - a, 0.0) * math.exp(-0.5 * near_sq) / math.sqrt(2.0 * math.pi)
+                   for _, a, b, near_sq, _ in bands)
+    if not (sum(band[0] for band in bands) < 1.0 and envelope < 2.0):
+        return None
+    return bands
+
+
 def _naive_cloud(c, seed, times, lo, hi):
-    """The windowed draw written out by hand: the Poisson count, then per
-    coordinate, windowed ones first, a (2, kept) block of positions and
-    velocities; an atom outside a coordinate's window at every time is
-    dropped.  lo and hi are (3, times) arrays."""
+    """The windowed draw written out by hand.  lo and hi are (3, times)
+    arrays; windowed coordinates come first, then the others, each group in
+    x, y, z order, and an atom outside a coordinate's window at every time
+    is dropped.
+
+    The first windowed coordinate is drawn from its bands where they
+    apply (see _naive_bands): a Poisson(n m_i) count per band; rounds of
+    uniform rejection for the truncated normal across the bands, each round
+    the across uniforms of the pending proposals, then their accept
+    uniforms; a normal along the band per proposal; the rotation back to
+    (x0, v); and one uniform per proposal, kept when below 1/k for k the
+    windows it is in.  Otherwise the draw starts with the Poisson count of
+    the whole cloud.  Every other coordinate draws a (2, kept) block of
+    positions and velocities."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    count = int(rng.poisson(c.n_total))
-    r0 = np.full((count, 3), np.nan)
-    v0 = np.full((count, 3), np.nan)
     windowed = [all(lo[d, i] > -np.inf or hi[d, i] < np.inf for i in range(len(times)))
                 for d in range(3)]
-    for d in [d for d in range(3) if windowed[d]] + [d for d in range(3) if not windowed[d]]:
+    order = [d for d in range(3) if windowed[d]] + [d for d in range(3) if not windowed[d]]
+
+    def windows_hit(d, x0, v):
+        hits = 0
+        for i, t in enumerate(times):
+            coord = x0 + v * t
+            if d == 2:
+                coord -= 0.5 * c.g * t**2
+            hits += lo[d, i] <= coord <= hi[d, i]
+        return hits
+
+    bands = _naive_bands(c, times, lo[order[0]], hi[order[0]], order[0] == 2) \
+        if windowed[order[0]] else None
+    if bands is None:
+        count = int(rng.poisson(c.n_total))
+        r0 = np.full((count, 3), np.nan)
+        v0 = np.full((count, 3), np.nan)
+    else:
+        d = order.pop(0)
+        proposals = []  # (band, across) in band order
+        for i, (mass, *_) in enumerate(bands):
+            proposals += [[i, None] for _ in range(int(rng.poisson(c.n_total * mass)))]
+        pending = list(range(len(proposals)))
+        while pending:
+            u = rng.random(2 * len(pending))
+            rejected = []
+            for j, p in enumerate(pending):
+                _, a, b, near_sq, _ = bands[proposals[p][0]]
+                x = a + (b - a) * u[j]
+                if u[len(pending) + j] < math.exp(0.5 * (near_sq - x * x)):
+                    proposals[p][1] = x
+                else:
+                    rejected.append(p)
+            pending = rejected
+        pairs = []
+        for i, x in proposals:
+            e_r, e_v = bands[i][4]
+            along = rng.standard_normal()
+            pairs.append((c.sigma_r * (x * e_r - along * e_v), c.sigma_v * (x * e_v + along * e_r)))
+        kept = []
+        for x0, v in pairs:
+            hits = windows_hit(d, x0, v)
+            if rng.random() * hits < 1.0 and hits > 0:
+                kept.append((x0, v))
+        r0 = np.full((len(kept), 3), np.nan)
+        v0 = np.full((len(kept), 3), np.nan)
+        r0[:, d] = [x0 for x0, _ in kept]
+        v0[:, d] = [v for _, v in kept]
+    for d in order:
         draws = rng.standard_normal((2, len(r0)))
         r0[:, d] = c.sigma_r * draws[0]
         v0[:, d] = c.sigma_v * draws[1]
@@ -320,6 +408,7 @@ class TestAgainstNaiveLoop:
         half = mc_oracle.BEAM_CUT * self.beam.w0 * np.sqrt(
             1.0 + (mc_oracle.AXIAL_CUT * sigma_x / l_r) ** 2)
         hi = np.stack([np.full(3, np.inf), half, half])
+        assert _banded(CLOUD, self.times, -hi, hi)
         naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_count, parts)
         assert np.all(naive > 0.0)
         for threads in (1, 2):
@@ -333,6 +422,9 @@ class TestAgainstNaiveLoop:
         def box_count(pos):
             return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
 
+        # the box's x windows hold more than the whole cloud's mass: x is
+        # drawn in full
+        assert not _banded(CLOUD, self.times, lo[:, None], hi[:, None])
         naive = _naive_rows(CLOUD, 23, 60, self.times, np.tile(lo[:, None], 3),
                             np.tile(hi[:, None], 3), box_count, parts)
         for threads in (1, 2):
@@ -438,6 +530,68 @@ class TestBeamWindow:
             z_mean = (mean - values.mean(axis=0)) / np.sqrt(2.0 * ref_var / n)
             z_var = (var - ref_var) / np.sqrt(2.0 * (fourth - ref_var**2) / n)
             assert np.all(np.abs(z_mean) < 4.0) and np.all(np.abs(z_var) < 4.0)
+
+
+class TestBandDraw:
+    """The first windowed coordinate drawn from its bands: the kept atoms
+    are the cloud restricted to the union of the bands."""
+
+    # five windows |y| <= 0.2 sigma_r at 1 ms steps: each band holds 15-16%
+    # of the cloud, their union 27%, so most kept atoms lie in several bands
+    times = np.array([0.0, 0.001, 0.002, 0.003, 0.004])
+    half = 2e-4
+
+    def z_of_mean_count(self, n=400):
+        lo = np.array([[-np.inf], [-self.half], [-np.inf]])
+        hi = -lo
+        mass = mc_oracle._draw_plan(CLOUD, self.times, lo, hi)[-1][0]
+        assert mass.sum() > 2.5 * self.union_mass()
+        counts = np.array([sample_cloud(CLOUD, substream_seed(71, i), self.times, lo, hi).count
+                           for i in range(n)])
+        expected = CLOUD.n_total * self.union_mass()
+        return (counts.mean() - expected) / math.sqrt(expected / n)
+
+    def union_mass(self):
+        m = self.times.size
+        return oracles.band_union_mass(CLOUD.sigma_r, CLOUD.sigma_v, self.times,
+                                       [-self.half] * m, [self.half] * m)
+
+    def test_mean_count_is_n_times_union_mass(self):
+        assert abs(self.z_of_mean_count()) < 4.0
+
+    def test_keeping_every_proposal_fails(self, monkeypatch):
+        # an atom in k bands is proposed k times; without the 1/k thinning
+        # the mean count is n times the summed masses, 2.8 times too many
+        true_hits = mc_oracle._window_hits
+        monkeypatch.setattr(mc_oracle, "_window_hits",
+                            lambda *args: np.minimum(true_hits(*args), 1))
+        assert self.z_of_mean_count() > 100.0
+
+    def test_desk_window_matches_full_draw(self):
+        # the desk config's beam window on y alone: the kept count and the
+        # sums of y0^2, vy^2 and y0*vy per realization, against the
+        # whole-cloud oracle cut to the same windows
+        n = 1000
+        cloud = CloudParams(n_total=1e4, sigma_r=1e-3, sigma_v=0.1, g=9.81)
+        times = np.array([0.0, 0.005, 0.01, 0.015, 0.02])
+        half = mc_oracle._beam_window(cloud, BeamParams(w0=10e-6, wavelength=1e-9), times)[1]
+        lo = np.stack([np.full(times.size, -np.inf), -half, np.full(times.size, -np.inf)])
+        assert _banded(cloud, times, lo, -lo)
+
+        def moments(y0, vy):
+            return [y0.size, np.sum(y0 * y0), np.sum(vy * vy), np.sum(y0 * vy)]
+
+        banded, full = [], []
+        for i in range(n):
+            real = sample_cloud(cloud, substream_seed(5, i), times, lo, -lo)
+            banded.append(moments(real.positions[:, 1], real.velocities[:, 1]))
+            r0, v0 = oracles.sample_cloud_full(cloud, 1_000_003 * i + 7)
+            kept = np.any([np.abs(r0[:, 1] + v0[:, 1] * t) <= h for t, h in zip(times, half)],
+                          axis=0)
+            full.append(moments(r0[kept, 1], v0[kept, 1]))
+        banded, full = np.array(banded), np.array(full)
+        se = np.sqrt((banded.var(axis=0, ddof=1) + full.var(axis=0, ddof=1)) / n)
+        assert np.all(np.abs(banded.mean(axis=0) - full.mean(axis=0)) < 4.0 * se)
 
 
 class TestBinaryCountCheck:
