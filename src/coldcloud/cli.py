@@ -76,8 +76,8 @@ from .fluct import (
     spectrum_exponential,
     variance,
 )
-from .mc_oracle import (_beam_window, _ensemble_and_box, _sub_clouds, dropped_weight_bound,
-                        ensemble_stats)
+from .mc_oracle import (_beam_window, _draw_plan, _ensemble_and_box, _sub_clouds,
+                        dropped_weight_bound, ensemble_stats)
 from .optical import OpticalParams
 from .saturation import sigma_saturated_closed, sigma_saturated_general
 
@@ -454,9 +454,16 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     }}, {"per_fall_time": regime}
 
 
-def _draw(cloud: CloudParams, m: int) -> dict:
-    """How the sampler draws each realization of cloud on m grid times."""
-    return {"beam_window": dropped_weight_bound(cloud, m), "sub_clouds": _sub_clouds(cloud)}
+def _draw(cloud: CloudParams, beam: BeamParams, times: np.ndarray) -> dict:
+    """How the sampler draws each realization of cloud on the grid times:
+    its beam window, its sub-clouds, and whether it draws them from the
+    product of the window's bands ("bands") or from the whole cloud
+    ("full"), with the share of the cloud it proposes, sum_i M_i or 1."""
+    window = _beam_window(cloud, beam, times)
+    bands = _draw_plan(cloud, times, -window, window)[-1]
+    return {"beam_window": dropped_weight_bound(cloud, times.size),
+            "sub_clouds": _sub_clouds(cloud), "draw": "full" if bands is None else "bands",
+            "proposed_share": 1.0 if bands is None else float(bands[1].sum())}
 
 
 def _mc(cfg: RunConfig, seed: int, threads: int):
@@ -472,7 +479,7 @@ def _mc(cfg: RunConfig, seed: int, threads: int):
             "mc_covariance": stats.covariance.ravel(),
             "mc_se_covariance": stats.se_covariance.ravel(),
         },
-    }, {"realizations": stats.realization_count, **_draw(cfg.cloud, m)}
+    }, {"realizations": stats.realization_count, **_draw(cfg.cloud, cfg.beam, stats.times)}
 
 
 def _poisson_box(cfg: RunConfig, times: np.ndarray):
@@ -553,7 +560,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
                          "pass": ok.astype(float)},
         "validate_report.json": report,
-    }, {"all_pass": report["all_pass"], **_draw(cfg.cloud, times.size),
+    }, {"all_pass": report["all_pass"], **_draw(cfg.cloud, cfg.beam, times),
         "poisson_box": {"lo_m": list(box[0]), "hi_m": list(box[1])}}
 
 

@@ -6,19 +6,24 @@ space, fly them ballistically, sum the beam weights, and estimate
 mean/variance/covariance across many independent realizations.  Only the
 atoms that can reach the beam or the box are drawn: a Poisson cloud
 restricted to a region is the same Poisson process there (Kingman,
-*Poisson Processes*, 1993).  Where the windows of the first windowed
-coordinate are narrow, as for validate's beam window, that coordinate is
-drawn from their bands in the (position, velocity) plane instead of from
-the whole cloud (see sample_cloud and _band_draw).
+*Poisson Processes*, 1993).  An atom is kept when, at some grid time, it
+is inside that time's window box.  Where those boxes hold less than the
+cloud, as for the beam window, the coordinates whose windows are all
+finite are drawn from the product of their bands in the (position,
+velocity) planes instead of from the whole cloud (see sample_cloud and
+_band_draw).
 
 Reproducibility contract: each realization uses its own generator seeded by
-a splitmix64 mix of the master seed and the realization index.  It draws,
-one coordinate at a time, the positions and then the velocities of the
-atoms still kept: first the coordinates with a window, then the others,
-each group in x, y, z order.  The draw starts with the Poisson count of the
-whole cloud, or, for a band draw, with the Poisson counts of the bands.
-Above _PART_ATOMS mean atoms, a realization adds independent sub-clouds of
-equal mean, sub-cloud j >= 1 seeded by the same mix of its seed and j.  All
+a splitmix64 mix of the master seed and the realization index.  A band
+draw takes, in order: one Poisson count per grid time; for each band
+coordinate in x, y, z order, the uniform pairs of its rejection rounds,
+then one normal per proposal along its band; one uniform per proposal for
+the thinning.  A full draw takes the Poisson count of the whole cloud
+instead.  Then each remaining windowed coordinate, and last the
+coordinates without a window, each group in x, y, z order, take the
+positions and then the velocities of the atoms still kept.  Above
+_PART_ATOMS mean atoms, a realization adds independent sub-clouds of equal
+mean, sub-cloud j >= 1 seeded by the same mix of its seed and j.  All
 statistics are reductions over a fully materialized (realization, time)
 array.  Results are therefore bit-identical no matter how many threads the
 realizations are spread over.
@@ -53,7 +58,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # Beam window of weighted_counts.  An atom is drawn only if its y and its z
-# each come within BEAM_CUT * W_i of the beam axis at some grid time t_i,
+# both come within BEAM_CUT * W_i of the beam axis at one grid time t_i,
 # where W_i = w(AXIAL_CUT * sigma_x(t_i)) bounds the beam radius w(x) over
 # |x| <= AXIAL_CUT * sigma_x(t_i).  A dropped atom in that range weighs at
 # most exp(-2 BEAM_CUT^2) at t_i, and an atom leaves it with probability
@@ -84,10 +89,9 @@ class Realization:
     """One sampled cloud: atom positions and velocities at release.
 
     ``count`` is the number of atoms drawn, which sample_cloud limits to
-    those inside its windows.  It stores both (count, 3) arrays
-    column-major, so each
-    coordinate ``[:, d]``, which propagation, weight and box test read, is
-    contiguous.
+    those inside the window box of some time.  It stores both (count, 3)
+    arrays column-major, so each coordinate ``[:, d]``, which propagation,
+    weight and box test read, is contiguous.
     """
 
     positions: np.ndarray
@@ -143,116 +147,131 @@ def _draw_plan(c: CloudParams, times, lo, hi) -> tuple:
     """What sample_cloud draws for one (cloud, times, windows), computed
     once per ensemble since it does not depend on the seed: the checked
     times, the windows lo, hi broadcast to (3, times), the windowed
-    coordinates in x, y, z order, and the _bands of the first of them, or
-    None for the full draw."""
+    coordinates in x, y, z order, and the _bands of those among them whose
+    bounds are all finite, or None for the full draw."""
     if not c.n_total > 0:
         raise ValueError("sampling requires a positive mean atom number")
     times = np.atleast_1d(_checked(times, "times", 0.0))
     lo, hi = (np.broadcast_to(np.asarray(side, dtype=float), (3, times.size)) for side in (lo, hi))
     windowed = ((lo > -np.inf) | (hi < np.inf)).all(axis=1) & (times.size > 0)
     order = np.flatnonzero(windowed).tolist()
-    bands = _bands(c, times, lo[order[0]], hi[order[0]], order[0] == 2) if order else None
-    return times, lo, hi, order, bands
+    banded = [d for d in order if np.isfinite(lo[d]).all() and np.isfinite(hi[d]).all()]
+    return times, lo, hi, order, _bands(c, times, lo, hi, banded) if banded else None
 
 
-def _bands(c: CloudParams, times: np.ndarray, lo: np.ndarray, hi: np.ndarray, falls: bool):
-    """The windows lo_i <= x0 + v t_i - f_i <= hi_i of one coordinate as
-    bands a_i <= (x0 + v t_i)/s_i <= b_i of the whitened (x0/sigma_r,
-    v/sigma_v) plane, with s_i^2 = sigma_r^2 + sigma_v^2 t_i^2 and f_i the
-    fall g t_i^2/2 on z.  Returns (mass, a, b, nearest^2, e_r, e_v): each
-    band's standard normal mass, its bounds, the square of its point nearest
-    0, and its unit normal e_i = (sigma_r, sigma_v t_i)/s_i.
+def _bands(c: CloudParams, times: np.ndarray, lo: np.ndarray, hi: np.ndarray, coords: list):
+    """The windows lo_i <= x0 + v t_i - f_i <= hi_i of the coordinates
+    coords as bands a_i <= (x0 + v t_i)/s_i <= b_i of each coordinate's
+    whitened (x0/sigma_r, v/sigma_v) plane, with s_i^2 = sigma_r^2 +
+    sigma_v^2 t_i^2 and f_i the fall g t_i^2/2 on z.  Returns (coords, joint,
+    a, b, nearest^2, e_r, e_v): the joint mass M_i = prod_d m_i^d of the
+    window box at t_i, the (coordinate, time) bounds of the bands and the
+    squares of their points nearest 0, and the unit normal e_i = (sigma_r,
+    sigma_v t_i)/s_i that every coordinate shares.
 
-    None, for the full draw, unless every bound is finite, the masses sum
-    below 1, so that the band draw proposes fewer atoms than the whole cloud
-    holds, and the uniform envelopes of the rejection step, of area
-    (b_i - a_i) phi(nearest_i), sum below 2: n_total times that sum is the
-    expected number of uniform pairs the rejection rounds draw, which a
-    band far off centre would make unbounded.
+    None, for the full draw, unless the joint masses sum below 1, so that
+    the band draw proposes fewer atoms than the whole cloud holds, and the
+    expected uniform pairs of the rejection rounds per cloud atom,
+    sum_i sum_d env_i^d prod_{e != d} m_i^e with env_i^d = (b - a) phi(nearest)
+    the area of band (d, i)'s uniform envelope, stay below 2: a band far
+    off centre would make them unbounded.
     """
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        return None
     s = np.sqrt(_spread_sq(c, times))
-    fall = 0.5 * c.g * times**2 if falls else 0.0
-    a, b = (lo + fall) / s, (hi + fall) / s
+    fall = np.where(np.equal(coords, 2)[:, None], 0.5 * c.g * times**2, 0.0)
+    a, b = (lo[coords] + fall) / s, (hi[coords] + fall) / s
     root2 = math.sqrt(2.0)
-    mass = np.maximum(0.0, [0.5 * (math.erf(upper / root2) - math.erf(lower / root2))
-                            for lower, upper in zip(a.tolist(), b.tolist())])
+    mass = np.maximum(0.0, [[0.5 * (math.erf(upper / root2) - math.erf(lower / root2))
+                             for lower, upper in zip(*rows)]
+                            for rows in zip(a.tolist(), b.tolist())])
     nearest_sq = np.clip(0.0, a, b) ** 2
     envelope = np.maximum(b - a, 0.0) * np.exp(-0.5 * nearest_sq) / math.sqrt(2.0 * math.pi)
-    if not (mass.sum() < 1.0 and envelope.sum() < 2.0):
+    joint = mass.prod(axis=0)
+    pairs = sum(np.sum(envelope[j] * np.delete(mass, j, axis=0).prod(axis=0))
+                for j in range(len(coords)))
+    if not (joint.sum() < 1.0 and pairs < 2.0):
         return None
-    return mass, a, b, nearest_sq, c.sigma_r / s, c.sigma_v * times / s
+    return coords, joint, a, b, nearest_sq, c.sigma_r / s, c.sigma_v * times / s
 
 
 def _window_hits(c: CloudParams, pair: np.ndarray, times: np.ndarray, lo, hi,
                  falls: bool) -> np.ndarray:
-    """For each (position, velocity) column of pair, the number of times t_i
-    at which the coordinate lies in its window [lo_i, hi_i]."""
-    hits = np.zeros(pair.shape[1], dtype=np.min_scalar_type(len(times)))
-    pos = np.empty(pair.shape[1])
-    for t, a, b in zip(times, lo, hi):
-        # the propagate formula, so a box edge cuts as the count does
-        np.multiply(pair[1], t, out=pos)
-        pos += pair[0]
-        if falls:
-            pos -= 0.5 * c.g * t**2
-        hits += (pos >= a) & (pos <= b)
-    return hits
+    """(time, atom) mask: whether the coordinate of each (position,
+    velocity) column of pair lies in its window [lo_i, hi_i] at t_i."""
+    # the propagate formula, so a box edge cuts as the count does
+    pos = pair[1] * times[:, None]
+    pos += pair[0]
+    if falls:
+        pos -= (0.5 * c.g * times**2)[:, None]
+    return (pos >= lo[:, None]) & (pos <= hi[:, None])
 
 
-def _band_draw(c: CloudParams, rng: np.random.Generator, times: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray, falls: bool, bands: tuple) -> np.ndarray:
-    """The (position, velocity) pairs, shape (2, kept), of the cloud's atoms
-    inside the union of one coordinate's windows lo, hi at the times.
-
-    Band i gets a Poisson(n_total m_i) count of proposals, the Poisson
-    (n_total sum m) count split among the bands with probabilities
-    m_i/sum m.  Across its band a proposal is a standard normal truncated to
-    [a_i, b_i], by uniform rejection (Devroye 1986), along it a free
-    normal.  A proposal in k windows is kept with probability 1/k, so the
-    kept atoms are the cloud restricted to the union (Karp, Luby & Madras
-    1989): a thinned Poisson process is Poisson.
-    """
-    mass, a, b, nearest_sq, e_r, e_v = bands
-    per_band = rng.poisson(c.n_total * mass)
-    count = int(per_band.sum())
-    lower, width, top, e_r, e_v = np.repeat(np.stack([a, b - a, nearest_sq, e_r, e_v]),
-                                            per_band, axis=1)
-    across = np.empty(count)
-    pending = np.arange(count)
+def _truncated_normal(rng: np.random.Generator, lower: np.ndarray, width: np.ndarray,
+                      top: np.ndarray) -> np.ndarray:
+    """Standard normals truncated to [lower, lower + width] by uniform
+    rejection (Devroye 1986): rounds of uniform pairs for those pending, x
+    accepted with probability exp(-(x^2 - top)/2), top the interval's
+    smallest x^2."""
+    out = np.empty(lower.size)
+    pending = np.arange(lower.size)
     while pending.size:
         u = rng.random((2, pending.size))
         x = lower[pending] + width[pending] * u[0]
         accepted = u[1] < np.exp(0.5 * (top[pending] - x * x))
-        across[pending[accepted]] = x[accepted]
+        out[pending[accepted]] = x[accepted]
         pending = pending[~accepted]
-    along = rng.standard_normal(count)
-    pair = np.stack([c.sigma_r * (across * e_r - along * e_v),
-                     c.sigma_v * (across * e_v + along * e_r)])
-    hits = _window_hits(c, pair, times, lo, hi, falls)
+    return out
+
+
+def _band_draw(c: CloudParams, rng: np.random.Generator, times: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, bands: tuple) -> tuple[dict, np.ndarray]:
+    """The (position, velocity) pairs, shape (2, kept), of the band
+    coordinates of the cloud's atoms inside the union over t_i of the
+    window boxes, keyed by coordinate, and their (time, kept) mask of being
+    inside each box.
+
+    Time i gets a Poisson(n_total M_i) count of proposals, drawn in one
+    call.  In each band coordinate in turn, across band i a proposal is a
+    standard normal truncated to [a_i, b_i], along it a free normal.  A
+    proposal in k boxes is kept with probability 1/k, so the kept atoms are
+    the cloud restricted to the union (Karp, Luby & Madras 1989): a thinned
+    Poisson process is Poisson.
+    """
+    coords, joint, a, b, nearest_sq, e_r, e_v = bands
+    band = np.repeat(np.arange(times.size), rng.poisson(c.n_total * joint))
+    count = band.size
+    e_r, e_v = e_r[band], e_v[band]
+    drawn, inside = {}, np.ones((1, count), dtype=bool)
+    for j, d in enumerate(coords):
+        across = _truncated_normal(rng, a[j, band], (b[j] - a[j])[band], nearest_sq[j, band])
+        along = rng.standard_normal(count)
+        drawn[d] = np.stack([c.sigma_r * (across * e_r - along * e_v),
+                             c.sigma_v * (across * e_v + along * e_r)])
+        inside = inside & _window_hits(c, drawn[d], times, lo[d], hi[d], d == 2)
+    hits = np.count_nonzero(inside, axis=0)
     # hits is 0 only where rounding moved a proposal off its band's edge
-    return pair.take(np.flatnonzero((hits > 0) & (rng.random(count) * hits < 1.0)), axis=1)
+    kept = np.flatnonzero((hits > 0) & (rng.random(count) * hits < 1.0))
+    return {d: pair.take(kept, axis=1) for d, pair in drawn.items()}, inside.take(kept, axis=1)
 
 
 def _draw(c: CloudParams, seed: int, plan: tuple) -> Realization:
     """sample_cloud(c, seed, ...) for the _draw_plan of its other arguments."""
     times, lo, hi, order, bands = plan
     rng = np.random.Generator(np.random.PCG64(seed))
-    drawn = {}
     if bands is None:
         count = int(rng.poisson(c.n_total))
+        drawn, inside = {}, np.ones((1, count), dtype=bool)
     else:
-        d = order[0]
-        drawn[d] = _band_draw(c, rng, times, lo[d], hi[d], d == 2, bands)
-        count = drawn[d].shape[1]
-    for d in order[len(drawn):]:
+        drawn, inside = _band_draw(c, rng, times, lo, hi, bands)
+        count = inside.shape[1]
+    for d in (d for d in order if d not in drawn):
         pair = rng.standard_normal((2, count))
         pair[0] *= c.sigma_r
         pair[1] *= c.sigma_v
-        kept = np.flatnonzero(_window_hits(c, pair, times, lo[d], hi[d], d == 2))
+        inside = inside & _window_hits(c, pair, times, lo[d], hi[d], d == 2)
+        kept = np.flatnonzero(inside.any(axis=0))
         drawn = {e: earlier.take(kept, axis=1) for e, earlier in drawn.items()}
         drawn[d] = pair.take(kept, axis=1)
+        inside = inside.take(kept, axis=1)
         count = kept.size
     positions, velocities = (np.empty((count, 3), order="F") for _ in range(2))
     for d in range(3):
@@ -271,21 +290,22 @@ def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> 
     The atom count is Poisson with mean n_total; positions and velocities
     are i.i.d. isotropic Gaussians (sigma_r, sigma_v).  ``lo`` and ``hi``
     broadcast to (3, len(times)): the window of each coordinate at each
-    time.  An atom is kept only if each coordinate, propagated with the
-    fall along z, lies in its window at some time; a coordinate that has
-    the whole line as its window at some time keeps every atom.  With no
-    times this is the whole cloud.
+    time.  An atom is kept only if, at some time t_i, every coordinate,
+    propagated with the fall along z, lies in its window at t_i; a
+    coordinate that has the whole line as its window at some time counts
+    as one without a window.  With no times this is the whole cloud.
 
-    Draw order is fixed.  The coordinates with windows come first, then
-    the others, each group in x, y, z order.  The first windowed coordinate
-    is drawn from its bands when they are narrow (see _bands and
-    _band_draw), which keeps the same atoms in distribution: a Poisson
-    count per band, the uniform pairs of the rejection rounds, one normal
-    per proposal along its band, and one uniform per proposal for the 1/k
-    thinning.  Otherwise the draw starts with the Poisson count of the whole
-    cloud.  Every other coordinate
-    draws a (2, kept) block, the positions then the velocities of the atoms
-    still kept, which are stored column-major (see Realization).
+    Draw order is fixed.  The windowed coordinates whose bounds are all
+    finite are drawn first, from the product of their bands, when the
+    window boxes hold less than the cloud (see _bands and _band_draw),
+    which keeps the same atoms in distribution: a Poisson count per time;
+    per band coordinate in x, y, z order, the uniform pairs of the
+    rejection rounds and one normal per proposal along its band; one
+    uniform per proposal for the 1/k thinning.  Otherwise the draw starts
+    with the Poisson count of the whole cloud.  Every other coordinate
+    draws a (2, kept) block, the windowed ones first, each group in x, y, z
+    order: the positions then the velocities of the atoms still kept,
+    which are stored column-major (see Realization).
     """
     return _draw(c, seed, _draw_plan(c, times, lo, hi))
 
@@ -309,6 +329,22 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
     """Weighted atom count N(t) = sum of beam weights over the atoms."""
     pos = propagate(real.positions, real.velocities, g, t)
     return float(np.sum(weight(b, pos)))
+
+
+def _per_time(real: Realization, times: np.ndarray, g: float, counts) -> np.ndarray:
+    """counts(pos), joined along its last, time axis, for the positions pos
+    (time, atom, 3) at chunks of the times of at most _PART_ATOMS entries
+    (512 KiB) or one time: the propagate formula in a (time, coordinate,
+    atom) array, so each time's weight sum adds the same numbers in the
+    same order as effective_count."""
+    step = max(1, _PART_ATOMS // max(3 * real.count, 1))
+    rows = []
+    for chunk in np.split(times, range(step, times.size, step)):
+        pos = real.velocities.T * chunk[:, None, None]
+        pos += real.positions.T
+        pos[:, 2] -= (0.5 * g * chunk**2)[:, None]
+        rows.append(counts(pos.transpose(0, 2, 1)))
+    return np.concatenate(rows, axis=-1)
 
 
 def _sub_clouds(c: CloudParams) -> int:
@@ -433,7 +469,7 @@ def weighted_counts(
     times = np.atleast_1d(_checked(times, "times", 0.0))
     hi = _beam_window(c, b, times)
     return _realization_rows(
-        c, lambda real: [effective_count(b, real, c.g, t) for t in times],
+        c, lambda real: _per_time(real, times, c.g, lambda pos: weight(b, pos).sum(axis=1)),
         times.size, times, -hi, hi, n_realizations, seed, threads,
     )
 
@@ -518,19 +554,15 @@ def binary_count_check(
     all space.  Counts atoms inside the box after free fall and reports the
     variance/mean ratio with a jackknife standard error; a healthy sampler
     gives 1 within noise at every time, independently of any beam-weight
-    physics.  Only atoms that enter the box at some grid time are drawn.
+    physics.  Only atoms inside the box at some grid time are drawn.
     """
     if n_realizations < 3:
         raise ValueError("need at least 3 realizations for jackknife standard errors")
     lo, hi = _box(box_bounds)
     times = np.atleast_1d(_checked(times, "times", 0.0))
-
-    def box_counts(real: Realization):
-        return [_inside(propagate(real.positions, real.velocities, c.g, t), lo, hi)
-                for t in times]
-
-    counts = _realization_rows(c, box_counts, times.size, times, lo[:, None], hi[:, None],
-                               n_realizations, seed, threads)
+    counts = _realization_rows(
+        c, lambda real: _per_time(real, times, c.g, lambda pos: _inside(pos, lo, hi)),
+        times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
     return _box_report(counts, times)
 
 
@@ -552,21 +584,9 @@ def _ensemble_and_box(c: CloudParams, b: BeamParams, times, box_bounds, n_realiz
     window = _beam_window(c, b, times)
     if np.any(lo[:, None] < -window) or np.any(hi[:, None] > window):
         raise ValueError("the box must lie inside the beam window at every grid time")
-    m = times.size
-    fall = 0.5 * c.g * times**2
-
-    def both_counts(real: Realization) -> np.ndarray:
-        # effective_count's sums and the box counts from one propagation to
-        # all m times: the propagate formula in a (time, coordinate, atom)
-        # array, each time and coordinate contiguous, so each time's weight
-        # sum adds the same numbers in the same order as effective_count
-        pos = real.velocities.T * times[:, None, None]
-        pos += real.positions.T
-        pos[:, 2] -= fall[:, None]
-        pos = pos.transpose(0, 2, 1)
-        return np.concatenate([weight(b, pos).sum(axis=1), _inside(pos, lo, hi)])
-
-    values = _realization_rows(c, both_counts, 2 * m, times, -window, window,
-                               n_realizations, seed, threads)
+    values = _realization_rows(
+        c, lambda real: _per_time(real, times, c.g, lambda pos: np.stack(
+            [weight(b, pos).sum(axis=1), _inside(pos, lo, hi)])).ravel(),
+        2 * times.size, times, -window, window, n_realizations, seed, threads)
     weighted, boxed = (np.ascontiguousarray(half) for half in np.hsplit(values, 2))
     return _ensemble_from_values(weighted, times, seed), _box_report(boxed, times)

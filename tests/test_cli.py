@@ -606,13 +606,28 @@ class TestMonteCarloSubcommands:
     @pytest.mark.parametrize("config,parts", [("default.json", 16), ("validate_desk.json", 1)])
     def test_manifest_records_sub_clouds(self, tmp_path, config, parts):
         # each realization of more than 2**16 mean atoms is drawn as
-        # independent sub-clouds of at most that mean
+        # independent sub-clouds of at most that mean, each from the bands
+        # of the beam window's boxes, which hold sum_i M_i of the cloud
         cfg = json.loads((ROOT / "configs" / config).read_text())
         cfg["mc"]["realizations"] = 3
         cfg_path = write_config(tmp_path, cfg)
         assert main(["mc", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
         manifest = json.loads((tmp_path / "mc_manifest.json").read_text())
         assert manifest["sub_clouds"] == parts
+        assert manifest["draw"] == "bands"
+        share = {"default.json": 0.3432, "validate_desk.json": 0.004234}[config]
+        assert manifest["proposed_share"] == pytest.approx(share, rel=1e-3)
+
+    def test_manifest_records_a_full_draw(self, tmp_path):
+        # a 1 mm waist: the window boxes hold more than the cloud, which is
+        # drawn whole
+        cfg = json.loads((ROOT / "configs" / "validate_desk.json").read_text())
+        cfg["mc"]["realizations"] = 3
+        cfg["beam"]["w0"] = 1e-3
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["mc", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "mc_manifest.json").read_text())
+        assert (manifest["draw"], manifest["proposed_share"]) == ("full", 1.0)
 
     def test_capped_time_grid_spans_an_unsorted_list(self, tmp_path):
         # more than 8 listed times are replaced by 5 evenly spaced ones over
@@ -648,6 +663,7 @@ class TestMonteCarloSubcommands:
         manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
         assert manifest["beam_window"]["dropped_weight_bound"] < 1e-15
         assert manifest["sub_clouds"] == 1
+        assert manifest["draw"] == "bands" and 0.0 < manifest["proposed_share"] < 1.0
 
     def test_validate_names_a_defect(self, tmp_path, monkeypatch, capsys):
         # a closed-form mean 10% too high against a correct sampler; 4x the

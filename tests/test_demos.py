@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 07 runs 6-7 s of Monte Carlo on a 2-core machine, most of it the Poisson
-# box; test_mc_oracle covers the API it uses
+# 07 runs 2.1-2.7 s of Monte Carlo on a 2-core machine (three runs), most
+# of it the Poisson box, drawn from the product of its bands
 DEMOS = [
     "01_beam_geometry.py",
     "02_cloud_expansion.py",
@@ -19,6 +19,7 @@ DEMOS = [
     "04_saturation.py",
     "05_number_fluctuations.py",
     "06_cavity_detuning_noise.py",
+    "07_monte_carlo_check.py",
 ]
 
 

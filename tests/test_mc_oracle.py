@@ -32,8 +32,8 @@ BEAM_40 = BeamParams(w0=40e-6, wavelength=1e-9)
 
 
 def _banded(c, times, lo, hi):
-    """Whether sample_cloud draws the first windowed coordinate from its
-    bands."""
+    """Whether sample_cloud draws the band coordinates from the product of
+    their bands."""
     return mc_oracle._draw_plan(c, times, lo, hi)[-1] is not None
 
 
@@ -102,16 +102,23 @@ class TestSampleCloud:
         pytest.param([[-np.inf], [-np.inf], [-9e-4]], [[np.inf], [np.inf], [-6e-4]], True,
                      id="lo0-hi0"),
         # a half-line in x and a band in y; z has the whole line at t = 0.
-        # x is drawn first, in full
+        # y is drawn first, from its bands, then x in full
         pytest.param([[2e-4] * 3, [-3e-4] * 3, [-np.inf, -1e-3, -1e-3]],
-                     [[np.inf] * 3, [3e-4] * 3, [np.inf, 1e-3, 1e-3]], False, id="lo1-hi1"),
+                     [[np.inf] * 3, [3e-4] * 3, [np.inf, 1e-3, 1e-3]], True, id="lo1-hi1"),
+        # the same with |y| <= 0.6 sigma_r: the y bands hold 1.18 times the
+        # cloud, so the draw starts from the whole cloud's count
+        pytest.param([[2e-4] * 3, [-6e-4] * 3, [-np.inf, -1e-3, -1e-3]],
+                     [[np.inf] * 3, [6e-4] * 3, [np.inf, 1e-3, 1e-3]], False, id="full"),
+        # a box in all three coordinates, drawn from the product of its bands
+        pytest.param([[-1e-3], [-5e-4], [-2e-3]], [[8e-4], [1e-3], [4e-4]], True, id="box"),
     ])
     def test_windowed_draw_matches_hand_loop(self, lo, hi, banded):
         times = np.array([0.0, 0.004, 0.011])
-        assert _banded(CLOUD, times, lo, hi) == banded
+        lo3, hi3 = np.broadcast_to(lo, (3, 3)), np.broadcast_to(hi, (3, 3))
+        _, joint, pairs, _, _ = _naive_bands(CLOUD, times, lo3, hi3, [0, 1, 2])
+        assert _banded(CLOUD, times, lo, hi) == banded == (sum(joint) < 1.0 and pairs < 2.0)
         real = sample_cloud(CLOUD, 77, times, lo, hi)
-        r0, v0 = _naive_cloud(CLOUD, 77, times, np.broadcast_to(lo, (3, 3)),
-                              np.broadcast_to(hi, (3, 3)))
+        r0, v0 = _naive_cloud(CLOUD, 77, times, lo3, hi3)
         assert 0 < real.count == len(r0) < CLOUD.n_total / 2
         np.testing.assert_array_equal(real.positions, r0)
         np.testing.assert_array_equal(real.velocities, v0)
@@ -251,107 +258,116 @@ class TestEnsembleStats:
                 binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed=0)
 
 
-def _naive_bands(c, times, lo, hi, falls):
-    """Per time t_i, the window lo_i <= x0 + v t_i - f_i <= hi_i of one
-    coordinate as a band a_i <= e_i . (x0/sigma_r, v/sigma_v) <= b_i of the
-    whitened plane: (mass, a_i, b_i, nearest^2, e_i), or None where the band
-    draw does not apply (an infinite bound, masses summing to 1 or more, or
-    uniform envelopes summing to 2 or more)."""
-    if not all(math.isfinite(x) for x in list(lo) + list(hi)):
+def _naive_bands(c, times, lo, hi, windowed):
+    """The band coordinates, the windowed ones whose bounds are all finite,
+    in x, y, z order, and per time t_i the window box of the band
+    coordinates: (coords, M, pairs, bands, normals) with M_i the box's
+    normal mass, the product of the coordinates' band masses; pairs the
+    expected uniform pairs of the rejection rounds per cloud atom,
+    sum_i sum_d env_i^d prod_{e != d} m_i^e; bands[i] the (a, b, nearest^2)
+    of each coordinate's band a <= e_i . (x0/sigma_r, v/sigma_v) <= b of its
+    whitened plane; and normals[i] = e_i = (sigma_r, sigma_v t_i)/s_i.
+    None without band coordinates."""
+    coords = [d for d in windowed
+              if all(math.isfinite(x) for x in list(lo[d]) + list(hi[d]))]
+    if not coords:
         return None
-    bands = []
-    for t, low, high in zip(times, lo, hi):
+    joint, pairs, bands, normals = [], 0.0, [], []
+    for i, t in enumerate(times):
         s = math.sqrt(c.sigma_r**2 + (c.sigma_v * t) ** 2)
-        fall = 0.5 * c.g * t**2 if falls else 0.0
-        a, b = (low + fall) / s, (high + fall) / s
-        mass = 0.5 * (math.erf(b / math.sqrt(2.0)) - math.erf(a / math.sqrt(2.0)))
-        nearest = min(max(0.0, a), b)
-        bands.append((max(0.0, mass), a, b, nearest**2, (c.sigma_r / s, c.sigma_v * t / s)))
-    envelope = sum(max(b - a, 0.0) * math.exp(-0.5 * near_sq) / math.sqrt(2.0 * math.pi)
-                   for _, a, b, near_sq, _ in bands)
-    if not (sum(band[0] for band in bands) < 1.0 and envelope < 2.0):
-        return None
-    return bands
+        masses, envelopes, box = [], [], []
+        for d in coords:
+            fall = 0.5 * c.g * t**2 if d == 2 else 0.0
+            a, b = (lo[d, i] + fall) / s, (hi[d, i] + fall) / s
+            masses.append(max(0.0, 0.5 * (math.erf(b / math.sqrt(2.0))
+                                          - math.erf(a / math.sqrt(2.0)))))
+            nearest = min(max(0.0, a), b)
+            envelopes.append(max(b - a, 0.0) * math.exp(-0.5 * nearest**2)
+                             / math.sqrt(2.0 * math.pi))
+            box.append((a, b, nearest**2))
+        joint.append(math.prod(masses))
+        pairs += sum(env * math.prod(masses[:j] + masses[j + 1:])
+                     for j, env in enumerate(envelopes))
+        bands.append(box)
+        normals.append((c.sigma_r / s, c.sigma_v * t / s))
+    return coords, joint, pairs, bands, normals
 
 
 def _naive_cloud(c, seed, times, lo, hi):
     """The windowed draw written out by hand.  lo and hi are (3, times)
-    arrays; windowed coordinates come first, then the others, each group in
-    x, y, z order, and an atom outside a coordinate's window at every time
-    is dropped.
+    arrays; an atom is kept when, at some time t_i, every windowed
+    coordinate lies in its window at t_i.
 
-    The first windowed coordinate is drawn from its bands where they
-    apply (see _naive_bands): a Poisson(n m_i) count per band; rounds of
-    uniform rejection for the truncated normal across the bands, each round
-    the across uniforms of the pending proposals, then their accept
-    uniforms; a normal along the band per proposal; the rotation back to
-    (x0, v); and one uniform per proposal, kept when below 1/k for k the
-    windows it is in.  Otherwise the draw starts with the Poisson count of
-    the whole cloud.  Every other coordinate draws a (2, kept) block of
-    positions and velocities."""
+    The band coordinates (see _naive_bands) are drawn first when their
+    boxes' masses sum below 1 and their uniform pairs below 2: a
+    Poisson(n M_i) count of proposals per time; for each band coordinate in
+    x, y, z order, rounds of uniform rejection for the truncated normal
+    across its bands, each round the across uniforms of the pending
+    proposals, then their accept uniforms, and then a normal along the band
+    per proposal, rotated back to (x0, v); and one uniform per proposal,
+    kept when below 1/k for k the times at which it lies in every band
+    coordinate's window.  Otherwise the draw starts with the Poisson count
+    of the whole cloud.  Every other coordinate, the windowed ones first,
+    each group in x, y, z order, draws a (2, kept) block of positions and
+    velocities."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    windowed = [all(lo[d, i] > -np.inf or hi[d, i] < np.inf for i in range(len(times)))
-                for d in range(3)]
-    order = [d for d in range(3) if windowed[d]] + [d for d in range(3) if not windowed[d]]
+    every_time = set(range(len(times)))
+    windowed = [d for d in range(3)
+                if all(lo[d, i] > -np.inf or hi[d, i] < np.inf for i in every_time)]
 
-    def windows_hit(d, x0, v):
-        hits = 0
+    def times_inside(d, x0, v):
+        found = set()
         for i, t in enumerate(times):
             coord = x0 + v * t
             if d == 2:
                 coord -= 0.5 * c.g * t**2
-            hits += lo[d, i] <= coord <= hi[d, i]
-        return hits
+            if lo[d, i] <= coord <= hi[d, i]:
+                found.add(i)
+        return found
 
-    bands = _naive_bands(c, times, lo[order[0]], hi[order[0]], order[0] == 2) \
-        if windowed[order[0]] else None
-    if bands is None:
-        count = int(rng.poisson(c.n_total))
-        r0 = np.full((count, 3), np.nan)
-        v0 = np.full((count, 3), np.nan)
+    plan = _naive_bands(c, times, lo, hi, windowed)
+    coords = []
+    if plan is None or not (sum(plan[1]) < 1.0 and plan[2] < 2.0):
+        # (coordinate -> (x0, v), the times the atom is inside so far)
+        atoms = [({}, every_time) for _ in range(int(rng.poisson(c.n_total)))]
     else:
-        d = order.pop(0)
-        proposals = []  # (band, across) in band order
-        for i, (mass, *_) in enumerate(bands):
-            proposals += [[i, None] for _ in range(int(rng.poisson(c.n_total * mass)))]
-        pending = list(range(len(proposals)))
-        while pending:
-            u = rng.random(2 * len(pending))
-            rejected = []
-            for j, p in enumerate(pending):
-                _, a, b, near_sq, _ = bands[proposals[p][0]]
-                x = a + (b - a) * u[j]
-                if u[len(pending) + j] < math.exp(0.5 * (near_sq - x * x)):
-                    proposals[p][1] = x
-                else:
-                    rejected.append(p)
-            pending = rejected
-        pairs = []
-        for i, x in proposals:
-            e_r, e_v = bands[i][4]
-            along = rng.standard_normal()
-            pairs.append((c.sigma_r * (x * e_r - along * e_v), c.sigma_v * (x * e_v + along * e_r)))
-        kept = []
-        for x0, v in pairs:
-            hits = windows_hit(d, x0, v)
-            if rng.random() * hits < 1.0 and hits > 0:
-                kept.append((x0, v))
-        r0 = np.full((len(kept), 3), np.nan)
-        v0 = np.full((len(kept), 3), np.nan)
-        r0[:, d] = [x0 for x0, _ in kept]
-        v0[:, d] = [v for _, v in kept]
-    for d in order:
-        draws = rng.standard_normal((2, len(r0)))
-        r0[:, d] = c.sigma_r * draws[0]
-        v0[:, d] = c.sigma_v * draws[1]
-        if windowed[d]:
-            inside = np.zeros(len(r0), dtype=bool)
-            for i, t in enumerate(times):
-                coord = r0[:, d] + v0[:, d] * t
-                if d == 2:
-                    coord -= 0.5 * c.g * t**2
-                inside |= (coord >= lo[d, i]) & (coord <= hi[d, i])
-            r0, v0 = r0[inside], v0[inside]
+        coords, joint, _, bands, normals = plan
+        proposals = [i for i, mass in enumerate(joint)
+                     for _ in range(int(rng.poisson(c.n_total * mass)))]
+        pairs = [{} for _ in proposals]
+        for k, d in enumerate(coords):
+            across = [None] * len(proposals)
+            pending = list(range(len(proposals)))
+            while pending:
+                u = rng.random(2 * len(pending))
+                rejected = []
+                for j, p in enumerate(pending):
+                    a, b, near_sq = bands[proposals[p]][k]
+                    x = a + (b - a) * u[j]
+                    if u[len(pending) + j] < math.exp(0.5 * (near_sq - x * x)):
+                        across[p] = x
+                    else:
+                        rejected.append(p)
+                pending = rejected
+            for p, i in enumerate(proposals):
+                e_r, e_v = normals[i]
+                along = rng.standard_normal()
+                pairs[p][d] = (c.sigma_r * (across[p] * e_r - along * e_v),
+                               c.sigma_v * (across[p] * e_v + along * e_r))
+        atoms = []
+        for pair in pairs:
+            inside = set.intersection(*(times_inside(d, *pair[d]) for d in coords))
+            if rng.random() * len(inside) < 1.0 and inside:
+                atoms.append((pair, inside))
+    for d in [d for d in windowed if d not in coords] + [d for d in range(3) if d not in windowed]:
+        draws = rng.standard_normal((2, len(atoms)))
+        for (pair, _), x0, v in zip(atoms, c.sigma_r * draws[0], c.sigma_v * draws[1]):
+            pair[d] = (x0, v)
+        if d in windowed:
+            atoms = [(pair, inside & times_inside(d, *pair[d])) for pair, inside in atoms]
+            atoms = [atom for atom in atoms if atom[1]]
+    r0, v0 = (np.array([[pair[d][side] for d in range(3)] for pair, _ in atoms]).reshape(-1, 3)
+              for side in (0, 1))
     return r0, v0
 
 
@@ -422,9 +438,9 @@ class TestAgainstNaiveLoop:
         def box_count(pos):
             return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
 
-        # the box's x windows hold more than the whole cloud's mass: x is
-        # drawn in full
-        assert not _banded(CLOUD, self.times, lo[:, None], hi[:, None])
+        # the boxes hold less than the cloud: all three coordinates are
+        # drawn from their bands
+        assert _banded(CLOUD, self.times, lo[:, None], hi[:, None])
         naive = _naive_rows(CLOUD, 23, 60, self.times, np.tile(lo[:, None], 3),
                             np.tile(hi[:, None], 3), box_count, parts)
         for threads in (1, 2):
@@ -492,11 +508,9 @@ class TestBeamWindow:
             r0, v0 = oracles.sample_cloud_full(cloud, seed)
             flown = [oracles.fly_and_weigh(cloud, beam.w0, beam.wavelength, r0, v0, t)
                      for t in times]
-            # kept: |y| and |z| each inside the window at some grid time
-            kept = np.ones(len(r0), dtype=bool)
-            for d in (1, 2):
-                kept &= np.any([np.abs(pos[:, d]) <= hi[d, i]
-                                for i, (pos, _) in enumerate(flown)], axis=0)
+            # kept: |y| and |z| both inside the window at one grid time
+            kept = np.any([np.all(np.abs(pos[:, 1:]) <= hi[1:, i], axis=1)
+                           for i, (pos, _) in enumerate(flown)], axis=0)
             for _, weights in flown:
                 assert np.max(weights[~kept], initial=0.0) <= cut
             dropped_atoms += np.count_nonzero(~kept)
@@ -533,8 +547,9 @@ class TestBeamWindow:
 
 
 class TestBandDraw:
-    """The first windowed coordinate drawn from its bands: the kept atoms
-    are the cloud restricted to the union of the bands."""
+    """The band coordinates drawn from the product of their bands: the kept
+    atoms are the cloud restricted to the union over the grid times of the
+    window boxes."""
 
     # five windows |y| <= 0.2 sigma_r at 1 ms steps: each band holds 15-16%
     # of the cloud, their union 27%, so most kept atoms lie in several bands
@@ -544,8 +559,8 @@ class TestBandDraw:
     def z_of_mean_count(self, n=400):
         lo = np.array([[-np.inf], [-self.half], [-np.inf]])
         hi = -lo
-        mass = mc_oracle._draw_plan(CLOUD, self.times, lo, hi)[-1][0]
-        assert mass.sum() > 2.5 * self.union_mass()
+        joint = mc_oracle._draw_plan(CLOUD, self.times, lo, hi)[-1][1]
+        assert joint.sum() > 2.5 * self.union_mass()
         counts = np.array([sample_cloud(CLOUD, substream_seed(71, i), self.times, lo, hi).count
                            for i in range(n)])
         expected = CLOUD.n_total * self.union_mass()
@@ -556,39 +571,87 @@ class TestBandDraw:
         return oracles.band_union_mass(CLOUD.sigma_r, CLOUD.sigma_v, self.times,
                                        [-self.half] * m, [self.half] * m)
 
+    @staticmethod
+    def force_k_to_one(monkeypatch):
+        # each coordinate's hits collapsed to one row, "in its window at
+        # some time": every proposal is in k = 1 box and is kept
+        true_hits = mc_oracle._window_hits
+        monkeypatch.setattr(mc_oracle, "_window_hits",
+                            lambda *args: true_hits(*args).any(axis=0, keepdims=True))
+
     def test_mean_count_is_n_times_union_mass(self):
         assert abs(self.z_of_mean_count()) < 4.0
 
     def test_keeping_every_proposal_fails(self, monkeypatch):
         # an atom in k bands is proposed k times; without the 1/k thinning
         # the mean count is n times the summed masses, 2.8 times too many
-        true_hits = mc_oracle._window_hits
-        monkeypatch.setattr(mc_oracle, "_window_hits",
-                            lambda *args: np.minimum(true_hits(*args), 1))
+        self.force_k_to_one(monkeypatch)
         assert self.z_of_mean_count() > 100.0
 
+    def z_of_box_count(self, n=1000):
+        """The kept count of the windows |y| <= half and |z + g t^2/2| <=
+        half, drawn from the product of their bands, against the whole-cloud
+        oracle cut to the same boxes: an atom counts when it is inside the
+        box of one time.  The boxes overlap as the y bands above do."""
+        fall = 0.5 * CLOUD.g * self.times**2
+        lo = np.stack([np.full(self.times.size, -np.inf), np.full(self.times.size, -self.half),
+                       -fall - self.half])
+        hi = np.stack([np.full(self.times.size, np.inf), np.full(self.times.size, self.half),
+                       -fall + self.half])
+        assert _banded(CLOUD, self.times, lo, hi)
+        banded = np.array([sample_cloud(CLOUD, substream_seed(72, i), self.times, lo, hi).count
+                           for i in range(n)])
+        full = []
+        for i in range(n):
+            r0, v0 = oracles.sample_cloud_full(CLOUD, 1_000_003 * i + 11)
+            pos = r0 + v0 * self.times[:, None, None]
+            pos[..., 2] -= fall[:, None]
+            inside = (pos[..., 1:] >= lo[1:].T[:, None]) & (pos[..., 1:] <= hi[1:].T[:, None])
+            full.append(np.count_nonzero(inside.all(axis=-1).any(axis=0)))
+        se = math.sqrt((banded.var(ddof=1) + np.var(full, ddof=1)) / n)
+        return (banded.mean() - np.mean(full)) / se
+
+    def test_box_count_matches_full_draw(self):
+        assert abs(self.z_of_box_count()) < 4.0
+
+    def test_box_count_without_thinning_fails(self, monkeypatch):
+        # with k forced to 1 the mean count is n sum_i M_i, the atoms in
+        # several boxes counted once per box
+        self.force_k_to_one(monkeypatch)
+        assert self.z_of_box_count() > 100.0
+
     def test_desk_window_matches_full_draw(self):
-        # the desk config's beam window on y alone: the kept count and the
-        # sums of y0^2, vy^2 and y0*vy per realization, against the
-        # whole-cloud oracle cut to the same windows
+        self.check_desk_window((1,))
+
+    def test_desk_window_on_y_and_z_matches_full_draw(self):
+        self.check_desk_window((1, 2))
+
+    def check_desk_window(self, windowed):
+        # the desk config's beam window on the coordinates windowed: the
+        # kept count and sums of squares and products per realization,
+        # against the whole-cloud oracle cut to the same windows, an atom
+        # kept when inside them at one grid time
         n = 1000
         cloud = CloudParams(n_total=1e4, sigma_r=1e-3, sigma_v=0.1, g=9.81)
         times = np.array([0.0, 0.005, 0.01, 0.015, 0.02])
         half = mc_oracle._beam_window(cloud, BeamParams(w0=10e-6, wavelength=1e-9), times)[1]
-        lo = np.stack([np.full(times.size, -np.inf), -half, np.full(times.size, -np.inf)])
-        assert _banded(cloud, times, lo, -lo)
+        hi = np.full((3, times.size), np.inf)
+        hi[list(windowed)] = half
+        assert _banded(cloud, times, -hi, hi)
 
-        def moments(y0, vy):
-            return [y0.size, np.sum(y0 * y0), np.sum(vy * vy), np.sum(y0 * vy)]
+        def moments(r0, v0):
+            return [len(r0), np.sum(r0[:, 1] ** 2), np.sum(v0[:, 1] ** 2),
+                    np.sum(r0[:, 1] * v0[:, 1]), np.sum(r0[:, 2] * v0[:, 2])]
 
         banded, full = [], []
         for i in range(n):
-            real = sample_cloud(cloud, substream_seed(5, i), times, lo, -lo)
-            banded.append(moments(real.positions[:, 1], real.velocities[:, 1]))
+            real = sample_cloud(cloud, substream_seed(5, i), times, -hi, hi)
+            banded.append(moments(real.positions, real.velocities))
             r0, v0 = oracles.sample_cloud_full(cloud, 1_000_003 * i + 7)
-            kept = np.any([np.abs(r0[:, 1] + v0[:, 1] * t) <= h for t, h in zip(times, half)],
-                          axis=0)
-            full.append(moments(r0[kept, 1], v0[kept, 1]))
+            y = r0[:, 1] + v0[:, 1] * times[:, None]
+            z = r0[:, 2] + v0[:, 2] * times[:, None] - 0.5 * cloud.g * times[:, None] ** 2
+            kept = np.any((np.abs(y) <= hi[1, :, None]) & (np.abs(z) <= hi[2, :, None]), axis=0)
+            full.append(moments(r0[kept], v0[kept]))
         banded, full = np.array(banded), np.array(full)
         se = np.sqrt((banded.var(axis=0, ddof=1) + full.var(axis=0, ddof=1)) / n)
         assert np.all(np.abs(banded.mean(axis=0) - full.mean(axis=0)) < 4.0 * se)
