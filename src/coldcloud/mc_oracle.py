@@ -106,7 +106,9 @@ class EnsembleStats:
     ``covariance`` is the (time, time) sample covariance matrix; its
     diagonal is ``variance`` by construction.  All standard errors are
     jackknife estimates (the one for the mean coincides with the usual
-    s/sqrt(n)).
+    s/sqrt(n)); those of the (co)variances are raised to the Poisson floor
+    sqrt((var_j var_k + cov_jk^2) / (n - 1)) where the jackknife falls
+    below it (see _ensemble_from_values).
     """
 
     times: np.ndarray
@@ -420,7 +422,12 @@ def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> E
     var = np.diag(cov).copy()
     se_cov = _jackknife_se(_leave_one_out_covariances(
         cross, centered[:, :, None], centered[:, None, :]))
-    se_cov = 0.5 * (se_cov + se_cov.T)
+    # Var(cov_jk) = kappa_jjkk / n + (var_j var_k + cov_jk^2) / (n - 1), and
+    # the joint cumulant kappa_jjkk = integral of w_j^2 w_k^2 over a Poisson
+    # cloud is >= 0.  A jackknife below the rest has missed the rare
+    # realizations with weight at both times that dominate it.
+    floor = np.sqrt((np.outer(var, var) + cov**2) / (n - 1))
+    se_cov = np.maximum(0.5 * (se_cov + se_cov.T), floor)
     return EnsembleStats(
         times=np.array(times, dtype=float),
         mean=mean,

@@ -223,6 +223,18 @@ class TestEnsembleStats:
                 z = (stats.covariance[j, k] - th) / stats.se_covariance[j, k]
                 assert abs(z) < 3.0
 
+    def test_covariance_se_has_poisson_floor(self):
+        # no realization has weight at both times: the jackknife of the
+        # covariance reads half the floor, the variances keep theirs
+        values = np.zeros((50, 2))
+        values[:5, 0] = 1.0
+        values[5:10, 1] = 1.0
+        stats = mc_oracle._ensemble_from_values(values, np.array([0.0, 1.0]), 0)
+        floor = np.sqrt((np.outer(stats.variance, stats.variance) + stats.covariance**2) / 49)
+        assert stats.se_covariance[0, 1] == stats.se_covariance[1, 0] == floor[0, 1]
+        np.testing.assert_allclose(stats.se_variance, [1 / 28, 1 / 28], rtol=1e-12)
+        assert np.all(stats.se_variance > np.diag(floor))
+
     def test_variance_to_mean_ratio_half(self):
         # tau_w/tau_r = 0.01 without gravity: the soft weight halves the
         # Poisson variance; jackknife the ratio from raw counts
