@@ -76,8 +76,8 @@ from .fluct import (
     spectrum_exponential,
     variance,
 )
-from .mc_oracle import (_beam_window, _draw_plan, _ensemble_and_box, _sub_clouds,
-                        dropped_weight_bound, ensemble_stats)
+from .mc_oracle import (_beam_window, _ensemble_and_box, dropped_weight_bound, ensemble_stats,
+                        window_draw)
 from .optical import OpticalParams
 from .saturation import sigma_saturated_closed, sigma_saturated_general
 
@@ -456,14 +456,9 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
 
 def _draw(cloud: CloudParams, beam: BeamParams, times: np.ndarray) -> dict:
     """How the sampler draws each realization of cloud on the grid times:
-    its beam window, its sub-clouds, and whether it draws them from the
-    product of the window's bands ("bands") or from the whole cloud
-    ("full"), with the share of the cloud it proposes, sum_i M_i or 1."""
-    window = _beam_window(cloud, beam, times)
-    bands = _draw_plan(cloud, times, -window, window)[-1]
+    its beam window and the window_draw keys."""
     return {"beam_window": dropped_weight_bound(cloud, times.size),
-            "sub_clouds": _sub_clouds(cloud), "draw": "full" if bands is None else "bands",
-            "proposed_share": 1.0 if bands is None else float(bands[1].sum())}
+            **window_draw(cloud, beam, times)}
 
 
 def _mc(cfg: RunConfig, seed: int, threads: int):

@@ -8,10 +8,8 @@ atoms that can reach the beam or the box are drawn: a Poisson cloud
 restricted to a region is the same Poisson process there (Kingman,
 *Poisson Processes*, 1993).  An atom is kept when, at some grid time, it
 is inside that time's window box.  Where those boxes hold less than the
-cloud, as for the beam window, the coordinates whose windows are all
-finite are drawn from the product of their bands in the (position,
-velocity) planes instead of from the whole cloud (see sample_cloud and
-_band_draw).
+cloud, the coordinates whose windows are all finite are drawn from the
+product of their bands in the (position, velocity) planes (see _band_draw).
 
 Reproducibility contract: each realization uses its own generator seeded by
 a splitmix64 mix of the master seed and the realization index.  A band
@@ -53,6 +51,7 @@ __all__ = [
     "ensemble_stats",
     "binary_count_check",
     "dropped_weight_bound",
+    "window_draw",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -106,9 +105,8 @@ class EnsembleStats:
     ``covariance`` is the (time, time) sample covariance matrix; its
     diagonal is ``variance`` by construction.  All standard errors are
     jackknife estimates (the one for the mean coincides with the usual
-    s/sqrt(n)); those of the (co)variances are raised to the Poisson floor
-    sqrt((var_j var_k + cov_jk^2) / (n - 1)) where the jackknife falls
-    below it (see _ensemble_from_values).
+    s/sqrt(n)), those off the diagonal of ``covariance`` no lower than a
+    Poisson floor (see _ensemble_from_values).
     """
 
     times: np.ndarray
@@ -171,12 +169,11 @@ def _bands(c: CloudParams, times: np.ndarray, lo: np.ndarray, hi: np.ndarray, co
     squares of their points nearest 0, and the unit normal e_i = (sigma_r,
     sigma_v t_i)/s_i that every coordinate shares.
 
-    None, for the full draw, unless the joint masses sum below 1, so that
-    the band draw proposes fewer atoms than the whole cloud holds, and the
-    expected uniform pairs of the rejection rounds per cloud atom,
-    sum_i sum_d env_i^d prod_{e != d} m_i^e with env_i^d = (b - a) phi(nearest)
-    the area of band (d, i)'s uniform envelope, stay below 2: a band far
-    off centre would make them unbounded.
+    None, for the full draw, unless sum_i M_i < 1 (fewer proposals than the
+    cloud holds) and the expected uniform pairs of the rejection rounds per
+    cloud atom, sum_i sum_d env_i^d prod_{e != d} m_i^e, stay below 2, with
+    env_i^d = (b - a) phi(nearest) the area of band (d, i)'s uniform
+    envelope: a band far off centre would make them unbounded.
     """
     s = np.sqrt(_spread_sq(c, times))
     fall = np.where(np.equal(coords, 2)[:, None], 0.5 * c.g * times**2, 0.0)
@@ -260,21 +257,18 @@ def _draw(c: CloudParams, seed: int, plan: tuple) -> Realization:
     times, lo, hi, order, bands = plan
     rng = np.random.Generator(np.random.PCG64(seed))
     if bands is None:
-        count = int(rng.poisson(c.n_total))
-        drawn, inside = {}, np.ones((1, count), dtype=bool)
+        drawn, inside = {}, np.ones((1, int(rng.poisson(c.n_total))), dtype=bool)
     else:
         drawn, inside = _band_draw(c, rng, times, lo, hi, bands)
-        count = inside.shape[1]
     for d in (d for d in order if d not in drawn):
-        pair = rng.standard_normal((2, count))
+        drawn[d] = pair = rng.standard_normal((2, inside.shape[1]))
         pair[0] *= c.sigma_r
         pair[1] *= c.sigma_v
         inside = inside & _window_hits(c, pair, times, lo[d], hi[d], d == 2)
         kept = np.flatnonzero(inside.any(axis=0))
-        drawn = {e: earlier.take(kept, axis=1) for e, earlier in drawn.items()}
-        drawn[d] = pair.take(kept, axis=1)
+        drawn = {e: block.take(kept, axis=1) for e, block in drawn.items()}
         inside = inside.take(kept, axis=1)
-        count = kept.size
+    count = inside.shape[1]
     positions, velocities = (np.empty((count, 3), order="F") for _ in range(2))
     for d in range(3):
         if d in drawn:
@@ -295,19 +289,9 @@ def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> 
     time.  An atom is kept only if, at some time t_i, every coordinate,
     propagated with the fall along z, lies in its window at t_i; a
     coordinate that has the whole line as its window at some time counts
-    as one without a window.  With no times this is the whole cloud.
-
-    Draw order is fixed.  The windowed coordinates whose bounds are all
-    finite are drawn first, from the product of their bands, when the
-    window boxes hold less than the cloud (see _bands and _band_draw),
-    which keeps the same atoms in distribution: a Poisson count per time;
-    per band coordinate in x, y, z order, the uniform pairs of the
-    rejection rounds and one normal per proposal along its band; one
-    uniform per proposal for the 1/k thinning.  Otherwise the draw starts
-    with the Poisson count of the whole cloud.  Every other coordinate
-    draws a (2, kept) block, the windowed ones first, each group in x, y, z
-    order: the positions then the velocities of the atoms still kept,
-    which are stored column-major (see Realization).
+    as one without a window.  With no times this is the whole cloud.  How
+    the kept atoms are drawn, and in what order, is the module's
+    reproducibility contract (see also _bands and _band_draw).
     """
     return _draw(c, seed, _draw_plan(c, times, lo, hi))
 
@@ -335,10 +319,10 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
 
 def _per_time(real: Realization, times: np.ndarray, g: float, counts) -> np.ndarray:
     """counts(pos), joined along its last, time axis, for the positions pos
-    (time, atom, 3) at chunks of the times of at most _PART_ATOMS entries
-    (512 KiB) or one time: the propagate formula in a (time, coordinate,
-    atom) array, so each time's weight sum adds the same numbers in the
-    same order as effective_count."""
+    (time, atom, 3) at chunks of the times of at most _PART_ATOMS entries or
+    one time (the sub-cloud limit doubles as this 512 KiB memory budget):
+    the propagate formula in a (time, coordinate, atom) array, so each
+    time's weight sum adds the same numbers in the same order as effective_count."""
     step = max(1, _PART_ATOMS // max(3 * real.count, 1))
     rows = []
     for chunk in np.split(times, range(step, times.size, step)):
@@ -361,12 +345,11 @@ def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi
     m box counts of binary_count_check, or both from one draw.
 
     Realization i sums _sub_clouds(c) sub-clouds of equal mean, drawn in the
-    windows lo, hi at the given times as sample_cloud draws them, from one
-    _draw_plan for the whole ensemble: sub-cloud 0 from
-    s = substream_seed(seed, i), sub-cloud j from substream_seed(s, j), in
-    order of j.  So scheduling order cannot change the result.  One thread
-    runs on the calling thread; more split the realizations into contiguous
-    chunks over a thread pool of at most one worker per CPU.
+    windows lo, hi at the given times from one _draw_plan: sub-cloud 0 from
+    s = substream_seed(seed, i), sub-cloud j from substream_seed(s, j).  So
+    scheduling order cannot change the result.  One thread runs on the
+    calling thread; more split the realizations into contiguous chunks over
+    a thread pool of at most one worker per CPU.
     """
     threads = min(threads, os.cpu_count() or 1)
     out = np.empty((n_realizations, width))
@@ -422,11 +405,11 @@ def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> E
     var = np.diag(cov).copy()
     se_cov = _jackknife_se(_leave_one_out_covariances(
         cross, centered[:, :, None], centered[:, None, :]))
-    # Var(cov_jk) = kappa_jjkk / n + (var_j var_k + cov_jk^2) / (n - 1), and
-    # the joint cumulant kappa_jjkk = integral of w_j^2 w_k^2 over a Poisson
-    # cloud is >= 0.  A jackknife below the rest has missed the rare
-    # realizations with weight at both times that dominate it.
+    # Var(cov_jk) = kappa_jjkk / n + (var_j var_k + cov_jk^2) / (n - 1), with
+    # kappa_jjkk = integral of w_j^2 w_k^2 over a Poisson cloud >= 0: below
+    # the rest, the jackknife missed rare realizations weighted at both times
     floor = np.sqrt((np.outer(var, var) + cov**2) / (n - 1))
+    np.fill_diagonal(floor, 0.0)  # the variances keep the jackknife
     se_cov = np.maximum(0.5 * (se_cov + se_cov.T), floor)
     return EnsembleStats(
         times=np.array(times, dtype=float),
@@ -448,6 +431,16 @@ def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
     tails = math.exp(-2.0 * BEAM_CUT**2) + math.erfc(AXIAL_CUT / math.sqrt(2.0))
     return {"beam_cut": BEAM_CUT, "axial_cut": AXIAL_CUT,
             "dropped_weight_bound": c.n_total * n_times * tails}
+
+
+def window_draw(c: CloudParams, b: BeamParams, times: np.ndarray) -> dict:
+    """How weighted_counts draws a realization of c on the grid times: its
+    sub-clouds, each from the product of the beam window's bands ("bands")
+    or the whole cloud ("full"), and the share proposed, sum_i M_i or 1."""
+    hi = _beam_window(c, b, times)
+    bands = _draw_plan(c, times, -hi, hi)[-1]
+    return {"sub_clouds": _sub_clouds(c), "draw": "full" if bands is None else "bands",
+            "proposed_share": 1.0 if bands is None else float(bands[1].sum())}
 
 
 def _beam_window(c: CloudParams, b: BeamParams, times: np.ndarray) -> np.ndarray:

@@ -680,6 +680,25 @@ class TestMonteCarloSubcommands:
         assert report["familywise_p"] < 1e-6
         assert report["worst_check"] in capsys.readouterr().out
 
+    def test_validate_names_variance_and_covariance_defects(self, tmp_path, monkeypatch):
+        # closed-form variance and covariance both 10% too high, at the
+        # unchanged 3-sigma bound.  Delays of 0.1 and 0.2 ms, well inside the
+        # beam crossing time w0/sigma_v = 0.4 ms, keep the covariances 8/9 and
+        # 2/3 of the variance; 6000 realizations of about 4 atoms in the beam
+        # move each z by about -5 (they read -3.8 to -4.8, and +0.3 to +0.7
+        # against the true closed forms)
+        for name in ("variance", "covariance_exact"):
+            monkeypatch.setattr(cli, name, lambda *args, true=getattr(cli, name): 1.1 * true(*args))
+        cfg = self.mc_config()
+        cfg["cloud"].update(n_total=1e4, g=0.0)
+        cfg["grids"]["t"] = [0.0, 1e-4, 2e-4]
+        cfg["mc"]["realizations"] = 6000
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_FAIL
+        report = json.loads((tmp_path / "validate_report.json").read_text())
+        failed = {check["name"].split("[")[0] for check in report["checks"] if not check["pass"]}
+        assert {"gravity.variance", "gravity.covariance"} <= failed
+
     def test_validate_detects_wrong_physics(self, tmp_path):
         # corrupt the comparison by claiming a different atom number than
         # the sampler actually uses: z-scores must blow up

@@ -233,7 +233,14 @@ class TestEnsembleStats:
         floor = np.sqrt((np.outer(stats.variance, stats.variance) + stats.covariance**2) / 49)
         assert stats.se_covariance[0, 1] == stats.se_covariance[1, 0] == floor[0, 1]
         np.testing.assert_allclose(stats.se_variance, [1 / 28, 1 / 28], rtol=1e-12)
-        assert np.all(stats.se_variance > np.diag(floor))
+
+    def test_variance_se_has_no_floor(self):
+        # a two-valued column: every leave-one-out variance is the same, so
+        # the jackknife SE is 0, and the variance keeps it
+        values = np.tile([0.0, 2.0], 25)[:, None]
+        stats = mc_oracle._ensemble_from_values(values, np.array([0.0]), 0)
+        assert stats.se_variance[0] < 1e-12 < np.sqrt(2.0 / 49) * stats.variance[0]
+        assert stats.se_covariance[0, 0] == stats.se_variance[0]
 
     def test_variance_to_mean_ratio_half(self):
         # tau_w/tau_r = 0.01 without gravity: the soft weight halves the
