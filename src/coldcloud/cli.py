@@ -76,8 +76,7 @@ from .fluct import (
     spectrum_exponential,
     variance,
 )
-from .mc_oracle import (_beam_window, _ensemble_and_box, dropped_weight_bound, ensemble_stats,
-                        window_draw)
+from .mc_oracle import _ensemble_and_box, ensemble_stats, window_draw
 from .optical import OpticalParams
 from .saturation import sigma_saturated_closed, sigma_saturated_general
 
@@ -454,13 +453,6 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     }}, {"per_fall_time": regime}
 
 
-def _draw(cloud: CloudParams, beam: BeamParams, times: np.ndarray) -> dict:
-    """How the sampler draws each realization of cloud on the grid times:
-    its beam window and the window_draw keys."""
-    return {"beam_window": dropped_weight_bound(cloud, times.size),
-            **window_draw(cloud, beam, times)}
-
-
 def _mc(cfg: RunConfig, seed: int, threads: int):
     stats = ensemble_stats(cfg.cloud, cfg.beam, cfg.mc_times, cfg.mc_realizations, seed, threads)
     m = stats.times.size
@@ -474,27 +466,20 @@ def _mc(cfg: RunConfig, seed: int, threads: int):
             "mc_covariance": stats.covariance.ravel(),
             "mc_se_covariance": stats.se_covariance.ravel(),
         },
-    }, {"realizations": stats.realization_count, **_draw(cfg.cloud, cfg.beam, stats.times)}
+    }, {"realizations": stats.realization_count, **window_draw(cfg.cloud, cfg.beam, stats.times)}
 
 
-def _poisson_box(cfg: RunConfig, times: np.ndarray):
-    """The box of validate's Poisson checks: |x| <= sigma_r/2, and |y|, |z|
-    at most the narrowest half-width the beam window has over the grid, so
-    the box lies inside the window at every grid time."""
-    half, edge = 0.5 * cfg.cloud.sigma_r, float(_beam_window(cfg.cloud, cfg.beam, times)[1].min())
-    return (-half, -edge, -edge), (half, edge, edge)
-
-
-def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, box, seed: int,
+def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed: int,
                      threads: int):
-    """Check names and a (3, checks) array of MC estimates, closed-form
-    references and standard errors for one ensemble.  Order: mean and
-    variance per t, the covariance pairs, then the Poisson ratios.  One
-    beam-window draw from seed gives every check: the Poisson ratios count
-    the atoms of its realizations inside box (see _poisson_box)."""
+    """Check names, a (3, checks) array of MC estimates, closed-form
+    references and standard errors for one ensemble, and its Poisson box.
+    Order: mean and variance per t, the covariance pairs, then the Poisson
+    ratios.  One beam-window draw from seed gives every check: the Poisson
+    ratios count the atoms of its realizations inside the box that
+    mc_oracle chooses (see _ensemble_and_box)."""
     inp = EffNumInputs(cloud, cfg.beam)
-    stats, report = _ensemble_and_box(cloud, cfg.beam, times, box, cfg.mc_realizations, seed,
-                                      threads)
+    stats, report, box = _ensemble_and_box(cloud, cfg.beam, times, cfg.mc_realizations, seed,
+                                           threads)
     rows, cols = np.triu_indices(times.size, 1)
     names = [f"{label}.{q}[t={t:g}]" for t in times for q in ("mean", "variance")]
     names += [f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]" for j, k in zip(rows, cols)]
@@ -505,18 +490,18 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, box,
            covariance_exact(inp, 0.5 * (times[rows] + times[cols]), times[rows] - times[cols]),
            stats.se_covariance[rows, cols]]
     ratio = [report.ratio, np.ones(times.size), report.ratio_se]
-    return names, np.hstack([np.stack([mean, var], axis=-1).reshape(3, -1), cov, ratio])
+    return names, np.hstack([np.stack([mean, var], axis=-1).reshape(3, -1), cov, ratio]), box
 
 
 def _validate(cfg: RunConfig, seed: int, threads: int):
     times = cfg.mc_times
-    box = _poisson_box(cfg, times)
-    branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, box, seed, threads)]
+    branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)]
     if math.isfinite(time_scales(cfg.cloud, cfg.beam).tau_g):
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
-        branches.append(_validate_branch(cfg, free, "free", times, box, seed + 1000, threads))
-    names = [name for branch_names, _ in branches for name in branch_names]
-    estimate, reference, se = np.hstack([values for _, values in branches])
+        branches.append(_validate_branch(cfg, free, "free", times, seed + 1000, threads))
+    names = [name for branch_names, _, _ in branches for name in branch_names]
+    estimate, reference, se = np.hstack([values for _, values, _ in branches])
+    box = branches[0][2]
     # a check without data (zero standard error) gets a non-finite z, which
     # is reported by name below
     z = (estimate - reference) / se
@@ -555,7 +540,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
                          "pass": ok.astype(float)},
         "validate_report.json": report,
-    }, {"all_pass": report["all_pass"], **_draw(cfg.cloud, cfg.beam, times),
+    }, {"all_pass": report["all_pass"], **window_draw(cfg.cloud, cfg.beam, times),
         "poisson_box": {"lo_m": list(box[0]), "hi_m": list(box[1])}}
 
 

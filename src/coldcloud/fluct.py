@@ -58,17 +58,22 @@ _SERIES_RTOL = 1e-12
 # mean and variance
 # ---------------------------------------------------------------------------
 
+def _transit_share(inp: EffNumInputs, t, share: float):
+    """N s/(tau_r^2 + s + t^2), s = share * tau_w^2, with the gravity decay."""
+    t = _checked(t, "t", 0.0)
+    ts = time_scales(inp.cloud, inp.beam)
+    tau_sq = share * ts.tau_w**2
+    out = _ballistic_decay(inp.cloud.n_total * tau_sq, ts.tau_r**2 + tau_sq, t, ts.tau_g)
+    return out if np.ndim(out) else float(out)
+
+
 def mean_number(inp: EffNumInputs, t):
     """Mean weighted atom number <N(t)> in the long-Rayleigh regime.
 
     N * tau_w^2/(tau_r^2+tau_w^2+t^2) with the gravity decay factor; equals
     sigma_long_rayleigh(t) times the waist section pi*w0^2/2.
     """
-    t = _checked(t, "t", 0.0)
-    ts = time_scales(inp.cloud, inp.beam)
-    tau_w_sq = ts.tau_w**2
-    out = _ballistic_decay(inp.cloud.n_total * tau_w_sq, ts.tau_r**2 + tau_w_sq, t, ts.tau_g)
-    return out if np.ndim(out) else float(out)
+    return _transit_share(inp, t, 1.0)
 
 
 def variance(inp: EffNumInputs, t):
@@ -78,11 +83,7 @@ def variance(inp: EffNumInputs, t):
     so this is the mean formula at tau_w^2/2.  In the small-waist limit it
     tends to half the mean.
     """
-    t = _checked(t, "t", 0.0)
-    ts = time_scales(inp.cloud, inp.beam)
-    tau_w_sq = 0.5 * ts.tau_w**2
-    out = _ballistic_decay(inp.cloud.n_total * tau_w_sq, ts.tau_r**2 + tau_w_sq, t, ts.tau_g)
-    return out if np.ndim(out) else float(out)
+    return _transit_share(inp, t, 0.5)
 
 
 def _variance_over_mean(inp: EffNumInputs, t) -> np.ndarray:

@@ -10,6 +10,7 @@ restricted to a region is the same Poisson process there (Kingman,
 is inside that time's window box.  Where those boxes hold less than the
 cloud, the coordinates whose windows are all finite are drawn from the
 product of their bands in the (position, velocity) planes (see _band_draw).
+A draw also returns its window test, which binary_count_check counts.
 
 Reproducibility contract: each realization uses its own generator seeded by
 a splitmix64 mix of the master seed and the realization index.  A band
@@ -252,8 +253,10 @@ def _band_draw(c: CloudParams, rng: np.random.Generator, times: np.ndarray, lo: 
     return {d: pair.take(kept, axis=1) for d, pair in drawn.items()}, inside.take(kept, axis=1)
 
 
-def _draw(c: CloudParams, seed: int, plan: tuple) -> Realization:
-    """sample_cloud(c, seed, ...) for the _draw_plan of its other arguments."""
+def _draw(c: CloudParams, seed: int, plan: tuple) -> tuple[Realization, np.ndarray]:
+    """sample_cloud(c, seed, ...) for the _draw_plan of its other arguments,
+    and its (time, atom) mask of being inside each time's window box, by the
+    propagate formula (one row of True when no coordinate is windowed)."""
     times, lo, hi, order, bands = plan
     rng = np.random.Generator(np.random.PCG64(seed))
     if bands is None:
@@ -277,7 +280,7 @@ def _draw(c: CloudParams, seed: int, plan: tuple) -> Realization:
             for column, sigma in ((positions[:, d], c.sigma_r), (velocities[:, d], c.sigma_v)):
                 rng.standard_normal(out=column)
                 column *= sigma
-    return Realization(positions=positions, velocities=velocities, count=count)
+    return Realization(positions=positions, velocities=velocities, count=count), inside
 
 
 def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> Realization:
@@ -293,7 +296,7 @@ def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> 
     the kept atoms are drawn, and in what order, is the module's
     reproducibility contract (see also _bands and _band_draw).
     """
-    return _draw(c, seed, _draw_plan(c, times, lo, hi))
+    return _draw(c, seed, _draw_plan(c, times, lo, hi))[0]
 
 
 def propagate(r0, v0, g: float, t: float):
@@ -302,8 +305,7 @@ def propagate(r0, v0, g: float, t: float):
     Accepts single 3-vectors or arrays of shape (..., 3); the result keeps
     the memory layout of the inputs.
     """
-    if not 0 <= t < np.inf:
-        raise ValueError("t must be finite and nonnegative")
+    t = float(_checked(t, "t", 0.0))
     r0 = np.asarray(r0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     out = r0 + v0 * t
@@ -340,9 +342,9 @@ def _sub_clouds(c: CloudParams) -> int:
 
 def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi,
                       n_realizations: int, seed: int, threads: int) -> np.ndarray:
-    """(realization, width) array whose row i is row(realization i), a
-    sequence of width numbers: the m weighted counts of weighted_counts, the
-    m box counts of binary_count_check, or both from one draw.
+    """(realization, width) array whose row i is row(*_draw(realization i)),
+    width numbers: the m weighted counts of weighted_counts, the m box
+    counts of binary_count_check, or both from one draw.
 
     Realization i sums _sub_clouds(c) sub-clouds of equal mean, drawn in the
     windows lo, hi at the given times from one _draw_plan: sub-cloud 0 from
@@ -360,9 +362,9 @@ def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi
     def fill(indices) -> None:
         for i in indices:
             first = substream_seed(seed, i)
-            out[i] = row(_draw(part, first, plan))
+            out[i] = row(*_draw(part, first, plan))
             for j in range(1, parts):
-                out[i] += row(_draw(part, substream_seed(first, j), plan))
+                out[i] += row(*_draw(part, substream_seed(first, j), plan))
 
     if threads <= 1:
         fill(range(n_realizations))
@@ -435,11 +437,13 @@ def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
 
 def window_draw(c: CloudParams, b: BeamParams, times: np.ndarray) -> dict:
     """How weighted_counts draws a realization of c on the grid times: its
-    sub-clouds, each from the product of the beam window's bands ("bands")
-    or the whole cloud ("full"), and the share proposed, sum_i M_i or 1."""
+    beam window (see dropped_weight_bound), its sub-clouds, each from the
+    product of the window's bands ("bands") or the whole cloud ("full"),
+    and the share proposed, sum_i M_i or 1."""
     hi = _beam_window(c, b, times)
     bands = _draw_plan(c, times, -hi, hi)[-1]
-    return {"sub_clouds": _sub_clouds(c), "draw": "full" if bands is None else "bands",
+    return {"beam_window": dropped_weight_bound(c, times.size), "sub_clouds": _sub_clouds(c),
+            "draw": "full" if bands is None else "bands",
             "proposed_share": 1.0 if bands is None else float(bands[1].sum())}
 
 
@@ -469,7 +473,7 @@ def weighted_counts(
     times = np.atleast_1d(_checked(times, "times", 0.0))
     hi = _beam_window(c, b, times)
     return _realization_rows(
-        c, lambda real: _per_time(real, times, c.g, lambda pos: weight(b, pos).sum(axis=1)),
+        c, lambda real, _: _per_time(real, times, c.g, lambda pos: weight(b, pos).sum(axis=1)),
         times.size, times, -hi, hi, n_realizations, seed, threads,
     )
 
@@ -554,39 +558,40 @@ def binary_count_check(
     all space.  Counts atoms inside the box after free fall and reports the
     variance/mean ratio with a jackknife standard error; a healthy sampler
     gives 1 within noise at every time, independently of any beam-weight
-    physics.  Only atoms inside the box at some grid time are drawn.
+    physics.  The box is the draw's window: only atoms inside it at some
+    grid time are drawn, and its counts are the draw's window mask.
     """
     if n_realizations < 3:
         raise ValueError("need at least 3 realizations for jackknife standard errors")
     lo, hi = _box(box_bounds)
     times = np.atleast_1d(_checked(times, "times", 0.0))
     counts = _realization_rows(
-        c, lambda real: _per_time(real, times, c.g, lambda pos: _inside(pos, lo, hi)),
+        c, lambda _, inside: np.broadcast_to(np.count_nonzero(inside, axis=1), times.shape),
         times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
     return _box_report(counts, times)
 
 
-def _ensemble_and_box(c: CloudParams, b: BeamParams, times, box_bounds, n_realizations: int,
-                      seed: int, threads: int = 1) -> tuple[EnsembleStats, BinaryCountReport]:
-    """ensemble_stats and a binary_count_check report of the same
-    realizations, from one draw.
+def _ensemble_and_box(c: CloudParams, b: BeamParams, times, n_realizations: int, seed: int,
+                      threads: int = 1) -> tuple[EnsembleStats, BinaryCountReport, tuple]:
+    """ensemble_stats, a binary_count_check report of the same realizations
+    from one draw, and its box ((xlo, ylo, zlo), (xhi, yhi, zhi)).
 
     The stats equal ensemble_stats(c, b, times, n_realizations, seed,
-    threads) bit for bit.  The box is counted from the atoms of that
-    beam-window draw, so it must lie inside the window at every grid time
-    (ValueError otherwise): an atom in the box at t_i is then inside the
-    window at t_i, hence drawn, and the count is exact.
+    threads) bit for bit.  The box, validate's, is |x| <= sigma_r/2 and |y|,
+    |z| up to the beam window's narrowest half-width over the grid: an atom
+    in it at t_i is inside the window at t_i, hence drawn, and the count is
+    exact.
     """
     if n_realizations < 3:
         raise ValueError("need at least 3 realizations for jackknife standard errors")
-    lo, hi = _box(box_bounds)
     times = np.atleast_1d(_checked(times, "times", 0.0))
     window = _beam_window(c, b, times)
-    if np.any(lo[:, None] < -window) or np.any(hi[:, None] > window):
-        raise ValueError("the box must lie inside the beam window at every grid time")
+    half, edge = 0.5 * c.sigma_r, float(window[1].min())
+    box = (-half, -edge, -edge), (half, edge, edge)
+    lo, hi = np.array(box)
     values = _realization_rows(
-        c, lambda real: _per_time(real, times, c.g, lambda pos: np.stack(
+        c, lambda real, _: _per_time(real, times, c.g, lambda pos: np.stack(
             [weight(b, pos).sum(axis=1), _inside(pos, lo, hi)])).ravel(),
         2 * times.size, times, -window, window, n_realizations, seed, threads)
-    weighted, boxed = (np.ascontiguousarray(half) for half in np.hsplit(values, 2))
-    return _ensemble_from_values(weighted, times, seed), _box_report(boxed, times)
+    weighted, boxed = (np.ascontiguousarray(block) for block in np.hsplit(values, 2))
+    return _ensemble_from_values(weighted, times, seed), _box_report(boxed, times), box

@@ -768,9 +768,8 @@ class TestPoissonBox:
         with s^2 = sigma_r^2 + sigma_v^2 t^2 and mu = (0, 0, -g t^2/2)."""
         cfg = load_config(str(ROOT / "configs" / "validate_desk.json"))
         cloud, times = cfg.cloud, cfg.mc_times
-        box = cli._poisson_box(cfg, times)
-        _, report = mc_oracle._ensemble_and_box(cloud, cfg.beam, times, box, n_realizations,
-                                                seed)
+        _, report, box = mc_oracle._ensemble_and_box(cloud, cfg.beam, times, n_realizations,
+                                                     seed)
         mass = []
         for t in times:
             s_sqrt2 = math.sqrt(2.0 * (cloud.sigma_r**2 + (cloud.sigma_v * t) ** 2))

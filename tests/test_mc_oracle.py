@@ -451,21 +451,30 @@ class TestAgainstNaiveLoop:
                 weighted_counts(CLOUD, self.beam, self.times, 40, 17, threads), naive)
 
     def check_binary_count_check(self, parts):
-        lo = np.array([-1e-3, -5e-4, -2e-3])
-        hi = np.array([8e-4, 1e-3, 4e-4])
+        s, inf = CLOUD.sigma_r, np.inf
+        # (lo, hi, whether the draw takes the product of bands): three
+        # banded coordinates; x and y banded, then the half-line z <= 0
+        # drawn and tested; bands holding more than the cloud, so the full
+        # draw tests x >= -sigma_r and |y| <= 2 sigma_r; whole space, with
+        # nothing windowed
+        boxes = [([-1e-3, -5e-4, -2e-3], [8e-4, 1e-3, 4e-4], True),
+                 ([-1e-3, -5e-4, -inf], [8e-4, 1e-3, 0.0], True),
+                 ([-s, -2 * s, -inf], [inf, 2 * s, inf], False),
+                 ([-inf] * 3, [inf] * 3, False)]
+        for lo, hi, banded in boxes:
+            lo, hi = np.array(lo), np.array(hi)
 
-        def box_count(pos):
-            return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
+            def box_count(pos):
+                return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
 
-        # the boxes hold less than the cloud: all three coordinates are
-        # drawn from their bands
-        assert _banded(CLOUD, self.times, lo[:, None], hi[:, None])
-        naive = _naive_rows(CLOUD, 23, 60, self.times, np.tile(lo[:, None], 3),
-                            np.tile(hi[:, None], 3), box_count, parts)
-        for threads in (1, 2):
-            report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23, threads)
-            np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
-            np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
+            assert _banded(CLOUD, self.times, lo[:, None], hi[:, None]) == banded
+            naive = _naive_rows(CLOUD, 23, 60, self.times, np.tile(lo[:, None], 3),
+                                np.tile(hi[:, None], 3), box_count, parts)
+            assert np.all(naive > 0.0)
+            for threads in (1, 2):
+                report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23, threads)
+                np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
+                np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
 
 
 class TestSubClouds:
@@ -719,14 +728,12 @@ class TestSharedDraw:
     beam = BEAM_40
     times = np.array([0.0, 0.004, 0.011])
 
-    def box(self):
-        # inside the beam window at every grid time, off centre in y and z
-        edge = mc_oracle._beam_window(CLOUD, self.beam, self.times)[1].min()
-        return np.array([-1e-3, -edge, -0.5 * edge]), np.array([8e-4, 0.5 * edge, edge])
-
     def test_box_counts_equal_a_hand_loop(self):
-        lo, hi = self.box()
+        _, report, box = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, 60, 23)
+        lo, hi = np.array(box)
         window = mc_oracle._beam_window(CLOUD, self.beam, self.times)
+        # the box lies inside the beam window at every grid time
+        assert np.all(-window <= lo[:, None]) and np.all(hi[:, None] <= window)
         naive = np.zeros((60, self.times.size))
         for i in range(60):
             real = sample_cloud(CLOUD, substream_seed(23, i), self.times, -window, window)
@@ -735,8 +742,8 @@ class TestSharedDraw:
                 naive[i, j] = np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
         assert np.all(naive.sum(axis=0) > 0)
         for threads in (1, 2):
-            _, report = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, (lo, hi),
-                                                    60, 23, threads)
+            _, report, _ = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, 60, 23,
+                                                       threads)
             np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
             np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
             np.testing.assert_array_equal(report.ratio,
@@ -745,15 +752,9 @@ class TestSharedDraw:
     def test_stats_equal_ensemble_stats(self):
         expected = ensemble_stats(CLOUD, self.beam, self.times, 60, 23)
         for threads in (1, 2):
-            stats, _ = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, self.box(),
-                                                   60, 23, threads)
+            stats, _, _ = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, 60, 23,
+                                                      threads)
             for field in ("times", "mean", "variance", "covariance", "se_mean", "se_variance",
                           "se_covariance"):
                 np.testing.assert_array_equal(getattr(stats, field), getattr(expected, field))
             assert (stats.realization_count, stats.seed) == (60, 23)
-
-    def test_rejects_a_box_outside_the_window(self):
-        lo, hi = self.box()
-        hi[2] *= 1.01
-        with pytest.raises(ValueError, match="inside the beam window"):
-            mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, (lo, hi), 10, 1)
