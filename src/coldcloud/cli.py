@@ -275,8 +275,8 @@ def load_config(path: str) -> RunConfig:
                             for name, make in zip(_CONFIG["grids"][0], derived))
     if np.any(t < 0) or np.any(big_t < 0):
         raise ConfigError("grids", "time grids must be nonnegative")
-    # the Monte Carlo grid: a given t grid, capped so the covariance
-    # jackknife stays light, or 5 times over [0, 2 tau_r]
+    # the Monte Carlo grid: a given t grid, capped so each realization's
+    # m^2 row of standard-error sums stays light, or 5 times over [0, 2 tau_r]
     mc_times = t
     if "t" not in given:
         mc_times = np.linspace(0.0, 2.0 * ts.tau_r, 5)

@@ -104,10 +104,9 @@ class EnsembleStats:
     """Sample statistics of the weighted count over many realizations.
 
     ``covariance`` is the (time, time) sample covariance matrix; its
-    diagonal is ``variance`` by construction.  All standard errors are
-    jackknife estimates (the one for the mean coincides with the usual
-    s/sqrt(n)), those off the diagonal of ``covariance`` no lower than a
-    Poisson floor (see _ensemble_from_values).
+    diagonal is ``variance`` by construction.  ``se_mean`` is s/sqrt(n).
+    ``se_covariance`` follows from Campbell's theorem with the draws' own
+    atoms (see _ensemble_from_values), and its diagonal is ``se_variance``.
     """
 
     times: np.ndarray
@@ -126,10 +125,10 @@ class BinaryCountReport:
     """Poisson check for an indicator (hard-edged) detection volume.
 
     For a 0/1 weight the count must stay Poissonian at all times, so the
-    variance/mean ratio is 1 up to sampling error.  ``consistent`` flags
-    |ratio - 1| <= 3 standard errors per time.  At a time when no atom of
-    any realization is in the box, ratio and ratio_se are NaN and the time
-    is not consistent.
+    variance/mean ratio is 1 up to sampling error (``ratio_se``, see
+    _box_report).  ``consistent`` flags |ratio - 1| <= 3 standard errors
+    per time.  At a time when no atom of any realization is in the box,
+    ratio and ratio_se are NaN and the time is not consistent.
     """
 
     times: np.ndarray
@@ -320,7 +319,7 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
 
 
 def _per_time(real: Realization, times: np.ndarray, g: float, counts) -> np.ndarray:
-    """counts(pos), joined along its last, time axis, for the positions pos
+    """counts(pos), joined along its first, time axis, for the positions pos
     (time, atom, 3) at chunks of the times of at most _PART_ATOMS entries or
     one time (the sub-cloud limit doubles as this 512 KiB memory budget):
     the propagate formula in a (time, coordinate, atom) array, so each
@@ -332,7 +331,7 @@ def _per_time(real: Realization, times: np.ndarray, g: float, counts) -> np.ndar
         pos += real.positions.T
         pos[:, 2] -= (0.5 * g * chunk**2)[:, None]
         rows.append(counts(pos.transpose(0, 2, 1)))
-    return np.concatenate(rows, axis=-1)
+    return np.concatenate(rows)
 
 
 def _sub_clouds(c: CloudParams) -> int:
@@ -343,8 +342,8 @@ def _sub_clouds(c: CloudParams) -> int:
 def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi,
                       n_realizations: int, seed: int, threads: int) -> np.ndarray:
     """(realization, width) array whose row i is row(*_draw(realization i)),
-    width numbers: the m weighted counts of weighted_counts, the m box
-    counts of binary_count_check, or both from one draw.
+    width numbers that add over sub-clouds: the m weighted counts of
+    weighted_counts, the m box counts of binary_count_check, or both.
 
     Realization i sums _sub_clouds(c) sub-clouds of equal mean, drawn in the
     windows lo, hi at the given times from one _draw_plan: sub-cloud 0 from
@@ -376,43 +375,29 @@ def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi
     return out
 
 
-def _leave_one_out_covariances(cross: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sample covariances with each realization left out in turn.
-
-    a and b are centered data with realizations along axis 0; they
-    broadcast against each other to the shape of the full cross sum
-    ``cross`` = sum_i a_i * b_i.  The result, one estimate per left-out
-    realization, comes from downdating that sum, so its cost is that of
-    a * b: O(n*m) for matched columns, O(n*m^2) for a full (m, m) matrix.
-    """
-    n = a.shape[0]
-    rest_a = a.sum(axis=0) - a                       # ~ -a for centered data
-    rest_b = b.sum(axis=0) - b
-    return (cross - a * b - rest_a * rest_b / (n - 1)) / (n - 2)
+def _campbell_row(w: np.ndarray) -> np.ndarray:
+    """The m weighted counts of a draw's (time, atom) weights w, then the
+    m x m sums over its atoms of w_j^2 w_k^2, row-major (see
+    _ensemble_from_values)."""
+    sq = w * w
+    return np.concatenate([w.sum(axis=1), (sq @ sq.T).ravel()])
 
 
-def _jackknife_se(loo: np.ndarray) -> np.ndarray:
-    """Jackknife standard error from the leave-one-out estimates loo[i]."""
-    n = loo.shape[0]
-    return np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
-
-
-def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> EnsembleStats:
-    n = values.shape[0]
+def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> EnsembleStats:
+    """EnsembleStats of n (realization, m + m^2) _campbell_row rows.  For
+    counts N_j = sum_atoms w_j over a Poisson cloud, the sample covariance
+    has variance kappa_jk/n + (var_j var_k + cov_jk^2)/(n - 1), and by
+    Campbell's theorem (Kingman, *Poisson Processes*, 1993) the rows' mean
+    m x m sum estimates kappa_jk = E[sum_atoms w_j^2 w_k^2]."""
+    n, m = rows.shape[0], times.size
+    values = np.ascontiguousarray(rows[:, :m])
+    kappa = rows[:, m:].mean(axis=0).reshape(m, m)
     mean = values.mean(axis=0)
     centered = values - mean
-    cross = centered.T @ centered
-    cov = cross / (n - 1)
+    cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)  # enforce exact symmetry of the BLAS product
     var = np.diag(cov).copy()
-    se_cov = _jackknife_se(_leave_one_out_covariances(
-        cross, centered[:, :, None], centered[:, None, :]))
-    # Var(cov_jk) = kappa_jjkk / n + (var_j var_k + cov_jk^2) / (n - 1), with
-    # kappa_jjkk = integral of w_j^2 w_k^2 over a Poisson cloud >= 0: below
-    # the rest, the jackknife missed rare realizations weighted at both times
-    floor = np.sqrt((np.outer(var, var) + cov**2) / (n - 1))
-    np.fill_diagonal(floor, 0.0)  # the variances keep the jackknife
-    se_cov = np.maximum(0.5 * (se_cov + se_cov.T), floor)
+    se_cov = np.sqrt(kappa / n + (np.outer(var, var) + cov**2) / (n - 1))
     return EnsembleStats(
         times=np.array(times, dtype=float),
         mean=mean,
@@ -424,6 +409,13 @@ def _ensemble_from_values(values: np.ndarray, times: np.ndarray, seed: int) -> E
         realization_count=n,
         seed=seed,
     )
+
+
+def _ensemble_times(times, n_realizations: int) -> np.ndarray:
+    """The checked times of an ensemble of n_realizations, at least 3."""
+    if n_realizations < 3:
+        raise ValueError("need at least 3 realizations for ensemble standard errors")
+    return np.atleast_1d(_checked(times, "times", 0.0))
 
 
 def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
@@ -488,14 +480,16 @@ def ensemble_stats(
 ) -> EnsembleStats:
     """Estimate mean/variance/covariance of N(t) over independent clouds.
 
-    Unbiased sample statistics with jackknife standard errors.  Identical
+    Unbiased sample statistics of the weighted_counts array, with standard
+    errors from Campbell's theorem (see _ensemble_from_values).  Identical
     results for any ``threads`` value.
     """
-    if n_realizations < 3:
-        raise ValueError("need at least 3 realizations for jackknife standard errors")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    values = weighted_counts(c, b, times, n_realizations, seed, threads)
-    return _ensemble_from_values(values, times, seed)
+    times = _ensemble_times(times, n_realizations)
+    hi = _beam_window(c, b, times)
+    rows = _realization_rows(
+        c, lambda real, _: _campbell_row(_per_time(real, times, c.g, lambda pos: weight(b, pos))),
+        times.size * (times.size + 1), times, -hi, hi, n_realizations, seed, threads)
+    return _ensemble_from_values(rows, times, seed)
 
 
 def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -521,19 +515,19 @@ def _inside(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _box_report(counts: np.ndarray, times: np.ndarray) -> BinaryCountReport:
-    """Variance/mean ratio of the (realization, time) box counts, with its
-    jackknife standard error."""
+    """Variance/mean ratio r of the n (realization, time) box counts, with
+    the delta method's standard error.  Every cumulant of a 0/1 weight's
+    count is its mean (Campbell's theorem), so n Var(r) = (1 - 2r + r^3)/mean
+    + 2n r^2/(n - 1), positive since integer counts have r >= 1 - mean."""
     n = counts.shape[0]
     mean = counts.mean(axis=0)
     centered = counts - mean
-    sq_sum = np.sum(centered**2, axis=0)
-    var = sq_sum / (n - 1)
-    # leave-one-out variances over leave-one-out means; 0/0 (NaN) for an
-    # empty box
-    loo_var = _leave_one_out_covariances(sq_sum, centered, centered)
+    var = np.sum(centered**2, axis=0) / (n - 1)
+    # 0/0 (NaN) for an empty box
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = var / mean
-        ratio_se = _jackknife_se(loo_var / (mean - centered / (n - 1)))
+        ratio_se = np.sqrt(((1.0 - 2.0 * ratio + ratio**3) / mean
+                            + 2.0 * n * ratio**2 / (n - 1)) / n)
     return BinaryCountReport(
         times=times,
         mean=mean,
@@ -556,15 +550,14 @@ def binary_count_check(
 
     ``box_bounds`` is ((xlo, ylo, zlo), (xhi, yhi, zhi)); infinities select
     all space.  Counts atoms inside the box after free fall and reports the
-    variance/mean ratio with a jackknife standard error; a healthy sampler
-    gives 1 within noise at every time, independently of any beam-weight
-    physics.  The box is the draw's window: only atoms inside it at some
-    grid time are drawn, and its counts are the draw's window mask.
+    variance/mean ratio with its standard error (see _box_report); a
+    healthy sampler gives 1 within noise at every time, independently of
+    any beam-weight physics.  The box is the draw's window: only atoms
+    inside it at some grid time are drawn, and its counts are the draw's
+    window mask.
     """
-    if n_realizations < 3:
-        raise ValueError("need at least 3 realizations for jackknife standard errors")
+    times = _ensemble_times(times, n_realizations)
     lo, hi = _box(box_bounds)
-    times = np.atleast_1d(_checked(times, "times", 0.0))
     counts = _realization_rows(
         c, lambda _, inside: np.broadcast_to(np.count_nonzero(inside, axis=1), times.shape),
         times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
@@ -582,16 +575,19 @@ def _ensemble_and_box(c: CloudParams, b: BeamParams, times, n_realizations: int,
     in it at t_i is inside the window at t_i, hence drawn, and the count is
     exact.
     """
-    if n_realizations < 3:
-        raise ValueError("need at least 3 realizations for jackknife standard errors")
-    times = np.atleast_1d(_checked(times, "times", 0.0))
+    times = _ensemble_times(times, n_realizations)
     window = _beam_window(c, b, times)
     half, edge = 0.5 * c.sigma_r, float(window[1].min())
     box = (-half, -edge, -edge), (half, edge, edge)
     lo, hi = np.array(box)
-    values = _realization_rows(
-        c, lambda real, _: _per_time(real, times, c.g, lambda pos: np.stack(
-            [weight(b, pos).sum(axis=1), _inside(pos, lo, hi)])).ravel(),
-        2 * times.size, times, -window, window, n_realizations, seed, threads)
-    weighted, boxed = (np.ascontiguousarray(block) for block in np.hsplit(values, 2))
+
+    def row(real, _):  # the box count rides as one more column of the weights
+        both = _per_time(real, times, c.g, lambda pos: np.column_stack(
+            [weight(b, pos), _inside(pos, lo, hi)]))
+        return np.concatenate([_campbell_row(both[:, :-1]), both[:, -1]])
+
+    width = times.size * (times.size + 1)
+    values = _realization_rows(c, row, width + times.size, times, -window, window,
+                               n_realizations, seed, threads)
+    weighted, boxed = np.hsplit(values, [width])
     return _ensemble_from_values(weighted, times, seed), _box_report(boxed, times), box

@@ -252,6 +252,31 @@ def sample_cloud_full(c, seed):
     return c.sigma_r * rng.standard_normal((count, 3)), c.sigma_v * rng.standard_normal((count, 3))
 
 
+def compound_poisson_rows(rng, lam, a, n):
+    """n realizations of two counts over a Poisson(lam) number of atoms,
+    N_k = sum of w_k over the atoms, with w_1 = exp(-a u^2) and w_2 =
+    exp(-a (u + v)^2) for standard normals u, v drawn per atom.  Each row
+    is (N_1, N_2, then the 2 x 2 sums over its atoms of w_j^2 w_k^2,
+    row-major): the layout of the Monte Carlo oracle's ensemble rows."""
+    counts = rng.poisson(lam, n)
+    u, v = rng.standard_normal((2, int(counts.sum())))
+    w = np.exp(-a * np.stack([u * u, (u + v) ** 2]))
+    sq = w * w
+    owner = np.repeat(np.arange(n), counts)
+    columns = [w[0], w[1], sq[0] * sq[0], sq[0] * sq[1], sq[1] * sq[0], sq[1] * sq[1]]
+    return np.stack([np.bincount(owner, weights=col, minlength=n) for col in columns], axis=1)
+
+
+def compound_poisson_moments(lam, a):
+    """Exact (Var N_1, Var N_2, Cov(N_1, N_2)) of compound_poisson_rows:
+    lam E[w_j w_k] by Campbell's theorem, Gaussian integrals of the
+    quadratic forms 2a u^2, 2a (u + v)^2 and a x^T B x, x = (u, v),
+    B = [[2, 1], [1, 1]]."""
+    b = np.array([[2.0, 1.0], [1.0, 1.0]])
+    return (lam / math.sqrt(1.0 + 4.0 * a), lam / math.sqrt(1.0 + 8.0 * a),
+            lam / math.sqrt(np.linalg.det(np.eye(2) + 2.0 * a * b)))
+
+
 def band_union_mass(sigma_r, sigma_v, times, lo, hi):
     """Normal mass of the (x0, v) plane, x0 ~ N(0, sigma_r^2) and v ~ N(0,
     sigma_v^2), where lo_i <= x0 + v t_i <= hi_i for some i: the union of

@@ -169,7 +169,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("realizations", [1, 2])
     def test_fewer_than_three_realizations_rejected(self, tmp_path, capsys, realizations):
-        # two realizations would leave every jackknife standard error NaN
+        # the library's ensembles need at least 3 realizations
         cfg = base_config(mc={"realizations": realizations, "seed": 1})
         path = write_config(tmp_path, cfg)
         assert main(["mc", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -203,6 +203,7 @@ class TestEnsembleStats:
     def test_matrix_invariants(self):
         stats = ensemble_stats(CLOUD, BEAM, [0.0, 0.005, 0.012], 200, seed=3)
         np.testing.assert_array_equal(stats.covariance, stats.covariance.T)
+        np.testing.assert_array_equal(stats.se_covariance, stats.se_covariance.T)
         np.testing.assert_array_equal(np.diag(stats.covariance), stats.variance)
         assert stats.realization_count == 200
 
@@ -223,24 +224,59 @@ class TestEnsembleStats:
                 z = (stats.covariance[j, k] - th) / stats.se_covariance[j, k]
                 assert abs(z) < 3.0
 
-    def test_covariance_se_has_poisson_floor(self):
-        # no realization has weight at both times: the jackknife of the
-        # covariance reads half the floor, the variances keep theirs
+    def test_covariance_se_without_shared_atoms(self):
+        # one atom of weight 1 per nonzero count, and none weighted at both
+        # times (kappa_01 = 0): the covariance SE is its Gaussian part alone
         values = np.zeros((50, 2))
         values[:5, 0] = 1.0
         values[5:10, 1] = 1.0
-        stats = mc_oracle._ensemble_from_values(values, np.array([0.0, 1.0]), 0)
-        floor = np.sqrt((np.outer(stats.variance, stats.variance) + stats.covariance**2) / 49)
-        assert stats.se_covariance[0, 1] == stats.se_covariance[1, 0] == floor[0, 1]
-        np.testing.assert_allclose(stats.se_variance, [1 / 28, 1 / 28], rtol=1e-12)
+        kappa = np.stack([values[:, 0], np.zeros(50), np.zeros(50), values[:, 1]], axis=1)
+        stats = mc_oracle._ensemble_from_values(np.hstack([values, kappa]), np.array([0.0, 1.0]), 0)
+        gaussian = np.sqrt((stats.variance[0] * stats.variance[1] + stats.covariance[0, 1] ** 2) / 49)
+        assert stats.se_covariance[0, 1] == stats.se_covariance[1, 0]
+        np.testing.assert_allclose(stats.se_covariance[0, 1], gaussian, rtol=1e-15)
+        np.testing.assert_allclose(stats.se_variance, np.sqrt(0.1 / 50 + 2 * stats.variance**2 / 49),
+                                   rtol=1e-15)
 
-    def test_variance_se_has_no_floor(self):
-        # a two-valued column: every leave-one-out variance is the same, so
-        # the jackknife SE is 0, and the variance keeps it
+    def test_two_valued_variance_se_is_positive(self):
+        # a two-valued column, two atoms of weight 1 where it reads 2: every
+        # leave-one-out variance is the same, so a jackknife SE reads 0.
+        # Campbell's identity keeps the atoms' fourth moment, kappa = 1
         values = np.tile([0.0, 2.0], 25)[:, None]
-        stats = mc_oracle._ensemble_from_values(values, np.array([0.0]), 0)
-        assert stats.se_variance[0] < 1e-12 < np.sqrt(2.0 / 49) * stats.variance[0]
+        stats = mc_oracle._ensemble_from_values(np.hstack([values, values]), np.array([0.0]), 0)
+        expected = np.sqrt(1.0 / 50 + 2 * stats.variance[0] ** 2 / 49)
+        np.testing.assert_allclose(stats.se_variance[0], expected, rtol=1e-15)
+        assert expected > 0.2
         assert stats.se_covariance[0, 0] == stats.se_variance[0]
+
+    def test_standard_errors_are_calibrated(self):
+        # compound-Poisson counts from an independent generator with exact
+        # (co)variances: the z of each has unit spread.  A leave-one-out
+        # jackknife raised to the Gaussian part read the covariance z's sd
+        # as 1.07-1.08 on these ensembles
+        var_1, var_2, cov = oracles.compound_poisson_moments(1.0, 1.0)
+        rng = np.random.default_rng(26)
+        z = []
+        for _ in range(3000):
+            rows = oracles.compound_poisson_rows(rng, 1.0, 1.0, 400)
+            stats = mc_oracle._ensemble_from_values(rows, np.array([0.0, 1.0]), 0)
+            z.append([(stats.covariance[0, 1] - cov) / stats.se_covariance[0, 1],
+                      *(stats.variance - [var_1, var_2]) / stats.se_variance])
+        spread = np.std(z, axis=0)
+        assert np.all((0.95 <= spread) & (spread <= 1.05)), spread
+
+    def test_ratio_se_is_calibrated(self):
+        # plain Poisson counts, no sampler: the z of the variance/mean ratio
+        # has unit spread from sparse to crowded boxes.  The jackknife read
+        # sd 3.3 at mean 0.05
+        means = np.array([0.05, 0.3, 1.0, 3.0, 20.0])
+        rng = np.random.default_rng(26)
+        z = []
+        for _ in range(2000):
+            report = mc_oracle._box_report(rng.poisson(means, (1000, means.size)), means)
+            z.append((report.ratio - 1.0) / report.ratio_se)
+        spread = np.std(z, axis=0)
+        assert np.all((0.9 <= spread) & (spread <= 1.1)), spread
 
     def test_variance_to_mean_ratio_half(self):
         # tau_w/tau_r = 0.01 without gravity: the soft weight halves the
@@ -268,8 +304,7 @@ class TestEnsembleStats:
         assert 1.7 < ratio < 2.3  # expect 2 for 4x the realizations
 
     def test_rejects_tiny_ensembles(self):
-        # the leave-one-out covariances divide by n - 2: below 3 realizations
-        # every standard error would be NaN
+        # one check guards every ensemble: at least 3 realizations
         for n in (1, 2):
             with pytest.raises(ValueError, match="at least 3"):
                 ensemble_stats(CLOUD, BEAM, [0.0], n, seed=0)
