@@ -31,8 +31,9 @@ __version__ = "0.1.0"
 # of faulting them in afresh on every call.  On a 2-core Xeon (glibc 2.36),
 # a repeated 2000-frequency spectrum takes 0-3 page faults with the block
 # and 574-576 without.  A repeated 4-realization ensemble of the default
-# 1e6-atom cloud takes 0 either way, as it is drawn in sub-clouds of at most
-# 2**16 mean atoms (drawn whole, it took 1.1e4-1.2e4 without the block).
+# 1e6-atom cloud takes 0-3 either way, as it is drawn in blocks of at most
+# 2**14 mean proposed atoms (drawn whole, it took 1.1e4-1.2e4 without the
+# block).
 # Other allocators see one untouched allocation.
 _np.empty(3 << 20)
 

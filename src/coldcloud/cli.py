@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_int_at_least(_CONFIG["mc"][0]["seed"][0]), default=None,
                         help="override the Monte Carlo seed from the config")
     parser.add_argument("--threads", type=_int_at_least(1), default=1,
-                        help="worker threads for Monte Carlo realizations "
+                        help="worker threads for the Monte Carlo blocks of realizations "
                              "(at most one per CPU is used)")
     return parser
 

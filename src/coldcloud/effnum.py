@@ -123,11 +123,17 @@ def _sum_over_sections(inp: EffNumInputs, layer, x, dx) -> np.ndarray:
     even where inf/inf made its layer NaN.  That is a node far out in x, or
     every node once the cloud spread leaves the float range (x and dx are
     then inf).
+
+    Each layer is scaled by the power of two of its dx before the division,
+    and dx by the inverse: layer/S(x) alone underflows at large t where the
+    term is still a normal float.  Where every step is normal, the scaling
+    is exact, so the term is the same float as layer/S(x)*dx.
     """
     section = beam_section(inp.beam, x)
     finite = section < math.inf
-    terms = np.divide(layer, section, out=np.zeros(np.shape(x)), where=finite)
-    np.multiply(terms, dx, out=terms, where=finite)
+    mantissa, exponent = np.frexp(dx)
+    terms = np.divide(np.ldexp(layer, exponent), section, out=np.zeros(np.shape(x)), where=finite)
+    np.multiply(terms, mantissa, out=terms, where=finite)
     return np.sum(terms, axis=-1)
 
 

@@ -248,31 +248,36 @@ def _log_pk(k: int, x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
         return _log_pk_sum(k, np.log(2.0 * x), log_fact)
 
 
-def _log_pk_sum(k: int, log_2x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+def _log_pk_sum(k: int, log_2x: np.ndarray, log_fact: np.ndarray, work=None) -> np.ndarray:
     """log p_k(x) from log(2x); the caller silences numpy's divide,
     invalid and overflow warnings (log 0, 0 * log 0 and 2x past the float
     range come up on purpose).
 
     The log-sum over the k+1 terms is scipy.special.logsumexp's arithmetic,
     operation for operation, on one (k+1, n) matrix updated in place: the
-    largest term per column is taken out of the sum, once per tie, and the
-    rest are summed down axis 0 in row order.  With the column max
-    subtracted, the max terms are those not below 0 (NaN = inf - inf where
-    the max is +inf); when every column has exactly one, there is no tie,
-    and the division by the tie count and the log of it are skipped, as
-    dividing by 1 and adding log 1 = 0 are exact.  scipy's extra pass for
-    non-finite results is left out: row 0 is always finite, so a result is
-    infinite only when a term is +inf, and then both ways give +inf.
+    first k+1 rows of work, a float and a bool array of at least k+1 rows
+    (made here when not given).  The largest term per column is taken out
+    of the sum, once per tie, and the rest are summed down axis 0 in row
+    order.  With the column max subtracted, the max terms are those not
+    below 0 (NaN = inf - inf where the max is +inf); when every column has
+    exactly one, there is no tie, and the division by the tie count and the
+    log of it are skipped, as dividing by 1 and adding log 1 = 0 are
+    exact.  scipy's extra pass for non-finite results is left out: row 0 is
+    always finite, so a result is infinite only when a term is +inf, and
+    then both ways give +inf.
     """
     j = np.arange(k + 1)
     log_coeff = log_fact[2 * k - j] - log_fact[j] - log_fact[k - j]
-    terms = np.multiply.outer(j.astype(float), log_2x)
+    if work is None:
+        work = np.empty((k + 1, log_2x.size)), np.empty((k + 1, log_2x.size), dtype=bool)
+    terms, at_top = work[0][:k + 1], work[1][:k + 1]
+    np.multiply.outer(j.astype(float), log_2x, out=terms)
     # j = 0 contributes log_coeff alone even at x = 0
     terms[0] = 0.0
     terms += log_coeff[:, None]
     top = terms.max(0)
     terms -= top
-    at_top = ~(terms < 0.0)
+    np.logical_not(np.less(terms, 0.0, out=at_top), out=at_top)
     np.exp(terms, out=terms)
     np.copyto(terms, 0.0, where=at_top)
     s = terms.sum(0)
@@ -324,10 +329,14 @@ def _enveloped_pk_series(c: float, x: np.ndarray, log_fact: np.ndarray | None = 
     if log_fact is None:
         log_fact = _log_factorials(2 * cap)
     total, log_total, prev = 0.0, -np.inf, -np.inf
+    # one pair of (order, x) work arrays for every order: the same two heap
+    # blocks each call, where growing per-order arrays fragmented the heap
+    work = np.empty((cap + 1, x.size)), np.empty((cap + 1, x.size), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_2x = np.log(2.0 * x)
         for k in range(cap + 1):
-            term = k * log_c - 2.0 * log_fact[k] + _log_pk_sum(k, log_2x, log_fact) - 4.0 * c - x
+            term = (k * log_c - 2.0 * log_fact[k] + _log_pk_sum(k, log_2x, log_fact, work)
+                    - 4.0 * c - x)
             total = total + np.exp(term)
             log_total = np.logaddexp(log_total, term)
             if np.all(term <= log_rtol + log_total) and np.all(term <= prev):

@@ -12,24 +12,27 @@ cloud, the coordinates whose windows are all finite are drawn from the
 product of their bands in the (position, velocity) planes (see _band_draw).
 A draw also returns its window test, which binary_count_check counts.
 
-Reproducibility contract: each realization uses its own generator seeded by
-a splitmix64 mix of the master seed and the realization index.  A band
-draw takes, in order: one Poisson count per grid time; for each band
-coordinate in x, y, z order, the uniform pairs of its rejection rounds,
-then one normal per proposal along its band; one uniform per proposal for
-the thinning.  A full draw takes the Poisson count of the whole cloud
-instead.  Then each remaining windowed coordinate, and last the
+Reproducibility contract: an ensemble is drawn in blocks of consecutive
+clouds, block k in one array pass from the generator seeded by a splitmix64
+mix of the master seed and k.  A realization of more than _PART_ATOMS mean
+atoms (its proposals for a band draw) is the fewest sub-clouds of equal
+mean within that budget, and a block holds as many clouds as fit in it, at
+least one.  A band draw takes, in order: one Poisson count per cloud and
+grid time; for each band coordinate in x, y, z order, the uniform pairs of
+its rejection rounds, then one normal per proposal along its band; one
+uniform per proposal for the thinning.  A full draw takes one Poisson count
+per cloud instead.  Then each remaining windowed coordinate, and last the
 coordinates without a window, each group in x, y, z order, take the
-positions and then the velocities of the atoms still kept.  Above
-_PART_ATOMS mean atoms, a realization adds independent sub-clouds of equal
-mean, sub-cloud j >= 1 seeded by the same mix of its seed and j.  All
-statistics are reductions over a fully materialized (realization, time)
-array.  Results are therefore bit-identical no matter how many threads the
-realizations are spread over.
+positions and then the velocities of the atoms still kept.  Each step runs
+over the block's proposals or atoms in cloud order; sample_cloud is a block
+of one cloud.  A realization's counts add its atoms one by one within a
+block, then block by block, so they are bit-identical for any number of
+threads the blocks are spread over.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -68,15 +71,15 @@ _MASK64 = (1 << 64) - 1
 # about 1e-15 atoms for 1e6 atoms on 5 times (configs/default.json).
 BEAM_CUT = 5.0
 AXIAL_CUT = 10.0
-# Largest mean atom number drawn as one cloud: 512 KiB per coordinate array.
-_PART_ATOMS = 1 << 16
+# Largest mean atom number drawn in one block: 128 KiB per coordinate array.
+_PART_ATOMS = 1 << 14
 
 
 def substream_seed(master_seed: int, index: int) -> int:
-    """Derive the per-realization seed: splitmix64 of master seed and index.
+    """Derive a block's seed: splitmix64 of master seed and block index.
 
-    The mix decorrelates consecutive indices completely, so realizations
-    can be generated in any order (or in parallel) with identical results.
+    The mix decorrelates consecutive indices completely, so blocks can be
+    drawn in any order (or in parallel) with identical results.
     """
     z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -86,7 +89,7 @@ def substream_seed(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled cloud: atom positions and velocities at release.
+    """Sampled atoms, one cloud or a block's clouds: positions and velocities at release.
 
     ``count`` is the number of atoms drawn, which sample_cloud limits to
     those inside the window box of some time.  It stores both (count, 3)
@@ -210,8 +213,9 @@ def _truncated_normal(rng: np.random.Generator, lower: np.ndarray, width: np.nda
     rejection (Devroye 1986): rounds of uniform pairs for those pending, x
     accepted with probability exp(-(x^2 - top)/2), top the interval's
     smallest x^2."""
-    out = np.empty(lower.size)
-    pending = np.arange(lower.size)
+    u = rng.random((2, lower.size))
+    out = lower + width * u[0]  # the first round over all, without gathers
+    pending = np.flatnonzero(u[1] >= np.exp(0.5 * (top - out * out)))
     while pending.size:
         u = rng.random((2, pending.size))
         x = lower[pending] + width[pending] * u[0]
@@ -222,26 +226,31 @@ def _truncated_normal(rng: np.random.Generator, lower: np.ndarray, width: np.nda
 
 
 def _band_draw(c: CloudParams, rng: np.random.Generator, times: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray, bands: tuple) -> tuple[dict, np.ndarray]:
+               hi: np.ndarray, bands: tuple, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
     """The (position, velocity) pairs, shape (2, kept), of the band
-    coordinates of the cloud's atoms inside the union over t_i of the
-    window boxes, keyed by coordinate, and their (time, kept) mask of being
-    inside each box.
+    coordinates of the atoms of n clouds inside the union over t_i of the
+    window boxes, keyed by coordinate, their (time, kept) mask of being
+    inside each box, and the cloud of each atom.
 
-    Time i gets a Poisson(n_total M_i) count of proposals, drawn in one
-    call.  In each band coordinate in turn, across band i a proposal is a
-    standard normal truncated to [a_i, b_i], along it a free normal.  A
-    proposal in k boxes is kept with probability 1/k, so the kept atoms are
-    the cloud restricted to the union (Karp, Luby & Madras 1989): a thinned
-    Poisson process is Poisson.
+    Each cloud gets a Poisson(n_total M_i) count of proposals at time i.
+    In each band coordinate in turn, across band i a proposal is a standard
+    normal truncated to [a_i, b_i], along it a free normal.  A proposal in
+    k boxes is kept with probability 1/k, so the kept atoms are the cloud
+    restricted to the union (Karp, Luby & Madras 1989): a thinned Poisson
+    process is Poisson.
     """
     coords, joint, a, b, nearest_sq, e_r, e_v = bands
-    band = np.repeat(np.arange(times.size), rng.poisson(c.n_total * joint))
-    count = band.size
-    e_r, e_v = e_r[band], e_v[band]
+    proposals = rng.poisson(c.n_total * joint, (n, times.size))
+    owner = np.repeat(np.arange(n), proposals.sum(axis=1))
+    count = owner.size
+
+    def proposed(rows: np.ndarray) -> np.ndarray:  # (..., time) -> (..., proposal)
+        return np.repeat(np.tile(rows, n), proposals.ravel(), axis=-1)
+
+    e_r, e_v = proposed(np.stack([e_r, e_v]))
     drawn, inside = {}, np.ones((1, count), dtype=bool)
     for j, d in enumerate(coords):
-        across = _truncated_normal(rng, a[j, band], (b[j] - a[j])[band], nearest_sq[j, band])
+        across = _truncated_normal(rng, *proposed(np.stack([a[j], b[j] - a[j], nearest_sq[j]])))
         along = rng.standard_normal(count)
         drawn[d] = np.stack([c.sigma_r * (across * e_r - along * e_v),
                              c.sigma_v * (across * e_v + along * e_r)])
@@ -249,19 +258,23 @@ def _band_draw(c: CloudParams, rng: np.random.Generator, times: np.ndarray, lo: 
     hits = np.count_nonzero(inside, axis=0)
     # hits is 0 only where rounding moved a proposal off its band's edge
     kept = np.flatnonzero((hits > 0) & (rng.random(count) * hits < 1.0))
-    return {d: pair.take(kept, axis=1) for d, pair in drawn.items()}, inside.take(kept, axis=1)
+    return ({d: pair.take(kept, axis=1) for d, pair in drawn.items()}, inside.take(kept, axis=1),
+            owner.take(kept))
 
 
-def _draw(c: CloudParams, seed: int, plan: tuple) -> tuple[Realization, np.ndarray]:
-    """sample_cloud(c, seed, ...) for the _draw_plan of its other arguments,
-    and its (time, atom) mask of being inside each time's window box, by the
-    propagate formula (one row of True when no coordinate is windowed)."""
+def _draw(c: CloudParams, rng: np.random.Generator, plan: tuple,
+          n: int = 1) -> tuple[Realization, np.ndarray, np.ndarray]:
+    """n independent clouds c for a _draw_plan, from one generator in one
+    array pass: all their atoms as one Realization, its (time, atom) mask of
+    being inside each time's window box, by the propagate formula (one row
+    of True when no coordinate is windowed), and each atom's cloud 0..n-1,
+    in nondecreasing order."""
     times, lo, hi, order, bands = plan
-    rng = np.random.Generator(np.random.PCG64(seed))
     if bands is None:
-        drawn, inside = {}, np.ones((1, int(rng.poisson(c.n_total))), dtype=bool)
+        owner = np.repeat(np.arange(n), rng.poisson(c.n_total, n))
+        drawn, inside = {}, np.ones((1, owner.size), dtype=bool)
     else:
-        drawn, inside = _band_draw(c, rng, times, lo, hi, bands)
+        drawn, inside, owner = _band_draw(c, rng, times, lo, hi, bands, n)
     for d in (d for d in order if d not in drawn):
         drawn[d] = pair = rng.standard_normal((2, inside.shape[1]))
         pair[0] *= c.sigma_r
@@ -269,7 +282,7 @@ def _draw(c: CloudParams, seed: int, plan: tuple) -> tuple[Realization, np.ndarr
         inside = inside & _window_hits(c, pair, times, lo[d], hi[d], d == 2)
         kept = np.flatnonzero(inside.any(axis=0))
         drawn = {e: block.take(kept, axis=1) for e, block in drawn.items()}
-        inside = inside.take(kept, axis=1)
+        inside, owner = inside.take(kept, axis=1), owner.take(kept)
     count = inside.shape[1]
     positions, velocities = (np.empty((count, 3), order="F") for _ in range(2))
     for d in range(3):
@@ -279,7 +292,7 @@ def _draw(c: CloudParams, seed: int, plan: tuple) -> tuple[Realization, np.ndarr
             for column, sigma in ((positions[:, d], c.sigma_r), (velocities[:, d], c.sigma_v)):
                 rng.standard_normal(out=column)
                 column *= sigma
-    return Realization(positions=positions, velocities=velocities, count=count), inside
+    return Realization(positions=positions, velocities=velocities, count=count), inside, owner
 
 
 def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> Realization:
@@ -295,7 +308,7 @@ def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> 
     the kept atoms are drawn, and in what order, is the module's
     reproducibility contract (see also _bands and _band_draw).
     """
-    return _draw(c, seed, _draw_plan(c, times, lo, hi))[0]
+    return _draw(c, np.random.default_rng(seed), _draw_plan(c, times, lo, hi))[0]
 
 
 def propagate(r0, v0, g: float, t: float):
@@ -318,73 +331,91 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
     return float(np.sum(weight(b, pos)))
 
 
-def _per_time(real: Realization, times: np.ndarray, g: float, counts) -> np.ndarray:
-    """counts(pos), joined along its first, time axis, for the positions pos
-    (time, atom, 3) at chunks of the times of at most _PART_ATOMS entries or
-    one time (the sub-cloud limit doubles as this 512 KiB memory budget):
-    the propagate formula in a (time, coordinate, atom) array, so each
-    time's weight sum adds the same numbers in the same order as effective_count."""
-    step = max(1, _PART_ATOMS // max(3 * real.count, 1))
-    rows = []
-    for chunk in np.split(times, range(step, times.size, step)):
-        pos = real.velocities.T * chunk[:, None, None]
+def _per_time(real: Realization, times: np.ndarray, g: float, weigh) -> np.ndarray:
+    """The (time, atom) array of weigh(pos) for the (atom, 3) positions pos
+    of a draw's atoms at each time, by the propagate formula in a
+    (coordinate, atom) array, so each time's weights are effective_count's."""
+    out = np.empty((times.size, real.count))
+    for i, t in enumerate(times.tolist()):
+        pos = real.velocities.T * t
         pos += real.positions.T
-        pos[:, 2] -= (0.5 * g * chunk**2)[:, None]
-        rows.append(counts(pos.transpose(0, 2, 1)))
-    return np.concatenate(rows)
+        pos[2] -= 0.5 * g * t**2
+        out[i] = weigh(pos.T)
+    return out
 
 
-def _sub_clouds(c: CloudParams) -> int:
-    """Independent sub-clouds drawn per realization of c."""
-    return max(1, math.ceil(c.n_total / _PART_ATOMS))
+def _sub_clouds(c: CloudParams, plan: tuple) -> tuple[int, float]:
+    """How many sub-clouds a realization of c is for a _draw_plan, and the
+    mean atoms of each: its mean atoms, the proposals n_total sum_i M_i of a
+    band draw or n_total, split into the fewest parts of at most _PART_ATOMS."""
+    bands = plan[-1]
+    atoms = c.n_total * (1.0 if bands is None else float(bands[1].sum()))
+    parts = max(1, math.ceil(atoms / _PART_ATOMS))
+    return parts, atoms / parts
+
+
+def _per_cloud(owner: np.ndarray, n: int, values) -> np.ndarray:
+    """(n, k) sums over the atoms of each of n clouds of the k rows of the
+    per-atom values, in atom order, given the cloud of each atom."""
+    return np.stack([np.bincount(owner, row, n) for row in values], axis=1)
 
 
 def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi,
                       n_realizations: int, seed: int, threads: int) -> np.ndarray:
-    """(realization, width) array whose row i is row(*_draw(realization i)),
-    width numbers that add over sub-clouds: the m weighted counts of
-    weighted_counts, the m box counts of binary_count_check, or both.
+    """(realization, width) array of width numbers that add over a
+    realization's atoms: the m weighted counts of weighted_counts, the m box
+    counts of binary_count_check, the Campbell rows of ensemble_stats.
+    row(*_draw(n clouds), n) returns their (n, width) sums (see _per_cloud).
 
-    Realization i sums _sub_clouds(c) sub-clouds of equal mean, drawn in the
-    windows lo, hi at the given times from one _draw_plan: sub-cloud 0 from
-    s = substream_seed(seed, i), sub-cloud j from substream_seed(s, j).  So
-    scheduling order cannot change the result.  One thread runs on the
-    calling thread; more split the realizations into contiguous chunks over
-    a thread pool of at most one worker per CPU.
+    Realization i is the sub-clouds i p, ..., i p + p - 1 (see _sub_clouds)
+    in the windows lo, hi at the given times.  Block k draws the sub-clouds
+    k s, ..., k s + s - 1 (fewer in the last block) from the generator
+    seeded by substream_seed(seed, k): whole realizations if p = 1, else
+    one sub-cloud, as a sub-cloud's mean is then above _PART_ATOMS/2.  Block
+    rows add into the realizations in block order, so scheduling cannot
+    change the result.  One thread runs on the calling thread; more map the
+    blocks over a thread pool of at most one worker per CPU.
     """
     threads = min(threads, os.cpu_count() or 1)
-    out = np.empty((n_realizations, width))
-    parts = _sub_clouds(c)
+    plan = _draw_plan(c, times, lo, hi)  # independent of n_total but for its check
+    parts, mean = _sub_clouds(c, plan)
     part = replace(c, n_total=c.n_total / parts)
-    plan = _draw_plan(part, times, lo, hi)
+    units = n_realizations * parts
+    # as many sub-clouds as fit in _PART_ATOMS mean atoms, at least one
+    size = max(1, units if mean * units <= _PART_ATOMS else int(_PART_ATOMS // mean))
+    firsts = range(0, units, size)
 
-    def fill(indices) -> None:
-        for i in indices:
-            first = substream_seed(seed, i)
-            out[i] = row(*_draw(part, first, plan))
-            for j in range(1, parts):
-                out[i] += row(*_draw(part, substream_seed(first, j), plan))
+    def block(first: int) -> np.ndarray:
+        n, rng = min(size, units - first), np.random.default_rng(substream_seed(seed, first // size))
+        return row(*_draw(part, rng, plan, n), n)
 
-    if threads <= 1:
-        fill(range(n_realizations))
-        return out
-    chunk = -(-n_realizations // threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, [range(lo, min(lo + chunk, n_realizations))
-                             for lo in range(0, n_realizations, chunk)]))
+    out = np.zeros((n_realizations, width))
+    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for first, sums in zip(firsts, (pool.map if pool else map)(block, firsts)):
+            out[first // parts:first // parts + len(sums)] += sums
     return out
 
 
-def _campbell_row(w: np.ndarray) -> np.ndarray:
-    """The m weighted counts of a draw's (time, atom) weights w, then the
-    m x m sums over its atoms of w_j^2 w_k^2, row-major (see
-    _ensemble_from_values)."""
-    sq = w * w
-    return np.concatenate([w.sum(axis=1), (sq @ sq.T).ravel()])
+def _campbell_rows(w: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """(n, m + m^2): per cloud the m weighted counts of the (time, atom)
+    weights w, which it overwrites, then the m x m sums over its atoms of
+    w_j^2 w_k^2, row-major (see _ensemble_from_values)."""
+    m = w.shape[0]
+    counts = _per_cloud(owner, n, w)
+    sq = np.square(w, out=w)
+    # kappa enters only the standard errors, so its sums over each cloud's
+    # run of atoms may take reduceat's faster order
+    held = np.bincount(owner, minlength=n) > 0
+    starts = np.searchsorted(owner, np.flatnonzero(held))
+    kappa = np.zeros((n, m, m))
+    for j in range(m):
+        for k in range(j, m):
+            kappa[held, j, k] = kappa[held, k, j] = np.add.reduceat(sq[j] * sq[k], starts)
+    return np.hstack([counts, kappa.reshape(n, m * m)])
 
 
 def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> EnsembleStats:
-    """EnsembleStats of n (realization, m + m^2) _campbell_row rows.  For
+    """EnsembleStats of n (realization, m + m^2) _campbell_rows rows.  For
     counts N_j = sum_atoms w_j over a Poisson cloud, the sample covariance
     has variance kappa_jk/n + (var_j var_k + cov_jk^2)/(n - 1), and by
     Campbell's theorem (Kingman, *Poisson Processes*, 1993) the rows' mean
@@ -433,8 +464,10 @@ def window_draw(c: CloudParams, b: BeamParams, times: np.ndarray) -> dict:
     product of the window's bands ("bands") or the whole cloud ("full"),
     and the share proposed, sum_i M_i or 1."""
     hi = _beam_window(c, b, times)
-    bands = _draw_plan(c, times, -hi, hi)[-1]
-    return {"beam_window": dropped_weight_bound(c, times.size), "sub_clouds": _sub_clouds(c),
+    plan = _draw_plan(c, times, -hi, hi)
+    bands = plan[-1]
+    return {"beam_window": dropped_weight_bound(c, times.size),
+            "sub_clouds": _sub_clouds(c, plan)[0],
             "draw": "full" if bands is None else "bands",
             "proposed_share": 1.0 if bands is None else float(bands[1].sum())}
 
@@ -465,7 +498,8 @@ def weighted_counts(
     times = np.atleast_1d(_checked(times, "times", 0.0))
     hi = _beam_window(c, b, times)
     return _realization_rows(
-        c, lambda real, _: _per_time(real, times, c.g, lambda pos: weight(b, pos).sum(axis=1)),
+        c, lambda real, _, owner, n: _per_cloud(
+            owner, n, _per_time(real, times, c.g, lambda pos: weight(b, pos))),
         times.size, times, -hi, hi, n_realizations, seed, threads,
     )
 
@@ -484,12 +518,30 @@ def ensemble_stats(
     errors from Campbell's theorem (see _ensemble_from_values).  Identical
     results for any ``threads`` value.
     """
+    return _weighed(c, b, times, n_realizations, seed, threads)[0]
+
+
+def _weighed(c: CloudParams, b: BeamParams, times, n_realizations: int, seed: int, threads: int,
+             box=None) -> tuple[EnsembleStats, np.ndarray]:
+    """ensemble_stats, and the (realization, time) counts of the atoms inside
+    the box (lo, hi) from the same propagation (no columns without a box)."""
     times = _ensemble_times(times, n_realizations)
     hi = _beam_window(c, b, times)
-    rows = _realization_rows(
-        c, lambda real, _: _campbell_row(_per_time(real, times, c.g, lambda pos: weight(b, pos))),
-        times.size * (times.size + 1), times, -hi, hi, n_realizations, seed, threads)
-    return _ensemble_from_values(rows, times, seed)
+    width = times.size * (times.size + 1)
+
+    def row(real, _, owner, n):
+        boxed = []
+
+        def weigh(pos):  # the box counts ride along the weights' propagation
+            if box is not None:
+                boxed.append(_per_cloud(owner, n, _inside(pos, *box)[None]))
+            return weight(b, pos)
+
+        return np.hstack([_campbell_rows(_per_time(real, times, c.g, weigh), owner, n), *boxed])
+
+    values = _realization_rows(c, row, width + (0 if box is None else times.size), times, -hi, hi,
+                               n_realizations, seed, threads)
+    return _ensemble_from_values(values[:, :width], times, seed), values[:, width:]
 
 
 def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -503,15 +555,14 @@ def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _inside(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Number of the (..., count, 3) positions inside the box lo, hi, over
-    the count axis."""
+def _inside(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask (..., count) of the (..., count, 3) positions inside the box lo, hi."""
     # coordinate by coordinate: no (..., count, 3) boolean temporaries
     mask = np.ones(pos.shape[:-1], dtype=bool)
     for d in range(3):
         mask &= pos[..., d] >= lo[d]
         mask &= pos[..., d] <= hi[d]
-    return np.count_nonzero(mask, axis=-1)
+    return mask
 
 
 def _box_report(counts: np.ndarray, times: np.ndarray) -> BinaryCountReport:
@@ -559,7 +610,8 @@ def binary_count_check(
     times = _ensemble_times(times, n_realizations)
     lo, hi = _box(box_bounds)
     counts = _realization_rows(
-        c, lambda _, inside: np.broadcast_to(np.count_nonzero(inside, axis=1), times.shape),
+        c, lambda _, inside, owner, n: np.broadcast_to(  # one row without a window
+            _per_cloud(owner, n, inside), (n, times.size)),
         times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
     return _box_report(counts, times)
 
@@ -576,18 +628,7 @@ def _ensemble_and_box(c: CloudParams, b: BeamParams, times, n_realizations: int,
     exact.
     """
     times = _ensemble_times(times, n_realizations)
-    window = _beam_window(c, b, times)
-    half, edge = 0.5 * c.sigma_r, float(window[1].min())
+    half, edge = 0.5 * c.sigma_r, float(_beam_window(c, b, times)[1].min())
     box = (-half, -edge, -edge), (half, edge, edge)
-    lo, hi = np.array(box)
-
-    def row(real, _):  # the box count rides as one more column of the weights
-        both = _per_time(real, times, c.g, lambda pos: np.column_stack(
-            [weight(b, pos), _inside(pos, lo, hi)]))
-        return np.concatenate([_campbell_row(both[:, :-1]), both[:, -1]])
-
-    width = times.size * (times.size + 1)
-    values = _realization_rows(c, row, width + times.size, times, -window, window,
-                               n_realizations, seed, threads)
-    weighted, boxed = np.hsplit(values, [width])
-    return _ensemble_from_values(weighted, times, seed), _box_report(boxed, times), box
+    stats, counts = _weighed(c, b, times, n_realizations, seed, threads, np.array(box))
+    return stats, _box_report(counts, times), box

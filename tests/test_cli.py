@@ -603,11 +603,11 @@ class TestMonteCarloSubcommands:
         assert manifest["beam_window"] == {"beam_cut": 5.0, "axial_cut": 10.0,
                                            "dropped_weight_bound": 2000.0 * 3 * tails}
 
-    @pytest.mark.parametrize("config,parts", [("default.json", 16), ("validate_desk.json", 1)])
+    @pytest.mark.parametrize("config,parts", [("default.json", 21), ("validate_desk.json", 1)])
     def test_manifest_records_sub_clouds(self, tmp_path, config, parts):
-        # each realization of more than 2**16 mean atoms is drawn as
-        # independent sub-clouds of at most that mean, each from the bands
-        # of the beam window's boxes, which hold sum_i M_i of the cloud
+        # each realization that proposes more than 2**14 mean atoms from the
+        # bands of the beam window's boxes, which hold sum_i M_i of the
+        # cloud, is drawn as independent sub-clouds of at most that mean
         cfg = json.loads((ROOT / "configs" / config).read_text())
         cfg["mc"]["realizations"] = 3
         cfg_path = write_config(tmp_path, cfg)
@@ -871,8 +871,9 @@ print(json.dumps({
 def test_realizations_reuse_heap_memory():
     # once import coldcloud has raised malloc's trim threshold the heap keeps
     # the arrays of the spectral series: a few page faults a call, not ~575.
-    # The MC sub-clouds (at most 2**16 atoms, a few MB) fault 0 times either
-    # way; whole 1e6-atom realizations took ~1.2e4 without the raised threshold
+    # The MC blocks (at most 2**14 mean proposed atoms, a few MB) fault 0
+    # times either way; whole 1e6-atom realizations took ~1.2e4 without the
+    # raised threshold
     faults = json.loads(run_python(["-c", _FAULT_COUNT], check=True).stdout)
     assert faults["mc"] < 1000, faults
     assert faults["spectra"] < 100, faults

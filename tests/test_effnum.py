@@ -19,6 +19,7 @@ from coldcloud import (
     sigma_general,
     sigma_high_temperature,
     sigma_long_rayleigh,
+    sigma_saturated_general,
     sigma_small_waist,
     time_scales,
 )
@@ -241,6 +242,22 @@ class TestSigmaGeneral:
         t = np.array([0.0, 1e-3, 0.01, 0.03, 0.1])
         expected = [sigma_general_quad(inp, ti) for ti in t]
         np.testing.assert_allclose(sigma_general(inp, t), expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("sigma", ["sigma_general", "sigma_saturated_general"])
+    def test_tiny_values_scale_with_the_atom_number(self, sigma):
+        # default.json at g = 0 and t = 1e140: sigma ~ 1.6e-273, while each
+        # node's layer/S(x) alone lies below the float range.  2**600 times
+        # the atoms lift every step into it; sigma scales exactly with them
+        def at(n):
+            inp = make_inputs(g=0.0, n=n)
+            if sigma == "sigma_general":
+                return sigma_general(inp, 1e140)
+            return sigma_saturated_general(inp, OpticalParams(delta=10.0, s_m0=0.3), 1e140)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            tiny, lifted = at(1e6), at(1e6 * 2.0**600)
+        assert tiny > 0.0
+        np.testing.assert_allclose(math.ldexp(tiny, 600), lifted, rtol=1e-15)
 
     def test_scalar_time_gives_float(self, inputs):
         value = sigma_general(inputs, 0.01)

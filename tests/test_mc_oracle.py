@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from coldcloud import (
     substream_seed,
     time_scales,
     variance,
+    weight,
     weighted_counts,
 )
+from coldcloud.cli import load_config
 
 # small desk ensemble: collimated narrow probe where the closed forms hold
 CLOUD = CloudParams(n_total=1e3, sigma_r=1e-3, sigma_v=0.1, g=9.81)
@@ -303,6 +307,9 @@ class TestEnsembleStats:
         ratio = a.se_mean[0] / b.se_mean[0]
         assert 1.7 < ratio < 2.3  # expect 2 for 4x the realizations
 
+    def test_weighted_counts_of_no_realizations(self):
+        assert weighted_counts(CLOUD, BEAM, [0.0, 0.01], 0, seed=0).shape == (0, 2)
+
     def test_rejects_tiny_ensembles(self):
         # one check guards every ensemble: at least 3 realizations
         for n in (1, 2):
@@ -347,24 +354,25 @@ def _naive_bands(c, times, lo, hi, windowed):
     return coords, joint, pairs, bands, normals
 
 
-def _naive_cloud(c, seed, times, lo, hi):
-    """The windowed draw written out by hand.  lo and hi are (3, times)
-    arrays; an atom is kept when, at some time t_i, every windowed
-    coordinate lies in its window at t_i.
+def _naive_clouds(c, rng, times, lo, hi, n=1):
+    """The windowed draw of n clouds from one generator, written out by
+    hand.  lo and hi are (3, times) arrays; an atom is kept when, at some
+    time t_i, every windowed coordinate lies in its window at t_i.  Returns
+    the (r0, v0) of each cloud.
 
     The band coordinates (see _naive_bands) are drawn first when their
     boxes' masses sum below 1 and their uniform pairs below 2: a
-    Poisson(n M_i) count of proposals per time; for each band coordinate in
-    x, y, z order, rounds of uniform rejection for the truncated normal
-    across its bands, each round the across uniforms of the pending
-    proposals, then their accept uniforms, and then a normal along the band
-    per proposal, rotated back to (x0, v); and one uniform per proposal,
-    kept when below 1/k for k the times at which it lies in every band
-    coordinate's window.  Otherwise the draw starts with the Poisson count
-    of the whole cloud.  Every other coordinate, the windowed ones first,
-    each group in x, y, z order, draws a (2, kept) block of positions and
-    velocities."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    Poisson(n_total M_i) count of proposals per cloud and time, cloud by cloud;
+    for each band coordinate in x, y, z order, rounds of uniform rejection
+    for the truncated normal across its bands over the proposals of all n
+    clouds, each round the across uniforms of the pending proposals, then
+    their accept uniforms, and then a normal along the band per proposal,
+    rotated back to (x0, v); and one uniform per proposal, kept when below
+    1/k for k the times at which it lies in every band coordinate's window.
+    Otherwise the draw starts with the Poisson count of each whole cloud.
+    Every other coordinate, the windowed ones first, each group in x, y, z
+    order, draws a (2, kept) block of positions and velocities over the
+    kept atoms of all n clouds."""
     every_time = set(range(len(times)))
     windowed = [d for d in range(3)
                 if all(lo[d, i] > -np.inf or hi[d, i] < np.inf for i in every_time)]
@@ -382,11 +390,11 @@ def _naive_cloud(c, seed, times, lo, hi):
     plan = _naive_bands(c, times, lo, hi, windowed)
     coords = []
     if plan is None or not (sum(plan[1]) < 1.0 and plan[2] < 2.0):
-        # (coordinate -> (x0, v), the times the atom is inside so far)
-        atoms = [({}, every_time) for _ in range(int(rng.poisson(c.n_total)))]
+        # (cloud, coordinate -> (x0, v), the times the atom is inside so far)
+        atoms = [(r, {}, every_time) for r in range(n) for _ in range(int(rng.poisson(c.n_total)))]
     else:
         coords, joint, _, bands, normals = plan
-        proposals = [i for i, mass in enumerate(joint)
+        proposals = [(r, i) for r in range(n) for i, mass in enumerate(joint)
                      for _ in range(int(rng.poisson(c.n_total * mass)))]
         pairs = [{} for _ in proposals]
         for k, d in enumerate(coords):
@@ -396,57 +404,91 @@ def _naive_cloud(c, seed, times, lo, hi):
                 u = rng.random(2 * len(pending))
                 rejected = []
                 for j, p in enumerate(pending):
-                    a, b, near_sq = bands[proposals[p]][k]
+                    a, b, near_sq = bands[proposals[p][1]][k]
                     x = a + (b - a) * u[j]
                     if u[len(pending) + j] < math.exp(0.5 * (near_sq - x * x)):
                         across[p] = x
                     else:
                         rejected.append(p)
                 pending = rejected
-            for p, i in enumerate(proposals):
+            for p, (_, i) in enumerate(proposals):
                 e_r, e_v = normals[i]
                 along = rng.standard_normal()
                 pairs[p][d] = (c.sigma_r * (across[p] * e_r - along * e_v),
                                c.sigma_v * (across[p] * e_v + along * e_r))
         atoms = []
-        for pair in pairs:
+        for (r, _), pair in zip(proposals, pairs):
             inside = set.intersection(*(times_inside(d, *pair[d]) for d in coords))
             if rng.random() * len(inside) < 1.0 and inside:
-                atoms.append((pair, inside))
+                atoms.append((r, pair, inside))
     for d in [d for d in windowed if d not in coords] + [d for d in range(3) if d not in windowed]:
         draws = rng.standard_normal((2, len(atoms)))
-        for (pair, _), x0, v in zip(atoms, c.sigma_r * draws[0], c.sigma_v * draws[1]):
+        for (_, pair, _), x0, v in zip(atoms, c.sigma_r * draws[0], c.sigma_v * draws[1]):
             pair[d] = (x0, v)
         if d in windowed:
-            atoms = [(pair, inside & times_inside(d, *pair[d])) for pair, inside in atoms]
-            atoms = [atom for atom in atoms if atom[1]]
-    r0, v0 = (np.array([[pair[d][side] for d in range(3)] for pair, _ in atoms]).reshape(-1, 3)
-              for side in (0, 1))
-    return r0, v0
+            atoms = [(r, pair, inside & times_inside(d, *pair[d])) for r, pair, inside in atoms]
+            atoms = [atom for atom in atoms if atom[2]]
+    return [tuple(np.array([[pair[d][side] for d in range(3)]
+                            for owner, pair, _ in atoms if owner == r]).reshape(-1, 3)
+                  for side in (0, 1))
+            for r in range(n)]
 
 
-def _naive_rows(c, seed, n_realizations, times, lo, hi, per_time, parts=1):
-    """Realization loop written out by hand: windowed draws, propagation
-    by the formula, per_time(positions) at every time.  A realization is
-    `parts` sub-clouds of mean n_total / parts, the first drawn from its
-    substream seed s and sub-cloud j from substream_seed(s, j); their rows
-    are added in order of j."""
+def _naive_cloud(c, seed, times, lo, hi):
+    """sample_cloud by hand: one cloud from the generator seeded by seed."""
+    return _naive_clouds(c, np.random.Generator(np.random.PCG64(seed)), times, lo, hi)[0]
+
+
+def _sequential_sum(values):
+    """The sum of values added one by one, in order."""
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total
+
+
+def _naive_layout(c, times, lo, hi):
+    """The block layout of an ensemble, by hand: (parts, size), the
+    sub-clouds of a realization and how many sub-clouds one block draws.
+    A cloud's mean atoms are its proposals, n_total sum_i M_i, for a band
+    draw and n_total otherwise; a realization above _PART_ATOMS of them is
+    the fewest sub-clouds of equal mean within it, and a block holds as many
+    sub-clouds as fit in _PART_ATOMS, at least one."""
+    windowed = [d for d in range(3) if all(lo[d, i] > -np.inf or hi[d, i] < np.inf
+                                           for i in range(len(times)))]
+    plan = _naive_bands(c, times, lo, hi, windowed)
+    banded = plan is not None and sum(plan[1]) < 1.0 and plan[2] < 2.0
+    atoms = c.n_total * (sum(plan[1]) if banded else 1.0)
+    parts = max(1, math.ceil(atoms / mc_oracle._PART_ATOMS))
+    return parts, max(1, math.floor(mc_oracle._PART_ATOMS / (atoms / parts)))
+
+
+def _naive_rows(c, seed, n_realizations, times, lo, hi, per_atom):
+    """The block loop written out by hand: windowed draws (see
+    _naive_clouds), propagation by the formula, per_atom(positions), one
+    value per atom, at every time.  Realization i is the sub-clouds i p,
+    ..., i p + p - 1 of mean n_total / p, and block k draws sub-clouds
+    k s, ..., k s + s - 1 (see _naive_layout) from the generator seeded by
+    substream_seed(seed, k).  Each block sums the values of a realization's
+    atoms one by one, in order, and its sums are added to the realization's
+    row in block order."""
+    parts, size = _naive_layout(c, times, lo, hi)
     part = CloudParams(c.n_total / parts, c.sigma_r, c.sigma_v, c.g)
-    rows = []
-    for i in range(n_realizations):
-        s = substream_seed(seed, i)
-        total = None
-        for j in range(parts):
-            r0, v0 = _naive_cloud(part, substream_seed(s, j) if j else s, times, lo, hi)
-            row = []
-            for t in times:
+    rows = np.zeros((n_realizations, len(times)))
+    units = n_realizations * parts
+    for k, first in enumerate(range(0, units, size)):
+        rng = np.random.Generator(np.random.PCG64(substream_seed(seed, k)))
+        clouds = _naive_clouds(part, rng, times, lo, hi, min(size, units - first))
+        sums = {}
+        for unit, (r0, v0) in enumerate(clouds, start=first):
+            for i, t in enumerate(times):
                 pos = r0 + v0 * t
                 pos[:, 2] -= 0.5 * c.g * t**2
-                row.append(per_time(pos))
-            row = np.array(row, dtype=float)
-            total = row if total is None else total + row
-        rows.append(total)
-    return np.array(rows)
+                key = (unit // parts, i)
+                sums[key] = _sequential_sum([sums.get(key, 0.0), *per_atom(pos)])
+        for (r, i), total in sums.items():
+            rows[r, i] += total
+    return rows
 
 
 class TestAgainstNaiveLoop:
@@ -454,24 +496,26 @@ class TestAgainstNaiveLoop:
     times = np.array([0.0, 0.004, 0.011])
 
     def test_weighted_counts(self):
-        self.check_weighted_counts(parts=1)
+        self.check_weighted_counts(split=False)
 
     def test_binary_count_check(self):
-        self.check_binary_count_check(parts=1)
+        self.check_binary_count_check(split=False)
 
-    # _PART_ATOMS = 300 splits the 1e3-atom CLOUD into 4 sub-clouds of 250
+    # the beam window proposes ~57 atoms per realization and the boxes
+    # 500-1000: _PART_ATOMS = 40 and 300 split them into 2 and into 2-4
+    # sub-clouds, each drawn as its own block
     @pytest.mark.parametrize("check", ["check_weighted_counts", "check_binary_count_check"])
     def test_split_into_sub_clouds(self, monkeypatch, check):
-        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 300)
-        assert mc_oracle._sub_clouds(CLOUD) == 4
-        getattr(self, check)(parts=4)
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS",
+                            {"check_weighted_counts": 40, "check_binary_count_check": 300}[check])
+        getattr(self, check)(split=True)
 
-    def check_weighted_counts(self, parts):
+    def check_weighted_counts(self, split):
         l_r = self.beam.rayleigh_length
 
-        def plain_count(pos):
+        def plain_weights(pos):
             w_sq = (self.beam.w0 * np.sqrt(1.0 + (pos[:, 0] / l_r) ** 2)) ** 2
-            return float(np.sum(np.exp(-2.0 * (pos[:, 1] ** 2 + pos[:, 2] ** 2) / w_sq)))
+            return np.exp(-2.0 * (pos[:, 1] ** 2 + pos[:, 2] ** 2) / w_sq)
 
         # the beam window from its definition: |y|, |z| <= c * w(K * sigma_x(t))
         sigma_x = np.sqrt(CLOUD.sigma_r**2 + (CLOUD.sigma_v * self.times) ** 2)
@@ -479,13 +523,16 @@ class TestAgainstNaiveLoop:
             1.0 + (mc_oracle.AXIAL_CUT * sigma_x / l_r) ** 2)
         hi = np.stack([np.full(3, np.inf), half, half])
         assert _banded(CLOUD, self.times, -hi, hi)
-        naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_count, parts)
+        # unsplit, the 40 realizations fit one block
+        parts, size = _naive_layout(CLOUD, self.times, -hi, hi)
+        assert (parts == 2 and size == 1) if split else (parts == 1 and size >= 40)
+        naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_weights)
         assert np.all(naive > 0.0)
         for threads in (1, 2):
             np.testing.assert_array_equal(
                 weighted_counts(CLOUD, self.beam, self.times, 40, 17, threads), naive)
 
-    def check_binary_count_check(self, parts):
+    def check_binary_count_check(self, split):
         s, inf = CLOUD.sigma_r, np.inf
         # (lo, hi, whether the draw takes the product of bands): three
         # banded coordinates; x and y banded, then the half-line z <= 0
@@ -498,43 +545,83 @@ class TestAgainstNaiveLoop:
                  ([-inf] * 3, [inf] * 3, False)]
         for lo, hi, banded in boxes:
             lo, hi = np.array(lo), np.array(hi)
-
-            def box_count(pos):
-                return np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
-
+            lo3, hi3 = np.tile(lo[:, None], 3), np.tile(hi[:, None], 3)
             assert _banded(CLOUD, self.times, lo[:, None], hi[:, None]) == banded
-            naive = _naive_rows(CLOUD, 23, 60, self.times, np.tile(lo[:, None], 3),
-                                np.tile(hi[:, None], 3), box_count, parts)
+            # unsplit, the 60 realizations span 2-4 blocks
+            parts, size = _naive_layout(CLOUD, self.times, lo3, hi3)
+            assert (parts > 1 and size == 1) if split else (parts == 1 and 15 <= size < 60)
+            naive = _naive_rows(CLOUD, 23, 60, self.times, lo3, hi3,
+                                lambda pos: np.all((pos >= lo) & (pos <= hi), axis=-1))
             assert np.all(naive > 0.0)
             for threads in (1, 2):
                 report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23, threads)
                 np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
                 np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
 
+    def test_campbell_rows(self):
+        # weights of 40 atoms over 3 times, shared by 6 clouds of which the
+        # second and the last hold none: per cloud the weighted counts added
+        # one by one, and the sums of w_j^2 w_k^2
+        rng = np.random.default_rng(27)
+        owner = np.sort(rng.choice([0, 2, 3, 4], 40))
+        w = rng.random((3, 40)) ** 4
+        rows = mc_oracle._campbell_rows(w.copy(), owner, 6)
+        for r in range(6):
+            mine = w[:, owner == r]
+            np.testing.assert_array_equal(rows[r, :3], [_sequential_sum(row) for row in mine])
+            kappa = [[math.fsum(mine[j] ** 2 * mine[k] ** 2) for k in range(3)] for j in range(3)]
+            np.testing.assert_allclose(rows[r, 3:], np.ravel(kappa), rtol=1e-14)
+        assert not rows[[1, 5]].any()
+
 
 class TestSubClouds:
+    # no window: a realization's mean atoms are n_total
     @pytest.mark.parametrize("n_total,parts", [
         (float(mc_oracle._PART_ATOMS), 1), (mc_oracle._PART_ATOMS + 1.0, 2),
-        (1e4, 1), (1e6, 16), (0.5, 1)])
+        (1e4, 1), (1e6, 62), (0.5, 1)])
     def test_count(self, n_total, parts):
-        assert mc_oracle._sub_clouds(CloudParams(n_total, 1e-3, 0.1)) == parts
+        cloud = CloudParams(n_total, 1e-3, 0.1)
+        plan = mc_oracle._draw_plan(cloud, (), -np.inf, np.inf)
+        assert mc_oracle._sub_clouds(cloud, plan) == (parts, n_total / parts)
 
-    # n_total == _PART_ATOMS: one sample_cloud per realization; one atom
-    # more: two of half the mean, the second from the substream of the first
+    # a 1 mm waist: the window boxes hold more than the cloud, which is
+    # drawn whole, so a realization's mean atoms are n_total.  At n_total
+    # == _PART_ATOMS each block draws one realization with sample_cloud;
+    # one atom more: two of half the mean, each its own block
     @pytest.mark.parametrize("part_atoms", [1000, 999])
     def test_rows_at_the_boundary(self, monkeypatch, part_atoms):
         monkeypatch.setattr(mc_oracle, "_PART_ATOMS", part_atoms)
+        beam = BeamParams(w0=1e-3, wavelength=1e-9)
         times = np.array([0.0, 0.004])
-        hi = mc_oracle._beam_window(CLOUD, BEAM_40, times)
+        hi = mc_oracle._beam_window(CLOUD, beam, times)
+        assert not _banded(CLOUD, times, -hi, hi)
         parts = 1 if part_atoms == 1000 else 2
         part = CloudParams(CLOUD.n_total / parts, CLOUD.sigma_r, CLOUD.sigma_v, CLOUD.g)
         expected = np.zeros((30, times.size))
         for i in range(30):
-            s = substream_seed(41, i)
             for j in range(parts):
-                real = sample_cloud(part, substream_seed(s, j) if j else s, times, -hi, hi)
-                expected[i] += [effective_count(BEAM_40, real, CLOUD.g, t) for t in times]
-        np.testing.assert_array_equal(weighted_counts(CLOUD, BEAM_40, times, 30, 41), expected)
+                real = sample_cloud(part, substream_seed(41, parts * i + j), times, -hi, hi)
+                for k, t in enumerate(times):
+                    pos = propagate(real.positions, real.velocities, CLOUD.g, t)
+                    expected[i, k] += _sequential_sum(weight(beam, pos))
+        np.testing.assert_array_equal(weighted_counts(CLOUD, beam, times, 30, 41), expected)
+
+    # the beam window proposes ~57 atoms per realization: _PART_ATOMS = 130
+    # draws 2 realizations a block, so 7 span 4 blocks and the last holds
+    # one; _PART_ATOMS = 50 splits each into 2 sub-clouds, each its own
+    # block, so 7 span 14 blocks
+    @pytest.mark.parametrize("part_atoms,parts,blocks", [(130, 1, 4), (50, 2, 14)])
+    def test_blocks_match_hand_loop(self, monkeypatch, part_atoms, parts, blocks):
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", part_atoms)
+        times = np.array([0.0, 0.004, 0.011])
+        hi = mc_oracle._beam_window(CLOUD, BEAM_40, times)
+        layout = _naive_layout(CLOUD, times, -hi, hi)
+        assert layout[0] == parts and math.ceil(7 * parts / layout[1]) == blocks
+        naive = _naive_rows(CLOUD, 43, 7, times, -hi, hi, lambda pos: weight(BEAM_40, pos))
+        assert np.all(naive > 0.0)
+        for threads in (1, 2):
+            np.testing.assert_array_equal(weighted_counts(CLOUD, BEAM_40, times, 7, 43, threads),
+                                          naive)
 
     def test_split_cloud_is_poisson_in_whole_space(self, monkeypatch):
         monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 300)
@@ -544,11 +631,14 @@ class TestSubClouds:
         np.testing.assert_allclose(report.ratio, 1.0, atol=4.0 * np.max(report.ratio_se))
 
     def test_split_cloud_agrees_with_closed_forms(self, monkeypatch):
-        # the cloud of test_agrees_with_closed_forms as 3 sub-clouds of 4e3/3
-        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 1500)
+        # the cloud of test_agrees_with_closed_forms as 3 sub-clouds of 4e3/3:
+        # its beam window proposes ~14 atoms per realization
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 6)
         cloud = CloudParams(n_total=4e3, sigma_r=1e-3, sigma_v=0.1, g=9.81)
         inp = EffNumInputs(cloud, BEAM)
         times = np.array([0.0, 0.006, 0.012, 0.02])
+        hi = mc_oracle._beam_window(cloud, BEAM, times)
+        assert mc_oracle._sub_clouds(cloud, mc_oracle._draw_plan(cloud, times, -hi, hi))[0] == 3
         stats = ensemble_stats(cloud, BEAM, times, 2500, seed=321)
         mean_z = (stats.mean - mean_number(inp, times)) / stats.se_mean
         var_z = (stats.variance - variance(inp, times)) / stats.se_variance
@@ -769,12 +859,8 @@ class TestSharedDraw:
         window = mc_oracle._beam_window(CLOUD, self.beam, self.times)
         # the box lies inside the beam window at every grid time
         assert np.all(-window <= lo[:, None]) and np.all(hi[:, None] <= window)
-        naive = np.zeros((60, self.times.size))
-        for i in range(60):
-            real = sample_cloud(CLOUD, substream_seed(23, i), self.times, -window, window)
-            for j, t in enumerate(self.times):
-                pos = propagate(real.positions, real.velocities, CLOUD.g, t)
-                naive[i, j] = np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
+        naive = _naive_rows(CLOUD, 23, 60, self.times, -window, window,
+                            lambda pos: np.all((pos >= lo) & (pos <= hi), axis=-1))
         assert np.all(naive.sum(axis=0) > 0)
         for threads in (1, 2):
             _, report, _ = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, 60, 23,
@@ -793,3 +879,30 @@ class TestSharedDraw:
                           "se_covariance"):
                 np.testing.assert_array_equal(getattr(stats, field), getattr(expected, field))
             assert (stats.realization_count, stats.seed) == (60, 23)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("config,n_realizations", [("validate_desk.json", 1000),
+                                                   ("default.json", 3)])
+def test_block_memory_is_bounded(config, n_realizations):
+    # one block at a time, of at most _PART_ATOMS mean proposed atoms: the
+    # traced peak of the desk's whole validate ensemble and of a default.json
+    # ensemble stays below what one 2**16-atom default.json sub-cloud took
+    # (3.1-3.25 MB), so the process's peak memory cannot grow
+    cfg = load_config(str(CONFIGS / config))
+    if config == "validate_desk.json":
+        def run():
+            mc_oracle._ensemble_and_box(cfg.cloud, cfg.beam, cfg.mc_times, n_realizations, 7)
+    else:
+        def run():
+            ensemble_stats(cfg.cloud, cfg.beam, cfg.mc_times, n_realizations, 7)
+    run()  # one-off allocations of a first call stay out of the peak
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2e6, peak
