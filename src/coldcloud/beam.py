@@ -92,7 +92,7 @@ def weight(p: BeamParams, r):
 
     At exponents <= -745.2, f is exact 0.0, what ``exp`` rounds to, without
     calling ``exp``: numpy's SIMD exp is ~25x slower on underflowing
-    arguments, where most Monte Carlo atoms sit.  NaN stays NaN.
+    arguments, which points far off the beam axis give.  NaN stays NaN.
     """
     r = np.asarray(r, dtype=float)
     expo = -2.0 * (r[..., 1] ** 2 + r[..., 2] ** 2) / np.asarray(beam_size(p, r[..., 0])) ** 2

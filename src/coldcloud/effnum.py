@@ -106,8 +106,10 @@ def sigma_general(inp: EffNumInputs, t):
     """sigma(t) by the longitudinal rule over layer density / beam section.
 
     For a paraxial beam (w0 >= lambda) the rule reaches rounding error for
-    any waist-to-cloud and cloud-to-Rayleigh ratio.  Accepts scalar or
-    array t.
+    any waist-to-cloud ratio and for clouds up to ~3e4 Rayleigh lengths
+    wide: against adaptive quadrature on configs/default.json at g = 0 it
+    is within 6.2e-15 up to t = 1e4 s (sigma_x/l_R = 2.7e4), and 1e-12 at
+    t = 1e6 s.  Accepts scalar or array t.
     """
     t = _checked(t, "t", 0.0)
     x, dx = _longitudinal_rule(inp, t)

@@ -7,7 +7,8 @@ mean/variance/covariance across many independent realizations.  Only the
 atoms that can reach the beam or the box are drawn: a Poisson cloud
 restricted to a region is the same Poisson process there (Kingman,
 *Poisson Processes*, 1993).  An atom is kept when, at some grid time, it
-is inside that time's window box.  Where those boxes hold less than the
+is inside that time's window box, and is weighed only at the grid times
+whose box holds it (see BEAM_CUT).  Where those boxes hold less than the
 cloud, the coordinates whose windows are all finite are drawn from the
 product of their bands in the (position, velocity) planes (see _band_draw).
 A draw also returns its window test, which binary_count_check counts.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,11 +60,12 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Beam window of weighted_counts.  An atom is drawn only if its y and its z
-# both come within BEAM_CUT * W_i of the beam axis at one grid time t_i,
-# where W_i = w(AXIAL_CUT * sigma_x(t_i)) bounds the beam radius w(x) over
-# |x| <= AXIAL_CUT * sigma_x(t_i).  A dropped atom in that range weighs at
-# most exp(-2 BEAM_CUT^2) at t_i, and an atom leaves it with probability
+# Beam window of weighted_counts.  An atom is weighed at a grid time t_i
+# only if its y and its z both lie within BEAM_CUT * W_i of the beam axis
+# at t_i, and drawn only if that holds at one grid time, where W_i =
+# w(AXIAL_CUT * sigma_x(t_i)) bounds the beam radius w(x) over |x| <=
+# AXIAL_CUT * sigma_x(t_i).  A weight left out at t_i in that range is at
+# most exp(-2 BEAM_CUT^2), and an atom leaves it with probability
 # erfc(AXIAL_CUT/sqrt(2)), so the expected weight dropped per realization,
 # summed over m grid times, is at most
 #     n_total * m * (exp(-2 BEAM_CUT^2) + erfc(AXIAL_CUT/sqrt(2))),
@@ -331,17 +332,19 @@ def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> flo
     return float(np.sum(weight(b, pos)))
 
 
-def _per_time(real: Realization, times: np.ndarray, g: float, weigh) -> np.ndarray:
-    """The (time, atom) array of weigh(pos) for the (atom, 3) positions pos
-    of a draw's atoms at each time, by the propagate formula in a
-    (coordinate, atom) array, so each time's weights are effective_count's."""
-    out = np.empty((times.size, real.count))
-    for i, t in enumerate(times.tolist()):
-        pos = real.velocities.T * t
-        pos += real.positions.T
-        pos[2] -= 0.5 * g * t**2
-        out[i] = weigh(pos.T)
-    return out
+def _per_time(real: Realization, inside: np.ndarray, times: np.ndarray, g: float):
+    """Yield for each grid time t_i the atoms idx that a draw's (time, atom)
+    window mask inside holds at t_i (one all-True row: all, at every time)
+    and their (atom, 3) positions then, by the propagate formula.  Only they
+    are weighed at t_i; the rest weigh within dropped_weight_bound there."""
+    for t, held in zip(times.tolist(), np.broadcast_to(inside, (times.size, real.count))):
+        idx = np.flatnonzero(held)
+        pos = np.empty((idx.size, 3), order="F")
+        for d, column in enumerate(pos.T):
+            np.multiply(real.velocities[:, d].take(idx), t, out=column)
+            column += real.positions[:, d].take(idx)
+        pos[:, 2] -= 0.5 * g * t**2
+        yield idx, pos
 
 
 def _sub_clouds(c: CloudParams, plan: tuple) -> tuple[int, float]:
@@ -354,18 +357,12 @@ def _sub_clouds(c: CloudParams, plan: tuple) -> tuple[int, float]:
     return parts, atoms / parts
 
 
-def _per_cloud(owner: np.ndarray, n: int, values) -> np.ndarray:
-    """(n, k) sums over the atoms of each of n clouds of the k rows of the
-    per-atom values, in atom order, given the cloud of each atom."""
-    return np.stack([np.bincount(owner, row, n) for row in values], axis=1)
-
-
 def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi,
                       n_realizations: int, seed: int, threads: int) -> np.ndarray:
     """(realization, width) array of width numbers that add over a
     realization's atoms: the m weighted counts of weighted_counts, the m box
     counts of binary_count_check, the Campbell rows of ensemble_stats.
-    row(*_draw(n clouds), n) returns their (n, width) sums (see _per_cloud).
+    row(*_draw(n clouds), n) returns their (n, width) sums, by bincount.
 
     Realization i is the sub-clouds i p, ..., i p + p - 1 (see _sub_clouds)
     in the windows lo, hi at the given times.  Block k draws the sub-clouds
@@ -390,6 +387,8 @@ def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi
         return row(*_draw(part, rng, plan, n), n)
 
     out = np.zeros((n_realizations, width))
+    if threads > 1:  # imported here: concurrent.futures loads logging, queue and threading
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
         for first, sums in zip(firsts, (pool.map if pool else map)(block, firsts)):
             out[first // parts:first // parts + len(sums)] += sums
@@ -397,11 +396,10 @@ def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi
 
 
 def _campbell_rows(w: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    """(n, m + m^2): per cloud the m weighted counts of the (time, atom)
-    weights w, which it overwrites, then the m x m sums over its atoms of
-    w_j^2 w_k^2, row-major (see _ensemble_from_values)."""
+    """(n, m^2): per cloud the m x m sums over its atoms of w_j^2 w_k^2 of
+    the (time, atom) weights w, which it overwrites, row-major (see
+    _ensemble_from_values)."""
     m = w.shape[0]
-    counts = _per_cloud(owner, n, w)
     sq = np.square(w, out=w)
     # kappa enters only the standard errors, so its sums over each cloud's
     # run of atoms may take reduceat's faster order
@@ -411,7 +409,7 @@ def _campbell_rows(w: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     for j in range(m):
         for k in range(j, m):
             kappa[held, j, k] = kappa[held, k, j] = np.add.reduceat(sq[j] * sq[k], starts)
-    return np.hstack([counts, kappa.reshape(n, m * m)])
+    return kappa.reshape(n, m * m)
 
 
 def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> EnsembleStats:
@@ -490,16 +488,18 @@ def weighted_counts(
     """Raw weighted counts N(t), shape (n_realizations, n_times).
 
     Row i sums the sub-clouds of realization i (see _realization_rows), so
-    the array is identical for any thread count.  Only atoms inside the beam
-    window (see BEAM_CUT and dropped_weight_bound) are drawn.  Useful for
+    the array is identical for any thread count.  An atom is weighed at
+    the grid times where it is inside the beam window, and drawn only if
+    there is one (see BEAM_CUT and dropped_weight_bound).  Useful for
     statistics beyond what ensemble_stats reports (ratio estimators,
     bootstrap, ...).
     """
     times = np.atleast_1d(_checked(times, "times", 0.0))
     hi = _beam_window(c, b, times)
     return _realization_rows(
-        c, lambda real, _, owner, n: _per_cloud(
-            owner, n, _per_time(real, times, c.g, lambda pos: weight(b, pos))),
+        c, lambda real, inside, owner, n: np.column_stack(
+            [np.bincount(owner.take(idx), weight(b, pos), n)
+             for idx, pos in _per_time(real, inside, times, c.g)]),
         times.size, times, -hi, hi, n_realizations, seed, threads,
     )
 
@@ -529,15 +529,16 @@ def _weighed(c: CloudParams, b: BeamParams, times, n_realizations: int, seed: in
     hi = _beam_window(c, b, times)
     width = times.size * (times.size + 1)
 
-    def row(real, _, owner, n):
-        boxed = []
-
-        def weigh(pos):  # the box counts ride along the weights' propagation
+    def row(real, inside, owner, n):
+        w = np.zeros((times.size, real.count))  # 0 outside each time's window box
+        counts, boxed = [], []
+        for i, (idx, pos) in enumerate(_per_time(real, inside, times, c.g)):
+            at = owner.take(idx)
+            w[i, idx] = weights = weight(b, pos)
+            counts.append(np.bincount(at, weights, n))
             if box is not None:
-                boxed.append(_per_cloud(owner, n, _inside(pos, *box)[None]))
-            return weight(b, pos)
-
-        return np.hstack([_campbell_rows(_per_time(real, times, c.g, weigh), owner, n), *boxed])
+                boxed.append(np.bincount(at, _inside(pos, *box), n))
+        return np.column_stack([*counts, _campbell_rows(w, owner, n), *boxed])
 
     values = _realization_rows(c, row, width + (0 if box is None else times.size), times, -hi, hi,
                                n_realizations, seed, threads)
@@ -611,7 +612,7 @@ def binary_count_check(
     lo, hi = _box(box_bounds)
     counts = _realization_rows(
         c, lambda _, inside, owner, n: np.broadcast_to(  # one row without a window
-            _per_cloud(owner, n, inside), (n, times.size)),
+            np.column_stack([np.bincount(owner, row, n) for row in inside]), (n, times.size)),
         times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
     return _box_report(counts, times)
 
@@ -624,8 +625,7 @@ def _ensemble_and_box(c: CloudParams, b: BeamParams, times, n_realizations: int,
     The stats equal ensemble_stats(c, b, times, n_realizations, seed,
     threads) bit for bit.  The box, validate's, is |x| <= sigma_r/2 and |y|,
     |z| up to the beam window's narrowest half-width over the grid: an atom
-    in it at t_i is inside the window at t_i, hence drawn, and the count is
-    exact.
+    in it at t_i is in the window at t_i, so it is drawn, weighed and counted.
     """
     times = _ensemble_times(times, n_realizations)
     half, edge = 0.5 * c.sigma_r, float(_beam_window(c, b, times)[1].min())

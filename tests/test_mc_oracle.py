@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 from pathlib import Path
@@ -192,7 +193,8 @@ class TestEnsembleStats:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", RecordingExecutor)
+        # mc_oracle imports the pool from concurrent.futures where it builds one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(mc_oracle.os, "cpu_count", lambda: cpus)
         times = [0.0, 0.01]
         capped = weighted_counts(CLOUD, BEAM, times, 40, seed=5, threads=100_000)
@@ -319,6 +321,13 @@ class TestEnsembleStats:
                 binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed=0)
 
 
+def _naive_windowed(times, lo, hi):
+    """The windowed coordinates: those without the whole line as their
+    window at every time."""
+    return [d for d in range(3)
+            if all(lo[d, i] > -np.inf or hi[d, i] < np.inf for i in range(len(times)))]
+
+
 def _naive_bands(c, times, lo, hi, windowed):
     """The band coordinates, the windowed ones whose bounds are all finite,
     in x, y, z order, and per time t_i the window box of the band
@@ -374,8 +383,7 @@ def _naive_clouds(c, rng, times, lo, hi, n=1):
     order, draws a (2, kept) block of positions and velocities over the
     kept atoms of all n clouds."""
     every_time = set(range(len(times)))
-    windowed = [d for d in range(3)
-                if all(lo[d, i] > -np.inf or hi[d, i] < np.inf for i in every_time)]
+    windowed = _naive_windowed(times, lo, hi)
 
     def times_inside(d, x0, v):
         found = set()
@@ -454,24 +462,26 @@ def _naive_layout(c, times, lo, hi):
     draw and n_total otherwise; a realization above _PART_ATOMS of them is
     the fewest sub-clouds of equal mean within it, and a block holds as many
     sub-clouds as fit in _PART_ATOMS, at least one."""
-    windowed = [d for d in range(3) if all(lo[d, i] > -np.inf or hi[d, i] < np.inf
-                                           for i in range(len(times)))]
-    plan = _naive_bands(c, times, lo, hi, windowed)
+    plan = _naive_bands(c, times, lo, hi, _naive_windowed(times, lo, hi))
     banded = plan is not None and sum(plan[1]) < 1.0 and plan[2] < 2.0
     atoms = c.n_total * (sum(plan[1]) if banded else 1.0)
     parts = max(1, math.ceil(atoms / mc_oracle._PART_ATOMS))
     return parts, max(1, math.floor(mc_oracle._PART_ATOMS / (atoms / parts)))
 
 
-def _naive_rows(c, seed, n_realizations, times, lo, hi, per_atom):
+def _naive_rows(c, seed, n_realizations, times, lo, hi, per_atom, dropped=None):
     """The block loop written out by hand: windowed draws (see
     _naive_clouds), propagation by the formula, per_atom(positions), one
-    value per atom, at every time.  Realization i is the sub-clouds i p,
+    value per atom, at every time.  An atom's value counts at t_i only if
+    its own window test holds there: every windowed coordinate in its
+    window at t_i.  dropped, if given, collects the (time index, positions,
+    values) of the atoms left out.  Realization i is the sub-clouds i p,
     ..., i p + p - 1 of mean n_total / p, and block k draws sub-clouds
     k s, ..., k s + s - 1 (see _naive_layout) from the generator seeded by
     substream_seed(seed, k).  Each block sums the values of a realization's
     atoms one by one, in order, and its sums are added to the realization's
     row in block order."""
+    windowed = _naive_windowed(times, lo, hi)
     parts, size = _naive_layout(c, times, lo, hi)
     part = CloudParams(c.n_total / parts, c.sigma_r, c.sigma_v, c.g)
     rows = np.zeros((n_realizations, len(times)))
@@ -484,8 +494,14 @@ def _naive_rows(c, seed, n_realizations, times, lo, hi, per_atom):
             for i, t in enumerate(times):
                 pos = r0 + v0 * t
                 pos[:, 2] -= 0.5 * c.g * t**2
+                held = np.ones(len(pos), dtype=bool)
+                for d in windowed:
+                    held &= (pos[:, d] >= lo[d, i]) & (pos[:, d] <= hi[d, i])
+                values = np.asarray(per_atom(pos))
+                if dropped is not None:
+                    dropped.append((i, pos[~held], values[~held]))
                 key = (unit // parts, i)
-                sums[key] = _sequential_sum([sums.get(key, 0.0), *per_atom(pos)])
+                sums[key] = _sequential_sum([sums.get(key, 0.0), *values[held]])
         for (r, i), total in sums.items():
             rows[r, i] += total
     return rows
@@ -526,11 +542,23 @@ class TestAgainstNaiveLoop:
         # unsplit, the 40 realizations fit one block
         parts, size = _naive_layout(CLOUD, self.times, -hi, hi)
         assert (parts == 2 and size == 1) if split else (parts == 1 and size >= 40)
-        naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_weights)
+        dropped = []
+        naive = _naive_rows(CLOUD, 17, 40, self.times, -hi, hi, plain_weights, dropped)
         assert np.all(naive > 0.0)
+        # what is left out at t_i weighs at most the cut there, or lies past
+        # AXIAL_CUT cloud widths in x; some of it weighs more than 0
+        cut = math.exp(-2.0 * mc_oracle.BEAM_CUT**2)
+        for i, pos, values in dropped:
+            far = np.abs(pos[:, 0]) > mc_oracle.AXIAL_CUT * sigma_x[i]
+            assert np.all((values <= cut) | far)
+        assert any(np.any(values > 0.0) for _, _, values in dropped)
         for threads in (1, 2):
             np.testing.assert_array_equal(
                 weighted_counts(CLOUD, self.beam, self.times, 40, 17, threads), naive)
+            # ensemble_stats weighs its counts by the same rule
+            np.testing.assert_array_equal(
+                ensemble_stats(CLOUD, self.beam, self.times, 40, 17, threads).mean,
+                naive.mean(axis=0))
 
     def check_binary_count_check(self, split):
         s, inf = CLOUD.sigma_r, np.inf
@@ -560,17 +588,16 @@ class TestAgainstNaiveLoop:
 
     def test_campbell_rows(self):
         # weights of 40 atoms over 3 times, shared by 6 clouds of which the
-        # second and the last hold none: per cloud the weighted counts added
-        # one by one, and the sums of w_j^2 w_k^2
+        # second and the last hold none: per cloud the sums of w_j^2 w_k^2
         rng = np.random.default_rng(27)
         owner = np.sort(rng.choice([0, 2, 3, 4], 40))
         w = rng.random((3, 40)) ** 4
         rows = mc_oracle._campbell_rows(w.copy(), owner, 6)
+        assert rows.shape == (6, 9)
         for r in range(6):
             mine = w[:, owner == r]
-            np.testing.assert_array_equal(rows[r, :3], [_sequential_sum(row) for row in mine])
             kappa = [[math.fsum(mine[j] ** 2 * mine[k] ** 2) for k in range(3)] for j in range(3)]
-            np.testing.assert_allclose(rows[r, 3:], np.ravel(kappa), rtol=1e-14)
+            np.testing.assert_allclose(rows[r], np.ravel(kappa), rtol=1e-14)
         assert not rows[[1, 5]].any()
 
 
@@ -603,7 +630,9 @@ class TestSubClouds:
                 real = sample_cloud(part, substream_seed(41, parts * i + j), times, -hi, hi)
                 for k, t in enumerate(times):
                     pos = propagate(real.positions, real.velocities, CLOUD.g, t)
-                    expected[i, k] += _sequential_sum(weight(beam, pos))
+                    # weighed only inside the window at t
+                    held = np.all((pos >= -hi[:, k]) & (pos <= hi[:, k]), axis=1)
+                    expected[i, k] += _sequential_sum(weight(beam, pos)[held])
         np.testing.assert_array_equal(weighted_counts(CLOUD, beam, times, 30, 41), expected)
 
     # the beam window proposes ~57 atoms per realization: _PART_ATOMS = 130

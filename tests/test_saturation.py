@@ -236,14 +236,17 @@ def test_saturated_sigma_matches_adaptive_oracle(w0, s_m0, g, t):
 
 
 def test_import_leaves_out_scipy_integrate():
-    # no adaptive quadrature in the package: importing it loads no QUADPACK
+    # no adaptive quadrature in the package: importing it loads no QUADPACK.
+    # Nor does it load concurrent.futures (logging, queue, threading), which
+    # only a Monte Carlo thread pool needs
     package_root = os.path.dirname(os.path.dirname(coldcloud.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = "import sys, coldcloud; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, coldcloud, coldcloud.cli; "
+            "print('scipy.integrate' in sys.modules, 'concurrent.futures' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_numpy_i0e_is_scipys_bit_for_bit():
