@@ -58,23 +58,31 @@ def column_number_density(inp: EffNumInputs, x, t):
     return out if out.ndim else float(out)
 
 
-def _layer_density_weighted(inp: EffNumInputs, x, t, weight_power: float = 1.0):
-    """Atoms per unit length seen with weight f^j in the slab at x.
+def _layer_densities(inp: EffNumInputs, x, t):
+    """j -> atoms per unit length seen with weight f^j in the slab at x.
 
     Raising the Gaussian weight to the power j shrinks the squared beam
     size by j, so the transverse overlap integral keeps one shared form:
     column density times (w^2/j) / (4*spread^2 + w^2/j), with a fall factor
-    from the cloud center dropping out of the beam.
+    from the cloud center dropping out of the beam.  The time check, w(x)^2,
+    4*spread^2, the negated fall exponent and the column density do not
+    depend on j and are computed once per call; each j computes w^2/j, the
+    denominator, the overlap and the fall factor.
     """
     t = _checked(t, "t", 0.0)
     x = np.asarray(x, dtype=float)
     c = inp.cloud
-    w2 = np.asarray(beam_size(inp.beam, x)) ** 2 / weight_power
-    denom = 4.0 * _spread_sq(c, t) + w2
-    overlap = w2 / denom
-    fall = np.exp(-_fall_exponent(0.5 * (c.g * c.g), t**4) / denom)
-    out = column_number_density(inp, x, t) * overlap * fall
-    return out if out.ndim else float(out)
+    w_sq = np.asarray(beam_size(inp.beam, x)) ** 2
+    spread4 = 4.0 * _spread_sq(c, t)
+    fall_exponent = -_fall_exponent(0.5 * (c.g * c.g), t**4)
+    column = column_number_density(inp, x, t)
+
+    def at_power(weight_power: float) -> np.ndarray:
+        w2 = w_sq / weight_power
+        denom = spread4 + w2
+        return column * (w2 / denom) * np.exp(fall_exponent / denom)
+
+    return at_power
 
 
 def layer_number_density(inp: EffNumInputs, x, t):
@@ -83,7 +91,8 @@ def layer_number_density(inp: EffNumInputs, x, t):
     The transverse weight makes this at most the full column density,
     reaching it only in the wide-beam limit.
     """
-    return _layer_density_weighted(inp, x, t, 1.0)
+    out = _layer_densities(inp, x, t)(1.0)
+    return out if out.ndim else float(out)
 
 
 def _longitudinal_rule(inp: EffNumInputs, t):
@@ -113,7 +122,7 @@ def sigma_general(inp: EffNumInputs, t):
     """
     t = _checked(t, "t", 0.0)
     x, dx = _longitudinal_rule(inp, t)
-    out = _sum_over_sections(inp, _layer_density_weighted(inp, x, t[..., None]), x, dx)
+    out = _sum_over_sections(inp, _layer_densities(inp, x, t[..., None])(1.0), x, dx)
     return out if out.ndim else float(out)
 
 

@@ -496,12 +496,14 @@ def weighted_counts(
     """
     times = np.atleast_1d(_checked(times, "times", 0.0))
     hi = _beam_window(c, b, times)
-    return _realization_rows(
-        c, lambda real, inside, owner, n: np.column_stack(
-            [np.bincount(owner.take(idx), weight(b, pos), n)
-             for idx, pos in _per_time(real, inside, times, c.g)]),
-        times.size, times, -hi, hi, n_realizations, seed, threads,
-    )
+
+    def row(real, inside, owner, n):
+        counts = np.zeros((n, times.size))  # (n, 0) on an empty grid
+        for i, (idx, pos) in enumerate(_per_time(real, inside, times, c.g)):
+            counts[:, i] = np.bincount(owner.take(idx), weight(b, pos), n)
+        return counts
+
+    return _realization_rows(c, row, times.size, times, -hi, hi, n_realizations, seed, threads)
 
 
 def ensemble_stats(

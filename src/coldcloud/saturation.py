@@ -23,7 +23,7 @@ from .cloud import _checked, _spread_sq, density
 from .effnum import (
     EffNumInputs,
     _field_shift,
-    _layer_density_weighted,
+    _layer_densities,
     _longitudinal_rule,
     _sum_over_sections,
     sigma_small_waist,
@@ -145,15 +145,18 @@ def _saturated_layer_series(inp: EffNumInputs, s_m, x, t):
     Alternating series with terms (-2*s_m)^k times the layer density for
     weight power k+1; term magnitudes decrease, so the truncation error is
     bounded by the first dropped term.  Each node keeps its partial sum
-    from its first term within _SERIES_RTOL of that sum on.
+    from its first term within _SERIES_RTOL of that sum on.  The factors
+    of the layer density that do not depend on the order (see
+    _layer_densities) are computed once per call, not once per term.
     """
     factor = -2.0 * np.asarray(s_m, dtype=float)
     coeff = np.ones_like(factor)
     total = np.zeros_like(factor)
     running = np.ones(factor.shape, dtype=bool)
+    density = _layer_densities(inp, x, t)
     for k in range(_SERIES_ORDERS + 1):
-        term = coeff * _layer_density_weighted(inp, x, t, float(k + 1))
-        total = np.where(running, total + term, total)
+        term = coeff * density(float(k + 1))
+        np.add(total, term, out=total, where=running)
         running &= np.abs(term) > _SERIES_RTOL * np.abs(total)
         if not running.any():
             break

@@ -329,12 +329,12 @@ def sigma_general_quad(inp, t, rel_tol=1e-9):
     instantaneous cloud spreads, where the Gaussian tail is below 1e-21.
     """
     from coldcloud.beam import beam_section
-    from coldcloud.effnum import _layer_density_weighted
+    from coldcloud.effnum import _layer_densities
 
     half_width = 10.0 * math.sqrt(inp.cloud.sigma_r**2 + (inp.cloud.sigma_v * t) ** 2)
 
     def integrand(x):
-        return _layer_density_weighted(inp, x, t) / beam_section(inp.beam, x)
+        return _layer_densities(inp, x, t)(1.0) / beam_section(inp.beam, x)
 
     value, _ = quad(integrand, -half_width, half_width, epsabs=0.0, epsrel=rel_tol, limit=200)
     return value

@@ -312,6 +312,15 @@ class TestEnsembleStats:
     def test_weighted_counts_of_no_realizations(self):
         assert weighted_counts(CLOUD, BEAM, [0.0, 0.01], 0, seed=0).shape == (0, 2)
 
+    def test_empty_time_grid(self):
+        # no grid time gives no columns, in every ensemble function
+        assert weighted_counts(CLOUD, BEAM, [], 5, seed=0).shape == (5, 0)
+        stats = ensemble_stats(CLOUD, BEAM, [], 5, seed=0)
+        assert stats.mean.shape == stats.se_variance.shape == (0,)
+        assert stats.covariance.shape == stats.se_covariance.shape == (0, 0)
+        report = binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [], 5, seed=0)
+        assert report.ratio.shape == report.consistent.shape == (0,)
+
     def test_rejects_tiny_ensembles(self):
         # one check guards every ensemble: at least 3 realizations
         for n in (1, 2):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,17 @@ from coldcloud import (
     sigma_saturated_general,
     sigma_small_waist,
 )
-from coldcloud.effnum import _layer_density_weighted
-from coldcloud.saturation import _i0e, _saturated_layer_quadrature
+from coldcloud.cli import load_config
+from coldcloud.cloud import _fall_exponent, _spread_sq
+from coldcloud.effnum import _layer_densities, _longitudinal_rule
+from coldcloud.saturation import (
+    _SERIES_ORDERS,
+    _SERIES_RTOL,
+    _SERIES_THRESHOLD,
+    _i0e,
+    _saturated_layer_quadrature,
+    _saturated_layer_series,
+)
 
 from oracles import gaussian_product_window, sigma_saturated_quad, transverse_quad
 
@@ -100,12 +110,12 @@ class TestModifiedLayerDensity:
                 * w2 / var4
                 * math.exp(-0.5 * c.g**2 * t**4 / var4)
             )
-            assert _layer_density_weighted(inp, x, t, float(j)) == pytest.approx(
+            assert _layer_densities(inp, x, t)(float(j)) == pytest.approx(
                 expected, rel=1e-13
             )
 
     def test_power_one_is_layer_density(self, inputs):
-        assert _layer_density_weighted(inputs, 3e-4, 0.01, 1.0) == layer_number_density(
+        assert _layer_densities(inputs, 3e-4, 0.01)(1.0) == layer_number_density(
             inputs, 3e-4, 0.01
         )
 
@@ -120,7 +130,7 @@ class TestModifiedLayerDensity:
         x, t = 0.5e-3, 0.01
         base = layer_number_density(inp, x, t)
         for j in range(1, 7):
-            assert _layer_density_weighted(inp, x, t, float(j)) == pytest.approx(
+            assert _layer_densities(inp, x, t)(float(j)) == pytest.approx(
                 base / j, rel=1e-6
             )
 
@@ -300,8 +310,6 @@ class TestTransverseSaturationIntegral:
         # where the expansion converges both evaluations must agree, up to
         # its edge at 2*s_m = 0.8 (about 106 orders at 0.7998)
         inp = joint_limit_inputs()
-        from coldcloud.saturation import _saturated_layer_series
-
         x, t = 2e-4, 0.008
         series = _saturated_layer_series(inp, s_m, x, t)
         quadr = _saturated_layer_quadrature(inp, s_m, x, t)
@@ -329,6 +337,66 @@ class TestTransverseSaturationIntegral:
             gaussian_product_window(0.5 * w, spread, center_b=z_c),
         )
         assert _saturated_layer_quadrature(inp, s_m, x, t) == pytest.approx(expected, rel=1e-12)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _series_nodes(inp, opt, t):
+    """The (s_m, x, t) nodes of sigma_saturated_general's longitudinal rule,
+    and the mask of those it expands in the series."""
+    t = np.asarray(t, dtype=float)
+    x, _ = _longitudinal_rule(inp, t)
+    t_x = np.broadcast_to(t[:, None], x.shape)
+    s_m = saturation_on_axis(opt, inp.beam, x)
+    return s_m, x, t_x, 2.0 * s_m < _SERIES_THRESHOLD
+
+
+def _series_by_hand(inp, s_m, x, t):
+    """The saturation series with its stop rule, the whole layer density
+    written out again at every order."""
+    c = inp.cloud
+    factor = -2.0 * s_m
+    coeff = np.ones_like(factor)
+    total = np.zeros_like(factor)
+    running = np.ones(factor.shape, dtype=bool)
+    for k in range(_SERIES_ORDERS + 1):
+        w2 = beam_size(inp.beam, x) ** 2 / float(k + 1)
+        denom = 4.0 * _spread_sq(c, t) + w2
+        fall = np.exp(-_fall_exponent(0.5 * (c.g * c.g), t**4) / denom)
+        term = coeff * (column_number_density(inp, x, t) * (w2 / denom) * fall)
+        total = np.where(running, total + term, total)
+        running &= np.abs(term) > _SERIES_RTOL * np.abs(total)
+        if not running.any():
+            break
+        coeff = coeff * factor
+    return total
+
+
+class TestSaturationSeries:
+    def setup_method(self):
+        self.cfg = load_config(str(CONFIGS / "default.json"))
+        self.inp = EffNumInputs(self.cfg.cloud, self.cfg.beam)
+
+    def test_equals_per_order_layers_bit_for_bit(self):
+        # configs/default.json at its s_m0 = 0.3 on its 61 times
+        s_m, x, t, series = _series_nodes(self.inp, self.cfg.optical, self.cfg.t_grid)
+        assert series.any()
+        s_m, x, t = s_m[series], x[series], t[series]
+        np.testing.assert_array_equal(_saturated_layer_series(self.inp, s_m, x, t),
+                                      _series_by_hand(self.inp, s_m, x, t))
+
+    def test_equals_per_order_layers_bit_for_bit_on_the_strong_copy(self):
+        # the benchmark's strong copy, s_m0 = 2 at 5 and 15 ms, expands no
+        # node in the series (2*s_m >= 3.2 over a cloud well inside the
+        # Rayleigh range); its nodes at saturations scaled to the edge of the
+        # series domain, 2*s_m <= 0.7998, take the longest series
+        opt = OpticalParams(self.cfg.optical.delta, 2.0)
+        s_m, x, t, series = _series_nodes(self.inp, opt, [0.005, 0.015])
+        assert not series.any()
+        s_m = s_m * (0.3999 / 2.0)
+        np.testing.assert_array_equal(_saturated_layer_series(self.inp, s_m, x, t),
+                                      _series_by_hand(self.inp, s_m, x, t))
 
 
 class TestNonlinearFieldShift:
