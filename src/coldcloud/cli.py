@@ -179,10 +179,6 @@ def _params(section: str, build, **fields):
         raise ConfigError(section, str(exc)) from exc
 
 
-def _reject_constant(name: str):
-    raise ConfigError("<file>", f"non-finite number {name} is not allowed")
-
-
 def _parse_grid(entry, path: str) -> np.ndarray:
     if isinstance(entry, list):
         if not entry:
@@ -237,7 +233,7 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle, parse_constant=_reject_constant)
+            raw = json.load(handle)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -394,12 +390,9 @@ def _saturated(cfg: RunConfig, seed: int, threads: int):
 
 def _variance(cfg: RunConfig, seed: int, threads: int):
     inp, t = EffNumInputs(cfg.cloud, cfg.beam), cfg.t_grid
-    mean, var = mean_number(inp, t), variance(inp, t)
-    # below the float range, where the variance underflows to 0, the ratio
-    # comes from its closed form
-    ratio = np.divide(var, mean, out=_variance_over_mean(inp, t), where=var > 0)
     return {"variance.csv": {
-        "t_s": t, "mean_number": mean, "variance": var, "variance_over_mean": ratio,
+        "t_s": t, "mean_number": mean_number(inp, t), "variance": variance(inp, t),
+        "variance_over_mean": _variance_over_mean(inp, t),
     }}, {}
 
 

@@ -87,7 +87,10 @@ def variance(inp: EffNumInputs, t):
 
 
 def _variance_over_mean(inp: EffNumInputs, t) -> np.ndarray:
-    """variance/mean in closed form, for the times where both underflow.
+    """variance/mean in closed form, the CLI's variance_over_mean column.
+
+    Dividing the two loses digits as their fall factors shrink, and all of
+    them where the variance is subnormal or both underflow to 0.
 
     The two share the ballistic decay, with offsets a = tau_r^2 + tau_w^2
     and b = tau_r^2 + tau_w^2/2, so the ratio is

@@ -50,7 +50,6 @@ __all__ = [
     "substream_seed",
     "sample_cloud",
     "propagate",
-    "effective_count",
     "weighted_counts",
     "ensemble_stats",
     "binary_count_check",
@@ -326,12 +325,6 @@ def propagate(r0, v0, g: float, t: float):
     return out
 
 
-def effective_count(b: BeamParams, real: Realization, g: float, t: float) -> float:
-    """Weighted atom count N(t) = sum of beam weights over the atoms."""
-    pos = propagate(real.positions, real.velocities, g, t)
-    return float(np.sum(weight(b, pos)))
-
-
 def _per_time(real: Realization, inside: np.ndarray, times: np.ndarray, g: float):
     """Yield for each grid time t_i the atoms idx that a draw's (time, atom)
     window mask inside holds at t_i (one all-True row: all, at every time)
@@ -360,8 +353,8 @@ def _sub_clouds(c: CloudParams, plan: tuple) -> tuple[int, float]:
 def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi,
                       n_realizations: int, seed: int, threads: int) -> np.ndarray:
     """(realization, width) array of width numbers that add over a
-    realization's atoms: the m weighted counts of weighted_counts, the m box
-    counts of binary_count_check, the Campbell rows of ensemble_stats.
+    realization's atoms: the _weighed rows, the m box counts of
+    binary_count_check.
     row(*_draw(n clouds), n) returns their (n, width) sums, by bincount.
 
     Realization i is the sub-clouds i p, ..., i p + p - 1 (see _sub_clouds)
@@ -413,14 +406,14 @@ def _campbell_rows(w: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
 
 
 def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> EnsembleStats:
-    """EnsembleStats of n (realization, m + m^2) _campbell_rows rows.  For
+    """EnsembleStats of the first m + m^2 columns of n _weighed rows.  For
     counts N_j = sum_atoms w_j over a Poisson cloud, the sample covariance
     has variance kappa_jk/n + (var_j var_k + cov_jk^2)/(n - 1), and by
     Campbell's theorem (Kingman, *Poisson Processes*, 1993) the rows' mean
     m x m sum estimates kappa_jk = E[sum_atoms w_j^2 w_k^2]."""
     n, m = rows.shape[0], times.size
     values = np.ascontiguousarray(rows[:, :m])
-    kappa = rows[:, m:].mean(axis=0).reshape(m, m)
+    kappa = rows[:, m:m * (m + 1)].mean(axis=0).reshape(m, m)
     mean = values.mean(axis=0)
     centered = values - mean
     cov = centered.T @ centered / (n - 1)
@@ -440,11 +433,20 @@ def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> Ens
     )
 
 
-def _ensemble_times(times, n_realizations: int) -> np.ndarray:
-    """The checked times of an ensemble of n_realizations, at least 3."""
-    if n_realizations < 3:
-        raise ValueError("need at least 3 realizations for ensemble standard errors")
-    return np.atleast_1d(_checked(times, "times", 0.0))
+def _ensemble_args(times, n_realizations: int, seed: int,
+                   least: int = 3) -> tuple[np.ndarray, int, int]:
+    """The checked times, n_realizations and seed of an ensemble: integers,
+    numpy's too but not bools, with at least least realizations (3 for
+    standard errors).  A ValueError names any other argument."""
+    def integral(value) -> bool:
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+    if not (integral(n_realizations) and n_realizations >= least):
+        raise ValueError(f"n_realizations must be an integer of at least {least}, "
+                         f"got {n_realizations!r}")
+    if not integral(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return np.atleast_1d(_checked(times, "times", 0.0)), int(n_realizations), int(seed)
 
 
 def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
@@ -487,23 +489,15 @@ def weighted_counts(
 ) -> np.ndarray:
     """Raw weighted counts N(t), shape (n_realizations, n_times).
 
-    Row i sums the sub-clouds of realization i (see _realization_rows), so
-    the array is identical for any thread count.  An atom is weighed at
-    the grid times where it is inside the beam window, and drawn only if
-    there is one (see BEAM_CUT and dropped_weight_bound).  Useful for
-    statistics beyond what ensemble_stats reports (ratio estimators,
-    bootstrap, ...).
+    The counts are the first n_times columns of the _weighed rows that
+    ensemble_stats reduces, so the array is identical for any thread count.
+    An atom is weighed at the grid times where it is inside the beam
+    window, and drawn only if there is one (see BEAM_CUT and
+    dropped_weight_bound).  Useful for statistics beyond what
+    ensemble_stats reports (ratio estimators, bootstrap, ...).
     """
-    times = np.atleast_1d(_checked(times, "times", 0.0))
-    hi = _beam_window(c, b, times)
-
-    def row(real, inside, owner, n):
-        counts = np.zeros((n, times.size))  # (n, 0) on an empty grid
-        for i, (idx, pos) in enumerate(_per_time(real, inside, times, c.g)):
-            counts[:, i] = np.bincount(owner.take(idx), weight(b, pos), n)
-        return counts
-
-    return _realization_rows(c, row, times.size, times, -hi, hi, n_realizations, seed, threads)
+    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed, 0)
+    return _weighed(c, b, times, n_realizations, seed, threads)[:, :times.size].copy()
 
 
 def ensemble_stats(
@@ -520,16 +514,19 @@ def ensemble_stats(
     errors from Campbell's theorem (see _ensemble_from_values).  Identical
     results for any ``threads`` value.
     """
-    return _weighed(c, b, times, n_realizations, seed, threads)[0]
+    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
+    return _ensemble_from_values(_weighed(c, b, times, n_realizations, seed, threads), times, seed)
 
 
-def _weighed(c: CloudParams, b: BeamParams, times, n_realizations: int, seed: int, threads: int,
-             box=None) -> tuple[EnsembleStats, np.ndarray]:
-    """ensemble_stats, and the (realization, time) counts of the atoms inside
-    the box (lo, hi) from the same propagation (no columns without a box)."""
-    times = _ensemble_times(times, n_realizations)
+def _weighed(c: CloudParams, b: BeamParams, times: np.ndarray, n_realizations: int, seed: int,
+             threads: int, box=None) -> np.ndarray:
+    """(realization, m + m^2) rows on the m checked grid times: each
+    realization's weighted counts, then its m x m Campbell sums (see
+    _campbell_rows).  With a box (lo, hi), m more columns count its atoms
+    inside the box, from the same propagation.  weighted_counts,
+    ensemble_stats and _ensemble_and_box all read these rows (see
+    _realization_rows)."""
     hi = _beam_window(c, b, times)
-    width = times.size * (times.size + 1)
 
     def row(real, inside, owner, n):
         w = np.zeros((times.size, real.count))  # 0 outside each time's window box
@@ -542,9 +539,8 @@ def _weighed(c: CloudParams, b: BeamParams, times, n_realizations: int, seed: in
                 boxed.append(np.bincount(at, _inside(pos, *box), n))
         return np.column_stack([*counts, _campbell_rows(w, owner, n), *boxed])
 
-    values = _realization_rows(c, row, width + (0 if box is None else times.size), times, -hi, hi,
-                               n_realizations, seed, threads)
-    return _ensemble_from_values(values[:, :width], times, seed), values[:, width:]
+    width = times.size * (times.size + 1 + (box is not None))
+    return _realization_rows(c, row, width, times, -hi, hi, n_realizations, seed, threads)
 
 
 def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -610,7 +606,7 @@ def binary_count_check(
     inside it at some grid time are drawn, and its counts are the draw's
     window mask.
     """
-    times = _ensemble_times(times, n_realizations)
+    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
     lo, hi = _box(box_bounds)
     counts = _realization_rows(
         c, lambda _, inside, owner, n: np.broadcast_to(  # one row without a window
@@ -624,13 +620,15 @@ def _ensemble_and_box(c: CloudParams, b: BeamParams, times, n_realizations: int,
     """ensemble_stats, a binary_count_check report of the same realizations
     from one draw, and its box ((xlo, ylo, zlo), (xhi, yhi, zhi)).
 
-    The stats equal ensemble_stats(c, b, times, n_realizations, seed,
+    The stats and the box counts are slices of the same _weighed rows, and
+    the stats equal ensemble_stats(c, b, times, n_realizations, seed,
     threads) bit for bit.  The box, validate's, is |x| <= sigma_r/2 and |y|,
     |z| up to the beam window's narrowest half-width over the grid: an atom
     in it at t_i is in the window at t_i, so it is drawn, weighed and counted.
     """
-    times = _ensemble_times(times, n_realizations)
+    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
     half, edge = 0.5 * c.sigma_r, float(_beam_window(c, b, times)[1].min())
     box = (-half, -edge, -edge), (half, edge, edge)
-    stats, counts = _weighed(c, b, times, n_realizations, seed, threads, np.array(box))
-    return stats, _box_report(counts, times), box
+    rows = _weighed(c, b, times, n_realizations, seed, threads, np.array(box))
+    return (_ensemble_from_values(rows, times, seed),
+            _box_report(rows[:, times.size * (times.size + 1):], times), box)

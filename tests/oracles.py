@@ -146,6 +146,28 @@ def quasistationary_fourier_oracle(inp, big_t, omega, dps=25):
         return float(2 * value)
 
 
+def variance_over_mean_mp(c, b, t, dps=50):
+    """variance/mean of the weighted count at time t, rebuilt in mpmath from
+    the written laws: the mean is tau_w^2/(tau_r^2 + tau_w^2 + t^2) times the
+    fall factor exp[-t^4/(tau_g^2 (tau_r^2 + tau_w^2 + t^2))], in units of
+    the atom number, and the variance is the mean at tau_w^2/2, with tau_r =
+    sigma_r/sigma_v, tau_w = w0/(2 sigma_v) and tau_g = 2 sqrt(2) sigma_v/g.
+    Neither underflows at 50 digits, where the float variance is subnormal.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        sigma_r, sigma_v, g, w0, t = (mp.mpf(v) for v in (c.sigma_r, c.sigma_v, c.g, b.w0, t))
+        tau_r_sq, tau_w_sq = (sigma_r / sigma_v) ** 2, (w0 / (2 * sigma_v)) ** 2
+        inv_tau_g_sq = (g / (2 * mp.sqrt(2) * sigma_v)) ** 2
+
+        def law(share):
+            offset = tau_r_sq + share * tau_w_sq + t**2
+            return share * tau_w_sq / offset * mp.exp(-inv_tau_g_sq * t**4 / offset)
+
+        return float(law(mp.mpf(0.5)) / law(mp.mpf(1)))
+
+
 def cosine_transform(tau, values, omega):
     """Trapezoid cosine transform of an even correlation sample.
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coldcloud
+import oracles
 from coldcloud import cli, mc_oracle
 from coldcloud.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, load_config, main
 
@@ -96,16 +97,18 @@ class TestConfigParsing:
         assert "grids.t" in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
-    def test_non_finite_number_rejected(self, tmp_path, literal):
+    def test_non_finite_number_rejected(self, tmp_path, capsys, literal):
         text = json.dumps(base_config()).replace('"n_total": 1000000.0', f'"n_total": {literal}')
         assert literal in text
         path = tmp_path / "config.json"
         path.write_text(text)
         assert main(["mean", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config field 'cloud.n_total'" in capsys.readouterr().err
         assert not (tmp_path / "mean.csv").exists()
 
-    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400, "-1" + "0" * 400, "true"],
-                             ids=["1e400", "int401", "-int401", "true"])
+    @pytest.mark.parametrize("literal",
+                             ["1e400", "1" + "0" * 400, "-1" + "0" * 400, "true", "NaN"],
+                             ids=["1e400", "int401", "-int401", "true", "NaN"])
     def test_grid_entry_beyond_float_range_rejected(self, tmp_path, capsys, literal):
         # an integer too large for a float is a config error, as in a scalar
         # field, not a failure of the computation
@@ -493,6 +496,20 @@ class TestCurveSubcommands:
             if sub == "variance":
                 expected[-1] = pytest.approx(limit, rel=1e-15)
             assert last == [1e300, *expected], sub
+
+    @pytest.mark.parametrize("g", [9.81, 0.0])
+    def test_variance_over_mean_matches_mpmath(self, tmp_path, g):
+        # var/mean loses digits as the fall factors shrink, up to 2.5% where
+        # the variance is subnormal (t near 0.78 s at g = 9.81)
+        cfg = json.loads((ROOT / "configs" / "default.json").read_text())
+        cfg["cloud"]["g"] = g
+        cfg["grids"]["t"] = [*np.linspace(0.0, 0.8, 33).tolist(), 0.7842822061337682]
+        assert main(["variance", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = np.loadtxt(tmp_path / "variance.csv", delimiter=",", skiprows=1)
+        run = load_config(str(tmp_path / "config.json"))
+        expected = [oracles.variance_over_mean_mp(run.cloud, run.beam, t) for t in rows[:, 0]]
+        np.testing.assert_allclose(rows[:, 3], expected, rtol=1e-15, atol=0.0)
 
     def test_covariance_without_valid_pairs(self, tmp_path, capsys):
         cfg = base_config()

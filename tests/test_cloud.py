@@ -243,7 +243,6 @@ def _time_takers():
         "is_linear_regime": lambda t: cc.is_linear_regime(cav, opt, inp, t),
         "propagate": lambda t: cc.propagate(origin, origin, 9.81, t),
         "sample_cloud": lambda t: cc.sample_cloud(small, 1, [t], -1e-3, 1e-3),
-        "effective_count": lambda t: cc.effective_count(beam, cc.sample_cloud(small, 1), 9.81, t),
         "weighted_counts": lambda t: cc.weighted_counts(small, beam, [t], 3, 1),
         "ensemble_stats": lambda t: cc.ensemble_stats(small, beam, [t], 3, 1),
         "binary_count_check": lambda t: cc.binary_count_check(small, everywhere, [t], 3, 1),

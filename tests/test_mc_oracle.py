@@ -12,10 +12,8 @@ from coldcloud import (
     BeamParams,
     CloudParams,
     EffNumInputs,
-    Realization,
     binary_count_check,
     covariance_exact,
-    effective_count,
     ensemble_stats,
     mean_number,
     propagate,
@@ -146,22 +144,6 @@ class TestPropagate:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             propagate(np.zeros(3), np.zeros(3), 9.81, -0.1)
-
-
-class TestEffectiveCount:
-    def test_empty_realization(self):
-        empty = Realization(np.empty((0, 3)), np.empty((0, 3)), 0)
-        assert effective_count(BEAM, empty, 9.81, 0.01) == 0.0
-
-    def test_single_resting_atom_on_axis(self):
-        one = Realization(np.zeros((1, 3)), np.zeros((1, 3)), 1)
-        assert effective_count(BEAM, one, 0.0, 0.02) == 1.0
-
-    def test_bounded_by_atom_count(self):
-        real = sample_cloud(CLOUD, 777)
-        for t in (0.0, 0.01, 0.03):
-            n = effective_count(BEAM, real, CLOUD.g, t)
-            assert 0.0 <= n <= real.count
 
 
 class TestEnsembleStats:
@@ -310,7 +292,9 @@ class TestEnsembleStats:
         assert 1.7 < ratio < 2.3  # expect 2 for 4x the realizations
 
     def test_weighted_counts_of_no_realizations(self):
-        assert weighted_counts(CLOUD, BEAM, [0.0, 0.01], 0, seed=0).shape == (0, 2)
+        # and of fewer than the 3 that standard errors need
+        for n in (0, 1, 2):
+            assert weighted_counts(CLOUD, BEAM, [0.0, 0.01], n, seed=0).shape == (n, 2)
 
     def test_empty_time_grid(self):
         # no grid time gives no columns, in every ensemble function
@@ -328,6 +312,33 @@ class TestEnsembleStats:
                 ensemble_stats(CLOUD, BEAM, [0.0], n, seed=0)
             with pytest.raises(ValueError, match="at least 3"):
                 binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed=0)
+
+    ENTRY_POINTS = {
+        "weighted_counts": lambda n, seed: weighted_counts(CLOUD, BEAM, [0.0], n, seed),
+        "ensemble_stats": lambda n, seed: ensemble_stats(CLOUD, BEAM, [0.0], n, seed),
+        "binary_count_check": lambda n, seed: binary_count_check(
+            CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed),
+        "_ensemble_and_box": lambda n, seed: mc_oracle._ensemble_and_box(
+            CLOUD, BEAM, [0.0], n, seed),
+    }
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, 3.0, True])
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_realization_count_must_be_an_integer(self, name, bad):
+        with pytest.raises(ValueError, match="n_realizations must be an integer"):
+            self.ENTRY_POINTS[name](bad, 0)
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_seed_must_be_an_integer(self, name, bad):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            self.ENTRY_POINTS[name](3, bad)
+
+    def test_numpy_integers_count(self):
+        # a numpy count and seed give the bits of the Python ints
+        np.testing.assert_array_equal(
+            weighted_counts(CLOUD, BEAM, [0.0], np.int64(4), np.int64(9)),
+            weighted_counts(CLOUD, BEAM, [0.0], 4, 9))
 
 
 def _naive_windowed(times, lo, hi):
