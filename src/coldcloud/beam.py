@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cloud import _check_fields
+
 __all__ = [
     "BeamParams",
     "beam_size",
@@ -42,9 +44,7 @@ class BeamParams:
     wavelength: float
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_fields(self)
         if not self.w0 > 0:
             raise ValueError(f"w0 must be positive, got {self.w0}")
         if not self.wavelength > 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import BeamParams, beam_section
-from .cloud import _checked
+from .cloud import _check_fields, _checked
 from .effnum import EffNumInputs, _coupling_area
 from .fluct import mean_number, normalized_spectrum
 from .optical import OpticalParams
@@ -45,6 +45,7 @@ class CavityParams:
     tau_c: float
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.tau_c > 0:

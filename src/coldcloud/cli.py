@@ -464,15 +464,14 @@ def _mc(cfg: RunConfig, seed: int, threads: int):
 
 def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed: int,
                      threads: int):
-    """Check names, a (3, checks) array of MC estimates, closed-form
-    references and standard errors for one ensemble, and its Poisson box.
-    Order: mean and variance per t, the covariance pairs, then the Poisson
-    ratios.  One beam-window draw from seed gives every check: the Poisson
-    ratios count the atoms of its realizations inside the box that
-    mc_oracle chooses (see _ensemble_and_box)."""
+    """Check names and a (3, checks) array of MC estimates, closed-form
+    references and standard errors for one ensemble.  Order: mean and
+    variance per t, the covariance pairs, then the Poisson ratios.  One
+    beam-window draw from seed gives every check: the Poisson ratio at t
+    counts the atoms weighed at t, those inside the beam window then (see
+    _ensemble_and_box)."""
     inp = EffNumInputs(cloud, cfg.beam)
-    stats, report, box = _ensemble_and_box(cloud, cfg.beam, times, cfg.mc_realizations, seed,
-                                           threads)
+    stats, report = _ensemble_and_box(cloud, cfg.beam, times, cfg.mc_realizations, seed, threads)
     rows, cols = np.triu_indices(times.size, 1)
     names = [f"{label}.{q}[t={t:g}]" for t in times for q in ("mean", "variance")]
     names += [f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]" for j, k in zip(rows, cols)]
@@ -483,7 +482,7 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
            covariance_exact(inp, 0.5 * (times[rows] + times[cols]), times[rows] - times[cols]),
            stats.se_covariance[rows, cols]]
     ratio = [report.ratio, np.ones(times.size), report.ratio_se]
-    return names, np.hstack([np.stack([mean, var], axis=-1).reshape(3, -1), cov, ratio]), box
+    return names, np.hstack([np.stack([mean, var], axis=-1).reshape(3, -1), cov, ratio])
 
 
 def _validate(cfg: RunConfig, seed: int, threads: int):
@@ -492,9 +491,8 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
     if math.isfinite(time_scales(cfg.cloud, cfg.beam).tau_g):
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
         branches.append(_validate_branch(cfg, free, "free", times, seed + 1000, threads))
-    names = [name for branch_names, _, _ in branches for name in branch_names]
-    estimate, reference, se = np.hstack([values for _, values, _ in branches])
-    box = branches[0][2]
+    names = [name for branch_names, _ in branches for name in branch_names]
+    estimate, reference, se = np.hstack([values for _, values in branches])
     # a check without data (zero standard error) gets a non-finite z, which
     # is reported by name below
     z = (estimate - reference) / se
@@ -519,7 +517,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
     print(f"validate: {report['n_checks'] - report['n_failures']}/{report['n_checks']} checks passed")
     undefined = [names[j] for j in np.flatnonzero(~np.isfinite(z))]
     if undefined:
-        raise ValueError(f"no data (zero box counts or zero standard error), z undefined for "
+        raise ValueError(f"no data (zero window counts or zero standard error), z undefined for "
                          f"{len(undefined)} checks: {', '.join(undefined)}")
     # chance that the largest |z| of this many independent normal checks
     # is at least the worst one: small values point to a defect, not noise
@@ -533,8 +531,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
                          "pass": ok.astype(float)},
         "validate_report.json": report,
-    }, {"all_pass": report["all_pass"], **window_draw(cfg.cloud, cfg.beam, times),
-        "poisson_box": {"lo_m": list(box[0]), "hi_m": list(box[1])}}
+    }, {"all_pass": report["all_pass"], **window_draw(cfg.cloud, cfg.beam, times)}
 
 
 SUBCOMMANDS = {

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .beam import BeamParams
+if TYPE_CHECKING:  # beam.py imports _check_fields from here
+    from .beam import BeamParams
 
 __all__ = [
     "CloudParams",
@@ -27,6 +29,18 @@ __all__ = [
 
 # Boltzmann constant, J/K: exact in the SI since 2019
 _BOLTZMANN = 1.380649e-23
+
+
+def _check_fields(params) -> None:
+    """ValueError naming the first field of a parameter dataclass that is a
+    bool, not a real number, or not finite."""
+    for name, value in vars(params).items():
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except TypeError:  # a string, None, a complex number, ...
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +66,7 @@ class CloudParams:
     g: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_fields(self)
         if self.n_total < 0:
             raise ValueError(f"n_total must be nonnegative, got {self.n_total}")
         if not self.sigma_r > 0:

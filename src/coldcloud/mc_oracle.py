@@ -4,14 +4,15 @@ Every closed form in the package can be checked against this sampler: draw
 a Poisson-distributed number of atoms from the initial Gaussian phase
 space, fly them ballistically, sum the beam weights, and estimate
 mean/variance/covariance across many independent realizations.  Only the
-atoms that can reach the beam or the box are drawn: a Poisson cloud
+atoms that can reach the beam or a count's box are drawn: a Poisson cloud
 restricted to a region is the same Poisson process there (Kingman,
 *Poisson Processes*, 1993).  An atom is kept when, at some grid time, it
 is inside that time's window box, and is weighed only at the grid times
 whose box holds it (see BEAM_CUT).  Where those boxes hold less than the
 cloud, the coordinates whose windows are all finite are drawn from the
 product of their bands in the (position, velocity) planes (see _band_draw).
-A draw also returns its window test, which binary_count_check counts.
+A draw also returns its window test: the atoms it holds at each grid time
+are the Poisson counts of binary_count_check and of validate (see _held).
 
 Reproducibility contract: an ensemble is drawn in blocks of consecutive
 clouds, block k in one array pass from the generator seeded by a splitmix64
@@ -75,13 +76,22 @@ AXIAL_CUT = 10.0
 _PART_ATOMS = 1 << 14
 
 
+def _integral(value) -> bool:
+    """Whether value is an integer, numpy's too, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def substream_seed(master_seed: int, index: int) -> int:
     """Derive a block's seed: splitmix64 of master seed and block index.
 
     The mix decorrelates consecutive indices completely, so blocks can be
-    drawn in any order (or in parallel) with identical results.
+    drawn in any order (or in parallel) with identical results.  A numpy
+    integer gives the Python int's bits; a ValueError names any other type.
     """
-    z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
+    for name, value in (("master_seed", master_seed), ("index", index)):
+        if not _integral(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    z = (int(master_seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -125,13 +135,13 @@ class EnsembleStats:
 
 @dataclass(frozen=True)
 class BinaryCountReport:
-    """Poisson check for an indicator (hard-edged) detection volume.
+    """Poisson check of the atoms a draw's window box holds at each time.
 
-    For a 0/1 weight the count must stay Poissonian at all times, so the
-    variance/mean ratio is 1 up to sampling error (``ratio_se``, see
-    _box_report).  ``consistent`` flags |ratio - 1| <= 3 standard errors
-    per time.  At a time when no atom of any realization is in the box,
-    ratio and ratio_se are NaN and the time is not consistent.
+    That count must stay Poissonian, so its variance/mean ratio is 1 up to
+    sampling error (``ratio_se``, see _box_report).  ``consistent`` flags
+    |ratio - 1| <= 3 standard errors per time.  At a time when no atom of
+    any realization is in the box, ratio and ratio_se are NaN and the time
+    is not consistent.
     """
 
     times: np.ndarray
@@ -438,13 +448,10 @@ def _ensemble_args(times, n_realizations: int, seed: int,
     """The checked times, n_realizations and seed of an ensemble: integers,
     numpy's too but not bools, with at least least realizations (3 for
     standard errors).  A ValueError names any other argument."""
-    def integral(value) -> bool:
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-    if not (integral(n_realizations) and n_realizations >= least):
+    if not (_integral(n_realizations) and n_realizations >= least):
         raise ValueError(f"n_realizations must be an integer of at least {least}, "
                          f"got {n_realizations!r}")
-    if not integral(seed):
+    if not _integral(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     return np.atleast_1d(_checked(times, "times", 0.0)), int(n_realizations), int(seed)
 
@@ -460,13 +467,14 @@ def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
 
 def window_draw(c: CloudParams, b: BeamParams, times: np.ndarray) -> dict:
     """How weighted_counts draws a realization of c on the grid times: its
-    beam window (see dropped_weight_bound), its sub-clouds, each from the
-    product of the window's bands ("bands") or the whole cloud ("full"),
-    and the share proposed, sum_i M_i or 1."""
+    beam window (see dropped_weight_bound), whose y and z half-width per
+    time bounds the atoms drawn, weighed and Poisson-counted then, its
+    sub-clouds, each from the product of the window's bands ("bands") or
+    the whole cloud ("full"), and the share proposed, sum_i M_i or 1."""
     hi = _beam_window(c, b, times)
     plan = _draw_plan(c, times, -hi, hi)
     bands = plan[-1]
-    return {"beam_window": dropped_weight_bound(c, times.size),
+    return {"beam_window": {**dropped_weight_bound(c, times.size), "half_width_m": hi[1].tolist()},
             "sub_clouds": _sub_clouds(c, plan)[0],
             "draw": "full" if bands is None else "bands",
             "proposed_share": 1.0 if bands is None else float(bands[1].sum())}
@@ -519,27 +527,24 @@ def ensemble_stats(
 
 
 def _weighed(c: CloudParams, b: BeamParams, times: np.ndarray, n_realizations: int, seed: int,
-             threads: int, box=None) -> np.ndarray:
-    """(realization, m + m^2) rows on the m checked grid times: each
-    realization's weighted counts, then its m x m Campbell sums (see
-    _campbell_rows).  With a box (lo, hi), m more columns count its atoms
-    inside the box, from the same propagation.  weighted_counts,
-    ensemble_stats and _ensemble_and_box all read these rows (see
-    _realization_rows)."""
+             threads: int) -> np.ndarray:
+    """(realization, m + m^2 + m) rows on the m checked grid times: each
+    realization's weighted counts, its m x m Campbell sums (see
+    _campbell_rows), then its atoms weighed at each time, those its window
+    box holds (see _held).  weighted_counts, ensemble_stats and
+    _ensemble_and_box all read these rows (see _realization_rows)."""
     hi = _beam_window(c, b, times)
 
     def row(real, inside, owner, n):
         w = np.zeros((times.size, real.count))  # 0 outside each time's window box
-        counts, boxed = [], []
+        counts, held = [], []
         for i, (idx, pos) in enumerate(_per_time(real, inside, times, c.g)):
-            at = owner.take(idx)
             w[i, idx] = weights = weight(b, pos)
-            counts.append(np.bincount(at, weights, n))
-            if box is not None:
-                boxed.append(np.bincount(at, _inside(pos, *box), n))
-        return np.column_stack([*counts, _campbell_rows(w, owner, n), *boxed])
+            counts.append(np.bincount(at := owner.take(idx), weights, n))
+            held.append(_held(at, n))
+        return np.column_stack([*counts, _campbell_rows(w, owner, n), *held])
 
-    width = times.size * (times.size + 1 + (box is not None))
+    width = times.size * (times.size + 2)
     return _realization_rows(c, row, width, times, -hi, hi, n_realizations, seed, threads)
 
 
@@ -554,14 +559,10 @@ def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _inside(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mask (..., count) of the (..., count, 3) positions inside the box lo, hi."""
-    # coordinate by coordinate: no (..., count, 3) boolean temporaries
-    mask = np.ones(pos.shape[:-1], dtype=bool)
-    for d in range(3):
-        mask &= pos[..., d] >= lo[d]
-        mask &= pos[..., d] <= hi[d]
-    return mask
+def _held(at: np.ndarray, n: int) -> np.ndarray:
+    """Poisson count at one grid time: the atoms of each cloud 0..n-1 that a
+    draw's window mask holds then, from at, the cloud of each of them."""
+    return np.bincount(at, minlength=n)
 
 
 def _box_report(counts: np.ndarray, times: np.ndarray) -> BinaryCountReport:
@@ -610,25 +611,23 @@ def binary_count_check(
     lo, hi = _box(box_bounds)
     counts = _realization_rows(
         c, lambda _, inside, owner, n: np.broadcast_to(  # one row without a window
-            np.column_stack([np.bincount(owner, row, n) for row in inside]), (n, times.size)),
+            np.column_stack([_held(owner[row], n) for row in inside]), (n, times.size)),
         times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
     return _box_report(counts, times)
 
 
 def _ensemble_and_box(c: CloudParams, b: BeamParams, times, n_realizations: int, seed: int,
-                      threads: int = 1) -> tuple[EnsembleStats, BinaryCountReport, tuple]:
-    """ensemble_stats, a binary_count_check report of the same realizations
-    from one draw, and its box ((xlo, ylo, zlo), (xhi, yhi, zhi)).
+                      threads: int = 1) -> tuple[EnsembleStats, BinaryCountReport]:
+    """ensemble_stats and a binary_count_check report of the same
+    realizations, from one draw.
 
-    The stats and the box counts are slices of the same _weighed rows, and
-    the stats equal ensemble_stats(c, b, times, n_realizations, seed,
-    threads) bit for bit.  The box, validate's, is |x| <= sigma_r/2 and |y|,
-    |z| up to the beam window's narrowest half-width over the grid: an atom
-    in it at t_i is in the window at t_i, so it is drawn, weighed and counted.
+    Both are slices of the same _weighed rows, and the stats equal
+    ensemble_stats(c, b, times, n_realizations, seed, threads) bit for bit.
+    The report counts, at each grid time t_i, the atoms weighed at t_i: those
+    inside the beam window's box |y|, |z| <= half_width_m[i] (see
+    window_draw), x unbounded.
     """
     times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
-    half, edge = 0.5 * c.sigma_r, float(_beam_window(c, b, times)[1].min())
-    box = (-half, -edge, -edge), (half, edge, edge)
-    rows = _weighed(c, b, times, n_realizations, seed, threads, np.array(box))
+    rows = _weighed(c, b, times, n_realizations, seed, threads)
     return (_ensemble_from_values(rows, times, seed),
-            _box_report(rows[:, times.size * (times.size + 1):], times), box)
+            _box_report(rows[:, times.size * (times.size + 1):], times))

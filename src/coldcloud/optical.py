@@ -8,10 +8,9 @@ rate) are folded into the single on-axis saturation number ``s_m0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .cloud import _checked
+from .cloud import _check_fields, _checked
 
 __all__ = ["OpticalParams", "polarizability"]
 
@@ -33,9 +32,7 @@ class OpticalParams:
     s_m0: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_fields(self)
         if self.s_m0 < 0:
             raise ValueError(f"s_m0 must be nonnegative, got {self.s_m0}")
 

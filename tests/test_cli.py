@@ -607,8 +607,18 @@ class TestMonteCarloSubcommands:
             "mc": {"realizations": 1200, "seed": 20250801},
         }
 
+    def half_widths(self, cfg):
+        """The beam window's y and z half-width c * w(K * sigma_x(t)) per grid
+        time of an mc_config, c = 5 and K = 10."""
+        z_r = math.pi * cfg["beam"]["w0"] ** 2 / cfg["beam"]["lambda"]
+        sigma_r, sigma_v = cfg["cloud"]["sigma_r"], cfg["cloud"]["sigma_v"]
+        return [pytest.approx(5.0 * cfg["beam"]["w0"] * math.hypot(
+                    1.0, 10.0 * math.hypot(sigma_r, sigma_v * t) / z_r), rel=1e-15)
+                for t in cfg["grids"]["t"]]
+
     def test_mc_outputs(self, tmp_path):
-        cfg_path = write_config(tmp_path, self.mc_config())
+        cfg = self.mc_config()
+        cfg_path = write_config(tmp_path, cfg)
         assert main(["mc", "--config", cfg_path, "--out", str(tmp_path), "--threads", "2"]) == EXIT_OK
         stats = np.genfromtxt(tmp_path / "mc_stats.csv", delimiter=",", names=True)
         assert stats.shape == (3,)
@@ -618,7 +628,8 @@ class TestMonteCarloSubcommands:
         manifest = json.loads((tmp_path / "mc_manifest.json").read_text())
         tails = math.exp(-2.0 * 5.0**2) + math.erfc(10.0 / math.sqrt(2.0))
         assert manifest["beam_window"] == {"beam_cut": 5.0, "axial_cut": 10.0,
-                                           "dropped_weight_bound": 2000.0 * 3 * tails}
+                                           "dropped_weight_bound": 2000.0 * 3 * tails,
+                                           "half_width_m": self.half_widths(cfg)}
 
     @pytest.mark.parametrize("config,parts", [("default.json", 21), ("validate_desk.json", 1)])
     def test_manifest_records_sub_clouds(self, tmp_path, config, parts):
@@ -757,51 +768,48 @@ class TestMonteCarloSubcommands:
         assert len(lines) == 1 and lines[0].startswith("error in validate: "), lines
 
     def test_validate_manifest_records_the_poisson_box(self, tmp_path):
-        # |x| <= sigma_r/2, and |y|, |z| up to the beam window's narrowest
-        # half-width over the grid, c * w(K * sigma_r) at t = 0
+        # the Poisson checks count the beam window's box at each grid time:
+        # |y|, |z| up to c * w(K * sigma_x(t)), x unbounded
         cfg = self.mc_config()
         cfg["mc"]["realizations"] = 30
         cfg_path = write_config(tmp_path, cfg)
         main(["validate", "--config", cfg_path, "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
-        edge = 5.0 * 40e-6 * math.sqrt(1.0 + (10.0 * 1e-3 / (math.pi * 40e-6**2 / 1e-9)) ** 2)
-        box = manifest["poisson_box"]
-        assert box["lo_m"] == [-5e-4, pytest.approx(-edge, rel=1e-15),
-                               pytest.approx(-edge, rel=1e-15)]
-        assert box["hi_m"] == [5e-4, pytest.approx(edge, rel=1e-15),
-                               pytest.approx(edge, rel=1e-15)]
+        assert manifest["beam_window"]["half_width_m"] == self.half_widths(cfg)
         main(["mc", "--config", cfg_path, "--out", str(tmp_path)])
         mc = json.loads((tmp_path / "mc_manifest.json").read_text())
-        assert set(manifest) - set(mc) == {"all_pass", "poisson_box"}
+        assert set(manifest) - set(mc) == {"all_pass"}
+        assert manifest["beam_window"] == mc["beam_window"]
 
 
 class TestPoissonBox:
-    """validate's Poisson box, counted inside the beam-window draw of the
-    desk config's gravity branch, against its closed-form mass."""
+    """validate's Poisson count, the atoms inside the beam window's box at
+    each grid time of the desk config's gravity branch, against the box's
+    closed-form mass."""
 
     def z_of_box_mean(self, n_realizations=2000, seed=20250801):
-        """(box mean - mass) / SE per grid time.  The mass is
-        n * prod_d (erf((hi_d - mu_d)/(s sqrt 2)) - erf((lo_d - mu_d)/(s sqrt 2)))/2
-        with s^2 = sigma_r^2 + sigma_v^2 t^2 and mu = (0, 0, -g t^2/2)."""
+        """(box mean - mass) / SE per grid time.  The box is |y|, |z| <= h_i,
+        the beam window's half-width, with x unbounded, so the mass is
+        n * prod_{d=y,z} (erf((h_i - mu_d)/(s sqrt 2)) - erf((-h_i - mu_d)/(s sqrt 2)))/2
+        with s^2 = sigma_r^2 + sigma_v^2 t^2 and mu = (0, -g t^2/2)."""
         cfg = load_config(str(ROOT / "configs" / "validate_desk.json"))
         cloud, times = cfg.cloud, cfg.mc_times
-        _, report, box = mc_oracle._ensemble_and_box(cloud, cfg.beam, times, n_realizations,
-                                                     seed)
+        _, report = mc_oracle._ensemble_and_box(cloud, cfg.beam, times, n_realizations, seed)
+        half = mc_oracle._beam_window(cloud, cfg.beam, times)[1]
         mass = []
-        for t in times:
+        for t, h in zip(times, half):
             s_sqrt2 = math.sqrt(2.0 * (cloud.sigma_r**2 + (cloud.sigma_v * t) ** 2))
-            mu = (0.0, 0.0, -0.5 * cloud.g * t**2)
             mass.append(cloud.n_total * math.prod(
-                0.5 * (math.erf((hi - m) / s_sqrt2) - math.erf((lo - m) / s_sqrt2))
-                for lo, hi, m in zip(*box, mu)))
+                0.5 * (math.erf((h - m) / s_sqrt2) - math.erf((-h - m) / s_sqrt2))
+                for m in (0.0, -0.5 * cloud.g * t**2)))
         return (report.mean - mass) / np.sqrt(report.variance / n_realizations)
 
     def test_box_mean_matches_its_mass(self):
         assert np.all(np.abs(self.z_of_box_mean()) < 4.0)
 
     def test_box_mean_sees_a_window_that_cuts_too_much(self, monkeypatch):
-        # the sampler's window shrunk to 0.9 of its width while the box stays
-        # at the full window's edge: ~19% of the box goes undrawn.  The
+        # the sampler's window shrunk to 0.9 of its width while the mass stays
+        # that of the full window's box: ~19% of the box goes undrawn.  The
         # ensemble's draws all follow the one plan of its windows
         true_plan = mc_oracle._draw_plan
         monkeypatch.setattr(mc_oracle, "_draw_plan",

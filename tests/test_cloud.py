@@ -7,14 +7,35 @@ import pytest
 
 from coldcloud import (
     BeamParams,
+    CavityParams,
     CloudParams,
+    OpticalParams,
     center_density,
     density,
     phase_space_density,
     time_scales,
 )
 
-from oracles import quad3d_vec
+from oracles import gaussian_density_reference, quad3d_vec
+
+# each parameter dataclass with valid values of its fields
+_PARAMS = {
+    CloudParams: {"n_total": 1e6, "sigma_r": 1e-3, "sigma_v": 0.1, "g": 9.81},
+    BeamParams: {"w0": 50e-6, "wavelength": 852e-9},
+    OpticalParams: {"delta": 5.0, "s_m0": 0.1},
+    CavityParams: {"kappa": 5e7, "tau_c": 1e-9},
+}
+
+
+@pytest.mark.parametrize("bad", ["1", None, 1j, True, math.nan, math.inf],
+                         ids=["str", "None", "complex", "bool", "nan", "inf"])
+@pytest.mark.parametrize("kind,field", [
+    (kind, field) for kind, fields in _PARAMS.items() for field in fields
+])
+def test_parameter_fields_must_be_finite_real_numbers(kind, field, bad):
+    kind(**_PARAMS[kind])  # the valid values pass
+    with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+        kind(**{**_PARAMS[kind], field: bad})
 
 
 class TestCloudParams:
@@ -157,6 +178,20 @@ class TestDensity:
         for t in (10.0 * tau_r, 15.0 * tau_r, 25.0 * tau_r):
             approx = peak * (tau_r**2 / (tau_r**2 + t**2)) ** 1.5 * math.exp(-(t**2) / tau_g**2)
             assert center_density(c, t) == pytest.approx(approx, rel=0.01)
+
+    @pytest.mark.parametrize("g", [0.0, 9.81])
+    def test_matches_the_definition(self, g, rng):
+        # off-centre points, at times up to 0.1 s, against the Gaussian of
+        # the definition
+        c = CloudParams(n_total=1e6, sigma_r=1e-3, sigma_v=0.1, g=g)
+        for t in np.linspace(0.0, 0.1, 5):
+            reference = gaussian_density_reference(c.n_total, c.sigma_r, c.sigma_v, g,
+                                                   (0.0, 0.0, 0.0), t)
+            assert center_density(c, t) == pytest.approx(reference, rel=1e-14)
+            spread = math.sqrt(c.sigma_r**2 + (c.sigma_v * t) ** 2)
+            for r in rng.normal(0.0, spread, size=(4, 3)) + (0.0, 0.0, -0.5 * g * t**2):
+                reference = gaussian_density_reference(c.n_total, c.sigma_r, c.sigma_v, g, r, t)
+                assert density(c, r, t) == pytest.approx(reference, rel=1e-14)
 
     def test_rejects_negative_time(self, cloud):
         with pytest.raises(ValueError):
