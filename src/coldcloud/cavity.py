@@ -74,6 +74,8 @@ def cooperativity(cav: CavityParams, b: BeamParams, n):
 
 
 def _check_dispersive(opt: OpticalParams) -> None:
+    """Reject delta = 0; warn at the public function's caller (stacklevel
+    3) for a small |delta|, so each public function calls this itself."""
     if opt.delta == 0:
         raise ValueError("detuning shift is undefined at delta = 0 (dispersive formula)")
     if abs(opt.delta) < _DISPERSIVE_DELTA:
@@ -106,6 +108,11 @@ def detuning_spectrum(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, 
     scalar inputs return a float.
     """
     _check_dispersive(opt)
+    return _detuning_noise(cav, opt, inp, T, omega)
+
+
+def _detuning_noise(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T, omega):
+    """detuning_spectrum without the dispersive-regime check."""
     coupling = _coupling_per_atom(inp.beam)
     s_nn = 0.5 * mean_number(inp, T) * normalized_spectrum(inp, T, omega)
     out = coupling**2 * s_nn / (opt.delta * cav.tau_c) ** 2
@@ -120,5 +127,6 @@ def is_linear_regime(cav: CavityParams, opt: OpticalParams, inp: EffNumInputs, T
     value.  True means detuning fluctuations act linearly on the cavity.
     An array of T gives a bool array of its shape; a scalar T, a bool.
     """
-    out = detuning_spectrum(cav, opt, inp, T, 0.0) < cav.kappa
+    _check_dispersive(opt)
+    out = _detuning_noise(cav, opt, inp, T, 0.0) < cav.kappa
     return out if np.ndim(out) else bool(out)

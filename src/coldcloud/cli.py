@@ -76,7 +76,7 @@ from .fluct import (
     spectrum_exponential,
     variance,
 )
-from .mc_oracle import _ensemble_and_box, ensemble_stats, window_draw
+from .mc_oracle import ensemble_stats, window_draw
 from .optical import OpticalParams
 from .saturation import sigma_saturated_closed, sigma_saturated_general
 
@@ -431,6 +431,8 @@ def _detuning_spectrum(cfg: RunConfig, seed: int, threads: int):
     cav = cfg.cavity
     if cav is None:
         raise ConfigError("cavity", "required for the detuning-spectrum subcommand")
+    if cfg.optical.delta == 0:
+        raise ConfigError("optical.delta", "must be nonzero for the detuning-spectrum subcommand")
     inp = EffNumInputs(cfg.cloud, cfg.beam)
     big_t, omega = _fall_time_pairs(cfg, cfg.omega_grid)
     noise = detuning_spectrum(cav, cfg.optical, inp, big_t, omega)
@@ -469,9 +471,9 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
     variance per t, the covariance pairs, then the Poisson ratios.  One
     beam-window draw from seed gives every check: the Poisson ratio at t
     counts the atoms weighed at t, those inside the beam window then (see
-    _ensemble_and_box)."""
+    EnsembleStats.poisson)."""
     inp = EffNumInputs(cloud, cfg.beam)
-    stats, report = _ensemble_and_box(cloud, cfg.beam, times, cfg.mc_realizations, seed, threads)
+    stats = ensemble_stats(cloud, cfg.beam, times, cfg.mc_realizations, seed, threads)
     rows, cols = np.triu_indices(times.size, 1)
     names = [f"{label}.{q}[t={t:g}]" for t in times for q in ("mean", "variance")]
     names += [f"{label}.covariance[t={times[j]:g},t'={times[k]:g}]" for j, k in zip(rows, cols)]
@@ -481,16 +483,19 @@ def _validate_branch(cfg: RunConfig, cloud: CloudParams, label: str, times, seed
     cov = [stats.covariance[rows, cols],
            covariance_exact(inp, 0.5 * (times[rows] + times[cols]), times[rows] - times[cols]),
            stats.se_covariance[rows, cols]]
-    ratio = [report.ratio, np.ones(times.size), report.ratio_se]
+    ratio = [stats.poisson.ratio, np.ones(times.size), stats.poisson.ratio_se]
     return names, np.hstack([np.stack([mean, var], axis=-1).reshape(3, -1), cov, ratio])
 
 
 def _validate(cfg: RunConfig, seed: int, threads: int):
     times = cfg.mc_times
     branches = [_validate_branch(cfg, cfg.cloud, "gravity", times, seed, threads)]
+    # each branch draws with its own plan: the manifest describes both
+    draws = window_draw(cfg.cloud, cfg.beam, times)
     if math.isfinite(time_scales(cfg.cloud, cfg.beam).tau_g):
         free = CloudParams(cfg.cloud.n_total, cfg.cloud.sigma_r, cfg.cloud.sigma_v, 0.0)
         branches.append(_validate_branch(cfg, free, "free", times, seed + 1000, threads))
+        draws["free_branch"] = window_draw(free, cfg.beam, times)
     names = [name for branch_names, _ in branches for name in branch_names]
     estimate, reference, se = np.hstack([values for _, values in branches])
     # a check without data (zero standard error) gets a non-finite z, which
@@ -531,7 +536,7 @@ def _validate(cfg: RunConfig, seed: int, threads: int):
         "validate.csv": {"z_score": z, "estimate": estimate, "reference": reference,
                          "pass": ok.astype(float)},
         "validate_report.json": report,
-    }, {"all_pass": report["all_pass"], **window_draw(cfg.cloud, cfg.beam, times)}
+    }, {"all_pass": report["all_pass"], **draws}
 
 
 SUBCOMMANDS = {

@@ -12,7 +12,8 @@ whose box holds it (see BEAM_CUT).  Where those boxes hold less than the
 cloud, the coordinates whose windows are all finite are drawn from the
 product of their bands in the (position, velocity) planes (see _band_draw).
 A draw also returns its window test: the atoms it holds at each grid time
-are the Poisson counts of binary_count_check and of validate (see _held).
+are the Poisson counts of binary_count_check and of ensemble_stats (see
+_held).
 
 Reproducibility contract: an ensemble is drawn in blocks of consecutive
 clouds, block k in one array pass from the generator seeded by a splitmix64
@@ -51,7 +52,6 @@ __all__ = [
     "substream_seed",
     "sample_cloud",
     "propagate",
-    "weighted_counts",
     "ensemble_stats",
     "binary_count_check",
     "dropped_weight_bound",
@@ -60,7 +60,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Beam window of weighted_counts.  An atom is weighed at a grid time t_i
+# Beam window of ensemble_stats.  An atom is weighed at a grid time t_i
 # only if its y and its z both lie within BEAM_CUT * W_i of the beam axis
 # at t_i, and drawn only if that holds at one grid time, where W_i =
 # w(AXIAL_CUT * sigma_x(t_i)) bounds the beam radius w(x) over |x| <=
@@ -116,10 +116,15 @@ class Realization:
 class EnsembleStats:
     """Sample statistics of the weighted count over many realizations.
 
+    ``counts`` holds the raw (realization, time) weighted counts N(t), for
+    statistics beyond these (ratio estimators, bootstrap, ...).
     ``covariance`` is the (time, time) sample covariance matrix; its
     diagonal is ``variance`` by construction.  ``se_mean`` is s/sqrt(n).
     ``se_covariance`` follows from Campbell's theorem with the draws' own
     atoms (see _ensemble_from_values), and its diagonal is ``se_variance``.
+    ``poisson`` is the Poisson check of the same realizations: at each grid
+    time t_i it counts the atoms weighed then, those inside the beam
+    window's box |y|, |z| <= half_width_m[i] (see window_draw), x unbounded.
     """
 
     times: np.ndarray
@@ -131,6 +136,8 @@ class EnsembleStats:
     se_covariance: np.ndarray
     realization_count: int
     seed: int
+    counts: np.ndarray
+    poisson: BinaryCountReport
 
 
 @dataclass(frozen=True)
@@ -416,11 +423,11 @@ def _campbell_rows(w: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
 
 
 def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> EnsembleStats:
-    """EnsembleStats of the first m + m^2 columns of n _weighed rows.  For
-    counts N_j = sum_atoms w_j over a Poisson cloud, the sample covariance
-    has variance kappa_jk/n + (var_j var_k + cov_jk^2)/(n - 1), and by
-    Campbell's theorem (Kingman, *Poisson Processes*, 1993) the rows' mean
-    m x m sum estimates kappa_jk = E[sum_atoms w_j^2 w_k^2]."""
+    """EnsembleStats of n _weighed rows.  For counts N_j = sum_atoms w_j
+    over a Poisson cloud, the sample covariance has variance kappa_jk/n +
+    (var_j var_k + cov_jk^2)/(n - 1), and by Campbell's theorem (Kingman,
+    *Poisson Processes*, 1993) the rows' mean m x m sum estimates kappa_jk =
+    E[sum_atoms w_j^2 w_k^2].  The last m columns give the Poisson check."""
     n, m = rows.shape[0], times.size
     values = np.ascontiguousarray(rows[:, :m])
     kappa = rows[:, m:m * (m + 1)].mean(axis=0).reshape(m, m)
@@ -440,17 +447,17 @@ def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> Ens
         se_covariance=se_cov,
         realization_count=n,
         seed=seed,
+        counts=values,
+        poisson=_box_report(rows[:, m * (m + 1):], times),
     )
 
 
-def _ensemble_args(times, n_realizations: int, seed: int,
-                   least: int = 3) -> tuple[np.ndarray, int, int]:
+def _ensemble_args(times, n_realizations: int, seed: int) -> tuple[np.ndarray, int, int]:
     """The checked times, n_realizations and seed of an ensemble: integers,
-    numpy's too but not bools, with at least least realizations (3 for
-    standard errors).  A ValueError names any other argument."""
-    if not (_integral(n_realizations) and n_realizations >= least):
-        raise ValueError(f"n_realizations must be an integer of at least {least}, "
-                         f"got {n_realizations!r}")
+    numpy's too but not bools, with at least 3 realizations (for standard
+    errors).  A ValueError names any other argument."""
+    if not (_integral(n_realizations) and n_realizations >= 3):
+        raise ValueError(f"n_realizations must be an integer of at least 3, got {n_realizations!r}")
     if not _integral(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     return np.atleast_1d(_checked(times, "times", 0.0)), int(n_realizations), int(seed)
@@ -459,14 +466,14 @@ def _ensemble_args(times, n_realizations: int, seed: int,
 def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
     """BEAM_CUT, AXIAL_CUT and their bound on the expected weight per
     realization, summed over n_times grid times, that the beam window of
-    weighted_counts leaves out."""
+    ensemble_stats leaves out."""
     tails = math.exp(-2.0 * BEAM_CUT**2) + math.erfc(AXIAL_CUT / math.sqrt(2.0))
     return {"beam_cut": BEAM_CUT, "axial_cut": AXIAL_CUT,
             "dropped_weight_bound": c.n_total * n_times * tails}
 
 
 def window_draw(c: CloudParams, b: BeamParams, times: np.ndarray) -> dict:
-    """How weighted_counts draws a realization of c on the grid times: its
+    """How ensemble_stats draws a realization of c on the grid times: its
     beam window (see dropped_weight_bound), whose y and z half-width per
     time bounds the atoms drawn, weighed and Poisson-counted then, its
     sub-clouds, each from the product of the window's bands ("bands") or
@@ -481,31 +488,10 @@ def window_draw(c: CloudParams, b: BeamParams, times: np.ndarray) -> dict:
 
 
 def _beam_window(c: CloudParams, b: BeamParams, times: np.ndarray) -> np.ndarray:
-    """Upper window bounds (3, times) of weighted_counts; the lower ones are
+    """Upper window bounds (3, times) of ensemble_stats; the lower ones are
     their negatives.  x is not windowed."""
     half = BEAM_CUT * beam_size(b, AXIAL_CUT * np.sqrt(_spread_sq(c, times)))
     return np.stack([np.full(times.size, np.inf), half, half])
-
-
-def weighted_counts(
-    c: CloudParams,
-    b: BeamParams,
-    times,
-    n_realizations: int,
-    seed: int,
-    threads: int = 1,
-) -> np.ndarray:
-    """Raw weighted counts N(t), shape (n_realizations, n_times).
-
-    The counts are the first n_times columns of the _weighed rows that
-    ensemble_stats reduces, so the array is identical for any thread count.
-    An atom is weighed at the grid times where it is inside the beam
-    window, and drawn only if there is one (see BEAM_CUT and
-    dropped_weight_bound).  Useful for statistics beyond what
-    ensemble_stats reports (ratio estimators, bootstrap, ...).
-    """
-    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed, 0)
-    return _weighed(c, b, times, n_realizations, seed, threads)[:, :times.size].copy()
 
 
 def ensemble_stats(
@@ -518,9 +504,12 @@ def ensemble_stats(
 ) -> EnsembleStats:
     """Estimate mean/variance/covariance of N(t) over independent clouds.
 
-    Unbiased sample statistics of the weighted_counts array, with standard
-    errors from Campbell's theorem (see _ensemble_from_values).  Identical
-    results for any ``threads`` value.
+    Unbiased sample statistics of the raw weighted counts ``counts``, with
+    standard errors from Campbell's theorem (see _ensemble_from_values), and
+    the Poisson check ``poisson`` of the same draw (see EnsembleStats).  An
+    atom is weighed at the grid times where it is inside the beam window,
+    and drawn only if there is one (see BEAM_CUT and dropped_weight_bound).
+    Identical results for any ``threads`` value.
     """
     times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
     return _ensemble_from_values(_weighed(c, b, times, n_realizations, seed, threads), times, seed)
@@ -531,8 +520,7 @@ def _weighed(c: CloudParams, b: BeamParams, times: np.ndarray, n_realizations: i
     """(realization, m + m^2 + m) rows on the m checked grid times: each
     realization's weighted counts, its m x m Campbell sums (see
     _campbell_rows), then its atoms weighed at each time, those its window
-    box holds (see _held).  weighted_counts, ensemble_stats and
-    _ensemble_and_box all read these rows (see _realization_rows)."""
+    box holds (see _held), for ensemble_stats (see _realization_rows)."""
     hi = _beam_window(c, b, times)
 
     def row(real, inside, owner, n):
@@ -615,19 +603,3 @@ def binary_count_check(
         times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
     return _box_report(counts, times)
 
-
-def _ensemble_and_box(c: CloudParams, b: BeamParams, times, n_realizations: int, seed: int,
-                      threads: int = 1) -> tuple[EnsembleStats, BinaryCountReport]:
-    """ensemble_stats and a binary_count_check report of the same
-    realizations, from one draw.
-
-    Both are slices of the same _weighed rows, and the stats equal
-    ensemble_stats(c, b, times, n_realizations, seed, threads) bit for bit.
-    The report counts, at each grid time t_i, the atoms weighed at t_i: those
-    inside the beam window's box |y|, |z| <= half_width_m[i] (see
-    window_draw), x unbounded.
-    """
-    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
-    rows = _weighed(c, b, times, n_realizations, seed, threads)
-    return (_ensemble_from_values(rows, times, seed),
-            _box_report(rows[:, times.size * (times.size + 1):], times))

@@ -103,6 +103,17 @@ class TestDetuningShift:
         with pytest.warns(UserWarning, match="dispersive"):
             detuning_shift(cavity, beam, OpticalParams(delta=1.0), 1e4)
 
+    def test_warning_points_at_the_caller(self, cavity, beam, inputs):
+        # each public function warns at the line that called it, not
+        # inside the library
+        opt = OpticalParams(delta=1.0)
+        for call in (lambda: detuning_shift(cavity, beam, opt, 1e4),
+                     lambda: detuning_spectrum(cavity, opt, inputs, 0.01, 0.0),
+                     lambda: is_linear_regime(cavity, opt, inputs, 0.01)):
+            with pytest.warns(UserWarning, match="dispersive") as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
     def test_silent_in_dispersive_regime(self, cavity, beam, recwarn):
         detuning_shift(cavity, beam, OpticalParams(delta=10.0), 1e4)
         assert not any("dispersive" in str(w.message) for w in recwarn.list)

@@ -314,6 +314,16 @@ class TestCurveSubcommands:
                     coldcloud.is_linear_regime(cfg.cavity, cfg.optical, inp, float(t)),
             }
 
+    def test_detuning_spectrum_at_zero_delta_is_a_config_error(self, tmp_path, capsys):
+        # the dispersive formulas divide by delta; the other subcommands
+        # take delta = 0
+        cfg_path = write_config(tmp_path, base_config(optical={"delta": 0.0, "s_m0": 0.2}))
+        code = main(["detuning-spectrum", "--config", cfg_path, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "optical.delta" in capsys.readouterr().err
+        for sub in ("mean", "saturated"):
+            assert main([sub, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_OK
+
     def test_spectrum_where_the_series_damping_underflows(self, tmp_path):
         # at T = 90 ms the spectrum series has c = 205 and exp(-4c) is below
         # the float range; the spectrum must still come out positive
@@ -778,8 +788,22 @@ class TestMonteCarloSubcommands:
         assert manifest["beam_window"]["half_width_m"] == self.half_widths(cfg)
         main(["mc", "--config", cfg_path, "--out", str(tmp_path)])
         mc = json.loads((tmp_path / "mc_manifest.json").read_text())
-        assert set(manifest) - set(mc) == {"all_pass"}
+        assert set(manifest) - set(mc) == {"all_pass", "free_branch"}
         assert manifest["beam_window"] == mc["beam_window"]
+
+    def test_validate_manifest_describes_the_free_branch_draw(self, tmp_path, capsys):
+        # the free branch draws with its own plan: on the desk config it
+        # proposes a share of 0.00447 of the cloud, the gravity branch 0.00423
+        desk = json.loads((ROOT / "configs" / "validate_desk.json").read_text())
+        desk["mc"]["realizations"] = 1000
+        cfg_path = write_config(tmp_path, desk)
+        main(["validate", "--config", cfg_path, "--out", str(tmp_path)])
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "validate_manifest.json").read_text())
+        cfg = load_config(cfg_path)
+        free = dataclasses.replace(cfg.cloud, g=0.0)
+        assert manifest["free_branch"] == mc_oracle.window_draw(free, cfg.beam, cfg.mc_times)
+        assert manifest["free_branch"]["proposed_share"] != manifest["proposed_share"]
 
 
 class TestPoissonBox:
@@ -794,7 +818,7 @@ class TestPoissonBox:
         with s^2 = sigma_r^2 + sigma_v^2 t^2 and mu = (0, -g t^2/2)."""
         cfg = load_config(str(ROOT / "configs" / "validate_desk.json"))
         cloud, times = cfg.cloud, cfg.mc_times
-        _, report = mc_oracle._ensemble_and_box(cloud, cfg.beam, times, n_realizations, seed)
+        report = mc_oracle.ensemble_stats(cloud, cfg.beam, times, n_realizations, seed).poisson
         half = mc_oracle._beam_window(cloud, cfg.beam, times)[1]
         mass = []
         for t, h in zip(times, half):

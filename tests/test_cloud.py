@@ -278,7 +278,7 @@ def _time_takers():
         "is_linear_regime": lambda t: cc.is_linear_regime(cav, opt, inp, t),
         "propagate": lambda t: cc.propagate(origin, origin, 9.81, t),
         "sample_cloud": lambda t: cc.sample_cloud(small, 1, [t], -1e-3, 1e-3),
-        "weighted_counts": lambda t: cc.weighted_counts(small, beam, [t], 3, 1),
+        "ensemble_stats.counts": lambda t: cc.ensemble_stats(small, beam, [t], 3, 1).counts,
         "ensemble_stats": lambda t: cc.ensemble_stats(small, beam, [t], 3, 1),
         "binary_count_check": lambda t: cc.binary_count_check(small, everywhere, [t], 3, 1),
         "binary_count_check.box": lambda t: cc.binary_count_check(small, box, [t], 3, 1),

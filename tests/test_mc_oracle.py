@@ -22,7 +22,6 @@ from coldcloud import (
     time_scales,
     variance,
     weight,
-    weighted_counts,
 )
 from coldcloud.cli import load_config
 
@@ -196,9 +195,9 @@ class TestEnsembleStats:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(mc_oracle.os, "cpu_count", lambda: cpus)
         times = [0.0, 0.01]
-        capped = weighted_counts(CLOUD, BEAM, times, 40, seed=5, threads=100_000)
+        capped = ensemble_stats(CLOUD, BEAM, times, 40, seed=5, threads=100_000).counts
         assert recorded == workers
-        np.testing.assert_array_equal(capped, weighted_counts(CLOUD, BEAM, times, 40, seed=5))
+        np.testing.assert_array_equal(capped, ensemble_stats(CLOUD, BEAM, times, 40, seed=5).counts)
 
     def test_seed_changes_results(self):
         a = ensemble_stats(CLOUD, BEAM, [0.0], 100, seed=1)
@@ -288,7 +287,7 @@ class TestEnsembleStats:
         # Poisson variance; jackknife the ratio from raw counts
         cloud = CloudParams(1e3, 1e-3, 0.1, 0.0)
         beam = BeamParams(w0=20e-6, wavelength=1e-9)
-        values = weighted_counts(cloud, beam, [0.0], 4000, seed=99)[:, 0]
+        values = ensemble_stats(cloud, beam, [0.0], 4000, seed=99).counts[:, 0]
         n = values.size
         mean = values.mean()
         var = values.var(ddof=1)
@@ -308,15 +307,10 @@ class TestEnsembleStats:
         ratio = a.se_mean[0] / b.se_mean[0]
         assert 1.7 < ratio < 2.3  # expect 2 for 4x the realizations
 
-    def test_weighted_counts_of_no_realizations(self):
-        # and of fewer than the 3 that standard errors need
-        for n in (0, 1, 2):
-            assert weighted_counts(CLOUD, BEAM, [0.0, 0.01], n, seed=0).shape == (n, 2)
-
     def test_empty_time_grid(self):
         # no grid time gives no columns, in every ensemble function
-        assert weighted_counts(CLOUD, BEAM, [], 5, seed=0).shape == (5, 0)
         stats = ensemble_stats(CLOUD, BEAM, [], 5, seed=0)
+        assert stats.counts.shape == (5, 0) and stats.poisson.ratio.shape == (0,)
         assert stats.mean.shape == stats.se_variance.shape == (0,)
         assert stats.covariance.shape == stats.se_covariance.shape == (0, 0)
         report = binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [], 5, seed=0)
@@ -331,12 +325,13 @@ class TestEnsembleStats:
                 binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed=0)
 
     ENTRY_POINTS = {
-        "weighted_counts": lambda n, seed: weighted_counts(CLOUD, BEAM, [0.0], n, seed),
+        "ensemble_stats.counts": lambda n, seed: ensemble_stats(
+            CLOUD, BEAM, [0.0], n, seed).counts,
         "ensemble_stats": lambda n, seed: ensemble_stats(CLOUD, BEAM, [0.0], n, seed),
         "binary_count_check": lambda n, seed: binary_count_check(
             CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed),
-        "_ensemble_and_box": lambda n, seed: mc_oracle._ensemble_and_box(
-            CLOUD, BEAM, [0.0], n, seed),
+        "ensemble_stats.poisson": lambda n, seed: ensemble_stats(
+            CLOUD, BEAM, [0.0], n, seed).poisson,
     }
 
     @pytest.mark.parametrize("bad", [-1, 2.5, 3.0, True])
@@ -354,8 +349,8 @@ class TestEnsembleStats:
     def test_numpy_integers_count(self):
         # a numpy count and seed give the bits of the Python ints
         np.testing.assert_array_equal(
-            weighted_counts(CLOUD, BEAM, [0.0], np.int64(4), np.int64(9)),
-            weighted_counts(CLOUD, BEAM, [0.0], 4, 9))
+            ensemble_stats(CLOUD, BEAM, [0.0], np.int64(4), np.int64(9)).counts,
+            ensemble_stats(CLOUD, BEAM, [0.0], 4, 9).counts)
 
 
 def _naive_windowed(times, lo, hi):
@@ -590,12 +585,10 @@ class TestAgainstNaiveLoop:
             assert np.all((values <= cut) | far)
         assert any(np.any(values > 0.0) for _, _, values in dropped)
         for threads in (1, 2):
-            np.testing.assert_array_equal(
-                weighted_counts(CLOUD, self.beam, self.times, 40, 17, threads), naive)
-            # ensemble_stats weighs its counts by the same rule
-            np.testing.assert_array_equal(
-                ensemble_stats(CLOUD, self.beam, self.times, 40, 17, threads).mean,
-                naive.mean(axis=0))
+            stats = ensemble_stats(CLOUD, self.beam, self.times, 40, 17, threads)
+            np.testing.assert_array_equal(stats.counts, naive)
+            # its statistics reduce the same counts
+            np.testing.assert_array_equal(stats.mean, naive.mean(axis=0))
 
     def check_binary_count_check(self, split):
         s, inf = CLOUD.sigma_r, np.inf
@@ -670,7 +663,7 @@ class TestSubClouds:
                     # weighed only inside the window at t
                     held = np.all((pos >= -hi[:, k]) & (pos <= hi[:, k]), axis=1)
                     expected[i, k] += _sequential_sum(weight(beam, pos)[held])
-        np.testing.assert_array_equal(weighted_counts(CLOUD, beam, times, 30, 41), expected)
+        np.testing.assert_array_equal(ensemble_stats(CLOUD, beam, times, 30, 41).counts, expected)
 
     # the beam window proposes ~57 atoms per realization: _PART_ATOMS = 130
     # draws 2 realizations a block, so 7 span 4 blocks and the last holds
@@ -686,8 +679,8 @@ class TestSubClouds:
         naive = _naive_rows(CLOUD, 43, 7, times, -hi, hi, lambda pos: weight(BEAM_40, pos))
         assert np.all(naive > 0.0)
         for threads in (1, 2):
-            np.testing.assert_array_equal(weighted_counts(CLOUD, BEAM_40, times, 7, 43, threads),
-                                          naive)
+            np.testing.assert_array_equal(
+                ensemble_stats(CLOUD, BEAM_40, times, 7, 43, threads).counts, naive)
 
     def test_split_cloud_is_poisson_in_whole_space(self, monkeypatch):
         monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 300)
@@ -755,7 +748,7 @@ class TestBeamWindow:
                                                      r0, v0, t)) for t in times])
         full = np.array(full, dtype=float)
         report = binary_count_check(CLOUD, (lo, hi), times, n, seed=31)
-        thinned = weighted_counts(CLOUD, BEAM_40, times, n, seed=32)
+        thinned = ensemble_stats(CLOUD, BEAM_40, times, n, seed=32).counts
         for values, mean, var in ((full[:, :, 0], thinned.mean(axis=0), thinned.var(axis=0, ddof=1)),
                                   (full[:, :, 1], report.mean, report.variance)):
             ref_var = values.var(axis=0, ddof=1)
@@ -913,8 +906,8 @@ class TestBinaryCountCheck:
 
 
 class TestSharedDraw:
-    """_ensemble_and_box: the stats of ensemble_stats and the counts of the
-    atoms weighed at each time, from the same beam-window draw."""
+    """ensemble_stats' Poisson check: the counts of the atoms weighed at
+    each time, from the beam-window draw of its statistics."""
 
     beam = BEAM_40
     times = np.array([0.0, 0.004, 0.011])
@@ -926,22 +919,11 @@ class TestSharedDraw:
                             lambda pos: np.ones(len(pos)))
         assert np.all(naive.sum(axis=0) > 0)
         for threads in (1, 2):
-            _, report = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, 60, 23,
-                                                    threads)
+            report = ensemble_stats(CLOUD, self.beam, self.times, 60, 23, threads).poisson
             np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
             np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
             np.testing.assert_array_equal(report.ratio,
                                           naive.var(axis=0, ddof=1) / naive.mean(axis=0))
-
-    def test_stats_equal_ensemble_stats(self):
-        expected = ensemble_stats(CLOUD, self.beam, self.times, 60, 23)
-        for threads in (1, 2):
-            stats, _ = mc_oracle._ensemble_and_box(CLOUD, self.beam, self.times, 60, 23,
-                                                   threads)
-            for field in ("times", "mean", "variance", "covariance", "se_mean", "se_variance",
-                          "se_covariance"):
-                np.testing.assert_array_equal(getattr(stats, field), getattr(expected, field))
-            assert (stats.realization_count, stats.seed) == (60, 23)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -955,12 +937,9 @@ def test_block_memory_is_bounded(config, n_realizations):
     # ensemble stays below what one 2**16-atom default.json sub-cloud took
     # (3.1-3.25 MB), so the process's peak memory cannot grow
     cfg = load_config(str(CONFIGS / config))
-    if config == "validate_desk.json":
-        def run():
-            mc_oracle._ensemble_and_box(cfg.cloud, cfg.beam, cfg.mc_times, n_realizations, 7)
-    else:
-        def run():
-            ensemble_stats(cfg.cloud, cfg.beam, cfg.mc_times, n_realizations, 7)
+
+    def run():
+        ensemble_stats(cfg.cloud, cfg.beam, cfg.mc_times, n_realizations, 7)
     run()  # one-off allocations of a first call stay out of the peak
     tracemalloc.start()
     try:
