@@ -144,6 +144,16 @@ def _checked(values, name: str, least: float = -math.inf) -> np.ndarray:
     return values
 
 
+def _integral(value, name: str, least: float = -math.inf) -> int:
+    """value as a Python int; ValueError naming it unless it is an integer,
+    numpy's too but not a bool, and at least ``least``."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        rule = "an integer" if least == -math.inf else f"an integer of at least {least:g}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
+
+
 def _spread_sq(c: CloudParams, t) -> np.ndarray:
     """Instantaneous squared cloud spread per axis, sigma_r^2 + sigma_v^2 t^2."""
     return c.sigma_r**2 + (c.sigma_v * np.asarray(t, dtype=float)) ** 2

@@ -35,7 +35,8 @@ import math
 
 import numpy as np
 
-from .cloud import _ballistic_decay, _checked, _fall_exponent, _inverse_square, time_scales
+from .cloud import (_ballistic_decay, _checked, _fall_exponent, _integral, _inverse_square,
+                    time_scales)
 from .effnum import EffNumInputs
 from .exceptions import SeriesConvergenceError
 
@@ -196,8 +197,7 @@ def pk_polynomial(k: int, x):
     times p_k.  Evaluated in log space, the path the spectrum series uses
     (relative error below 1e-12 for k <= 60).
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    k = _integral(k, "k", 0)
     x = _checked(x, "x", 0.0)
     out = np.exp(_log_pk(k, x, _log_factorials(2 * k))).reshape(x.shape)
     return out if out.ndim else float(out)

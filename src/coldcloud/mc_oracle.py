@@ -4,16 +4,15 @@ Every closed form in the package can be checked against this sampler: draw
 a Poisson-distributed number of atoms from the initial Gaussian phase
 space, fly them ballistically, sum the beam weights, and estimate
 mean/variance/covariance across many independent realizations.  Only the
-atoms that can reach the beam or a count's box are drawn: a Poisson cloud
-restricted to a region is the same Poisson process there (Kingman,
-*Poisson Processes*, 1993).  An atom is kept when, at some grid time, it
-is inside that time's window box, and is weighed only at the grid times
-whose box holds it (see BEAM_CUT).  Where those boxes hold less than the
-cloud, the coordinates whose windows are all finite are drawn from the
-product of their bands in the (position, velocity) planes (see _band_draw).
-A draw also returns its window test: the atoms it holds at each grid time
-are the Poisson counts of binary_count_check and of ensemble_stats (see
-_held).
+atoms that can reach the beam are drawn: a Poisson cloud restricted to a
+region is the same Poisson process there (Kingman, *Poisson Processes*,
+1993).  An atom is kept when, at some grid time, it is inside that time's
+window box, and is weighed only at the grid times whose box holds it (see
+BEAM_CUT).  Where those boxes hold less than the cloud, the coordinates
+whose windows are all finite are drawn from the product of their bands in
+the (position, velocity) planes (see _band_draw).  A draw also returns its
+window test: the atoms it holds at each grid time are the Poisson counts
+of ensemble_stats (see _weighed).
 
 Reproducibility contract: an ensemble is drawn in blocks of consecutive
 clouds, block k in one array pass from the generator seeded by a splitmix64
@@ -43,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beam import BeamParams, beam_size, weight
-from .cloud import CloudParams, _checked, _spread_sq
+from .cloud import CloudParams, _checked, _integral, _spread_sq
 
 __all__ = [
     "Realization",
@@ -53,7 +52,6 @@ __all__ = [
     "sample_cloud",
     "propagate",
     "ensemble_stats",
-    "binary_count_check",
     "dropped_weight_bound",
     "window_draw",
 ]
@@ -76,11 +74,6 @@ AXIAL_CUT = 10.0
 _PART_ATOMS = 1 << 14
 
 
-def _integral(value) -> bool:
-    """Whether value is an integer, numpy's too, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def substream_seed(master_seed: int, index: int) -> int:
     """Derive a block's seed: splitmix64 of master seed and block index.
 
@@ -88,10 +81,8 @@ def substream_seed(master_seed: int, index: int) -> int:
     drawn in any order (or in parallel) with identical results.  A numpy
     integer gives the Python int's bits; a ValueError names any other type.
     """
-    for name, value in (("master_seed", master_seed), ("index", index)):
-        if not _integral(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    z = (int(master_seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & _MASK64
+    master_seed, index = _integral(master_seed, "master_seed"), _integral(index, "index")
+    z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -142,13 +133,14 @@ class EnsembleStats:
 
 @dataclass(frozen=True)
 class BinaryCountReport:
-    """Poisson check of the atoms a draw's window box holds at each time.
+    """Poisson check of ensemble_stats: at each grid time, the atoms its
+    beam-window draw holds then (see EnsembleStats.poisson).
 
     That count must stay Poissonian, so its variance/mean ratio is 1 up to
     sampling error (``ratio_se``, see _box_report).  ``consistent`` flags
     |ratio - 1| <= 3 standard errors per time.  At a time when no atom of
-    any realization is in the box, ratio and ratio_se are NaN and the time
-    is not consistent.
+    any realization is in the window's box, ratio and ratio_se are NaN and
+    the time is not consistent.
     """
 
     times: np.ndarray
@@ -323,9 +315,11 @@ def sample_cloud(c: CloudParams, seed: int, times=(), lo=-np.inf, hi=np.inf) -> 
     coordinate that has the whole line as its window at some time counts
     as one without a window.  With no times this is the whole cloud.  How
     the kept atoms are drawn, and in what order, is the module's
-    reproducibility contract (see also _bands and _band_draw).
+    reproducibility contract (see also _bands and _band_draw).  ``seed``
+    must be an integer of at least 0, numpy's too but not a bool.
     """
-    return _draw(c, np.random.default_rng(seed), _draw_plan(c, times, lo, hi))[0]
+    rng = np.random.default_rng(_integral(seed, "seed", 0))
+    return _draw(c, rng, _draw_plan(c, times, lo, hi))[0]
 
 
 def propagate(r0, v0, g: float, t: float):
@@ -365,44 +359,6 @@ def _sub_clouds(c: CloudParams, plan: tuple) -> tuple[int, float]:
     atoms = c.n_total * (1.0 if bands is None else float(bands[1].sum()))
     parts = max(1, math.ceil(atoms / _PART_ATOMS))
     return parts, atoms / parts
-
-
-def _realization_rows(c: CloudParams, row, width: int, times: np.ndarray, lo, hi,
-                      n_realizations: int, seed: int, threads: int) -> np.ndarray:
-    """(realization, width) array of width numbers that add over a
-    realization's atoms: the _weighed rows, the m box counts of
-    binary_count_check.
-    row(*_draw(n clouds), n) returns their (n, width) sums, by bincount.
-
-    Realization i is the sub-clouds i p, ..., i p + p - 1 (see _sub_clouds)
-    in the windows lo, hi at the given times.  Block k draws the sub-clouds
-    k s, ..., k s + s - 1 (fewer in the last block) from the generator
-    seeded by substream_seed(seed, k): whole realizations if p = 1, else
-    one sub-cloud, as a sub-cloud's mean is then above _PART_ATOMS/2.  Block
-    rows add into the realizations in block order, so scheduling cannot
-    change the result.  One thread runs on the calling thread; more map the
-    blocks over a thread pool of at most one worker per CPU.
-    """
-    threads = min(threads, os.cpu_count() or 1)
-    plan = _draw_plan(c, times, lo, hi)  # independent of n_total but for its check
-    parts, mean = _sub_clouds(c, plan)
-    part = replace(c, n_total=c.n_total / parts)
-    units = n_realizations * parts
-    # as many sub-clouds as fit in _PART_ATOMS mean atoms, at least one
-    size = max(1, units if mean * units <= _PART_ATOMS else int(_PART_ATOMS // mean))
-    firsts = range(0, units, size)
-
-    def block(first: int) -> np.ndarray:
-        n, rng = min(size, units - first), np.random.default_rng(substream_seed(seed, first // size))
-        return row(*_draw(part, rng, plan, n), n)
-
-    out = np.zeros((n_realizations, width))
-    if threads > 1:  # imported here: concurrent.futures loads logging, queue and threading
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-        for first, sums in zip(firsts, (pool.map if pool else map)(block, firsts)):
-            out[first // parts:first // parts + len(sums)] += sums
-    return out
 
 
 def _campbell_rows(w: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
@@ -452,32 +408,22 @@ def _ensemble_from_values(rows: np.ndarray, times: np.ndarray, seed: int) -> Ens
     )
 
 
-def _ensemble_args(times, n_realizations: int, seed: int) -> tuple[np.ndarray, int, int]:
-    """The checked times, n_realizations and seed of an ensemble: integers,
-    numpy's too but not bools, with at least 3 realizations (for standard
-    errors).  A ValueError names any other argument."""
-    if not (_integral(n_realizations) and n_realizations >= 3):
-        raise ValueError(f"n_realizations must be an integer of at least 3, got {n_realizations!r}")
-    if not _integral(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return np.atleast_1d(_checked(times, "times", 0.0)), int(n_realizations), int(seed)
-
-
 def dropped_weight_bound(c: CloudParams, n_times: int) -> dict:
     """BEAM_CUT, AXIAL_CUT and their bound on the expected weight per
-    realization, summed over n_times grid times, that the beam window of
-    ensemble_stats leaves out."""
+    realization, summed over n_times grid times (an integer of at least 0),
+    that the beam window of ensemble_stats leaves out."""
     tails = math.exp(-2.0 * BEAM_CUT**2) + math.erfc(AXIAL_CUT / math.sqrt(2.0))
     return {"beam_cut": BEAM_CUT, "axial_cut": AXIAL_CUT,
-            "dropped_weight_bound": c.n_total * n_times * tails}
+            "dropped_weight_bound": c.n_total * _integral(n_times, "n_times", 0) * tails}
 
 
-def window_draw(c: CloudParams, b: BeamParams, times: np.ndarray) -> dict:
+def window_draw(c: CloudParams, b: BeamParams, times) -> dict:
     """How ensemble_stats draws a realization of c on the grid times: its
     beam window (see dropped_weight_bound), whose y and z half-width per
     time bounds the atoms drawn, weighed and Poisson-counted then, its
     sub-clouds, each from the product of the window's bands ("bands") or
     the whole cloud ("full"), and the share proposed, sum_i M_i or 1."""
+    times = np.atleast_1d(_checked(times, "times", 0.0))
     hi = _beam_window(c, b, times)
     plan = _draw_plan(c, times, -hi, hi)
     bands = plan[-1]
@@ -509,9 +455,14 @@ def ensemble_stats(
     the Poisson check ``poisson`` of the same draw (see EnsembleStats).  An
     atom is weighed at the grid times where it is inside the beam window,
     and drawn only if there is one (see BEAM_CUT and dropped_weight_bound).
-    Identical results for any ``threads`` value.
+    ``n_realizations``, ``seed`` and ``threads`` are integers, numpy's too
+    but not bools, with at least 3 realizations (for standard errors) and
+    at least one thread; a ValueError names any other argument.  Identical
+    results for any ``threads`` value.
     """
-    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
+    n_realizations = _integral(n_realizations, "n_realizations", 3)
+    seed, threads = _integral(seed, "seed"), _integral(threads, "threads", 1)
+    times = np.atleast_1d(_checked(times, "times", 0.0))
     return _ensemble_from_values(_weighed(c, b, times, n_realizations, seed, threads), times, seed)
 
 
@@ -519,38 +470,47 @@ def _weighed(c: CloudParams, b: BeamParams, times: np.ndarray, n_realizations: i
              threads: int) -> np.ndarray:
     """(realization, m + m^2 + m) rows on the m checked grid times: each
     realization's weighted counts, its m x m Campbell sums (see
-    _campbell_rows), then its atoms weighed at each time, those its window
-    box holds (see _held), for ensemble_stats (see _realization_rows)."""
-    hi = _beam_window(c, b, times)
+    _campbell_rows), then its atoms weighed at each time, those the beam
+    window holds then (see _per_time), for ensemble_stats.
 
-    def row(real, inside, owner, n):
+    Realization i is the sub-clouds i p, ..., i p + p - 1 (see _sub_clouds)
+    of its beam-window draw.  Block k draws the sub-clouds k s, ..., k s +
+    s - 1 (fewer in the last block) from the generator seeded by
+    substream_seed(seed, k): whole realizations if p = 1, else one
+    sub-cloud, as a sub-cloud's mean is then above _PART_ATOMS/2.  Each
+    block sums its clouds' rows by bincount, and they add into the
+    realizations in block order, so scheduling cannot change the result.
+    One thread runs on the calling thread; more map the blocks over a
+    thread pool of at most one worker per CPU.
+    """
+    threads = min(threads, os.cpu_count() or 1)
+    hi = _beam_window(c, b, times)
+    plan = _draw_plan(c, times, -hi, hi)  # independent of n_total but for its check
+    parts, mean = _sub_clouds(c, plan)
+    part = replace(c, n_total=c.n_total / parts)
+    units = n_realizations * parts
+    # as many sub-clouds as fit in _PART_ATOMS mean atoms, at least one
+    size = max(1, units if mean * units <= _PART_ATOMS else int(_PART_ATOMS // mean))
+    firsts = range(0, units, size)
+
+    def block(first: int) -> np.ndarray:
+        n, rng = min(size, units - first), np.random.default_rng(substream_seed(seed, first // size))
+        real, inside, owner = _draw(part, rng, plan, n)
         w = np.zeros((times.size, real.count))  # 0 outside each time's window box
         counts, held = [], []
         for i, (idx, pos) in enumerate(_per_time(real, inside, times, c.g)):
             w[i, idx] = weights = weight(b, pos)
             counts.append(np.bincount(at := owner.take(idx), weights, n))
-            held.append(_held(at, n))
+            held.append(np.bincount(at, minlength=n))
         return np.column_stack([*counts, _campbell_rows(w, owner, n), *held])
 
-    width = times.size * (times.size + 2)
-    return _realization_rows(c, row, width, times, -hi, hi, n_realizations, seed, threads)
-
-
-def _box(box_bounds) -> tuple[np.ndarray, np.ndarray]:
-    """The lower and upper 3-vectors of a box ((xlo, ylo, zlo), (xhi, yhi, zhi))."""
-    lo, hi = (np.asarray(side, dtype=float) for side in box_bounds)
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValueError("box_bounds must be a pair of 3-vectors")
-    # a NaN bound fails the comparison; infinite bounds pass it
-    if not np.all(lo < hi):
-        raise ValueError("box lower bounds must be below upper bounds")
-    return lo, hi
-
-
-def _held(at: np.ndarray, n: int) -> np.ndarray:
-    """Poisson count at one grid time: the atoms of each cloud 0..n-1 that a
-    draw's window mask holds then, from at, the cloud of each of them."""
-    return np.bincount(at, minlength=n)
+    out = np.zeros((n_realizations, times.size * (times.size + 2)))
+    if threads > 1:  # imported here: concurrent.futures loads logging, queue and threading
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for first, sums in zip(firsts, (pool.map if pool else map)(block, firsts)):
+            out[first // parts:first // parts + len(sums)] += sums
+    return out
 
 
 def _box_report(counts: np.ndarray, times: np.ndarray) -> BinaryCountReport:
@@ -575,31 +535,3 @@ def _box_report(counts: np.ndarray, times: np.ndarray) -> BinaryCountReport:
         ratio_se=ratio_se,
         consistent=np.abs(ratio - 1.0) <= 3.0 * ratio_se,
     )
-
-
-def binary_count_check(
-    c: CloudParams,
-    box_bounds,
-    times,
-    n_realizations: int,
-    seed: int,
-    threads: int = 1,
-) -> BinaryCountReport:
-    """Poisson sanity check of the sampler with an indicator weight.
-
-    ``box_bounds`` is ((xlo, ylo, zlo), (xhi, yhi, zhi)); infinities select
-    all space.  Counts atoms inside the box after free fall and reports the
-    variance/mean ratio with its standard error (see _box_report); a
-    healthy sampler gives 1 within noise at every time, independently of
-    any beam-weight physics.  The box is the draw's window: only atoms
-    inside it at some grid time are drawn, and its counts are the draw's
-    window mask.
-    """
-    times, n_realizations, seed = _ensemble_args(times, n_realizations, seed)
-    lo, hi = _box(box_bounds)
-    counts = _realization_rows(
-        c, lambda _, inside, owner, n: np.broadcast_to(  # one row without a window
-            np.column_stack([_held(owner[row], n) for row in inside]), (n, times.size)),
-        times.size, times, lo[:, None], hi[:, None], n_realizations, seed, threads)
-    return _box_report(counts, times)
-

@@ -230,6 +230,8 @@ def test_10_monte_carlo_oracle():
 
     z_max = 0.0
     n_above_5 = 0
+    poisson_ok = True
+    worst_ratio_z = 0.0
     for g in (9.81, 0.0):
         cloud = cc.CloudParams(1e4, 1e-3, 0.1, g)
         inp = cc.EffNumInputs(cloud, beam)
@@ -245,18 +247,9 @@ def test_10_monte_carlo_oracle():
         z = np.abs(np.concatenate(zs))
         z_max = max(z_max, float(z.max()))
         n_above_5 += int(np.count_nonzero(z > 5.0))
-
-    # indicator-weight Poisson checks from the same sampler
-    cloud = cc.CloudParams(1e4, 1e-3, 0.1, 9.81)
-    s = cloud.sigma_r
-    boxes = [
-        ((-np.inf, -np.inf, -np.inf), (np.inf, np.inf, np.inf)),
-        ((-0.5 * s, -0.5 * s, -0.5 * s), (0.5 * s, 0.5 * s, 0.5 * s)),
-    ]
-    poisson_ok = True
-    worst_ratio_z = 0.0
-    for i, box in enumerate(boxes):
-        rep = cc.binary_count_check(cloud, box, times, 2000, seed=seed + 1 + i, threads=4)
+        # indicator-weight Poisson check of the same draw: the atoms weighed
+        # at each time
+        rep = stats.poisson
         poisson_ok &= rep.all_consistent
         worst_ratio_z = max(worst_ratio_z, float(np.max(np.abs(rep.ratio - 1.0) / rep.ratio_se)))
 

@@ -250,8 +250,6 @@ def _time_takers():
     opt = cc.OpticalParams(delta=10.0, s_m0=0.3)
     cav = cc.CavityParams(kappa=5e6, tau_c=1e-9)
     origin = (0.0, 0.0, 0.0)
-    everywhere = ((-math.inf,) * 3, (math.inf,) * 3)
-    box = ((-1e-3,) * 3, (1e-3,) * 3)
     return {
         "phase_space_density": lambda t: cc.phase_space_density(small, origin, origin, t),
         "density": lambda t: cc.density(small, origin, t),
@@ -280,8 +278,7 @@ def _time_takers():
         "sample_cloud": lambda t: cc.sample_cloud(small, 1, [t], -1e-3, 1e-3),
         "ensemble_stats.counts": lambda t: cc.ensemble_stats(small, beam, [t], 3, 1).counts,
         "ensemble_stats": lambda t: cc.ensemble_stats(small, beam, [t], 3, 1),
-        "binary_count_check": lambda t: cc.binary_count_check(small, everywhere, [t], 3, 1),
-        "binary_count_check.box": lambda t: cc.binary_count_check(small, box, [t], 3, 1),
+        "window_draw": lambda t: cc.window_draw(small, beam, [t]),
     }
 
 
@@ -328,8 +325,8 @@ def test_gravity_too_weak_to_square_gives_the_free_cloud_bits(g):
 
 def _value_takers():
     """Every public function of a delay, frequency, atom number, saturation,
-    polynomial order or box bound, as (call on that value, a valid value,
-    bad values)."""
+    polynomial order or number of grid times, as (call on that value, a
+    valid value, bad values)."""
     import coldcloud as cc
 
     beam = BeamParams(w0=100e-6, wavelength=852e-9)
@@ -358,11 +355,8 @@ def _value_takers():
             (lambda n: cc.detuning_shift(cav, beam, opt, [1e4, n]), 1e4, bad_count),
         "polarizability": (lambda s: cc.polarizability(opt, s), 0.5, (math.nan, math.inf, -0.1)),
         "pk_polynomial.x": (lambda x: cc.pk_polynomial(2, x), 0.5, (math.nan, math.inf, -0.5)),
-        "pk_polynomial.k": (lambda k: cc.pk_polynomial(k, 0.5), 2, (2.5, -1)),
-        # an infinite upper bound selects all space; NaN or -inf is no bound
-        "binary_count_check": (lambda hi: cc.binary_count_check(
-            small, ((-math.inf,) * 3, (hi, math.inf, math.inf)), [0.01], 3, 1),
-            math.inf, (math.nan, -math.inf)),
+        "pk_polynomial.k": (lambda k: cc.pk_polynomial(k, 0.5), 2, (2.5, -1, True)),
+        "dropped_weight_bound": (lambda n: cc.dropped_weight_bound(small, n), 5, (-1, 2.5, True)),
     }
 
 

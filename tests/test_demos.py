@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# 07 runs 2.1-2.7 s of Monte Carlo on a 2-core machine (three runs), most
-# of it the Poisson box, drawn from the product of its bands
+# 07 runs in 0.21-0.24 s as a whole process on a 2-core machine (three runs)
 DEMOS = [
     "01_beam_geometry.py",
     "02_cloud_expansion.py",

@@ -12,7 +12,6 @@ from coldcloud import (
     BeamParams,
     CloudParams,
     EffNumInputs,
-    binary_count_check,
     covariance_exact,
     ensemble_stats,
     mean_number,
@@ -99,6 +98,15 @@ class TestSampleCloud:
     def test_rejects_empty_cloud(self):
         with pytest.raises(ValueError):
             sample_cloud(CloudParams(0.0, 1e-3, 0.1), 1)
+
+    @pytest.mark.parametrize("bad", [1.5, -1, True])
+    def test_seed_must_be_a_nonnegative_integer(self, bad):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            sample_cloud(CLOUD, bad)
+
+    def test_numpy_seed_gives_the_python_ints_draw(self):
+        a, b = sample_cloud(CLOUD, np.uint64(4242)), sample_cloud(CLOUD, 4242)
+        np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_draws_are_scaled_normals_in_column_major_layout(self):
         # no windows: the count, then a (2, count) block of positions and
@@ -308,30 +316,25 @@ class TestEnsembleStats:
         assert 1.7 < ratio < 2.3  # expect 2 for 4x the realizations
 
     def test_empty_time_grid(self):
-        # no grid time gives no columns, in every ensemble function
+        # no grid time gives no columns, in every field
         stats = ensemble_stats(CLOUD, BEAM, [], 5, seed=0)
         assert stats.counts.shape == (5, 0) and stats.poisson.ratio.shape == (0,)
         assert stats.mean.shape == stats.se_variance.shape == (0,)
         assert stats.covariance.shape == stats.se_covariance.shape == (0, 0)
-        report = binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [], 5, seed=0)
-        assert report.ratio.shape == report.consistent.shape == (0,)
 
     def test_rejects_tiny_ensembles(self):
-        # one check guards every ensemble: at least 3 realizations
+        # at least 3 realizations, for standard errors
         for n in (1, 2):
             with pytest.raises(ValueError, match="at least 3"):
                 ensemble_stats(CLOUD, BEAM, [0.0], n, seed=0)
-            with pytest.raises(ValueError, match="at least 3"):
-                binary_count_check(CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed=0)
 
     ENTRY_POINTS = {
-        "ensemble_stats.counts": lambda n, seed: ensemble_stats(
-            CLOUD, BEAM, [0.0], n, seed).counts,
-        "ensemble_stats": lambda n, seed: ensemble_stats(CLOUD, BEAM, [0.0], n, seed),
-        "binary_count_check": lambda n, seed: binary_count_check(
-            CLOUD, ((-1e-3,) * 3, (1e-3,) * 3), [0.0], n, seed),
-        "ensemble_stats.poisson": lambda n, seed: ensemble_stats(
-            CLOUD, BEAM, [0.0], n, seed).poisson,
+        "ensemble_stats.counts": lambda n, seed, threads=1: ensemble_stats(
+            CLOUD, BEAM, [0.0], n, seed, threads).counts,
+        "ensemble_stats": lambda n, seed, threads=1: ensemble_stats(
+            CLOUD, BEAM, [0.0], n, seed, threads),
+        "ensemble_stats.poisson": lambda n, seed, threads=1: ensemble_stats(
+            CLOUD, BEAM, [0.0], n, seed, threads).poisson,
     }
 
     @pytest.mark.parametrize("bad", [-1, 2.5, 3.0, True])
@@ -346,10 +349,17 @@ class TestEnsembleStats:
         with pytest.raises(ValueError, match="seed must be an integer"):
             self.ENTRY_POINTS[name](3, bad)
 
+    # checked before any thread pool is built, so none starts
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, True])
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_threads_must_be_a_positive_integer(self, name, bad):
+        with pytest.raises(ValueError, match="threads must be an integer of at least 1"):
+            self.ENTRY_POINTS[name](3, 0, bad)
+
     def test_numpy_integers_count(self):
-        # a numpy count and seed give the bits of the Python ints
+        # a numpy count, seed and thread number give the bits of the Python ints
         np.testing.assert_array_equal(
-            ensemble_stats(CLOUD, BEAM, [0.0], np.int64(4), np.int64(9)).counts,
+            ensemble_stats(CLOUD, BEAM, [0.0], np.int64(4), np.int64(9), np.int64(2)).counts,
             ensemble_stats(CLOUD, BEAM, [0.0], 4, 9).counts)
 
 
@@ -546,17 +556,11 @@ class TestAgainstNaiveLoop:
     def test_weighted_counts(self):
         self.check_weighted_counts(split=False)
 
-    def test_binary_count_check(self):
-        self.check_binary_count_check(split=False)
-
-    # the beam window proposes ~57 atoms per realization and the boxes
-    # 500-1000: _PART_ATOMS = 40 and 300 split them into 2 and into 2-4
-    # sub-clouds, each drawn as its own block
-    @pytest.mark.parametrize("check", ["check_weighted_counts", "check_binary_count_check"])
-    def test_split_into_sub_clouds(self, monkeypatch, check):
-        monkeypatch.setattr(mc_oracle, "_PART_ATOMS",
-                            {"check_weighted_counts": 40, "check_binary_count_check": 300}[check])
-        getattr(self, check)(split=True)
+    # the beam window proposes ~57 atoms per realization: _PART_ATOMS = 40
+    # splits it into 2 sub-clouds, each drawn as its own block
+    def test_split_into_sub_clouds(self, monkeypatch):
+        monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 40)
+        self.check_weighted_counts(split=True)
 
     def check_weighted_counts(self, split):
         l_r = self.beam.rayleigh_length
@@ -589,32 +593,6 @@ class TestAgainstNaiveLoop:
             np.testing.assert_array_equal(stats.counts, naive)
             # its statistics reduce the same counts
             np.testing.assert_array_equal(stats.mean, naive.mean(axis=0))
-
-    def check_binary_count_check(self, split):
-        s, inf = CLOUD.sigma_r, np.inf
-        # (lo, hi, whether the draw takes the product of bands): three
-        # banded coordinates; x and y banded, then the half-line z <= 0
-        # drawn and tested; bands holding more than the cloud, so the full
-        # draw tests x >= -sigma_r and |y| <= 2 sigma_r; whole space, with
-        # nothing windowed
-        boxes = [([-1e-3, -5e-4, -2e-3], [8e-4, 1e-3, 4e-4], True),
-                 ([-1e-3, -5e-4, -inf], [8e-4, 1e-3, 0.0], True),
-                 ([-s, -2 * s, -inf], [inf, 2 * s, inf], False),
-                 ([-inf] * 3, [inf] * 3, False)]
-        for lo, hi, banded in boxes:
-            lo, hi = np.array(lo), np.array(hi)
-            lo3, hi3 = np.tile(lo[:, None], 3), np.tile(hi[:, None], 3)
-            assert _banded(CLOUD, self.times, lo[:, None], hi[:, None]) == banded
-            # unsplit, the 60 realizations span 2-4 blocks
-            parts, size = _naive_layout(CLOUD, self.times, lo3, hi3)
-            assert (parts > 1 and size == 1) if split else (parts == 1 and 15 <= size < 60)
-            naive = _naive_rows(CLOUD, 23, 60, self.times, lo3, hi3,
-                                lambda pos: np.all((pos >= lo) & (pos <= hi), axis=-1))
-            assert np.all(naive > 0.0)
-            for threads in (1, 2):
-                report = binary_count_check(CLOUD, (lo, hi), self.times, 60, 23, threads)
-                np.testing.assert_array_equal(report.mean, naive.mean(axis=0))
-                np.testing.assert_array_equal(report.variance, naive.var(axis=0, ddof=1))
 
     def test_campbell_rows(self):
         # weights of 40 atoms over 3 times, shared by 6 clouds of which the
@@ -683,9 +661,13 @@ class TestSubClouds:
                 ensemble_stats(CLOUD, BEAM_40, times, 7, 43, threads).counts, naive)
 
     def test_split_cloud_is_poisson_in_whole_space(self, monkeypatch):
+        # a 1 mm waist: the window boxes hold more than the cloud, which is
+        # drawn whole, as 4 sub-clouds of 250 mean atoms
         monkeypatch.setattr(mc_oracle, "_PART_ATOMS", 300)
-        box = ((-np.inf, -np.inf, -np.inf), (np.inf, np.inf, np.inf))
-        report = binary_count_check(CLOUD, box, [0.0, 0.01], 2000, seed=8)
+        beam, times = BeamParams(w0=1e-3, wavelength=1e-9), [0.0, 0.01]
+        draw = mc_oracle.window_draw(CLOUD, beam, times)
+        assert draw["draw"] == "full" and draw["sub_clouds"] == 4
+        report = ensemble_stats(CLOUD, beam, times, 2000, seed=8).poisson
         assert report.all_consistent
         np.testing.assert_allclose(report.ratio, 1.0, atol=4.0 * np.max(report.ratio_se))
 
@@ -730,25 +712,25 @@ class TestBeamWindow:
         assert dropped_atoms > 0.25 * atoms
 
     def test_agrees_with_full_draw(self):
-        # mean and variance of the weighted counts and of the box counts:
-        # the windowed draw against the whole-cloud oracle, each difference
-        # in units of sqrt(2) oracle standard errors
+        # mean and variance of the weighted counts and of the Poisson counts
+        # (the atoms in the beam window's box |y|, |z| <= half_i, x
+        # unbounded): the windowed draw against the whole-cloud oracle, each
+        # difference in units of sqrt(2) oracle standard errors
         n = 3000
         times = np.array([0.0, 0.004, 0.011])
-        lo = np.array([-1e-3, -5e-4, -2e-3])
-        hi = np.array([8e-4, 1e-3, 4e-4])
+        half = mc_oracle._beam_window(CLOUD, BEAM_40, times)[1]
 
-        def both(pos, weights):
-            return np.sum(weights), np.count_nonzero(np.all((pos >= lo) & (pos <= hi), axis=-1))
+        def both(i, pos, weights):
+            return np.sum(weights), np.count_nonzero(np.all(np.abs(pos[:, 1:]) <= half[i], axis=-1))
 
         full = []
         for i in range(n):  # oracle seeds independent of substream_seed
             r0, v0 = oracles.sample_cloud_full(CLOUD, 1_000_003 * i + 1)
-            full.append([both(*oracles.fly_and_weigh(CLOUD, BEAM_40.w0, BEAM_40.wavelength,
-                                                     r0, v0, t)) for t in times])
+            full.append([both(j, *oracles.fly_and_weigh(CLOUD, BEAM_40.w0, BEAM_40.wavelength,
+                                                        r0, v0, t)) for j, t in enumerate(times)])
         full = np.array(full, dtype=float)
-        report = binary_count_check(CLOUD, (lo, hi), times, n, seed=31)
-        thinned = ensemble_stats(CLOUD, BEAM_40, times, n, seed=32).counts
+        stats = ensemble_stats(CLOUD, BEAM_40, times, n, seed=32)
+        thinned, report = stats.counts, stats.poisson
         for values, mean, var in ((full[:, :, 0], thinned.mean(axis=0), thinned.var(axis=0, ddof=1)),
                                   (full[:, :, 1], report.mean, report.variance)):
             ref_var = values.var(axis=0, ddof=1)
@@ -867,42 +849,6 @@ class TestBandDraw:
         banded, full = np.array(banded), np.array(full)
         se = np.sqrt((banded.var(axis=0, ddof=1) + full.var(axis=0, ddof=1)) / n)
         assert np.all(np.abs(banded.mean(axis=0) - full.mean(axis=0)) < 4.0 * se)
-
-
-class TestBinaryCountCheck:
-    def test_whole_space_is_poisson(self):
-        box = ((-np.inf, -np.inf, -np.inf), (np.inf, np.inf, np.inf))
-        report = binary_count_check(CLOUD, box, [0.0, 0.01], 2000, seed=8)
-        assert report.all_consistent
-        np.testing.assert_allclose(report.ratio, 1.0, atol=4.0 * np.max(report.ratio_se))
-
-    def test_centered_box_stays_poisson(self):
-        half = 0.5 * CLOUD.sigma_r
-        box = ((-half, -half, -half), (half, half, half))
-        report = binary_count_check(CLOUD, box, [0.0, 0.005], 2000, seed=9)
-        assert report.all_consistent
-
-    def test_box_under_fallen_cloud_stays_poisson(self):
-        ts = time_scales(CLOUD, BEAM)
-        drop = -0.5 * CLOUD.g * ts.tau_g**2
-        s = CLOUD.sigma_r
-        box = ((-2 * s, -2 * s, drop - 2 * s), (2 * s, 2 * s, drop + 2 * s))
-        report = binary_count_check(CLOUD, box, [ts.tau_g], 2000, seed=10)
-        assert report.all_consistent
-
-    def test_thread_invariant(self):
-        half = 0.5 * CLOUD.sigma_r
-        box = ((-half, -half, -half), (half, half, half))
-        a = binary_count_check(CLOUD, box, [0.0, 0.005], 300, seed=12)
-        b = binary_count_check(CLOUD, box, [0.0, 0.005], 300, seed=12, threads=2)
-        for field in ("mean", "variance", "ratio", "ratio_se"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-
-    def test_rejects_bad_boxes(self):
-        with pytest.raises(ValueError):
-            binary_count_check(CLOUD, ((0, 0, 0), (0, 0, 0)), [0.0], 10, seed=1)
-        with pytest.raises(ValueError):
-            binary_count_check(CLOUD, ((0, 0), (1, 1)), [0.0], 10, seed=1)
 
 
 class TestSharedDraw:
