@@ -38,10 +38,11 @@ array-valued library call: over the t grid, or over the (T, tau) and
 (T, omega) pairs in T-major order.
 Exit codes: 0 success (all validation checks pass), 1 physics/validation
 failure (including a finite config whose results leave the float range:
-no CSV column is ever written non-finite) or a data file that cannot be
-written, 2 malformed config or usage, or an output directory that cannot
-be made.  An error is one line on stderr: numpy's floating-point warnings
-are off while a subcommand runs.
+no CSV column is ever written non-finite), a data file that cannot be
+written or an array too large to allocate, 2 malformed config (a range
+grid too large to allocate included) or usage, or an output directory
+that cannot be made.  An error is one line on stderr: numpy's
+floating-point warnings are off while a subcommand runs.
 """
 
 from __future__ import annotations
@@ -193,8 +194,11 @@ def _parse_grid(entry, path: str) -> np.ndarray:
         raise ConfigError(path, "log spacing needs positive bounds")
     # stop - start beyond the float range makes linspace's step inf, and
     # geomspace can round a point near the top of the range up to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, num)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = (np.geomspace if spacing == "log" else np.linspace)(start, stop, num)
+    except MemoryError as exc:
+        raise ConfigError(path, f"the range's grid of {num} points cannot be allocated") from exc
     if not np.all(np.isfinite(grid)):
         raise ConfigError(path, "the range's grid leaves the float range")
     return grid
@@ -646,6 +650,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error in {args.subcommand}: results leave the float range "
               f"({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as exc:
+        print(f"error in {args.subcommand}: out of memory ({exc})", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -192,6 +192,16 @@ def _ballistic_decay(scale, offset_sq, t, tau_g: float):
     return decay * np.exp(-exponent)
 
 
+def _damped(scale, exponent):
+    """scale * exp(-exponent), exactly 0 wherever scale is 0.
+
+    Where a time's square overflows, a closed form's scale has reached its
+    limit 0 while its exponent is the NaN of inf/inf or inf * 0.
+    """
+    scale, exponent = np.broadcast_arrays(scale, exponent)
+    return np.multiply(scale, np.exp(-exponent), out=np.zeros(scale.shape), where=scale != 0)
+
+
 def phase_space_density(c: CloudParams, r, v, t: float):
     """Phase-space density at position r, velocity v and scalar time t.
 
@@ -207,7 +217,9 @@ def phase_space_density(c: CloudParams, r, v, t: float):
     r0 = r - v * t
     v0 = np.array(v, dtype=float, copy=True)
     # only the z components pick up gravity terms (gravity vector is (0, 0, -g))
-    r0[..., 2] -= 0.5 * c.g * t**2
+    # numpy's scalar power rounds as Python's t**2 but overflows to inf
+    # instead of raising; without a fall the drop is 0 also there
+    r0[..., 2] -= _fall_exponent(0.5 * c.g, np.float64(t) ** 2)
     v0[..., 2] += c.g * t
 
     peak = c.n_total / (2.0 * math.pi * c.sigma_r * c.sigma_v) ** 3
@@ -230,7 +242,7 @@ def density(c: CloudParams, r, t):
     var = _spread_sq(c, t)
     dz = r[..., 2] + 0.5 * c.g * t**2
     dist2 = r[..., 0] ** 2 + r[..., 1] ** 2 + dz**2
-    out = c.n_total / (2.0 * math.pi * var) ** 1.5 * np.exp(-dist2 / (2.0 * var))
+    out = _damped(c.n_total / (2.0 * math.pi * var) ** 1.5, dist2 / (2.0 * var))
     return out if out.ndim else float(out)
 
 

@@ -26,7 +26,7 @@ Conventions fixed here:
   direct numerical transforms).  It is summed in log space, with a term
   cap that follows from the order where the terms peak.  It needs no
   scipy: its log-factorials come from a port of Cephes lgam, bit for bit
-  scipy.special.gammaln, and its log-sums are numpy.
+  scipy.special.gammaln, and each p_k is one numpy log-sum-exp.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import math
 
 import numpy as np
 
-from .cloud import (_ballistic_decay, _checked, _fall_exponent, _integral, _inverse_square,
-                    time_scales)
+from .cloud import (_ballistic_decay, _checked, _damped, _fall_exponent, _integral,
+                    _inverse_square, time_scales)
 from .effnum import EffNumInputs
 from .exceptions import SeriesConvergenceError
 
@@ -181,7 +181,10 @@ def covariance_quasistationary(inp: EffNumInputs, T, tau):
     """
     n0, zeta, tau_w, alpha_sq, a_t, b_t = _scaled(inp, T)
     lor = 1.0 / ((_checked(tau, "tau") / tau_w) ** 2 + alpha_sq)
-    out = n0 * lor * np.exp(-zeta * (a_t - b_t * lor))
+    # a_T - b_T*L = u*(s*(4+u) + 2u)*L >= u^2/(1+u), s = (tau/tau_w)^2: past
+    # 1e154 where u*(4+u) overflows and the difference is inf - inf or inf*0
+    gap = a_t - b_t * lor
+    out = n0 * lor * (np.exp(-zeta * np.where(np.isnan(gap), np.inf, gap)) if zeta else 1.0)
     return out if np.ndim(out) else float(out)
 
 
@@ -194,12 +197,15 @@ def pk_polynomial(k: int, x):
 
     These carry the frequency dependence of the k-th gravity order of the
     noise spectrum: the transform of a Lorentzian power is exponential
-    times p_k.  Evaluated in log space, the path the spectrum series uses
-    (relative error below 1e-12 for k <= 60).
+    times p_k.  Evaluated in log space, the path the spectrum series uses:
+    log p_k is within 1e-15*max(1, |log p_k|) of the log of the exact sum
+    (tested up to k = 1021), and so is p_k's relative error.
     """
     k = _integral(k, "k", 0)
     x = _checked(x, "x", 0.0)
-    out = np.exp(_log_pk(k, x, _log_factorials(2 * k))).reshape(x.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_pk = _log_pk_sum(k, np.log(2.0 * x.ravel()), _log_factorials(2 * k))
+    out = np.exp(log_pk).reshape(x.shape)
     return out if out.ndim else float(out)
 
 
@@ -241,54 +247,20 @@ def _log_factorials(m: int) -> np.ndarray:
     return np.array([_lgam(n + 1.0) for n in range(m + 1)])
 
 
-def _log_pk(k: int, x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
-    """log p_k(x) elementwise, stable for large k and large x; log_fact is
-    a table of log n! up to at least n = 2k.  The log-sum, _log_pk_sum, is
-    scipy.special.logsumexp's arithmetic operation for operation, with the
-    tie bookkeeping skipped where no column has a tie."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _log_pk_sum(k, np.log(2.0 * x), log_fact)
-
-
-def _log_pk_sum(k: int, log_2x: np.ndarray, log_fact: np.ndarray, work=None) -> np.ndarray:
-    """log p_k(x) from log(2x); the caller silences numpy's divide,
-    invalid and overflow warnings (log 0, 0 * log 0 and 2x past the float
-    range come up on purpose).
-
-    The log-sum over the k+1 terms is scipy.special.logsumexp's arithmetic,
-    operation for operation, on one (k+1, n) matrix updated in place: the
-    first k+1 rows of work, a float and a bool array of at least k+1 rows
-    (made here when not given).  The largest term per column is taken out
-    of the sum, once per tie, and the rest are summed down axis 0 in row
-    order.  With the column max subtracted, the max terms are those not
-    below 0 (NaN = inf - inf where the max is +inf); when every column has
-    exactly one, there is no tie, and the division by the tie count and the
-    log of it are skipped, as dividing by 1 and adding log 1 = 0 are
-    exact.  scipy's extra pass for non-finite results is left out: row 0 is
-    always finite, so a result is infinite only when a term is +inf, and
-    then both ways give +inf.
-    """
+def _log_pk_sum(k: int, log_2x: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """log p_k(x) from log(2x) and a table of log n! up to at least n = 2k: the
+    log-sum-exp of the k+1 terms about their column max, or +inf where that
+    max is +inf (2x past the float range).  The caller silences numpy's
+    warnings, as log 0, 0 * log 0 and inf - inf come up on purpose."""
     j = np.arange(k + 1)
-    log_coeff = log_fact[2 * k - j] - log_fact[j] - log_fact[k - j]
-    if work is None:
-        work = np.empty((k + 1, log_2x.size)), np.empty((k + 1, log_2x.size), dtype=bool)
-    terms, at_top = work[0][:k + 1], work[1][:k + 1]
-    np.multiply.outer(j.astype(float), log_2x, out=terms)
-    # j = 0 contributes log_coeff alone even at x = 0
+    terms = np.multiply.outer(j.astype(float), log_2x)
+    # j = 0 contributes its coefficient alone, also at x = 0
     terms[0] = 0.0
-    terms += log_coeff[:, None]
+    terms += (log_fact[2 * k - j] - log_fact[j] - log_fact[k - j])[:, None]
     top = terms.max(0)
     terms -= top
-    np.logical_not(np.less(terms, 0.0, out=at_top), out=at_top)
     np.exp(terms, out=terms)
-    np.copyto(terms, 0.0, where=at_top)
-    s = terms.sum(0)
-    if np.count_nonzero(at_top) == top.size:
-        return np.log1p(s) + top
-    ties = np.count_nonzero(at_top, axis=0).astype(float)
-    s = np.where(s == 0, s, s / ties)
-    return np.log1p(s) + np.log(ties) + top
+    return np.where(np.isinf(top), top, np.log(terms.sum(0)) + top)
 
 
 def spectrum_exponential(inp: EffNumInputs, T, omega):
@@ -300,7 +272,7 @@ def spectrum_exponential(inp: EffNumInputs, T, omega):
     n0, _, tau_w, alpha_sq, _, _ = _scaled(inp, T)
     alpha = np.sqrt(alpha_sq)
     x = alpha * np.abs(_checked(omega, "omega")) * tau_w
-    out = n0 * math.pi * tau_w / alpha * np.exp(-x)
+    out = _damped(n0 * math.pi * tau_w / alpha, x)
     return out if np.ndim(out) else float(out)
 
 
@@ -332,14 +304,10 @@ def _enveloped_pk_series(c: float, x: np.ndarray, log_fact: np.ndarray | None = 
     if log_fact is None:
         log_fact = _log_factorials(2 * cap)
     total, log_total, prev = 0.0, -np.inf, -np.inf
-    # one pair of (order, x) work arrays for every order: the same two heap
-    # blocks each call, where growing per-order arrays fragmented the heap
-    work = np.empty((cap + 1, x.size)), np.empty((cap + 1, x.size), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_2x = np.log(2.0 * x)
         for k in range(cap + 1):
-            term = (k * log_c - 2.0 * log_fact[k] + _log_pk_sum(k, log_2x, log_fact, work)
-                    - 4.0 * c - x)
+            term = k * log_c - 2.0 * log_fact[k] + _log_pk_sum(k, log_2x, log_fact) - 4.0 * c - x
             total = total + np.exp(term)
             log_total = np.logaddexp(log_total, term)
             if np.all(term <= log_rtol + log_total) and np.all(term <= prev):

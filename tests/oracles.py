@@ -199,10 +199,29 @@ def pk_reference(k: int, x: float) -> float:
     return total
 
 
+def log_pk_exact(k: int, x) -> np.ndarray:
+    """log p_k(x) from the exact sum at each float x, its log taken at 40
+    digits.  With x = n/2^e, 2^(e*k) p_k(x) = sum_j C_j (2n)^j 2^(e*(k-j)) is
+    an integer, summed by Horner's rule in Python's integers."""
+    import mpmath as mp
+
+    coeff = [math.factorial(2 * k - j) // (math.factorial(j) * math.factorial(k - j))
+             for j in range(k + 1)]
+    out = []
+    with mp.workdps(40):
+        for value in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
+            n, d = value.as_integer_ratio()
+            e = d.bit_length() - 1
+            total = coeff[k]
+            for j in range(k - 1, -1, -1):
+                total = total * 2 * n + (coeff[j] << (e * (k - j)))
+            out.append(float(mp.log(total) - e * k * mp.log(2)))
+    return np.array(out)
+
+
 def log_pk_logsumexp(k: int, x) -> np.ndarray:
-    """log p_k(x) summed by scipy.special.logsumexp: the library's earlier
-    log-space sum, kept verbatim so its in-place kernel can be checked bit
-    for bit."""
+    """log p_k(x) summed by scipy.special.logsumexp, the library's earlier
+    log-space sum, for the earlier series enveloped_series_scipy."""
     from scipy.special import gammaln, logsumexp
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -220,7 +239,7 @@ def log_pk_logsumexp(k: int, x) -> np.ndarray:
 def enveloped_series_scipy(c: float, x) -> np.ndarray:
     """exp(-x-4c) * sum_k c^k p_k(x)/(k!)^2 with scipy.special.gammaln for
     k! and log_pk_logsumexp for p_k: the library's earlier series, kept
-    verbatim so its scipy-free log-factorials can be checked bit for bit."""
+    verbatim as an oracle for its scipy-free one."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if c == 0.0:
         return np.exp(-x)

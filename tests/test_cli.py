@@ -170,6 +170,15 @@ class TestConfigParsing:
         assert f"config field 'grids.{name}': " in capsys.readouterr().err
         assert not (tmp_path / "mean.csv").exists()
 
+    def test_range_too_large_to_allocate(self, tmp_path, capsys):
+        # numpy refuses 1e15 points (7 PiB) before allocating any of them
+        cfg = base_config()
+        cfg["grids"]["omega"] = {"start": 0.0, "stop": 1e5, "num": 10**15}
+        path = write_config(tmp_path, cfg)
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config field 'grids.omega': "), err
+
     @pytest.mark.parametrize("realizations", [1, 2])
     def test_fewer_than_three_realizations_rejected(self, tmp_path, capsys, realizations):
         # the library's ensembles need at least 3 realizations
@@ -546,6 +555,15 @@ class TestCurveSubcommands:
         assert code == EXIT_FAIL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error in mean:")
+
+    def test_ensemble_too_large_to_allocate_fails_the_subcommand(self, tmp_path, capsys):
+        # numpy refuses the rows of 1e15 realizations before allocating any
+        cfg = base_config(mc={"realizations": 10**15, "seed": 1})
+        code = main(["mc", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error in mc: out of memory"), err
+        assert not (tmp_path / "mc_stats.csv").exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"

@@ -293,6 +293,19 @@ def test_times_must_be_finite_and_nonnegative(name, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("t", [1e200, 1.7e308])
+@pytest.mark.parametrize("name", [
+    "phase_space_density", "density", "center_density", "column_number_density",
+    "sigma_general", "sigma_small_waist", "sigma_long_rayleigh", "sigma_high_temperature",
+    "sigma_saturated_closed", "sigma_saturated_general", "mean_number", "variance",
+    "covariance_exact", "covariance_quasistationary", "spectrum_exponential"])
+def test_closed_forms_reach_their_limit_where_the_time_squared_overflows(name, t):
+    # the time check accepts these times, and t^2 overflows: the result is
+    # the limit 0, not the NaN of inf/inf or inf*0, nor an OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _time_takers()[name](t) == 0.0
+
+
 def _closed_forms(g: float):
     """Every closed form of a time t, fall time T or delay, on the
     configs/default.json cloud at gravity g, evaluated over a time grid."""

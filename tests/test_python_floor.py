@@ -1,6 +1,6 @@
-"""Every module of the package, of its tests and of its demos parses at the
-Python floor that pyproject.toml declares, whatever interpreter runs the
-suite."""
+"""Every module of the package, of its tests, of its demos and of its
+benchmark parses at the Python floor that pyproject.toml declares, whatever
+interpreter runs the suite."""
 
 import ast
 import re
@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 FLOOR = tuple(int(part) for part in re.search(
     r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups())
 MODULES = sorted(path.relative_to(ROOT).as_posix()
-                 for folder in ("src", "tests", "demos") for path in (ROOT / folder).rglob("*.py"))
+                 for folder in ("src", "tests", "demos", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py"))
 
 
 def test_floor_is_python_3_10():
